@@ -19,7 +19,7 @@ from .inversion import (Backend, Reconstruction, RegParams, delta_plus,
 from .holonomy import (HolonomyReport, PathEvaluation, Probe, ShiftPath, StepRecord,
                        UnsupportedSceneError, boundary_jump, check_holonomy,
                        classify_defect_scene, evaluate_path, extract_defect,
-                       leak_tolerance, radon_masked)
+                       leak_tolerance)
 from .hybrid import (VolumeReconstruction, dual_k_grid, hybrid_forward,
                      hybrid_from_scene, hybrid_inverse_series, hybrid_radon,
                      make_slices, reconstruct_volume)
@@ -41,7 +41,7 @@ __all__ = [
     "fst_lhs", "fst_passed", "fst_rhs", "hybrid_forward", "hybrid_from_scene", "hybrid_inverse_series",
     "hybrid_radon", "invert_fa", "invert_fs", "invert_universal", "l2_norm",
     "lambda_kernel", "lambda_kernel_filtered", "leak_tolerance", "load_scene",
-    "make_slices", "radon_masked", "radon_point", "radon_transform",
+    "make_slices", "radon_point", "radon_transform",
     "ramp_filtered", "rasterize", "read_container", "reconstruct_volume",
     "reconstruction_metrics", "save_scene", "scene_from_text", "scene_to_text",
     "tau_derivative", "write_container",

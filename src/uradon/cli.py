@@ -351,9 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="uradon",
         description="Complex-valued Radon transforms: projection, slice checks, "
                     "two-term inversion, holonomy analysis, slice-stacked volumes.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (results never depend on it; current "
-                             "implementation is sequential)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="rasterize a scene file to an image or volume")

@@ -37,23 +37,29 @@ def _ray_offsets(geometry: GridGeometry, ray_step: float) -> tuple[np.ndarray, f
     return -radius + (np.arange(n_s) + 0.5) * h, h
 
 
-def _radon_rays(img: ImageGrid2D, taus: np.ndarray, cos_phi: float, sin_phi: float,
-                ray_step: float) -> np.ndarray:
-    """Line integrals at the given radial offsets for one direction."""
-    s, h = _ray_offsets(img.geometry, ray_step)
-    x = taus[:, None] * cos_phi - s[None, :] * sin_phi
-    y = taus[:, None] * sin_phi + s[None, :] * cos_phi
-    return bilinear_sample(img, x, y).sum(axis=1) * h
+def _project(img: ImageGrid2D, taus: np.ndarray, directions,
+             ray_step: float | None) -> np.ndarray:
+    """Line integrals along <(c, s), x> = tau, shape (n_tau, n_dir).
+
+    Every ray-driven caller goes through here.  Directions are taken in the
+    given order, one column each, so repeated calls are bitwise identical.
+    """
+    if ray_step is None:
+        ray_step = default_ray_step(img.geometry)
+    if not (np.isfinite(ray_step) and ray_step > 0):
+        raise ValueError(f"ray_step must be positive and finite, got {ray_step}")
+    offsets, h = _ray_offsets(img.geometry, ray_step)
+    out = np.empty((len(taus), len(directions)), dtype=np.complex128)
+    for m, (c, s) in enumerate(directions):
+        x = taus[:, None] * c - offsets[None, :] * s
+        y = taus[:, None] * s + offsets[None, :] * c
+        out[:, m] = bilinear_sample(img, x, y).sum(axis=1) * h
+    return out
 
 
 def radon_point(img: ImageGrid2D, tau: float, phi: float, ray_step: float | None = None) -> complex:
     """Single line integral of the image along <n_phi, x> = tau."""
-    if ray_step is None:
-        ray_step = default_ray_step(img.geometry)
-    if ray_step <= 0:
-        raise ValueError(f"ray_step must be positive, got {ray_step}")
-    c, s = direction(phi)
-    return complex(_radon_rays(img, np.asarray([float(tau)]), c, s, ray_step)[0])
+    return complex(_project(img, np.asarray([float(tau)]), [direction(phi)], ray_step)[0, 0])
 
 
 def radon_transform(img: ImageGrid2D, tau_grid: TauGrid, angles: AngularRange,
@@ -63,13 +69,5 @@ def radon_transform(img: ImageGrid2D, tau_grid: TauGrid, angles: AngularRange,
     Deterministic: entries are evaluated in a fixed order, so repeated calls
     are bitwise identical.
     """
-    if ray_step is None:
-        ray_step = default_ray_step(img.geometry)
-    if ray_step <= 0:
-        raise ValueError(f"ray_step must be positive, got {ray_step}")
-    taus = tau_grid.taus()
-    values = np.empty((tau_grid.n_tau, angles.n_phi), dtype=np.complex128)
-    for m, phi in enumerate(angles.phis()):
-        c, s = direction(phi)
-        values[:, m] = _radon_rays(img, taus, c, s, ray_step)
+    values = _project(img, tau_grid.taus(), [direction(phi) for phi in angles.phis()], ray_step)
     return Sinogram(tau_grid.tau_min, tau_grid.d_tau, tau_grid.n_tau, angles, values)

@@ -21,6 +21,26 @@ TWO_PI = 2.0 * np.pi
 ANGULAR_MEASURE_NORM = 1.0 / (4.0 * np.pi**2)
 
 
+def _trapezoid_weights(n: int, d: float) -> np.ndarray:
+    """Composite trapezoid weights for n nodes spaced d apart."""
+    w = np.full(n, d)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def _linear_index(f, n: int):
+    """Split fractional node indices f on an n-node axis for linear interpolation.
+
+    Returns (i0, frac, inside): the interpolated value is
+    (1 - frac) * v[i0] + frac * v[i0 + 1], and positions with inside False
+    lie outside [0, n - 1] and read as zero.
+    """
+    inside = (f >= 0.0) & (f <= n - 1)
+    f = np.clip(f, 0.0, n - 1)
+    i0 = np.minimum(f.astype(np.intp), n - 2)
+    return i0, f - i0, inside
+
+
 def _freeze(values, shape, name: str) -> np.ndarray:
     """Copy to a read-only, C-contiguous complex128 array of the given shape."""
     arr = np.array(values, dtype=np.complex128, order="C", copy=True)
@@ -136,10 +156,8 @@ class ImageGrid2D:
 
     def total_integral(self) -> complex:
         """Trapezoid quadrature of the samples over the extent."""
-        wx = np.full(self.nx, self.dx)
-        wx[[0, -1]] *= 0.5
-        wy = np.full(self.ny, self.dy)
-        wy[[0, -1]] *= 0.5
+        wx = _trapezoid_weights(self.nx, self.dx)
+        wy = _trapezoid_weights(self.ny, self.dy)
         return complex(wx @ self.values @ wy)
 
     def __eq__(self, other):
@@ -159,15 +177,9 @@ def bilinear_sample(img: ImageGrid2D, x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     scalar = x.ndim == 0 and y.ndim == 0
-    fx = (x - img.x_min) / img.dx
-    fy = (y - img.y_min) / img.dy
-    inside = (fx >= 0.0) & (fx <= img.nx - 1) & (fy >= 0.0) & (fy <= img.ny - 1)
-    fx = np.clip(fx, 0.0, img.nx - 1)
-    fy = np.clip(fy, 0.0, img.ny - 1)
-    i0 = np.minimum(fx.astype(np.intp), img.nx - 2)
-    j0 = np.minimum(fy.astype(np.intp), img.ny - 2)
-    tx = fx - i0
-    ty = fy - j0
+    i0, tx, inside_x = _linear_index((x - img.x_min) / img.dx, img.nx)
+    j0, ty, inside_y = _linear_index((y - img.y_min) / img.dy, img.ny)
+    inside = inside_x & inside_y
     v = img.values
     out = ((1.0 - tx) * (1.0 - ty) * v[i0, j0]
            + tx * (1.0 - ty) * v[i0 + 1, j0]

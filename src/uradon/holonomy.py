@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid
-from .forward import _radon_rays, default_ray_step, direction
+from .grids import AngularRange, GridGeometry, Sinogram, TauGrid
+from .forward import _project, direction
 from .inversion import l2_norm
 from .phantoms import CompositeScene, GaussianBlob, RegionMask, rasterize
 
@@ -133,25 +133,6 @@ def leak_tolerance(scene: CompositeScene, geometry: GridGeometry) -> float:
     return 1e-6 * scene.peak * geometry.diameter
 
 
-def radon_masked(scene: CompositeScene, tau: float, phi: float, geometry: GridGeometry,
-                 ray_step: float | None = None) -> complex:
-    """Numeric line integral of the rasterized masked scene."""
-    if ray_step is None:
-        ray_step = default_ray_step(geometry)
-    img = rasterize(scene, geometry)
-    c, s = direction(phi)
-    return complex(_radon_rays(img, np.asarray([float(tau)]), c, s, ray_step)[0])
-
-
-def _term_columns(img: ImageGrid2D, probe: Probe, sign: float, trig, ray_step: float) -> np.ndarray:
-    """Masked-term columns over the probe window with direction sign*(cos, sin)."""
-    taus = probe.taus.taus()
-    out = np.empty((probe.taus.n_tau, probe.angles.n_phi), dtype=np.complex128)
-    for m, (c, s) in enumerate(trig):
-        out[:, m] = _radon_rays(img, taus, sign * c, sign * s, ray_step)
-    return out
-
-
 def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
                   geometry: GridGeometry, ray_step: float | None = None,
                   leak_tol: float | None = None) -> PathEvaluation:
@@ -162,19 +143,18 @@ def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
     leak_tol in magnitude are dropped.  The final column is the sum over the
     survivors at the final angles.
     """
-    if ray_step is None:
-        ray_step = default_ray_step(geometry)
     if leak_tol is None:
         leak_tol = leak_tolerance(scene, geometry)
     term_images = [rasterize(CompositeScene((term,)), geometry) for term in scene.terms]
+    taus = probe.taus.taus()
     trig = [direction(phi) for phi in probe.angles.phis()]
 
     survivors = list(range(len(scene.terms)))
     records = []
     for count in path.half_turn_counts():
         sign = -1.0 if count % 2 else 1.0
-        columns = {i: _term_columns(term_images[i], probe, sign, trig, ray_step)
-                   for i in survivors}
+        directions = [(sign * c, sign * s) for c, s in trig]
+        columns = {i: _project(term_images[i], taus, directions, ray_step) for i in survivors}
         norms = tuple((i, float(np.max(np.abs(columns[i])))) for i in survivors)
         kept = [i for i, norm in norms if norm > leak_tol]
         total = np.zeros((probe.taus.n_tau, probe.angles.n_phi), dtype=np.complex128)
@@ -268,16 +248,12 @@ def extract_defect(scene_tilde: CompositeScene, probe: Probe, geometry: GridGeom
     projection.
     """
     classify_defect_scene(scene_tilde)  # validates the scene shape
-    if ray_step is None:
-        ray_step = default_ray_step(geometry)
     img = rasterize(scene_tilde, geometry)
-    trig = [direction(phi) for phi in probe.angles.phis()]
     taus = probe.taus.taus()
-    values = np.empty((probe.taus.n_tau, probe.angles.n_phi), dtype=np.complex128)
-    for m, (c, s) in enumerate(trig):
-        head = _radon_rays(img, taus, c, s, ray_step)
-        tail = _radon_rays(img, taus, -c, -s, ray_step)  # exact half-turn shift
-        values[:, m] = head - tail
+    trig = [direction(phi) for phi in probe.angles.phis()]
+    head = _project(img, taus, trig, ray_step)
+    tail = _project(img, taus, [(-c, -s) for c, s in trig], ray_step)  # exact half-turn shift
+    values = head - tail
     return Sinogram(probe.taus.tau_min, probe.taus.d_tau, probe.taus.n_tau,
                     probe.angles, values)
 

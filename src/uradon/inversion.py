@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ANGULAR_MEASURE_NORM, GridGeometry, ImageGrid2D, Sinogram
+from .grids import (ANGULAR_MEASURE_NORM, GridGeometry, ImageGrid2D, Sinogram, _linear_index,
+                    _trapezoid_weights)
 from .forward import direction
 
 
@@ -159,8 +160,7 @@ def _fp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
     m_half = n_tau - 1
     window = m_half * d_tau
     j = np.arange(-m_half, m_half + 1)
-    w = np.full(j.shape, d_tau)
-    w[[0, -1]] *= 0.5
+    w = _trapezoid_weights(j.size, d_tau)
     kernel = np.zeros(j.shape, dtype=np.float64)
     off = j != 0
     kernel[off] = w[off] / (j[off] * d_tau) ** 2
@@ -183,8 +183,7 @@ def lambda_kernel_filtered(sino: Sinogram, epsilon: float, lambda_max: float) ->
     """Correlate every column with the closed-form regularized kernel."""
     m_half = sino.n_tau - 1
     eta = sino.d_tau * np.arange(-m_half, m_half + 1)
-    w = np.full(eta.shape, sino.d_tau)
-    w[[0, -1]] *= 0.5
+    w = _trapezoid_weights(eta.size, sino.d_tau)
     return _correlate_columns(sino.values, w * lambda_kernel(eta, epsilon, lambda_max))
 
 
@@ -196,23 +195,14 @@ def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
     """
     if fa_step < sino.d_tau:
         raise ValueError(f"fa_step {fa_step} must be at least d_tau {sino.d_tau}")
+    n = sino.n_tau
     shift = fa_step / sino.d_tau
-    plus = _shifted_columns(sino.values, shift)
-    minus = _shifted_columns(sino.values, -shift)
-    return (plus - minus) / (2.0 * fa_step)
-
-
-def _shifted_columns(values: np.ndarray, shift: float) -> np.ndarray:
-    """values evaluated at fractional node index t + shift (linear, zero-padded)."""
-    n = values.shape[0]
-    t = np.arange(n) + shift
-    inside = (t >= 0.0) & (t <= n - 1)
-    tc = np.clip(t, 0.0, n - 1)
-    i0 = np.minimum(tc.astype(np.intp), n - 2)
-    frac = (tc - i0)[:, None]
-    out = (1.0 - frac) * values[i0] + frac * values[i0 + 1]
-    out[~inside] = 0.0
-    return out
+    # row 0 reads every column at t + shift, row 1 at t - shift
+    i0, frac, inside = _linear_index(np.arange(n) + np.array([[shift], [-shift]]), n)
+    frac = frac[..., None]
+    shifted = (1.0 - frac) * sino.values[i0] + frac * sino.values[i0 + 1]
+    shifted[~inside] = 0.0
+    return (shifted[0] - shifted[1]) / (2.0 * fa_step)
 
 
 # --- backprojection ----------------------------------------------------------
@@ -231,14 +221,9 @@ def _backproject(columns: np.ndarray, sino: Sinogram,
     X, Y = geometry.node_mesh()
     acc = np.zeros((geometry.nx, geometry.ny), dtype=np.complex128)
     out_of_range = np.zeros(acc.shape, dtype=bool)
-    n = sino.n_tau
     for m, phi in enumerate(sino.angles.phis()):
         c, s = direction(phi)
-        fi = (c * X + s * Y - sino.tau_min) / sino.d_tau
-        inside = (fi >= 0.0) & (fi <= n - 1)
-        fic = np.clip(fi, 0.0, n - 1)
-        i0 = np.minimum(fic.astype(np.intp), n - 2)
-        w = fic - i0
+        i0, w, inside = _linear_index((c * X + s * Y - sino.tau_min) / sino.d_tau, sino.n_tau)
         col = columns[:, m]
         acc += np.where(inside, (1.0 - w) * col[i0] + w * col[i0 + 1], 0.0)
         out_of_range |= ~inside

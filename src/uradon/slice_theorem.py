@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import AngularRange, ImageGrid2D, Sinogram
+from .grids import AngularRange, ImageGrid2D, Sinogram, _trapezoid_weights
 from .forward import direction
 
 
@@ -65,10 +65,8 @@ def fst_lhs(img: ImageGrid2D, phi: float, lambdas) -> SpectralSlice:
     """2D trapezoid quadrature of exp(-i lam <n_phi, x>) f(x) over the grid."""
     lams = _check_lambdas(lambdas)
     c, s = direction(phi)
-    wx = np.full(img.nx, img.dx)
-    wx[[0, -1]] *= 0.5
-    wy = np.full(img.ny, img.dy)
-    wy[[0, -1]] *= 0.5
+    wx = _trapezoid_weights(img.nx, img.dx)
+    wy = _trapezoid_weights(img.ny, img.dy)
     weighted = img.values * wx[:, None] * wy[None, :]
     # separable phase: exp(-i lam (c x + s y)) = exp(-i lam c x) exp(-i lam s y)
     geom = img.geometry
@@ -83,8 +81,7 @@ def fst_rhs(sino: Sinogram, phi: float, lambdas) -> SpectralSlice:
     lams = _check_lambdas(lambdas)
     column = sino.values[:, sino.angles.index_of(phi)]
     taus = sino.taus()
-    w = np.full(sino.n_tau, sino.d_tau)
-    w[[0, -1]] *= 0.5
+    w = _trapezoid_weights(sino.n_tau, sino.d_tau)
     phase = np.exp(-1j * np.outer(lams, taus))
     values = phase @ (w * column)
     return SpectralSlice(phi, lams, values)

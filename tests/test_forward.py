@@ -33,8 +33,9 @@ class TestRadonPoint:
 
     def test_ray_step_validation(self, unit_blob_scene):
         img = gaussian_image(unit_blob_scene, nx=32)
-        with pytest.raises(ValueError):
-            ur.radon_point(img, 0.0, 0.0, ray_step=0.0)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ur.radon_point(img, 0.0, 0.0, ray_step=bad)
 
 
 class TestRadonTransform:
@@ -96,6 +97,17 @@ class TestRadonTransform:
         sino = ur.radon_transform(img, tg, angles)
         oracle = analytic_sinogram(unit_blob_scene, tg, angles)
         assert np.max(np.abs(sino.values - oracle.values)) < 1e-3
+
+    def test_point_matches_transform_entry_bitwise(self):
+        scene = ur.CompositeScene.of(ur.GaussianBlob(0.4, -0.2, 0.7, 1.0 - 0.5j))
+        img = gaussian_image(scene, nx=40, extent=6.0)
+        tg = ur.TauGrid.covering(img.geometry, 0.2)
+        angles = ur.AngularRange(0.3, 5.9, 7)
+        for ray_step in (None, 0.037):
+            sino = ur.radon_transform(img, tg, angles, ray_step)
+            for t, m in [(0, 0), (tg.n_tau // 2, 3), (5, 6), (tg.n_tau - 1, 2)]:
+                got = ur.radon_point(img, tg.taus()[t], angles.phis()[m], ray_step)
+                assert got == sino.values[t, m]
 
     def test_determinism(self, unit_blob_scene):
         img = gaussian_image(unit_blob_scene, nx=48)

@@ -60,7 +60,7 @@ class TestProbeAndPath:
 class TestRadonMasked:
     def test_third_quadrant_term_is_dark_at_positive_tau(self, geom):
         scene = ur.CompositeScene(((ur.GaussianBlob(-1.5, -1.5, 0.5, 1.0), Q3),))
-        got = ur.radon_masked(scene, 1.0, np.pi / 4, geom)
+        got = ur.radon_point(ur.rasterize(scene, geom), 1.0, np.pi / 4)
         # quadrant III never meets <n, x> = tau > 0 for phi in [0, pi/2];
         # anything that leaks must come from the Gaussian tail
         bound = np.exp(-(1.0 + np.hypot(1.5, 1.5)) ** 2 / (2 * 0.5**2))
@@ -69,15 +69,15 @@ class TestRadonMasked:
     def test_masked_blob_positive_and_converged(self, geom):
         scene = ur.CompositeScene(((ur.GaussianBlob(1.0, 1.0, 0.5, 1.0), Q1),))
         tau, phi = np.sqrt(2.0), np.pi / 4
-        got = ur.radon_masked(scene, tau, phi, geom)
+        got = ur.radon_point(ur.rasterize(scene, geom), tau, phi)
         fine = ur.GridGeometry.centered(384, 384, 8.0, 8.0)
-        oracle = ur.radon_masked(scene, tau, phi, fine)
+        oracle = ur.radon_point(ur.rasterize(scene, fine), tau, phi)
         assert got.real > 0.0
         assert abs(got - oracle) / abs(oracle) < 2e-2
 
     def test_zero_amplitude_scene(self, geom):
         scene = ur.CompositeScene(((ur.GaussianBlob(1.0, 1.0, 0.5, 0.0), Q1),))
-        assert ur.radon_masked(scene, 1.0, 0.3, geom) == 0.0
+        assert ur.radon_point(ur.rasterize(scene, geom), 1.0, 0.3) == 0.0
 
 
 class TestEvaluatePath:

@@ -120,6 +120,25 @@ class TestColumnFilters:
                  - 1j * np.pi * inv.tau_derivative(sino, d_tau)[:, 0])
         assert np.max(np.abs(kcol - combo)) / np.max(np.abs(combo)) <= 1e-2
 
+    def test_tau_derivative_fractional_step_on_linear_columns(self):
+        # h = 1.5 d_tau reads between nodes; linear interpolation is exact on
+        # a linear column, and reads past either end are zero
+        tg = ur.TauGrid(-1.3, 0.1, 27)
+        slopes = np.array([2.0 - 1.0j, -0.5])
+        col = (0.7 + 0.2j) + tg.taus()[:, None] * slopes[None, :]
+        sino = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, ur.AngularRange.full(2), col)
+        h = 1.5 * tg.d_tau
+        got = inv.tau_derivative(sino, h)
+        np.testing.assert_allclose(got[2:-2], np.broadcast_to(slopes, got[2:-2].shape),
+                                   rtol=0, atol=1e-12)
+        taus = tg.taus()
+        for t in (0, 1):
+            np.testing.assert_allclose(got[t], ((0.7 + 0.2j) + (taus[t] + h) * slopes) / (2 * h),
+                                       rtol=1e-12)
+        for t in (-2, -1):
+            np.testing.assert_allclose(got[t], -((0.7 + 0.2j) + (taus[t] - h) * slopes) / (2 * h),
+                                       rtol=1e-12)
+
     def test_tau_derivative_step_validation(self):
         sino = ur.Sinogram(-1.0, 0.5, 5, ur.AngularRange.full(1), np.zeros((5, 1)))
         with pytest.raises(ValueError):
