@@ -9,6 +9,8 @@ threads.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,24 @@ def _linear_index(f, n: int):
     return i0, f - i0, inside
 
 
+def _finite(name: str, value, positive: bool = False) -> None:
+    """Reject anything but a finite real number (and, if positive, one above zero).
+
+    Comparisons alone are not enough: nan <= 0 is False.  Booleans are
+    rejected although Python counts them as numbers.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or (positive and value <= 0)):
+        kind = "a finite positive number" if positive else "a finite number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _positive_int(name: str, value) -> None:
+    """Reject anything but an integer >= 1; booleans and floats such as 4.0 are rejected too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _freeze(values, shape, name: str) -> np.ndarray:
     """Copy to a read-only, C-contiguous complex128 array of the given shape."""
     arr = np.array(values, dtype=np.complex128, order="C", copy=True)
@@ -62,10 +82,14 @@ class GridGeometry:
     dy: float
 
     def __post_init__(self):
+        _positive_int("nx", self.nx)
+        _positive_int("ny", self.ny)
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid needs at least 2 samples per axis, got {self.nx}x{self.ny}")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValueError(f"grid spacing must be positive, got dx={self.dx}, dy={self.dy}")
+        _finite("x_min", self.x_min)
+        _finite("y_min", self.y_min)
+        _finite("dx", self.dx, positive=True)
+        _finite("dy", self.dy, positive=True)
 
     @classmethod
     def centered(cls, nx: int, ny: int, extent_x: float, extent_y: float) -> "GridGeometry":
@@ -203,11 +227,12 @@ class AngularRange:
     n_phi: int
 
     def __post_init__(self):
+        _finite("phi_min", self.phi_min)
+        _finite("phi_max", self.phi_max)
         span = self.phi_max - self.phi_min
         if not (0.0 < span <= TWO_PI + 1e-12):
             raise ValueError(f"angular span must lie in (0, 2*pi], got {span}")
-        if self.n_phi < 1:
-            raise ValueError(f"n_phi must be positive, got {self.n_phi}")
+        _positive_int("n_phi", self.n_phi)
 
     @classmethod
     def full(cls, n_phi: int) -> "AngularRange":
@@ -262,10 +287,9 @@ class TauGrid:
     n_tau: int
 
     def __post_init__(self):
-        if self.d_tau <= 0:
-            raise ValueError(f"d_tau must be positive, got {self.d_tau}")
-        if self.n_tau < 1:
-            raise ValueError(f"n_tau must be positive, got {self.n_tau}")
+        _finite("tau_min", self.tau_min)
+        _finite("d_tau", self.d_tau, positive=True)
+        _positive_int("n_tau", self.n_tau)
 
     @classmethod
     def symmetric(cls, d_tau: float, n_tau: int) -> "TauGrid":
@@ -282,6 +306,11 @@ class TauGrid:
     @property
     def tau_max(self) -> float:
         return self.tau_min + (self.n_tau - 1) * self.d_tau
+
+    @property
+    def is_symmetric(self) -> bool:
+        """True iff tau_min = -tau_max up to the rounding of the endpoints."""
+        return abs(self.tau_min + self.tau_max) <= 4.0 * np.finfo(float).eps * abs(self.tau_min)
 
     def taus(self) -> np.ndarray:
         return self.tau_min + self.d_tau * np.arange(self.n_tau)

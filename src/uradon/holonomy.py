@@ -135,13 +135,18 @@ def leak_tolerance(scene: CompositeScene, geometry: GridGeometry) -> float:
 
 def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
                   geometry: GridGeometry, ray_step: float | None = None,
-                  leak_tol: float | None = None) -> PathEvaluation:
+                  leak_tol: float | None = None, _columns: dict | None = None) -> PathEvaluation:
     """Walk the shift path, dropping terms whose columns vanish on the window.
 
     At each step all probe angles shift by the step; every surviving term's
     masked column is evaluated there and terms whose column stays below
     leak_tol in magnitude are dropped.  The final column is the sum over the
     survivors at the final angles.
+
+    _columns maps (term index, direction sign) to projected columns; entries
+    found there are reused and new ones are added, so paths evaluated with
+    one dict on the same scene, probe, geometry and ray_step project each
+    (term, sign) once.
     """
     if leak_tol is None:
         leak_tol = leak_tolerance(scene, geometry)
@@ -149,12 +154,17 @@ def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
     taus = probe.taus.taus()
     trig = [direction(phi) for phi in probe.angles.phis()]
 
+    cache = {} if _columns is None else _columns
     survivors = list(range(len(scene.terms)))
     records = []
     for count in path.half_turn_counts():
         sign = -1.0 if count % 2 else 1.0
-        directions = [(sign * c, sign * s) for c, s in trig]
-        columns = {i: _project(term_images[i], taus, directions, ray_step) for i in survivors}
+        missing = [i for i in survivors if (i, sign) not in cache]
+        if missing:
+            directions = [(sign * c, sign * s) for c, s in trig]
+            projected = _project([term_images[i] for i in missing], taus, directions, ray_step)
+            cache.update(zip([(i, sign) for i in missing], projected))
+        columns = {i: cache[i, sign] for i in survivors}
         norms = tuple((i, float(np.max(np.abs(columns[i])))) for i in survivors)
         kept = [i for i, norm in norms if norm > leak_tol]
         total = np.zeros((probe.taus.n_tau, probe.angles.n_phi), dtype=np.complex128)
@@ -177,8 +187,10 @@ def check_holonomy(scene: CompositeScene, probe: Probe, geometry: GridGeometry,
         leak_tol = leak_tolerance(scene, geometry)
     if threshold is None:
         threshold = 10.0 * leak_tol
-    one = evaluate_path(scene, ShiftPath.full_turn(), probe, geometry, ray_step, leak_tol)
-    two = evaluate_path(scene, ShiftPath.two_half_turns(), probe, geometry, ray_step, leak_tol)
+    columns: dict = {}  # the +sign columns of the full turn serve the second half turn
+    one = evaluate_path(scene, ShiftPath.full_turn(), probe, geometry, ray_step, leak_tol, columns)
+    two = evaluate_path(scene, ShiftPath.two_half_turns(), probe, geometry, ray_step, leak_tol,
+                        columns)
     discrepancy = l2_norm(one.final_sinogram_column - two.final_sinogram_column)
     return HolonomyReport(discrepancy_norm=discrepancy, threshold=threshold,
                           detected=discrepancy > threshold, full_turn=one,
@@ -251,9 +263,9 @@ def extract_defect(scene_tilde: CompositeScene, probe: Probe, geometry: GridGeom
     img = rasterize(scene_tilde, geometry)
     taus = probe.taus.taus()
     trig = [direction(phi) for phi in probe.angles.phis()]
-    head = _project(img, taus, trig, ray_step)
-    tail = _project(img, taus, [(-c, -s) for c, s in trig], ray_step)  # exact half-turn shift
-    values = head - tail
+    # the half-turn shift is the exactly flipped direction
+    both = _project([img], taus, trig + [(-c, -s) for c, s in trig], ray_step)[0]
+    values = both[:, :len(trig)] - both[:, len(trig):]
     return Sinogram(probe.taus.tau_min, probe.taus.d_tau, probe.taus.n_tau,
                     probe.angles, values)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grids import (AngularRange, GridGeometry, HybridField, ImageGrid2D, Provenance,
                     Sinogram, TauGrid, VolumeStack)
-from .forward import radon_transform
+from .forward import _radon_values
 from .inversion import RegParams, Reconstruction, invert_universal, l2_norm
 from .phantoms import SeparableScene3D, rasterize
 
@@ -133,8 +133,13 @@ def hybrid_inverse_series(field: HybridField, x3_positions) -> VolumeStack:
 
 def hybrid_radon(field: HybridField, tau_grid: TauGrid, angles: AngularRange,
                  ray_step: float | None = None) -> list[Sinogram]:
-    """Forward-project every k field; k rides along as a spectator parameter."""
-    return [radon_transform(f, tau_grid, angles, ray_step) for f in field.fields]
+    """Forward-project every k field; k rides along as a spectator parameter.
+
+    All fields are projected in one pass, as channels sharing each angle's
+    samples; every sinogram is bit-identical to projecting its field alone.
+    """
+    values = _radon_values(field.fields, tau_grid, angles, ray_step)
+    return [Sinogram(tau_grid.tau_min, tau_grid.d_tau, tau_grid.n_tau, angles, v) for v in values]
 
 
 @dataclass(frozen=True)

@@ -125,9 +125,9 @@ def _correlate_columns(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     n = values.shape[0]
     m_half = (len(kernel) - 1) // 2
     p = _next_pow2(n + len(kernel) - 1)
-    spec = np.fft.fft(values, n=p, axis=0) * np.fft.fft(kernel[::-1], n=p)[:, None]
-    full = np.fft.ifft(spec, axis=0)
-    return full[m_half:m_half + n]
+    spec = np.fft.fft(values, n=p, axis=0)
+    spec *= np.fft.fft(kernel[::-1], n=p)[:, None]
+    return np.fft.ifft(spec, axis=0, out=spec)[m_half:m_half + n]
 
 
 def ramp_filtered(sino: Sinogram) -> np.ndarray:
@@ -139,8 +139,9 @@ def ramp_filtered(sino: Sinogram) -> np.ndarray:
     n = sino.n_tau
     p = _next_pow2(4 * n)
     freqs = 2.0 * np.pi * np.fft.fftfreq(p, d=sino.d_tau)
-    spec = np.fft.fft(sino.values, n=p, axis=0) * np.abs(freqs)[:, None]
-    return np.fft.ifft(spec, axis=0)[:n]
+    spec = np.fft.fft(sino.values, n=p, axis=0)
+    spec *= np.abs(freqs)[:, None]
+    return np.fft.ifft(spec, axis=0, out=spec)[:n]
 
 
 def _fp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
@@ -207,33 +208,49 @@ def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
 
 # --- backprojection ----------------------------------------------------------
 
-def _backproject(columns: np.ndarray, sino: Sinogram,
-                 geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+def _backproject(columns_seq, sino: Sinogram,
+                 geometry: GridGeometry) -> tuple[list[np.ndarray], np.ndarray]:
     """Angular quadrature of per-column data at tau = <n_phi, x>.
 
-    Returns (values, out_of_coverage) where the boolean mask marks pixels
-    whose offset fell outside the stored tau range for at least one angle.
-    Linear interpolation along tau; the fixed angle order keeps the result
-    deterministic.
+    columns_seq holds one or more (n_tau, n_phi) arrays on the sinogram's
+    grid; each angle's interpolation indices are computed once and shared
+    by all of them, and each result is bit-identical to backprojecting its
+    array alone.  Returns (values per array, out_of_coverage) where the
+    boolean mask marks pixels whose offset fell outside the stored tau range
+    for at least one angle.  Linear interpolation along tau; the fixed angle
+    order keeps the result deterministic.
     """
     if sino.n_tau < 2:
         raise ValueError("backprojection needs at least 2 tau samples")
     X, Y = geometry.node_mesh()
-    acc = np.zeros((geometry.nx, geometry.ny), dtype=np.complex128)
-    out_of_range = np.zeros(acc.shape, dtype=bool)
+    accs = [np.zeros((geometry.nx, geometry.ny), dtype=np.complex128) for _ in columns_seq]
+    out_of_range = np.zeros((geometry.nx, geometry.ny), dtype=bool)
     for m, phi in enumerate(sino.angles.phis()):
         c, s = direction(phi)
         i0, w, inside = _linear_index((c * X + s * Y - sino.tau_min) / sino.d_tau, sino.n_tau)
-        col = columns[:, m]
-        acc += np.where(inside, (1.0 - w) * col[i0] + w * col[i0 + 1], 0.0)
+        w0 = 1.0 - w
+        for acc, columns in zip(accs, columns_seq):
+            col = columns[:, m]
+            acc += np.where(inside, w0 * col[i0] + w * col[i0 + 1], 0.0)
         out_of_range |= ~inside
-    acc *= sino.angles.d_phi * ANGULAR_MEASURE_NORM
-    return acc, out_of_range
+    for acc in accs:
+        acc *= sino.angles.d_phi * ANGULAR_MEASURE_NORM
+    return accs, out_of_range
 
 
 def _flag_meta(out_of_range: np.ndarray) -> dict:
     flags = np.argwhere(out_of_range)
     return {"coverage_flags": flags, "coverage_flag_count": int(flags.shape[0])}
+
+
+def _fs_columns(sino: Sinogram, params: RegParams) -> np.ndarray:
+    if params.backend is Backend.RAMP_FILTER:
+        return np.pi * ramp_filtered(sino)
+    return -finite_part_filtered(sino)
+
+
+def _fa_columns(sino: Sinogram, params: RegParams) -> np.ndarray:
+    return -1j * np.pi * tau_derivative(sino, params.fa_step)
 
 
 def invert_fs(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> ImageGrid2D:
@@ -244,28 +261,27 @@ def invert_fs(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> Imag
     kernel then backprojection, scaled by -1.  Both realize
     -(1/4pi^2) * integral d_phi FP integral d_eta R(eta + <n_phi, x>) / eta^2.
     """
-    if params.backend is Backend.RAMP_FILTER:
-        columns = np.pi * ramp_filtered(sino)
-    else:
-        columns = -finite_part_filtered(sino)
-    values, oob = _backproject(columns, sino, geometry)
+    (values,), oob = _backproject([_fs_columns(sino, params)], sino, geometry)
     return ImageGrid2D.from_geometry(geometry, values, _flag_meta(oob))
 
 
 def invert_fa(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> ImageGrid2D:
     """Boundary term: -i pi times the backprojected radial derivative."""
-    columns = -1j * np.pi * tau_derivative(sino, params.fa_step)
-    values, oob = _backproject(columns, sino, geometry)
+    (values,), oob = _backproject([_fa_columns(sino, params)], sino, geometry)
     return ImageGrid2D.from_geometry(geometry, values, _flag_meta(oob))
 
 
 def invert_universal(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> Reconstruction:
-    """Both terms and their sum."""
-    f_s = invert_fs(sino, geometry, params)
-    f_a = invert_fa(sino, geometry, params)
-    meta = {"coverage_flags": f_s.meta["coverage_flags"],
-            "coverage_flag_count": f_s.meta["coverage_flag_count"]}
-    f_total = ImageGrid2D.from_geometry(geometry, f_s.values + f_a.values, meta)
+    """Both terms and their sum, backprojected together in one pass.
+
+    f_s and f_a are bit-identical to invert_fs and invert_fa.
+    """
+    (fs, fa), oob = _backproject([_fs_columns(sino, params), _fa_columns(sino, params)],
+                                 sino, geometry)
+    meta = _flag_meta(oob)
+    f_s = ImageGrid2D.from_geometry(geometry, fs, meta)
+    f_a = ImageGrid2D.from_geometry(geometry, fa, dict(meta))
+    f_total = ImageGrid2D.from_geometry(geometry, fs + fa, dict(meta))
     return Reconstruction(f_s, f_a, f_total)
 
 
@@ -281,8 +297,8 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
         epsilon = 2.0 * sino.d_tau
     if lambda_max is None:
         lambda_max = np.pi / sino.d_tau
-    columns = lambda_kernel_filtered(sino, epsilon, lambda_max)
-    values, oob = _backproject(columns, sino, geometry)
+    (values,), oob = _backproject([lambda_kernel_filtered(sino, epsilon, lambda_max)], sino,
+                                  geometry)
     return ImageGrid2D.from_geometry(geometry, values, _flag_meta(oob))
 
 

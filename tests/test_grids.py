@@ -144,6 +144,13 @@ class TestTauGrid:
         tg = ur.TauGrid.symmetric(0.5, 5)
         assert tg.taus() == pytest.approx([-1.0, -0.5, 0.0, 0.5, 1.0])
 
+    def test_symmetry_flag(self):
+        assert ur.TauGrid.symmetric(0.1, 7).is_symmetric
+        assert ur.TauGrid.symmetric(0.3, 1).is_symmetric
+        assert ur.TauGrid(-0.3, 0.1, 7).is_symmetric      # tau_max rounds to 0.30000000000000004
+        assert not ur.TauGrid(-0.3, 0.1, 6).is_symmetric
+        assert not ur.TauGrid(0.1, 0.1, 5).is_symmetric
+
     def test_covering_contains_bounding_circle(self):
         geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
         tg = ur.TauGrid.covering(geom, 0.25)
@@ -155,6 +162,40 @@ class TestTauGrid:
             ur.TauGrid(0.0, 0.0, 4)
         with pytest.raises(ValueError):
             ur.TauGrid(0.0, 0.1, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ur.GridGeometry(4, 4, 0.0, 0.0, np.nan, 0.1),
+    lambda: ur.GridGeometry(4, 4, 0.0, 0.0, 0.1, np.inf),
+    lambda: ur.GridGeometry(4, 4, 0.0, 0.0, True, 0.1),
+    lambda: ur.GridGeometry(4.5, 4, 0.0, 0.0, 0.1, 0.1),
+    lambda: ur.GridGeometry(4, 4.0, 0.0, 0.0, 0.1, 0.1),
+    lambda: ur.GridGeometry(True, 4, 0.0, 0.0, 0.1, 0.1),
+    lambda: ur.GridGeometry(4, 4, np.nan, 0.0, 0.1, 0.1),
+    lambda: ur.GridGeometry(4, 4, 0.0, -np.inf, 0.1, 0.1),
+    lambda: ur.GridGeometry(4, 4, 0.0, 0.0, "0.1", 0.1),
+    lambda: ur.TauGrid(0.0, np.inf, 4),
+    lambda: ur.TauGrid(0.0, np.nan, 4),
+    lambda: ur.TauGrid(0.0, 0.1, 3.5),
+    lambda: ur.TauGrid(0.0, 0.1, 3.0),
+    lambda: ur.TauGrid(np.nan, 0.1, 4),
+    lambda: ur.AngularRange(0.0, np.pi, 4.5),
+    lambda: ur.AngularRange(0.0, np.pi, True),
+    lambda: ur.AngularRange(np.nan, np.pi, 4),
+    lambda: ur.AngularRange(0.0, np.inf, 4),
+], ids=["dx nan", "dy inf", "dx bool", "nx 4.5", "ny 4.0", "nx bool", "x_min nan",
+        "y_min -inf", "dx str", "d_tau inf", "d_tau nan", "n_tau 3.5", "n_tau 3.0",
+        "tau_min nan", "n_phi 4.5", "n_phi bool", "phi_min nan", "phi_max inf"])
+def test_constructors_reject_non_finite_and_non_integer_inputs(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_constructors_accept_numpy_scalars():
+    geom = ur.GridGeometry(np.int64(4), 4, np.float64(-0.5), 0, np.float32(0.25), 1)
+    assert geom.nx == 4 and geom.dx == 0.25
+    assert ur.TauGrid(np.float64(-1.0), 0.5, np.int32(5)).tau_max == 1.0
+    assert ur.AngularRange(0, 3, np.uint8(3)).d_phi == 1.0
 
 
 class TestStacksAndFields:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import uradon as ur
+import uradon.holonomy as hol
 from conftest import rel_l2
 
 Q1 = ur.RegionMask.QUADRANT_I
@@ -131,6 +132,43 @@ class TestCheckHolonomy:
         report = ur.check_holonomy(masked_pair_scene(amp1=0.0), probe, geom)
         assert report.discrepancy_norm <= ur.leak_tolerance(masked_pair_scene(), geom)
         assert not report.detected
+
+
+class TestColumnReuse:
+    @staticmethod
+    def three_pair_scene():
+        pairs = ((1.5, 1.5, 0.5, 1.0), (0.8, 2.0, 0.4, 0.8j), (2.2, 0.6, 0.45, 0.9 - 0.4j))
+        return ur.CompositeScene(tuple(
+            term for cx, cy, sigma, amp in pairs
+            for term in ((ur.GaussianBlob(cx, cy, sigma, amp), Q1),
+                         (ur.GaussianBlob(-cx, -cy, sigma, amp), Q3))))
+
+    def test_plus_sign_columns_are_projected_once(self, monkeypatch, probe):
+        geom = ur.GridGeometry.centered(96, 96, 8.0, 8.0)
+        scene = self.three_pair_scene()
+        projected = []
+        project = hol._project
+
+        def counting(images, *args):
+            projected.append(len(images))
+            return project(images, *args)
+
+        monkeypatch.setattr(hol, "_project", counting)
+        report = ur.check_holonomy(scene, probe, geom)
+        # 6 terms at +sign (full turn), 6 at -sign, and the 3 survivors' +sign
+        # columns of the second half turn come from the full turn
+        assert projected == [6, 6]
+        projected.clear()
+        alone = [ur.evaluate_path(scene, path, probe, geom)
+                 for path in (ur.ShiftPath.full_turn(), ur.ShiftPath.two_half_turns())]
+        assert sum(projected) == 15
+        for shared, own in zip((report.full_turn, report.two_half_turns), alone):
+            assert len(shared.records) == len(own.records)
+            for a, b in zip(shared.records, own.records):
+                assert a.cumulative_shift == b.cumulative_shift
+                assert a.term_norms == b.term_norms and a.survivors == b.survivors
+                assert np.array_equal(a.column, b.column)
+            assert np.array_equal(shared.final_sinogram_column, own.final_sinogram_column)
 
 
 def tilde_scene(defect_amp=0.8):

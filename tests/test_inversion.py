@@ -71,6 +71,20 @@ class TestColumnFilters:
                     want[t] += kernel[j + m_half] * values[t + j]
         assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_in_place_spectra_match_the_out_of_place_products(self, rng):
+        tg = ur.TauGrid(-1.3, 0.1, 27)
+        values = rng.normal(size=(27, 5)) + 1j * rng.normal(size=(27, 5))
+        sino = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, ur.AngularRange.full(5), values)
+        p = inv._next_pow2(4 * 27)
+        ramp = np.abs(2.0 * np.pi * np.fft.fftfreq(p, d=0.1))[:, None]
+        want = np.fft.ifft(np.fft.fft(values, n=p, axis=0) * ramp, axis=0)[:27]
+        assert np.array_equal(inv.ramp_filtered(sino), want)
+        kernel = rng.normal(size=11) + 1j * rng.normal(size=11)
+        p = inv._next_pow2(27 + 10)
+        spec = np.fft.fft(values, n=p, axis=0) * np.fft.fft(kernel[::-1], n=p)[:, None]
+        assert np.array_equal(inv._correlate_columns(values, kernel),
+                              np.fft.ifft(spec, axis=0)[5:5 + 27])
+
     def test_finite_part_of_gaussian_column(self):
         # FP integral exp(-eta^2/2)/eta^2 deta = -sqrt(2 pi), frozen from
         # independent subtraction quadrature
@@ -277,6 +291,20 @@ class TestInvertUniversal:
         sino = make_sino(unit_blob_scene, geom, 0.2, ur.AngularRange.full(30))
         r = ur.invert_universal(sino, geom, ur.RegParams.defaults(0.2))
         assert np.array_equal(r.f_total.values, r.f_s.values + r.f_a.values)
+
+    @pytest.mark.parametrize("backend", list(ur.Backend))
+    @pytest.mark.parametrize("angles", [ur.AngularRange.full(30), ur.AngularRange(0.0, np.pi, 15)],
+                             ids=["full", "half"])
+    def test_one_pass_matches_separate_terms_bitwise(self, unit_blob_scene, backend, angles):
+        geom = ur.GridGeometry.centered(32, 32, 8.0, 8.0)
+        sino = make_sino(unit_blob_scene, geom, 0.2, angles)
+        params = ur.RegParams(0.4, 0.3, backend)
+        r = ur.invert_universal(sino, geom, params)
+        f_s, f_a = ur.invert_fs(sino, geom, params), ur.invert_fa(sino, geom, params)
+        assert np.array_equal(r.f_s.values, f_s.values)
+        assert np.array_equal(r.f_a.values, f_a.values)
+        for part in (r.f_s, r.f_a, r.f_total):
+            assert np.array_equal(part.meta["coverage_flags"], f_s.meta["coverage_flags"])
 
     def test_determinism(self, unit_blob_scene):
         geom = ur.GridGeometry.centered(32, 32, 8.0, 8.0)
