@@ -19,7 +19,7 @@ params = ur.RegParams.defaults(sino.d_tau)
 
 recon = ur.invert_universal(sino, geom, params)
 metrics = ur.reconstruction_metrics(recon, img)
-print("full-range reconstruction (spectral filter backend):")
+print("full-range reconstruction (ramp kernel backend):")
 print(f"  rmse / peak          = {metrics['rmse_over_peak']:.3e}")
 print(f"  |f_a| / |f_s|        = {metrics['fa_fs_ratio']:.3e}   (cancellation)")
 print(f"  value at the center  = {ur.bilinear_sample(recon.f_total, 0.6, 0.4):.6f}")
@@ -33,8 +33,8 @@ def rel(a, b):
     return ur.l2_norm(a - b) / ur.l2_norm(b)
 
 print("\ncross-validation of the three paths:")
-print(f"  finite-part vs spectral  = {rel(fp.f_total.values, recon.f_total.values):.3e}")
-print(f"  closed-form-kernel vs spectral = {rel(alt.values, recon.f_total.values):.3e}")
+print(f"  finite-part vs ramp  = {rel(fp.f_total.values, recon.f_total.values):.3e}")
+print(f"  closed-form-kernel vs ramp = {rel(alt.values, recon.f_total.values):.3e}")
 
 print("\nregularized pole samples 1/(eta - i eps), eps = {:.3f}:".format(params.epsilon))
 for eta in (0.0, params.epsilon, 5 * params.epsilon):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import TWO_PI, AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid, _linear_index
+from .grids import (TWO_PI, AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid,
+                    _linear_index, _pi_mirrored)
 
 
 def direction(phi: float) -> tuple[float, float]:
@@ -93,7 +94,7 @@ def _radon_values(images, tau_grid: TauGrid, angles: AngularRange,
     grid box, where rounding decides which of its samples are inside.
     """
     phis = angles.phis()
-    mirror = angles.is_full and angles.n_phi % 2 == 0 and tau_grid.is_symmetric
+    mirror = _pi_mirrored(tau_grid, angles)
     if mirror:
         phis = phis[:angles.n_phi // 2]
     values = _project(images, tau_grid.taus(), [direction(phi) for phi in phis], ray_step)

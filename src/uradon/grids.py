@@ -61,6 +61,11 @@ def _positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _pi_mirrored(tau_grid: TauGrid, angles: AngularRange) -> bool:
+    """True iff angle m + n_phi/2 is angle m + pi, read at -tau: full, even, symmetric."""
+    return angles.is_full and angles.n_phi % 2 == 0 and tau_grid.is_symmetric
+
+
 def _freeze(values, shape, name: str) -> np.ndarray:
     """Copy to a read-only, C-contiguous complex128 array of the given shape."""
     arr = np.array(values, dtype=np.complex128, order="C", copy=True)

@@ -7,12 +7,12 @@ measure (-i pi times the radial derivative of the data at the backprojection
 point).  Over a full angular range the boundary term cancels pairwise between
 opposite angles; over restricted ranges it is the part that survives.
 
-All paths share one structure: filter every projection column on its own tau
-grid, then backproject with linear interpolation under the angular measure
-d_phi / (4 pi^2).  Two filter backends exist for the principal-value term --
-a spectral |lambda| filter and a direct finite-part quadrature kernel -- plus
-a third, independently derived path using the closed-form regularized
-lambda-integral kernel.
+All paths share one structure: correlate every projection column with a
+kernel over signed tau offsets (band-limited ramp or finite-part quadrature
+for the principal-value term; the closed-form regularized lambda-integral
+kernel for an independent third path), then backproject with linear
+interpolation under the angular measure d_phi / (4 pi^2).  Full even scans
+on a symmetric tau grid fold angle phi + pi onto phi before backprojecting.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (ANGULAR_MEASURE_NORM, GridGeometry, ImageGrid2D, Sinogram, _linear_index,
-                    _trapezoid_weights)
+from .grids import (ANGULAR_MEASURE_NORM, GridGeometry, ImageGrid2D, Sinogram, _finite,
+                    _linear_index, _pi_mirrored, _trapezoid_weights)
 from .forward import direction
 
 
@@ -48,10 +48,8 @@ class RegParams:
     backend: Backend = Backend.RAMP_FILTER
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.fa_step <= 0:
-            raise ValueError(f"fa_step must be positive, got {self.fa_step}")
+        _finite("epsilon", self.epsilon, positive=True)
+        _finite("fa_step", self.fa_step, positive=True)
         if not isinstance(self.backend, Backend):
             object.__setattr__(self, "backend", Backend(self.backend))
 
@@ -83,8 +81,7 @@ def delta_plus(eta, epsilon: float):
     limit of a wide window; over a full angular range the contributions of
     opposite angles cancel it from the reconstruction.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _finite("epsilon", epsilon, positive=True)
     eta = np.asarray(eta, dtype=np.float64)
     out = 1.0 / (eta - 1j * epsilon)
     return complex(out) if out.ndim == 0 else out
@@ -99,8 +96,8 @@ def lambda_kernel(eta, epsilon: float, lambda_max: float):
     As lambda_max -> inf this tends to -1/(eta - i eps)^2, i.e. minus the
     square of the regularized pole.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _finite("epsilon", epsilon, positive=True)
+    _finite("lambda_max", lambda_max, positive=True)
     eta = np.asarray(eta, dtype=np.float64)
     a = epsilon + 1j * eta
     decay = np.exp(-a * lambda_max)
@@ -110,38 +107,35 @@ def lambda_kernel(eta, epsilon: float, lambda_max: float):
 
 # --- column filters ----------------------------------------------------------
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def _correlate_columns(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """out[t, m] = sum_j kernel[j + M] * values[t + j, m], zero outside the grid.
 
-    kernel has odd length 2M+1 and is indexed by the signed offset j.
+    kernel has odd length 2M+1 and is indexed by the signed offset j; rows
+    0..n-1 of the circular correlation are wrap-free for any FFT length >= n + M.
     """
     n = values.shape[0]
     m_half = (len(kernel) - 1) // 2
-    p = _next_pow2(n + len(kernel) - 1)
+    p = 1 << (n + m_half - 1).bit_length()   # next power of two >= n + M
     spec = np.fft.fft(values, n=p, axis=0)
     spec *= np.fft.fft(kernel[::-1], n=p)[:, None]
     return np.fft.ifft(spec, axis=0, out=spec)[m_half:m_half + n]
 
 
 def ramp_filtered(sino: Sinogram) -> np.ndarray:
-    """Spectral |lambda| filter of every column (zero-padded FFT).
+    """Band-limited |lambda| filter of every column, as a correlation kernel.
 
     The result approximates (1/2pi) * integral |lam| R^(lam) exp(i lam tau) dlam
-    on the stored tau nodes.
+    on the stored tau nodes.  The kernel is 2 pi d times the sampled
+    band-limited ramp of Kak & Slaney (1988, ch. 3): pi / (2d) at offset 0,
+    -2 / (pi j^2 d) at odd offsets j and 0 at even ones.  Sampled in tau
+    rather than as |lambda| on the DFT grid, it has no DC bias.
     """
-    n = sino.n_tau
-    p = _next_pow2(4 * n)
-    freqs = 2.0 * np.pi * np.fft.fftfreq(p, d=sino.d_tau)
-    spec = np.fft.fft(sino.values, n=p, axis=0)
-    spec *= np.abs(freqs)[:, None]
-    return np.fft.ifft(spec, axis=0, out=spec)[:n]
+    j = np.arange(1 - sino.n_tau, sino.n_tau)
+    kernel = np.zeros(j.size)
+    odd = j % 2 == 1
+    kernel[odd] = -2.0 / (np.pi * sino.d_tau * j[odd] ** 2)
+    kernel[sino.n_tau - 1] = np.pi / (2.0 * sino.d_tau)
+    return _correlate_columns(sino.values, kernel)
 
 
 def _fp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
@@ -215,17 +209,25 @@ def _backproject(columns_seq, sino: Sinogram,
     columns_seq holds one or more (n_tau, n_phi) arrays on the sinogram's
     grid; each angle's interpolation indices are computed once and shared
     by all of them, and each result is bit-identical to backprojecting its
-    array alone.  Returns (values per array, out_of_coverage) where the
-    boolean mask marks pixels whose offset fell outside the stored tau range
-    for at least one angle.  Linear interpolation along tau; the fixed angle
-    order keeps the result deterministic.
+    array alone.  Where angle m + N/2 is angle m + pi read at -tau
+    (grids._pi_mirrored), each array is first folded onto the first half
+    turn as c[:, :N/2] + c[::-1, N/2:]; no symmetry of the data is needed.
+    Returns (values per array, out_of_coverage) where the boolean mask marks
+    pixels whose offset fell outside the stored tau range for at least one
+    angle.  Linear interpolation along tau; the fixed angle order keeps the
+    result deterministic.
     """
     if sino.n_tau < 2:
         raise ValueError("backprojection needs at least 2 tau samples")
+    phis = sino.angles.phis()
+    if _pi_mirrored(sino.tau_grid, sino.angles):
+        half = sino.angles.n_phi // 2
+        phis = phis[:half]
+        columns_seq = [columns[:, :half] + columns[::-1, half:] for columns in columns_seq]
     X, Y = geometry.node_mesh()
     accs = [np.zeros((geometry.nx, geometry.ny), dtype=np.complex128) for _ in columns_seq]
     out_of_range = np.zeros((geometry.nx, geometry.ny), dtype=bool)
-    for m, phi in enumerate(sino.angles.phis()):
+    for m, phi in enumerate(phis):
         c, s = direction(phi)
         i0, w, inside = _linear_index((c * X + s * Y - sino.tau_min) / sino.d_tau, sino.n_tau)
         w0 = 1.0 - w
@@ -256,7 +258,7 @@ def _fa_columns(sino: Sinogram, params: RegParams) -> np.ndarray:
 def invert_fs(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> ImageGrid2D:
     """Principal-value term of the reconstruction.
 
-    ramp_filter backend: spectral |lambda| filter then backprojection,
+    ramp_filter backend: band-limited ramp kernel then backprojection,
     scaled by pi.  fp_quadrature backend: direct finite-part quadrature
     kernel then backprojection, scaled by -1.  Both realize
     -(1/4pi^2) * integral d_phi FP integral d_eta R(eta + <n_phi, x>) / eta^2.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridGeometry, ImageGrid2D
+from .grids import GridGeometry, ImageGrid2D, _finite
 
 
 class RegionMask(enum.Enum):
@@ -38,8 +38,9 @@ class GaussianBlob:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _finite("cx", self.cx)
+        _finite("cy", self.cy)
+        _finite("sigma", self.sigma, positive=True)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
 
 
@@ -209,8 +210,8 @@ class SeparableScene3D:
     x3_sigma: float = 1.0
 
     def __post_init__(self):
-        if self.x3_sigma <= 0:
-            raise ValueError(f"x3_sigma must be positive, got {self.x3_sigma}")
+        _finite("x3_center", self.x3_center)
+        _finite("x3_sigma", self.x3_sigma, positive=True)
 
     def profile(self, x3):
         x3 = np.asarray(x3, dtype=np.float64)

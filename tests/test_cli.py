@@ -49,6 +49,14 @@ class TestPhantom:
         manifest = json.loads((tmp_path / "img.urdn.manifest.json").read_text())
         assert str(out) in manifest["outputs"]
 
+    def test_non_finite_sigma_is_format_error(self, tmp_path, capsys):
+        # a bad value in a scene file is a file error (3), like sigma=-1 or cx=a
+        scene = tmp_path / "nan.scene"
+        scene.write_text("cx=0 cy=0 sigma=nan\n")
+        assert main(["phantom", "--scene", str(scene), "--nx", "16", "--extent", "4",
+                     "--out", str(tmp_path / "x.urdn")]) == 3
+        assert "sigma" in capsys.readouterr().err
+
     def test_missing_scene_is_format_error(self, tmp_path):
         assert main(["phantom", "--scene", str(tmp_path / "nope.scene"), "--nx", "16",
                      "--extent", "4", "--out", str(tmp_path / "x.urdn")]) == 3
@@ -130,6 +138,12 @@ class TestInvert:
     def test_empty_angle_window_rejected(self, tmp_path, sino_file):
         assert main(["invert", "--sinogram", sino_file, "--nx", "16", "--extent", "8",
                      "--range", "9.0:9.1", "--out-prefix", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("flag, field", [("--fa-step", "fa_step"), ("--epsilon", "epsilon")])
+    def test_non_finite_regulator_is_bad_argument(self, tmp_path, sino_file, capsys, flag, field):
+        assert main(["invert", "--sinogram", sino_file, "--nx", "16", "--extent", "8",
+                     flag, "nan", "--out-prefix", str(tmp_path / "x")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_missing_sinogram_is_format_error(self, tmp_path):
         assert main(["invert", "--sinogram", str(tmp_path / "nope.urdn"), "--nx", "16",

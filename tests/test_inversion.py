@@ -4,6 +4,7 @@ import pytest
 import uradon as ur
 import uradon.inversion as inv
 from uradon.forward import direction
+from uradon.grids import _linear_index
 from conftest import analytic_sinogram, rel_l2
 
 SQRT_2PI = 2.5066282746310002
@@ -11,6 +12,39 @@ SQRT_2PI = 2.5066282746310002
 
 def make_sino(scene, geom, d_tau, angles):
     return analytic_sinogram(scene, ur.TauGrid.covering(geom, d_tau), angles)
+
+
+def direct_backproject(columns_seq, sino, geom):
+    """The angle loop over every stored angle, without the pi fold."""
+    X, Y = geom.node_mesh()
+    accs = [np.zeros((geom.nx, geom.ny), dtype=complex) for _ in columns_seq]
+    out_of_range = np.zeros((geom.nx, geom.ny), dtype=bool)
+    for m, phi in enumerate(sino.angles.phis()):
+        c, s = direction(phi)
+        i0, w, inside = _linear_index((c * X + s * Y - sino.tau_min) / sino.d_tau, sino.n_tau)
+        for acc, columns in zip(accs, columns_seq):
+            col = columns[:, m]
+            acc += np.where(inside, (1.0 - w) * col[i0] + w * col[i0 + 1], 0.0)
+        out_of_range |= ~inside
+    for acc in accs:
+        acc *= sino.angles.d_phi * ur.ANGULAR_MEASURE_NORM
+    return accs, out_of_range
+
+
+def brute_force_correlation(values, kernel):
+    n, m_half = values.shape[0], (len(kernel) - 1) // 2
+    want = np.zeros_like(values)
+    for t in range(n):
+        for j in range(-m_half, m_half + 1):
+            if 0 <= t + j < n:
+                want[t] += kernel[j + m_half] * values[t + j]
+    return want
+
+
+def out_of_place_correlation(values, kernel, p):
+    m_half = (len(kernel) - 1) // 2
+    spec = np.fft.fft(values, n=p, axis=0) * np.fft.fft(kernel[::-1], n=p)[:, None]
+    return np.fft.ifft(spec, axis=0)[m_half:m_half + values.shape[0]]
 
 
 class TestDeltaPlus:
@@ -33,8 +67,9 @@ class TestDeltaPlus:
         assert got == pytest.approx(np.pi, abs=1e-3)
 
     def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            ur.delta_plus(0.0, 0.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                ur.delta_plus(0.0, bad)
 
 
 class TestLambdaKernel:
@@ -54,36 +89,60 @@ class TestLambdaKernel:
             assert abs(ur.lambda_kernel(eta, eps, lmax) - want) < 1e-8
 
     def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            ur.lambda_kernel(0.0, -1.0, 10.0)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                ur.lambda_kernel(0.0, bad, 10.0)
+            with pytest.raises(ValueError, match="lambda_max"):
+                ur.lambda_kernel(0.0, 0.1, bad)
 
 
 class TestColumnFilters:
     def test_correlation_matches_brute_force(self, rng):
-        values = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
-        kernel = rng.normal(size=11) + 1j * rng.normal(size=11)
-        got = inv._correlate_columns(values, kernel)
-        m_half = 5
-        want = np.zeros_like(values)
-        for t in range(9):
-            for j in range(-m_half, m_half + 1):
-                if 0 <= t + j < 9:
-                    want[t] += kernel[j + m_half] * values[t + j]
-        assert np.max(np.abs(got - want)) < 1e-12
+        # (n, M): M below, at and above n - 1, and n + M exactly a power of
+        # two, where the wrap-free FFT length leaves no spare row
+        for n, m_half in ((9, 5), (9, 8), (9, 13), (11, 5), (17, 15)):
+            values = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+            kernel = rng.normal(size=2 * m_half + 1) + 1j * rng.normal(size=2 * m_half + 1)
+            got = inv._correlate_columns(values, kernel)
+            assert np.max(np.abs(got - brute_force_correlation(values, kernel))) < 1e-12
 
     def test_in_place_spectra_match_the_out_of_place_products(self, rng):
+        # FFT lengths are the wrap-free ones: next power of two >= n + M
         tg = ur.TauGrid(-1.3, 0.1, 27)
         values = rng.normal(size=(27, 5)) + 1j * rng.normal(size=(27, 5))
         sino = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, ur.AngularRange.full(5), values)
-        p = inv._next_pow2(4 * 27)
-        ramp = np.abs(2.0 * np.pi * np.fft.fftfreq(p, d=0.1))[:, None]
-        want = np.fft.ifft(np.fft.fft(values, n=p, axis=0) * ramp, axis=0)[:27]
-        assert np.array_equal(inv.ramp_filtered(sino), want)
+        j = np.arange(-26, 27)
+        ramp = np.zeros(j.size)
+        ramp[j % 2 == 1] = -2.0 / (np.pi * 0.1 * j[j % 2 == 1] ** 2)
+        ramp[26] = np.pi / (2.0 * 0.1)
+        assert np.array_equal(inv.ramp_filtered(sino), out_of_place_correlation(values, ramp, 64))
         kernel = rng.normal(size=11) + 1j * rng.normal(size=11)
-        p = inv._next_pow2(27 + 10)
-        spec = np.fft.fft(values, n=p, axis=0) * np.fft.fft(kernel[::-1], n=p)[:, None]
         assert np.array_equal(inv._correlate_columns(values, kernel),
-                              np.fft.ifft(spec, axis=0)[5:5 + 27])
+                              out_of_place_correlation(values, kernel, 32))
+
+    def test_ramp_kernel_has_no_dc_bias(self):
+        # 256^2 / 360-angle analytic round trip of a unit Gaussian: the padded
+        # spectral |lambda| read -8.07e-4 x peak beyond r = 3.5 sigma and
+        # rmse/peak 8.06e-4; the band-limited kernel removes that offset
+        scene = ur.CompositeScene.of(ur.GaussianBlob(0.0, 0.0, 1.0, 1.0))
+        geom = ur.GridGeometry.centered(256, 256, 8.0, 8.0)
+        img = ur.rasterize(scene, geom)
+        sino = make_sino(scene, geom, geom.dx, ur.AngularRange.full(360))
+        recon = ur.invert_universal(sino, geom, ur.RegParams.defaults(sino.d_tau))
+        diff = recon.f_total.values - img.values
+        X, Y = geom.node_mesh()
+        peak = np.max(np.abs(img.values))
+        assert abs(np.mean(diff[np.hypot(X, Y) > 3.5])) <= 1e-5 * peak
+        assert ur.reconstruction_metrics(recon, img)["rmse_over_peak"] <= 5e-5
+
+    def test_ramp_matches_finite_part_on_the_backend_scene(self):
+        # the scene and sizes of acceptance criterion 5, gated there at 1e-2
+        scene = ur.CompositeScene.of(ur.GaussianBlob(0.5, -0.3, 1.5, 1.0))
+        geom = ur.GridGeometry.centered(128, 128, 12.0, 12.0)
+        sino = make_sino(scene, geom, 0.01, ur.AngularRange.full(360))
+        ramp, fp = (ur.invert_universal(sino, geom, ur.RegParams.defaults(sino.d_tau, backend))
+                    for backend in (ur.Backend.RAMP_FILTER, ur.Backend.FP_QUADRATURE))
+        assert rel_l2(ramp.f_total.values, fp.f_total.values) <= 1e-6
 
     def test_finite_part_of_gaussian_column(self):
         # FP integral exp(-eta^2/2)/eta^2 deta = -sqrt(2 pi), frozen from
@@ -165,6 +224,11 @@ class TestRegParams:
             ur.RegParams(0.0, 0.1)
         with pytest.raises(ValueError):
             ur.RegParams(0.1, 0.0)
+        for bad in (np.nan, np.inf, True, "0.1"):
+            with pytest.raises(ValueError, match="epsilon"):
+                ur.RegParams(bad, 0.1)
+            with pytest.raises(ValueError, match="fa_step"):
+                ur.RegParams(0.1, bad)
         params = ur.RegParams(0.1, 0.2, "fp_quadrature")
         assert params.backend is ur.Backend.FP_QUADRATURE
 
@@ -172,6 +236,50 @@ class TestRegParams:
         params = ur.RegParams.defaults(0.05)
         assert params.epsilon == 0.1
         assert params.fa_step == 0.05
+
+
+class TestPiFold:
+    GEOMETRIES = [ur.GridGeometry.centered(24, 20, 6.0, 5.0),
+                  ur.GridGeometry(19, 23, -1.7, -2.9, 0.21, 0.17)]
+
+    @staticmethod
+    def random_columns(rng, sino, count):
+        shape = (sino.n_tau, sino.angles.n_phi)
+        return [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(count)]
+
+    @pytest.mark.parametrize("geom", GEOMETRIES, ids=["centred", "off_centre"])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_folded_matches_the_direct_loop(self, rng, monkeypatch, geom, count):
+        # tau window narrower than the grid, so some pixels are flagged
+        tg = ur.TauGrid.symmetric(0.13, 31)
+        sino = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, ur.AngularRange.full(16),
+                           np.zeros((31, 16)))
+        columns = self.random_columns(rng, sino, count)
+        calls = []
+        monkeypatch.setattr(inv, "direction", lambda phi: calls.append(phi) or direction(phi))
+        got, oob = inv._backproject(columns, sino, geom)
+        assert len(calls) == 8
+        want, want_oob = direct_backproject(columns, sino, geom)
+        assert 0 < np.count_nonzero(oob) < oob.size
+        assert np.array_equal(oob, want_oob)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("geom", GEOMETRIES, ids=["centred", "off_centre"])
+    @pytest.mark.parametrize("tau_grid, angles", [
+        (ur.TauGrid.symmetric(0.13, 31), ur.AngularRange.full(15)),
+        (ur.TauGrid.symmetric(0.13, 31), ur.AngularRange(0.0, np.pi, 16)),
+        (ur.TauGrid(-2.0, 0.13, 31), ur.AngularRange.full(16)),
+    ], ids=["odd_n_phi", "partial_range", "asymmetric_tau"])
+    def test_unpaired_angles_take_the_direct_loop(self, rng, geom, tau_grid, angles):
+        sino = ur.Sinogram(tau_grid.tau_min, tau_grid.d_tau, tau_grid.n_tau, angles,
+                           np.zeros((tau_grid.n_tau, angles.n_phi)))
+        columns = self.random_columns(rng, sino, 2)
+        got, oob = inv._backproject(columns, sino, geom)
+        want, want_oob = direct_backproject(columns, sino, geom)
+        assert np.array_equal(oob, want_oob)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestInvertFs:

@@ -146,7 +146,8 @@ class TestSceneFiles:
         assert mask is ur.RegionMask.NONE
 
     @pytest.mark.parametrize("text", ["", "cx=1 cy=2", "cx=a cy=0 sigma=1",
-                                      "cx=0 cy=0 sigma=1 mask=quadrant7", "justnoise"])
+                                      "cx=0 cy=0 sigma=1 mask=quadrant7", "justnoise",
+                                      "cx=0 cy=0 sigma=nan", "cx=inf cy=0 sigma=1"])
     def test_bad_text_rejected(self, text):
         with pytest.raises(ur.SceneFormatError):
             ur.scene_from_text(text)
@@ -175,13 +176,22 @@ class TestSeparableScene3D:
             assert abs(wrapper.profile_transform(k) - want) < 1e-9
 
     def test_sigma_validation(self):
+        base = ur.CompositeScene.of(ur.GaussianBlob(0, 0, 1, 1))
         with pytest.raises(ValueError):
-            ur.SeparableScene3D(ur.CompositeScene.of(ur.GaussianBlob(0, 0, 1, 1)), 0.0, 0.0)
+            ur.SeparableScene3D(base, 0.0, 0.0)
+        for name, center, sigma in (("x3_center", np.nan, 1.0), ("x3_sigma", 0.0, np.nan),
+                                    ("x3_sigma", 0.0, np.inf)):
+            with pytest.raises(ValueError, match=name):
+                ur.SeparableScene3D(base, center, sigma)
 
 
 def test_blob_and_scene_validation():
     with pytest.raises(ValueError):
         ur.GaussianBlob(0.0, 0.0, 0.0, 1.0)
+    for name, args in (("cx", (np.nan, 0.0, 1.0)), ("cy", (0.0, np.inf, 1.0)),
+                       ("sigma", (0.0, 0.0, np.nan))):
+        with pytest.raises(ValueError, match=name):
+            ur.GaussianBlob(*args, 1.0)
     with pytest.raises(ValueError):
         ur.CompositeScene(())
     assert ur.CompositeScene.of(ur.GaussianBlob(0, 0, 1, 2.0),
