@@ -135,7 +135,16 @@ def read_container(path):
     if dtype != DTYPE_TAG:
         raise MalformedHeaderError(f"dtype: expected '{DTYPE_TAG}', got '{dtype}'", field="dtype")
     kind = _require(head, "type", str)
+    real_valued = _require(head, "real_valued", bool)
+    obj = _decode(kind, head, buf)
+    # _decode has checked that buf holds exactly the payload's values
+    if real_valued and np.any(np.frombuffer(buf, dtype=_PAYLOAD_DTYPE).imag != 0.0):
+        raise MalformedHeaderError("real_valued: header says true but the payload has "
+                                   "nonzero imaginary parts", field="real_valued")
+    return obj
 
+
+def _decode(kind: str, head: dict, buf: bytes):
     if kind == "image":
         nx, ny = _shape(head, 2)
         values, offset = _block_from(buf, 0, (nx, ny))

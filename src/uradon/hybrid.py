@@ -17,7 +17,7 @@ import numpy as np
 from .grids import (AngularRange, GridGeometry, HybridField, ImageGrid2D, Provenance,
                     Sinogram, TauGrid, VolumeStack)
 from .forward import _radon_values
-from .inversion import RegParams, Reconstruction, invert_universal, l2_norm
+from .inversion import RegParams, _invert_all, l2_norm
 from .phantoms import SeparableScene3D, rasterize
 
 
@@ -160,6 +160,8 @@ def reconstruct_volume(sinos, geometry: GridGeometry, params: RegParams, x3_posi
 
     The sinogram list must be ordered along the dual k grid of the slice
     positions; pass ``k_values`` to have the ordering checked explicitly.
+    All sinograms must share one tau grid and angular range: the f_s and f_a
+    columns of every k field are backprojected in one pass.
     """
     positions = [float(p) for p in x3_positions]
     required, _ = dual_k_grid(positions)
@@ -168,7 +170,7 @@ def reconstruct_volume(sinos, geometry: GridGeometry, params: RegParams, x3_posi
     if len(sinos) != len(required):
         raise ValueError(f"need one sinogram per dual k value "
                          f"({len(required)}), got {len(sinos)}")
-    recons: list[Reconstruction] = [invert_universal(s, geometry, params) for s in sinos]
+    recons = _invert_all(sinos, geometry, params)
     fields = tuple(r.f_total for r in recons)
     hybrid = HybridField(tuple(required), fields, Provenance.SERIES)
     stack = hybrid_inverse_series(hybrid, positions)

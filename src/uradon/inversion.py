@@ -13,6 +13,13 @@ for the principal-value term; the closed-form regularized lambda-integral
 kernel for an independent third path), then backproject with linear
 interpolation under the angular measure d_phi / (4 pi^2).  Full even scans
 on a symmetric tau grid fold angle phi + pi onto phi before backprojecting.
+
+Sinogram values are stored (n_tau, n_phi), so a column's tau samples are
+strided.  The filters transpose once and run their FFTs along contiguous tau
+rows, returning the (n_tau, n_phi) result as a transposed view; the
+backprojection copies each filtered array into angle-major tau rows padded
+with two zeros, which out-of-range pixels read.  Neither layout changes the
+arithmetic: every output is bit-identical to the column-major form.
 """
 
 from __future__ import annotations
@@ -112,13 +119,15 @@ def _correlate_columns(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
     kernel has odd length 2M+1 and is indexed by the signed offset j; rows
     0..n-1 of the circular correlation are wrap-free for any FFT length >= n + M.
+    The transforms run along contiguous tau rows, one per column; the result
+    is their (n, n_cols) transposed view.
     """
     n = values.shape[0]
     m_half = (len(kernel) - 1) // 2
     p = 1 << (n + m_half - 1).bit_length()   # next power of two >= n + M
-    spec = np.fft.fft(values, n=p, axis=0)
-    spec *= np.fft.fft(kernel[::-1], n=p)[:, None]
-    return np.fft.ifft(spec, axis=0, out=spec)[m_half:m_half + n]
+    spec = np.fft.fft(np.ascontiguousarray(values.T), n=p)
+    spec *= np.fft.fft(kernel[::-1], n=p)
+    return np.fft.ifft(spec, out=spec)[:, m_half:m_half + n].T
 
 
 def ramp_filtered(sino: Sinogram) -> np.ndarray:
@@ -190,14 +199,22 @@ def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
     """
     if fa_step < sino.d_tau:
         raise ValueError(f"fa_step {fa_step} must be at least d_tau {sino.d_tau}")
-    n = sino.n_tau
+    n, v = sino.n_tau, sino.values
     shift = fa_step / sino.d_tau
-    # row 0 reads every column at t + shift, row 1 at t - shift
-    i0, frac, inside = _linear_index(np.arange(n) + np.array([[shift], [-shift]]), n)
-    frac = frac[..., None]
-    shifted = (1.0 - frac) * sino.values[i0] + frac * sino.values[i0 + 1]
-    shifted[~inside] = 0.0
-    return (shifted[0] - shifted[1]) / (2.0 * fa_step)
+    sides = []
+    for step in (shift, -shift):   # every column read at t + h, then at t - h
+        i0, frac, inside = _linear_index(np.arange(n) + step, n)
+        side = v[i0]
+        side *= (1.0 - frac)[:, None]
+        upper = v[i0 + 1]
+        upper *= frac[:, None]
+        side += upper
+        side[~inside] = 0.0
+        sides.append(side)
+    plus, minus = sides
+    plus -= minus
+    plus /= 2.0 * fa_step
+    return plus
 
 
 # --- backprojection ----------------------------------------------------------
@@ -206,35 +223,54 @@ def _backproject(columns_seq, sino: Sinogram,
                  geometry: GridGeometry) -> tuple[list[np.ndarray], np.ndarray]:
     """Angular quadrature of per-column data at tau = <n_phi, x>.
 
-    columns_seq holds one or more (n_tau, n_phi) arrays on the sinogram's
-    grid; each angle's interpolation indices are computed once and shared
+    columns_seq yields one or more (n_tau, n_phi) arrays on the sinogram's
+    grid, each read once; each angle's interpolation indices are computed once and shared
     by all of them, and each result is bit-identical to backprojecting its
     array alone.  Where angle m + N/2 is angle m + pi read at -tau
     (grids._pi_mirrored), each array is first folded onto the first half
     turn as c[:, :N/2] + c[::-1, N/2:]; no symmetry of the data is needed.
+    Each array is copied to angle-major tau rows with two trailing zeros,
+    which pixels outside the stored tau range read instead of being masked.
     Returns (values per array, out_of_coverage) where the boolean mask marks
     pixels whose offset fell outside the stored tau range for at least one
     angle.  Linear interpolation along tau; the fixed angle order keeps the
     result deterministic.
     """
-    if sino.n_tau < 2:
+    n = sino.n_tau
+    if n < 2:
         raise ValueError("backprojection needs at least 2 tau samples")
     phis = sino.angles.phis()
-    if _pi_mirrored(sino.tau_grid, sino.angles):
+    folded = _pi_mirrored(sino.tau_grid, sino.angles)
+    if folded:
         half = sino.angles.n_phi // 2
         phis = phis[:half]
-        columns_seq = [columns[:, :half] + columns[::-1, half:] for columns in columns_seq]
-    X, Y = geometry.node_mesh()
-    accs = [np.zeros((geometry.nx, geometry.ny), dtype=np.complex128) for _ in columns_seq]
+    rows_seq = []
+    for columns in columns_seq:
+        rows = np.zeros((phis.size, n + 2), dtype=np.complex128)
+        if folded:
+            np.add(columns[:, :half].T, columns[::-1, half:].T, out=rows[:, :n])
+        else:
+            rows[:, :n] = columns.T
+        rows_seq.append(rows)
+    x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
+    accs = [np.zeros((geometry.nx, geometry.ny), dtype=np.complex128) for _ in rows_seq]
     out_of_range = np.zeros((geometry.nx, geometry.ny), dtype=bool)
     for m, phi in enumerate(phis):
         c, s = direction(phi)
-        i0, w, inside = _linear_index((c * X + s * Y - sino.tau_min) / sino.d_tau, sino.n_tau)
+        i0, w, inside = _linear_index((c * x + s * y - sino.tau_min) / sino.d_tau, n)
+        outside = ~inside
+        np.copyto(i0, n, where=outside)
+        i1 = i0 + 1
         w0 = 1.0 - w
-        for acc, columns in zip(accs, columns_seq):
-            col = columns[:, m]
-            acc += np.where(inside, w0 * col[i0] + w * col[i0 + 1], 0.0)
-        out_of_range |= ~inside
+        for acc, rows in zip(accs, rows_seq):
+            row = rows[m]
+            lo = row[i0]
+            lo *= w0
+            hi = row[i1]
+            hi *= w
+            lo += hi
+            acc += lo
+        out_of_range |= outside
     for acc in accs:
         acc *= sino.angles.d_phi * ANGULAR_MEASURE_NORM
     return accs, out_of_range
@@ -278,13 +314,28 @@ def invert_universal(sino: Sinogram, geometry: GridGeometry, params: RegParams) 
 
     f_s and f_a are bit-identical to invert_fs and invert_fa.
     """
-    (fs, fa), oob = _backproject([_fs_columns(sino, params), _fa_columns(sino, params)],
-                                 sino, geometry)
+    return _invert_all([sino], geometry, params)[0]
+
+
+def _invert_all(sinos, geometry: GridGeometry, params: RegParams) -> list[Reconstruction]:
+    """invert_universal of every sinogram, all terms backprojected in one pass.
+
+    The sinograms must share one tau grid and angular range; each result is
+    bit-identical to inverting its sinogram alone.
+    """
+    first = sinos[0]
+    if any(s.tau_grid != first.tau_grid or s.angles != first.angles for s in sinos):
+        raise ValueError("sinograms inverted together must share one tau grid and angular range")
+    # filtered one at a time as _backproject copies them, so at most one is alive
+    columns = (c(s, params) for s in sinos for c in (_fs_columns, _fa_columns))
+    values, oob = _backproject(columns, first, geometry)
     meta = _flag_meta(oob)
-    f_s = ImageGrid2D.from_geometry(geometry, fs, meta)
-    f_a = ImageGrid2D.from_geometry(geometry, fa, dict(meta))
-    f_total = ImageGrid2D.from_geometry(geometry, fs + fa, dict(meta))
-    return Reconstruction(f_s, f_a, f_total)
+    recons = []
+    for fs, fa in zip(values[::2], values[1::2]):
+        recons.append(Reconstruction(ImageGrid2D.from_geometry(geometry, fs, dict(meta)),
+                                     ImageGrid2D.from_geometry(geometry, fa, dict(meta)),
+                                     ImageGrid2D.from_geometry(geometry, fs + fa, dict(meta))))
+    return recons
 
 
 def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,

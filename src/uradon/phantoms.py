@@ -175,7 +175,7 @@ def scene_from_text(text: str) -> tuple[CompositeScene, "SeparableScene3D | None
         try:
             if is_profile:
                 profile_kv = {"center": float(kv.get("center", 0.0)),
-                              "sigma": float(kv.get("sigma", 1.0))}
+                              "sigma": float(kv.get("sigma", 1.0)), "line": lineno}
             else:
                 blob = GaussianBlob(float(kv["cx"]), float(kv["cy"]), float(kv["sigma"]),
                                     complex(float(kv.get("amp_re", 1.0)),
@@ -188,7 +188,10 @@ def scene_from_text(text: str) -> tuple[CompositeScene, "SeparableScene3D | None
     scene = CompositeScene(tuple(terms))
     if profile_kv is None:
         return scene, None
-    return scene, SeparableScene3D(scene, profile_kv["center"], profile_kv["sigma"])
+    try:
+        return scene, SeparableScene3D(scene, profile_kv["center"], profile_kv["sigma"])
+    except ValueError as exc:
+        raise SceneFormatError(f"line {profile_kv['line']}: {exc}") from exc
 
 
 def load_scene(path) -> tuple[CompositeScene, "SeparableScene3D | None"]:

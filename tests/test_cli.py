@@ -57,6 +57,15 @@ class TestPhantom:
                      "--out", str(tmp_path / "x.urdn")]) == 3
         assert "sigma" in capsys.readouterr().err
 
+    def test_non_finite_profile_is_format_error(self, tmp_path, capsys):
+        # the profile line is a scene-file value too: exit 3, like a bad blob line
+        scene = tmp_path / "nan_profile.scene"
+        scene.write_text(SCENE + "profile center=0 sigma=nan\n")
+        assert main(["phantom", "--scene", str(scene), "--nx", "16", "--extent", "4",
+                     "--out", str(tmp_path / "x.urdn")]) == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "x3_sigma" in err
+
     def test_missing_scene_is_format_error(self, tmp_path):
         assert main(["phantom", "--scene", str(tmp_path / "nope.scene"), "--nx", "16",
                      "--extent", "4", "--out", str(tmp_path / "x.urdn")]) == 3

@@ -141,6 +141,24 @@ class TestErrors:
             ur.read_container(path)
         assert err.value.field == "type"
 
+    @pytest.mark.parametrize("mutate", [
+        lambda head: head.update(real_valued="yes"),
+        lambda head: head.update(real_valued=1),
+        lambda head: head.pop("real_valued"),
+        lambda head: head.update(real_valued=True),
+    ], ids=["string", "number", "missing", "true_over_complex_payload"])
+    def test_real_valued_flag_checked(self, tmp_path, rng, mutate):
+        path = tmp_path / "flag.urdn"
+        ur.write_container(path, random_sinogram(rng))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        head = json.loads(header)
+        assert head["real_valued"] is False
+        mutate(head)
+        path.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+        with pytest.raises(ur.MalformedHeaderError) as err:
+            ur.read_container(path)
+        assert err.value.field == "real_valued"
+
     def test_unsupported_object(self, tmp_path):
         with pytest.raises(TypeError):
             ur.write_container(tmp_path / "x.urdn", {"not": "a grid"})

@@ -192,6 +192,38 @@ class TestReconstructVolume:
                                     positions)
         assert all(np.all(s.values == 0) for s in out.stack.slices)
 
+    def test_one_pass_matches_inverting_each_field(self, rng):
+        geom = ur.GridGeometry(14, 11, -2.1, -1.6, 0.3, 0.27)
+        tg = ur.TauGrid.covering(geom, 0.2)
+        positions = (-1.0, 0.0, 1.0)
+        params = ur.RegParams(0.4, 0.3)
+        for angles in (ur.AngularRange.full(10), ur.AngularRange(0.0, np.pi, 9)):
+            shape = (tg.n_tau, angles.n_phi)
+            sinos = [ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, angles,
+                                 rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                     for _ in positions]
+            out = ur.reconstruct_volume(sinos, geom, params, positions)
+            recons = [ur.invert_universal(s, geom, params) for s in sinos]
+            assert out.fs_norms == tuple(ur.l2_norm(r.f_s.values) for r in recons)
+            assert out.fa_norms == tuple(ur.l2_norm(r.f_a.values) for r in recons)
+            field = ur.HybridField(tuple(ur.dual_k_grid(positions)[0]),
+                                   tuple(r.f_total for r in recons), ur.Provenance.SERIES)
+            want = ur.hybrid_inverse_series(field, positions)
+            for got, ref in zip(out.stack.slices, want.slices, strict=True):
+                assert np.array_equal(got.values, ref.values)
+
+    @pytest.mark.parametrize("other", [
+        ur.Sinogram(-1.2, 0.2, 11, ur.AngularRange.full(8), np.zeros((11, 8))),
+        ur.Sinogram(-1.0, 0.25, 11, ur.AngularRange.full(8), np.zeros((11, 8))),
+        ur.Sinogram(-1.0, 0.2, 9, ur.AngularRange.full(8), np.zeros((9, 8))),
+        ur.Sinogram(-1.0, 0.2, 11, ur.AngularRange(0.0, np.pi, 8), np.zeros((11, 8))),
+    ], ids=["tau_min", "d_tau", "n_tau", "angles"])
+    def test_sinograms_on_different_grids_are_rejected(self, other):
+        geom = ur.GridGeometry.centered(6, 6, 2.0, 2.0)
+        first = ur.Sinogram(-1.0, 0.2, 11, ur.AngularRange.full(8), np.zeros((11, 8)))
+        with pytest.raises(ValueError, match="share one tau grid"):
+            ur.reconstruct_volume([first, other], geom, ur.RegParams(0.4, 0.2), (0.0, 1.0))
+
     def test_wrong_sinogram_count(self):
         geom = ur.GridGeometry.centered(12, 12, 4.0, 4.0)
         tg = ur.TauGrid.covering(geom, 0.25)

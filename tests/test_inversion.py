@@ -212,6 +212,21 @@ class TestColumnFilters:
             np.testing.assert_allclose(got[t], -((0.7 + 0.2j) + (taus[t] - h) * slopes) / (2 * h),
                                        rtol=1e-12)
 
+    @pytest.mark.parametrize("steps", [1.0, 1.5, 2.37])
+    def test_tau_derivative_matches_the_stacked_formula(self, rng, steps):
+        # the two shifted sides built in place equal one (2, n_tau, n_phi)
+        # temporary holding both, bit for bit
+        tg = ur.TauGrid(-1.3, 0.1, 27)
+        values = rng.normal(size=(27, 6)) + 1j * rng.normal(size=(27, 6))
+        sino = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, ur.AngularRange.full(6), values)
+        h = steps * tg.d_tau
+        shift = h / tg.d_tau
+        i0, frac, inside = _linear_index(np.arange(27) + np.array([[shift], [-shift]]), 27)
+        frac = frac[..., None]
+        shifted = (1.0 - frac) * values[i0] + frac * values[i0 + 1]
+        shifted[~inside] = 0.0
+        assert np.array_equal(inv.tau_derivative(sino, h), (shifted[0] - shifted[1]) / (2.0 * h))
+
     def test_tau_derivative_step_validation(self):
         sino = ur.Sinogram(-1.0, 0.5, 5, ur.AngularRange.full(1), np.zeros((5, 1)))
         with pytest.raises(ValueError):
