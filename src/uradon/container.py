@@ -136,7 +136,11 @@ def read_container(path):
         raise MalformedHeaderError(f"dtype: expected '{DTYPE_TAG}', got '{dtype}'", field="dtype")
     kind = _require(head, "type", str)
     real_valued = _require(head, "real_valued", bool)
-    obj = _decode(kind, head, buf)
+    try:
+        obj = _decode(kind, head, buf)
+    except ValueError as exc:
+        # a field or sample the grid constructors refuse, such as a NaN spacing or sample
+        raise ContainerError(f"{kind}: {exc}") from exc
     # _decode has checked that buf holds exactly the payload's values
     if real_valued and np.any(np.frombuffer(buf, dtype=_PAYLOAD_DTYPE).imag != 0.0):
         raise MalformedHeaderError("real_valued: header says true but the payload has "

@@ -12,15 +12,28 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import (TWO_PI, AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid,
-                    _linear_index, _pi_mirrored)
+                    _d4_folded, _finite, _pi_mirrored)
+
+# Channels of _project.  Each maps the bilinear corner (i0, j0) of the kept
+# samples to the flat index (i*n + j) it reads in the image planes and to
+# the index steps of the i + 1 and j + 1 neighbours.  The first reads f as
+# stored; the other three, which need nx == ny == n, read f.T, rot90(f, -1)
+# and rot90(f, -1).T from the same planes without copying them.
+_D4_CHANNELS = (
+    lambda i0, j0, n: (i0 * n + j0, n, 1),
+    lambda i0, j0, n: (j0 * n + i0, 1, n),
+    lambda i0, j0, n: ((n - 1 - j0) * n + i0, 1, -n),
+    lambda i0, j0, n: ((n - 1 - i0) * n + j0, -n, 1),
+)
 
 
 def direction(phi: float) -> tuple[float, float]:
-    """Unit vector (cos phi, sin phi).
+    """Unit vector (cos phi, sin phi); phi must be finite.
 
     The angle is reduced mod 2*pi first, so whenever phi + 2*pi is exactly
     representable the transform is exactly 2*pi-periodic.
     """
+    _finite("phi", phi)
     reduced = np.mod(phi, TWO_PI)
     return float(np.cos(reduced)), float(np.sin(reduced))
 
@@ -38,17 +51,21 @@ def _ray_offsets(geometry: GridGeometry, ray_step: float) -> tuple[np.ndarray, f
     return -radius + (np.arange(n_s) + 0.5) * h, h
 
 
-def _project(images, taus: np.ndarray, directions, ray_step: float | None) -> np.ndarray:
-    """Line integrals of each image along <(c, s), x> = tau, shape (n_images, n_tau, n_dir).
+def _project(images, taus: np.ndarray, directions, ray_step: float | None,
+             channels=_D4_CHANNELS[:1]) -> np.ndarray:
+    """Line integrals of each channel of each image along <(c, s), x> = tau.
+
+    Returns shape (n_channels * n_images, n_tau, n_dir), channel-major: row
+    q * n_images + k is image k read through channels[q] (see _D4_CHANNELS).
 
     Every ray-driven caller goes through here.  The images share one
-    geometry and are projected as real channel planes (real and imaginary
-    part of each).  Per direction, only the ray samples inside the grid box
-    are kept; their corner indices and bilinear weights are computed once
-    and applied to every plane, and np.bincount sums each tau row in sample
-    order.  An entry therefore depends on its own image, tau and direction
-    only: it has the same bits whatever else the call projects, and repeated
-    calls are bitwise identical.
+    geometry and are projected as real planes (real and imaginary part of
+    each).  Per direction, only the ray samples inside the grid box are
+    kept; their corner indices and bilinear weights are computed once and
+    applied to every channel and plane, and np.bincount sums each tau row in
+    sample order.  An entry therefore depends on its own image, channel, tau
+    and direction only: it has the same bits whatever else the call
+    projects, and repeated calls are bitwise identical.
     """
     geometry = images[0].geometry
     if ray_step is None:
@@ -60,23 +77,28 @@ def _project(images, taus: np.ndarray, directions, ray_step: float | None) -> np
     # plane 2k is the real part of image k, plane 2k + 1 its imaginary part
     planes = np.stack([part for img in images for part in (img.values.real, img.values.imag)])
     planes = planes.reshape(len(planes), nx * ny)
-    sums = np.empty((len(planes), len(taus), len(directions)))
+    sums = np.empty((len(channels), len(planes), len(taus), len(directions)))
     for m, (c, s) in enumerate(directions):
         fx = (taus[:, None] * c - offsets[None, :] * s - geometry.x_min) / geometry.dx
         fy = (taus[:, None] * s + offsets[None, :] * c - geometry.y_min) / geometry.dy
-        # _linear_index's inside test, applied first so only kept samples get indexed
         keep = np.flatnonzero((fx >= 0.0) & (fx <= nx - 1) & (fy >= 0.0) & (fy <= ny - 1))
-        i0, tx, _ = _linear_index(fx.ravel()[keep], nx)
-        j0, ty, _ = _linear_index(fy.ravel()[keep], ny)
+        # kept samples lie in [0, n - 1]: _linear_index's clip and inside test are no-ops
+        fx, fy = fx.ravel()[keep], fy.ravel()[keep]
+        i0, j0 = np.minimum(fx.astype(np.intp), nx - 2), np.minimum(fy.astype(np.intp), ny - 2)
+        tx, ty = fx - i0, fy - j0
         rows = keep // len(offsets)
-        corner = i0 * ny + j0
+        del fx, fy, keep  # before the gathers allocate theirs: keeps peak memory down
         w00, w10 = (1.0 - tx) * (1.0 - ty), tx * (1.0 - ty)
         w01, w11 = (1.0 - tx) * ty, tx * ty
-        for k, plane in enumerate(planes):
-            samples = (w00 * plane.take(corner) + w10 * plane.take(corner + ny)
-                       + w01 * plane.take(corner + 1) + w11 * plane.take(corner + ny + 1))
-            sums[k, :, m] = np.bincount(rows, weights=samples, minlength=len(taus))
-    out = np.empty((len(images), len(taus), len(directions)), dtype=np.complex128)
+        for q, remap in enumerate(channels):
+            corner, di, dj = remap(i0, j0, ny)
+            for k, plane in enumerate(planes):
+                samples = (w00 * plane.take(corner) + w10 * plane.take(corner + di)
+                           + w01 * plane.take(corner + dj) + w11 * plane.take(corner + di + dj))
+                sums[q, k, :, m] = np.bincount(rows, weights=samples, minlength=len(taus))
+            del corner  # one channel's corner array alive at a time
+    sums = sums.reshape(len(channels) * len(planes), len(taus), len(directions))
+    out = np.empty((len(sums) // 2, len(taus), len(directions)), dtype=np.complex128)
     out.real = sums[0::2] * h
     out.imag = sums[1::2] * h
     return out
@@ -89,20 +111,50 @@ def _radon_values(images, tau_grid: TauGrid, angles: AngularRange,
     On a full range with an even angle count and a tau grid symmetric about
     zero, only [phi_min, phi_min + pi) is projected: R(tau, phi + pi) =
     R(-tau, phi), and the symmetric ray offsets make both sides the same
-    sample set, so the second half is the first with tau reversed.  The two
-    agree to rounding, except on a ray lying exactly along an edge of the
-    grid box, where rounding decides which of its samples are inside.
+    sample set, so the second half is the first with tau reversed.  When
+    grids._d4_folded holds as well, only angles m = 0..n_phi/8 are
+    projected, each through the four channels of _D4_CHANNELS, which fill
+    columns m, n_phi/4 - m, m + n_phi/4 and n_phi/2 - m.  The projected
+    columns keep the bits of direct projection; the folded ones agree to
+    rounding, except on a ray lying exactly along an edge of the grid box,
+    where rounding decides which of its samples are inside.
     """
     phis = angles.phis()
-    mirror = _pi_mirrored(tau_grid, angles)
-    if mirror:
-        phis = phis[:angles.n_phi // 2]
-    values = _project(images, tau_grid.taus(), [direction(phi) for phi in phis], ray_step)
-    return np.concatenate([values, values[:, ::-1]], axis=2) if mirror else values
+    taus = tau_grid.taus()
+    if _d4_folded(images[0].geometry, tau_grid, angles):
+        n_rep = angles.n_phi // 8 + 1
+        values = _project(images, taus, [direction(phi) for phi in phis[:n_rep]], ray_step,
+                          _D4_CHANNELS)
+        channel, rep = _d4_sources(angles.n_phi)
+        values = values.reshape(len(_D4_CHANNELS), len(images), len(taus), n_rep)
+        values = np.moveaxis(values[channel, :, :, rep], 0, -1)
+    elif _pi_mirrored(tau_grid, angles):
+        values = _project(images, taus, [direction(phi) for phi in phis[:angles.n_phi // 2]],
+                          ray_step)
+    else:
+        return _project(images, taus, [direction(phi) for phi in phis], ray_step)
+    return np.concatenate([values, values[:, ::-1]], axis=2)
+
+
+def _d4_sources(n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(channel, representative angle) of each column of [0, pi) under the D4 fold.
+
+    Column k <= n_phi/4 is angle k itself (channel f) up to n_phi/8 and the
+    transpose of angle n_phi/4 - k beyond; column n_phi/4 + k' repeats this
+    with the quarter-turned channels.  Each column has one source, and no
+    projected column is overwritten by a folded one.
+    """
+    quarter = n_phi // 4
+    k = np.arange(2 * quarter)
+    turned = k > quarter
+    k = k - quarter * turned
+    folded = 8 * k > n_phi
+    return 2 * turned + folded, np.where(folded, quarter - k, k)
 
 
 def radon_point(img: ImageGrid2D, tau: float, phi: float, ray_step: float | None = None) -> complex:
-    """Single line integral of the image along <n_phi, x> = tau."""
+    """Single line integral of the image along <n_phi, x> = tau; tau and phi must be finite."""
+    _finite("tau", tau)
     return complex(_project([img], np.asarray([float(tau)]), [direction(phi)], ray_step)[0, 0, 0])
 
 

@@ -66,11 +66,31 @@ def _pi_mirrored(tau_grid: TauGrid, angles: AngularRange) -> bool:
     return angles.is_full and angles.n_phi % 2 == 0 and tau_grid.is_symmetric
 
 
+def _d4_folded(geometry: GridGeometry, tau_grid: TauGrid, angles: AngularRange) -> bool:
+    """True iff the symmetries of the square relate the sampled angles: pi-mirrored,
+    phi_min = 0, n_phi % 4 == 0, and a centred square grid.
+
+    A quarter turn or a transpose of such a grid maps its nodes onto nodes,
+    so angle m + n_phi/4 reads the quarter-turned image at angle m and angle
+    n_phi/4 - m the transposed one; with the pi-mirror, angles
+    0..n_phi/8 determine every column.
+    """
+    g = geometry
+    return (_pi_mirrored(tau_grid, angles) and angles.n_phi % 4 == 0 and angles.phi_min == 0.0
+            and g.nx == g.ny and g.dx == g.dy and g.x_min == g.y_min
+            and abs(g.x_min + g.x_max) <= 4.0 * np.finfo(float).eps * abs(g.x_min))
+
+
 def _freeze(values, shape, name: str) -> np.ndarray:
-    """Copy to a read-only, C-contiguous complex128 array of the given shape."""
+    """Copy to a read-only, C-contiguous complex128 array of the given shape and finite values."""
     arr = np.array(values, dtype=np.complex128, order="C", copy=True)
     if arr.shape != tuple(shape):
         raise ValueError(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
+    # min and max propagate nan and reach any inf, and allocate nothing
+    parts = arr.view(np.float64)
+    if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
+        bad = np.count_nonzero(~np.isfinite(arr))
+        raise ValueError(f"{name}: samples must be finite, got {bad} nan or inf")
     arr.setflags(write=False)
     return arr
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,8 +108,31 @@ class TestFstCheck:
 
     def test_wrong_magic_is_format_error(self, tmp_path, image_file, sino_file):
         bad = tmp_path / "bad.urdn"
-        bad.write_bytes(open(sino_file, "rb").read().replace(b"URDN1", b"XXXXX", 1))
+        bad.write_bytes(Path(sino_file).read_bytes().replace(b"URDN1", b"XXXXX", 1))
         assert main(["fst-check", "--image", image_file, "--sinogram", str(bad)]) == 3
+
+
+class TestRadon:
+    def test_non_finite_header_field_is_format_error(self, tmp_path, image_file, capsys):
+        # json reads NaN as a float; the geometry refuses it, and that is a file error (3)
+        header, payload = Path(image_file).read_bytes().split(b"\n", 1)
+        head = json.loads(header)
+        head["dx"] = float("nan")
+        bad = tmp_path / "nan_dx.urdn"
+        bad.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+        assert main(["radon", "--image", str(bad), "--n-phi", "8",
+                     "--out", str(tmp_path / "s.urdn")]) == 3
+        assert "dx" in capsys.readouterr().err
+
+    def test_non_finite_payload_is_format_error(self, tmp_path, image_file, capsys):
+        raw = bytearray(Path(image_file).read_bytes())
+        # the payload ends with the last sample as a (re, im) float64 pair
+        raw[-16:-8] = np.float64(np.nan).tobytes()
+        bad = tmp_path / "nan_sample.urdn"
+        bad.write_bytes(bytes(raw))
+        assert main(["radon", "--image", str(bad), "--n-phi", "8",
+                     "--out", str(tmp_path / "s.urdn")]) == 3
+        assert "finite" in capsys.readouterr().err
 
 
 class TestInvert:

@@ -159,6 +159,16 @@ class TestErrors:
             ur.read_container(path)
         assert err.value.field == "real_valued"
 
+    @pytest.mark.parametrize("make", [random_image, random_sinogram, random_volume, random_hybrid])
+    def test_non_finite_payload_rejected(self, tmp_path, rng, make):
+        path = tmp_path / "nan.urdn"
+        ur.write_container(path, make(rng))
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.float64(np.inf).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ur.ContainerError, match="finite"):
+            ur.read_container(path)
+
     def test_unsupported_object(self, tmp_path):
         with pytest.raises(TypeError):
             ur.write_container(tmp_path / "x.urdn", {"not": "a grid"})

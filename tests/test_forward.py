@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uradon as ur
 from conftest import analytic_sinogram, rel_l2
-from uradon.forward import _project
+from uradon.forward import _D4_CHANNELS, _project
+from uradon.grids import _d4_folded
 
 SQRT_2PI = 2.5066282746310002
 
@@ -37,6 +39,15 @@ class TestRadonPoint:
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 ur.radon_point(img, 0.0, 0.0, ray_step=bad)
+
+    @pytest.mark.parametrize("tau, phi", [(np.nan, 0.3), (0.1, np.nan), (np.inf, 0.3), (0.1, np.inf)])
+    def test_non_finite_tau_or_phi_rejected(self, unit_blob_scene, tau, phi):
+        img = gaussian_image(unit_blob_scene, nx=16)
+        with pytest.raises(ValueError, match="tau" if not np.isfinite(tau) else "phi"):
+            ur.radon_point(img, tau, phi)
+        if not np.isfinite(phi):
+            with pytest.raises(ValueError, match="phi"):
+                ur.direction(phi)
 
 
 class TestRadonTransform:
@@ -232,7 +243,9 @@ class TestClippedKernel:
         fields = tuple(noise_image(rng, geom) for _ in range(5))
         field = ur.HybridField(tuple(range(5)), fields, ur.Provenance.SERIES)
         tg = ur.TauGrid.covering(geom, 0.3)
-        for angles in (ur.AngularRange.full(10), ur.AngularRange(0.0, np.pi, 7)):
+        # full(16) is D4-folded, full(10) only pi-mirrored
+        for angles in (ur.AngularRange.full(16), ur.AngularRange.full(10),
+                       ur.AngularRange(0.0, np.pi, 7)):
             sinos = ur.hybrid_radon(field, tg, angles)
             for f, sino in zip(fields, sinos):
                 assert sino == ur.radon_transform(f, tg, angles)
@@ -276,3 +289,100 @@ class TestPiMirror:
         sino = ur.radon_transform(img, tau_grid, angles)
         direct = _project([img], tau_grid.taus(), directions(angles), None)[0]
         assert np.array_equal(sino.values, direct)
+
+
+# --- the dihedral fold: square-symmetric grids project angles 0..n_phi/8 only ---
+
+D4_SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+
+
+@st.composite
+def square_scans(draw):
+    """A centred square grid, a covering tau grid, a full scan with n_phi % 4 == 0 and a ray step."""
+    n = draw(st.integers(12, 40))
+    dx = draw(st.sampled_from([0.1, 0.125, 0.15, 0.2]))
+    geom = ur.GridGeometry.centered(n, n, n * dx, n * dx)
+    tau_grid = ur.TauGrid.covering(geom, dx * draw(st.sampled_from([0.5, 0.75, 1.0, 1.5])))
+    angles = ur.AngularRange.full(4 * draw(st.integers(1, 12)))
+    ray_step = draw(st.sampled_from([None, 0.37 * dx]))
+    return geom, tau_grid, angles, ray_step, draw(st.integers(0, 2**32 - 1))
+
+
+def d4_copies(img):
+    """f, f.T, rot90(f, -1) and rot90(f, -1).T as images, in the order of _D4_CHANNELS."""
+    turned = np.rot90(img.values, -1)
+    return [ur.ImageGrid2D.from_geometry(img.geometry, v)
+            for v in (img.values, img.values.T, turned, turned.T)]
+
+
+def peak_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestD4Fold:
+    @D4_SETTINGS
+    @given(square_scans())
+    def test_rotation_transpose_and_mirror_identities(self, scan):
+        # channel q at angle m reads f at angle (offset + sign * m) mod n_phi
+        geom, tau_grid, angles, ray_step, seed = scan
+        img = blob_image(np.random.default_rng(seed), geom)
+        taus, n, q = tau_grid.taus(), angles.n_phi, angles.n_phi // 4
+        dirs = directions(angles)
+        direct = _project([img], taus, dirs, ray_step)[0]
+        m = np.arange(n)
+        for copy, column in zip(d4_copies(img), (m, q - m, m + q, 2 * q - m)):
+            got = _project([copy], taus, dirs, ray_step)[0]
+            assert peak_error(got, direct[:, column % n]) <= 1e-14
+        assert peak_error(direct[::-1, :], direct[:, (m + 2 * q) % n]) <= 1e-14
+
+    @D4_SETTINGS
+    @given(square_scans())
+    def test_folded_transform_matches_direct_projection(self, scan):
+        geom, tau_grid, angles, ray_step, seed = scan
+        assert _d4_folded(geom, tau_grid, angles)
+        img = blob_image(np.random.default_rng(seed), geom)
+        sino = ur.radon_transform(img, tau_grid, angles, ray_step).values
+        direct = _project([img], tau_grid.taus(), directions(angles), ray_step)[0]
+        assert peak_error(sino, direct) <= 1e-14
+        n_rep = angles.n_phi // 8 + 1
+        assert np.array_equal(sino[:, :n_rep], direct[:, :n_rep])
+
+    @D4_SETTINGS
+    @given(square_scans())
+    def test_projected_columns_equal_radon_point_bitwise(self, scan):
+        geom, tau_grid, angles, ray_step, seed = scan
+        img = blob_image(np.random.default_rng(seed), geom)
+        sino = ur.radon_transform(img, tau_grid, angles, ray_step).values
+        taus = tau_grid.taus()
+        for m, phi in enumerate(angles.phis()[:angles.n_phi // 8 + 1]):
+            for t in (0, len(taus) // 3, len(taus) // 2, len(taus) - 1):
+                assert ur.radon_point(img, taus[t], phi, ray_step) == sino[t, m]
+
+    @D4_SETTINGS
+    @given(square_scans())
+    def test_remapped_channels_equal_projected_copies_bitwise(self, scan):
+        geom, tau_grid, angles, ray_step, seed = scan
+        rng = np.random.default_rng(seed)
+        images = [noise_image(rng, geom) for _ in range(2)]
+        taus, dirs = tau_grid.taus(), directions(angles)[:angles.n_phi // 8 + 1]
+        channels = _project(images, taus, dirs, ray_step, _D4_CHANNELS)
+        copies = [copy for img in images for copy in d4_copies(img)]
+        # channel-major rows: row q * n_images + k is channel q of image k
+        want = _project(copies, taus, dirs, ray_step).reshape(2, 4, len(taus), len(dirs))
+        assert np.array_equal(channels, want.transpose(1, 0, 2, 3).reshape(channels.shape))
+
+    @pytest.mark.parametrize("geom, angles", [
+        (ur.GridGeometry.centered(24, 20, 4.8, 4.0), ur.AngularRange.full(8)),
+        (ur.GridGeometry.centered(24, 24, 4.8, 4.2), ur.AngularRange.full(8)),
+        (ur.GridGeometry(24, 24, -2.2, -2.2, 0.2, 0.2), ur.AngularRange.full(8)),
+        (ur.GridGeometry.centered(24, 24, 4.8, 4.8), ur.AngularRange(0.3, 0.3 + 2 * np.pi, 8)),
+        (ur.GridGeometry.centered(24, 24, 4.8, 4.8), ur.AngularRange.full(10)),
+    ], ids=["nx != ny", "dx != dy", "off-centre", "phi_min != 0", "n_phi % 4 != 0"])
+    def test_other_grids_take_the_pi_mirrored_path(self, rng, geom, angles):
+        tau_grid = ur.TauGrid.covering(geom, 0.2)
+        assert not _d4_folded(geom, tau_grid, angles)
+        img = blob_image(rng, geom)
+        sino = ur.radon_transform(img, tau_grid, angles).values
+        half = angles.n_phi // 2
+        direct = _project([img], tau_grid.taus(), directions(angles)[:half], None)[0]
+        assert np.array_equal(sino, np.concatenate([direct, direct[::-1]], axis=1))

@@ -183,9 +183,13 @@ class TestTauGrid:
     lambda: ur.AngularRange(0.0, np.pi, True),
     lambda: ur.AngularRange(np.nan, np.pi, 4),
     lambda: ur.AngularRange(0.0, np.inf, 4),
+    lambda: ur.ImageGrid2D(2, 2, 0.0, 0.0, 0.1, 0.1, [[0.0, np.nan], [0.0, 0.0]]),
+    lambda: ur.ImageGrid2D(2, 2, 0.0, 0.0, 0.1, 0.1, [[0.0, 0.0], [complex(0, -np.inf), 0.0]]),
+    lambda: ur.Sinogram(0.0, 0.1, 2, ur.AngularRange.full(1), [[np.inf], [0.0]]),
 ], ids=["dx nan", "dy inf", "dx bool", "nx 4.5", "ny 4.0", "nx bool", "x_min nan",
         "y_min -inf", "dx str", "d_tau inf", "d_tau nan", "n_tau 3.5", "n_tau 3.0",
-        "tau_min nan", "n_phi 4.5", "n_phi bool", "phi_min nan", "phi_max inf"])
+        "tau_min nan", "n_phi 4.5", "n_phi bool", "phi_min nan", "phi_max inf",
+        "image sample nan", "image sample -inf imag", "sinogram sample inf"])
 def test_constructors_reject_non_finite_and_non_integer_inputs(make):
     with pytest.raises(ValueError):
         make()
