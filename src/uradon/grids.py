@@ -61,9 +61,27 @@ def _positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _spans_exactly(angles: AngularRange, span: float) -> bool:
+    """True iff the angles span `span` to within a few ulps.
+
+    The symmetry folds map sampled angles onto sampled angles, so they need
+    the sample step exact to rounding: within is_full's 1e-12 tolerance a
+    folded column could stand for an angle up to about 1e-12 rad off.
+    """
+    return abs(angles.span - span) <= 4.0 * np.spacing(span)
+
+
+def _centred_square(geometry: GridGeometry) -> bool:
+    """True iff a quarter turn and a transpose map the grid's nodes onto its nodes:
+    nx == ny, dx == dy, x_min == y_min and x_min + x_max == 0 to rounding."""
+    g = geometry
+    return (g.nx == g.ny and g.dx == g.dy and g.x_min == g.y_min
+            and abs(g.x_min + g.x_max) <= 4.0 * np.finfo(float).eps * abs(g.x_min))
+
+
 def _pi_mirrored(tau_grid: TauGrid, angles: AngularRange) -> bool:
     """True iff angle m + n_phi/2 is angle m + pi, read at -tau: full, even, symmetric."""
-    return angles.is_full and angles.n_phi % 2 == 0 and tau_grid.is_symmetric
+    return _spans_exactly(angles, TWO_PI) and angles.n_phi % 2 == 0 and tau_grid.is_symmetric
 
 
 def _d4_folded(geometry: GridGeometry, tau_grid: TauGrid, angles: AngularRange) -> bool:
@@ -75,10 +93,8 @@ def _d4_folded(geometry: GridGeometry, tau_grid: TauGrid, angles: AngularRange) 
     n_phi/4 - m the transposed one; with the pi-mirror, angles
     0..n_phi/8 determine every column.
     """
-    g = geometry
     return (_pi_mirrored(tau_grid, angles) and angles.n_phi % 4 == 0 and angles.phi_min == 0.0
-            and g.nx == g.ny and g.dx == g.dy and g.x_min == g.y_min
-            and abs(g.x_min + g.x_max) <= 4.0 * np.finfo(float).eps * abs(g.x_min))
+            and _centred_square(geometry))
 
 
 def _freeze(values, shape, name: str) -> np.ndarray:

@@ -11,27 +11,45 @@ All paths share one structure: correlate every projection column with a
 kernel over signed tau offsets (band-limited ramp or finite-part quadrature
 for the principal-value term; the closed-form regularized lambda-integral
 kernel for an independent third path), then backproject with linear
-interpolation under the angular measure d_phi / (4 pi^2).  Full even scans
-on a symmetric tau grid fold angle phi + pi onto phi before backprojecting.
+interpolation under the angular measure d_phi / (4 pi^2).
+
+Two symmetry folds cut the work, each to rounding of the unfolded sum:
+
+* Half turns.  On a full even scan with a symmetric tau grid
+  (grids._pi_mirrored), angle phi + pi is angle phi read at -tau.  The
+  two-term inverse folds the raw sinogram onto [phi_min, phi_min + pi)
+  before filtering: c[:, :N/2] + c[::-1, N/2:] for the ramp and
+  finite-part filters, whose kernels are even, and c[:, :N/2] -
+  c[::-1, N/2:] for the tau derivative, which is odd.  The filters then
+  run on N/2 columns.  The lambda kernel is not even (K(-eta) = conj
+  K(eta)), so epsilon_lambda_reconstruct filters all N columns and
+  _backproject folds the result.
+* The square's symmetries (D4).  When the angles backprojected are [0, pi)
+  in an even count N' on a centred square grid, angles phi, pi/2 - phi,
+  phi + pi/2 and pi - phi read the transposed or turned index field of
+  phi, so only N'/4 + 1 index fields are computed.
 
 Sinogram values are stored (n_tau, n_phi), so a column's tau samples are
 strided.  The filters transpose once and run their FFTs along contiguous tau
 rows, returning the (n_tau, n_phi) result as a transposed view; the
 backprojection copies each filtered array into angle-major tau rows padded
 with two zeros, which out-of-range pixels read.  Neither layout changes the
-arithmetic: every output is bit-identical to the column-major form.
+arithmetic: outside the two folds, every output is bit-identical to the
+column-major form.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .grids import (ANGULAR_MEASURE_NORM, GridGeometry, ImageGrid2D, Sinogram, _finite,
-                    _linear_index, _pi_mirrored, _trapezoid_weights)
-from .forward import direction
+from .grids import (ANGULAR_MEASURE_NORM, AngularRange, GridGeometry, ImageGrid2D, Sinogram,
+                    TauGrid, _centred_square, _finite, _linear_index, _pi_mirrored,
+                    _spans_exactly, _trapezoid_weights)
+from .forward import _d4_sources, direction
 
 
 class Backend(enum.Enum):
@@ -130,21 +148,28 @@ def _correlate_columns(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spec, out=spec)[:, m_half:m_half + n].T
 
 
+def _ramp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
+    """2 pi d times the sampled band-limited ramp of Kak & Slaney (1988, ch. 3).
+
+    pi / (2d) at offset 0, -2 / (pi j^2 d) at odd offsets j and 0 at even
+    ones.  Sampled in tau rather than as |lambda| on the DFT grid, it has no
+    DC bias.
+    """
+    j = np.arange(1 - n_tau, n_tau)
+    kernel = np.zeros(j.size)
+    odd = j % 2 == 1
+    kernel[odd] = -2.0 / (np.pi * d_tau * j[odd] ** 2)
+    kernel[n_tau - 1] = np.pi / (2.0 * d_tau)
+    return kernel
+
+
 def ramp_filtered(sino: Sinogram) -> np.ndarray:
     """Band-limited |lambda| filter of every column, as a correlation kernel.
 
     The result approximates (1/2pi) * integral |lam| R^(lam) exp(i lam tau) dlam
-    on the stored tau nodes.  The kernel is 2 pi d times the sampled
-    band-limited ramp of Kak & Slaney (1988, ch. 3): pi / (2d) at offset 0,
-    -2 / (pi j^2 d) at odd offsets j and 0 at even ones.  Sampled in tau
-    rather than as |lambda| on the DFT grid, it has no DC bias.
+    on the stored tau nodes (kernel: _ramp_kernel).
     """
-    j = np.arange(1 - sino.n_tau, sino.n_tau)
-    kernel = np.zeros(j.size)
-    odd = j % 2 == 1
-    kernel[odd] = -2.0 / (np.pi * sino.d_tau * j[odd] ** 2)
-    kernel[sino.n_tau - 1] = np.pi / (2.0 * sino.d_tau)
-    return _correlate_columns(sino.values, kernel)
+    return _correlate_columns(sino.values, _ramp_kernel(sino.n_tau, sino.d_tau))
 
 
 def _fp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
@@ -183,12 +208,21 @@ def finite_part_filtered(sino: Sinogram) -> np.ndarray:
     return _correlate_columns(sino.values, _fp_kernel(sino.n_tau, sino.d_tau))
 
 
+def _lambda_correlation_kernel(n_tau: int, d_tau: float, epsilon: float,
+                               lambda_max: float) -> np.ndarray:
+    """Trapezoid-weighted lambda_kernel at every signed tau offset.
+
+    Not even: K(-eta) = conj K(eta), so it does not commute with tau reversal.
+    """
+    m_half = n_tau - 1
+    eta = d_tau * np.arange(-m_half, m_half + 1)
+    return _trapezoid_weights(eta.size, d_tau) * lambda_kernel(eta, epsilon, lambda_max)
+
+
 def lambda_kernel_filtered(sino: Sinogram, epsilon: float, lambda_max: float) -> np.ndarray:
     """Correlate every column with the closed-form regularized kernel."""
-    m_half = sino.n_tau - 1
-    eta = sino.d_tau * np.arange(-m_half, m_half + 1)
-    w = _trapezoid_weights(eta.size, sino.d_tau)
-    return _correlate_columns(sino.values, w * lambda_kernel(eta, epsilon, lambda_max))
+    return _correlate_columns(sino.values, _lambda_correlation_kernel(sino.n_tau, sino.d_tau,
+                                                                      epsilon, lambda_max))
 
 
 def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
@@ -217,10 +251,54 @@ def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
     return plus
 
 
-# --- backprojection ----------------------------------------------------------
+# --- symmetry folds and backprojection ---------------------------------------
 
-def _backproject(columns_seq, sino: Sinogram,
-                 geometry: GridGeometry) -> tuple[list[np.ndarray], np.ndarray]:
+class _Columns(NamedTuple):
+    """Sinogram-shaped data made inside this module, held as is: neither copied nor checked.
+
+    values is None where only the grid is needed.
+    """
+
+    tau_min: float
+    d_tau: float
+    n_tau: int
+    angles: AngularRange
+    values: np.ndarray | None = None
+
+    @property
+    def tau_grid(self) -> TauGrid:
+        return TauGrid(self.tau_min, self.d_tau, self.n_tau)
+
+
+def _fold(values: np.ndarray, parity: float, out: np.ndarray | None = None) -> np.ndarray:
+    """values[:, :N/2] + parity * values[::-1, N/2:] for parity +1 or -1.
+
+    On a pi-mirrored grid (grids._pi_mirrored) column m + N/2 is angle
+    phi_m + pi, and row t there is -tau_t: the second half turn read at -tau,
+    added onto the first or subtracted from it.
+    """
+    half = values.shape[1] // 2
+    op = np.add if parity > 0 else np.subtract
+    return op(values[:, :half], values[::-1, half:], out=out)
+
+
+# where frames 1-3 of _unfold_d4 land: the angles pi/2 - phi, phi + pi/2 and pi - phi
+_D4_VIEWS = (np.transpose, np.rot90, np.flipud)
+
+
+def _unfold_d4(frames: list[np.ndarray], op) -> np.ndarray:
+    """frames[0] + frames[1].T + rot90(frames[2]) + frames[3][::-1] under op, in frames[0].
+
+    Frame q holds the columns of _d4_sources channel q, each gathered through
+    its representative angle's index field.  A single frame is returned as is.
+    """
+    first = frames[0]
+    for frame, view in zip(frames[1:], _D4_VIEWS):
+        op(first, view(frame), out=first)
+    return first
+
+
+def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.ndarray], np.ndarray]:
     """Angular quadrature of per-column data at tau = <n_phi, x>.
 
     columns_seq yields one or more (n_tau, n_phi) arrays on the sinogram's
@@ -228,9 +306,20 @@ def _backproject(columns_seq, sino: Sinogram,
     by all of them, and each result is bit-identical to backprojecting its
     array alone.  Where angle m + N/2 is angle m + pi read at -tau
     (grids._pi_mirrored), each array is first folded onto the first half
-    turn as c[:, :N/2] + c[::-1, N/2:]; no symmetry of the data is needed.
+    turn (_fold); no symmetry of the data is needed.
     Each array is copied to angle-major tau rows with two trailing zeros,
     which pixels outside the stored tau range read instead of being masked.
+
+    When the angles looped are [0, pi) in an even count N' and the grid is a
+    centred square (grids._centred_square), angles phi, pi/2 - phi,
+    phi + pi/2 and pi - phi read the transposed or turned index field of
+    phi: only the representative angles 0..N'/4 of forward._d4_sources
+    get an index field, each related column is gathered into its channel's
+    frame, and the frames are combined once at the end (_unfold_d4), to
+    rounding of the direct loop; a pixel whose offset is exactly an end node
+    of the tau grid reads that node or zero by rounding, so there the two can
+    differ by O(1).  Every other input takes the direct loop.
+
     Returns (values per array, out_of_coverage) where the boolean mask marks
     pixels whose offset fell outside the stored tau range for at least one
     angle.  Linear interpolation along tau; the fixed angle order keeps the
@@ -239,40 +328,54 @@ def _backproject(columns_seq, sino: Sinogram,
     n = sino.n_tau
     if n < 2:
         raise ValueError("backprojection needs at least 2 tau samples")
-    phis = sino.angles.phis()
-    folded = _pi_mirrored(sino.tau_grid, sino.angles)
+    angles = sino.angles
+    phis = angles.phis()
+    folded = _pi_mirrored(sino.tau_grid, angles)
     if folded:
-        half = sino.angles.n_phi // 2
-        phis = phis[:half]
+        phis = phis[:angles.n_phi // 2]
     rows_seq = []
     for columns in columns_seq:
         rows = np.zeros((phis.size, n + 2), dtype=np.complex128)
         if folded:
-            np.add(columns[:, :half].T, columns[::-1, half:].T, out=rows[:, :n])
+            _fold(columns, 1.0, out=rows[:, :n].T)
         else:
             rows[:, :n] = columns.T
         rows_seq.append(rows)
+    if (angles.phi_min == 0.0 and phis.size % 2 == 0 and _centred_square(geometry)
+            and (folded or _spans_exactly(angles, np.pi))):
+        channel, rep = _d4_sources(2 * phis.size)
+        n_frames = 4
+    else:
+        channel, rep = np.zeros(phis.size, dtype=np.intp), np.arange(phis.size)
+        n_frames = 1
     x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
-    accs = [np.zeros((geometry.nx, geometry.ny), dtype=np.complex128) for _ in rows_seq]
-    out_of_range = np.zeros((geometry.nx, geometry.ny), dtype=bool)
-    for m, phi in enumerate(phis):
-        c, s = direction(phi)
-        i0, w, inside = _linear_index((c * x + s * y - sino.tau_min) / sino.d_tau, n)
-        outside = ~inside
-        np.copyto(i0, n, where=outside)
-        i1 = i0 + 1
-        w0 = 1.0 - w
-        for acc, rows in zip(accs, rows_seq):
-            row = rows[m]
+    shape = (geometry.nx, geometry.ny)
+    accs = [[np.zeros(shape, dtype=np.complex128) for _ in range(n_frames)] for _ in rows_seq]
+    out_of_range = [np.zeros(shape, dtype=bool) for _ in range(n_frames)]
+    current = -1
+    for k in np.argsort(rep, kind="stable"):   # columns grouped by the angle whose field they read
+        if rep[k] != current:
+            current = rep[k]
+            c, s = direction(phis[current])
+            i0, w, inside = _linear_index((c * x + s * y - sino.tau_min) / sino.d_tau, n)
+            outside = ~inside
+            np.copyto(i0, n, where=outside)
+            i1 = i0 + 1
+            w0 = 1.0 - w
+        q = channel[k]
+        for frames, rows in zip(accs, rows_seq):
+            row = rows[k]
             lo = row[i0]
             lo *= w0
             hi = row[i1]
             hi *= w
             lo += hi
-            acc += lo
-        out_of_range |= outside
+            frames[q] += lo
+        out_of_range[q] |= outside
+    accs = [_unfold_d4(frames, np.add) for frames in accs]
+    out_of_range = _unfold_d4(out_of_range, np.logical_or)
     for acc in accs:
-        acc *= sino.angles.d_phi * ANGULAR_MEASURE_NORM
+        acc *= angles.d_phi * ANGULAR_MEASURE_NORM
     return accs, out_of_range
 
 
@@ -291,6 +394,35 @@ def _fa_columns(sino: Sinogram, params: RegParams) -> np.ndarray:
     return -1j * np.pi * tau_derivative(sino, params.fa_step)
 
 
+# each term's filter, and its parity under tau -> -tau: the ramp and finite-part
+# kernels are even, the tau derivative is odd
+_TERMS = ((_fs_columns, 1.0), (_fa_columns, -1.0))
+
+
+def _backproject_terms(sinos, geometry: GridGeometry, params: RegParams, terms=_TERMS):
+    """The given terms of every sinogram, filtered one at a time, backprojected in one pass.
+
+    Where grids._pi_mirrored holds, each sinogram is folded onto its first
+    half turn with the term's parity before it is filtered: a filter of that
+    parity commutes with tau reversal, so filtering the fold equals folding
+    the filtered columns, to rounding, at half the columns.
+    """
+    first = sinos[0]
+    half = _pi_mirrored(first.tau_grid, first.angles)
+    grid = first
+    if half:
+        a = first.angles
+        grid = _Columns(first.tau_min, first.d_tau, first.n_tau,
+                        AngularRange(a.phi_min, a.phi_min + a.span / 2, a.n_phi // 2))
+
+    def filtered():   # one array alive at a time: _backproject copies each into rows
+        for s in sinos:
+            for term, parity in terms:
+                yield term(grid._replace(values=_fold(s.values, parity)) if half else s, params)
+
+    return _backproject(filtered(), grid, geometry)
+
+
 def invert_fs(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> ImageGrid2D:
     """Principal-value term of the reconstruction.
 
@@ -299,13 +431,13 @@ def invert_fs(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> Imag
     kernel then backprojection, scaled by -1.  Both realize
     -(1/4pi^2) * integral d_phi FP integral d_eta R(eta + <n_phi, x>) / eta^2.
     """
-    (values,), oob = _backproject([_fs_columns(sino, params)], sino, geometry)
+    (values,), oob = _backproject_terms([sino], geometry, params, _TERMS[:1])
     return ImageGrid2D.from_geometry(geometry, values, _flag_meta(oob))
 
 
 def invert_fa(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> ImageGrid2D:
     """Boundary term: -i pi times the backprojected radial derivative."""
-    (values,), oob = _backproject([_fa_columns(sino, params)], sino, geometry)
+    (values,), oob = _backproject_terms([sino], geometry, params, _TERMS[1:])
     return ImageGrid2D.from_geometry(geometry, values, _flag_meta(oob))
 
 
@@ -326,9 +458,7 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams) -> list[Recons
     first = sinos[0]
     if any(s.tau_grid != first.tau_grid or s.angles != first.angles for s in sinos):
         raise ValueError("sinograms inverted together must share one tau grid and angular range")
-    # filtered one at a time as _backproject copies them, so at most one is alive
-    columns = (c(s, params) for s in sinos for c in (_fs_columns, _fa_columns))
-    values, oob = _backproject(columns, first, geometry)
+    values, oob = _backproject_terms(sinos, geometry, params)
     meta = _flag_meta(oob)
     recons = []
     for fs, fa in zip(values[::2], values[1::2]):
