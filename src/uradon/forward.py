@@ -5,9 +5,20 @@ sin phi) and n_perp = (-sin phi, cos phi); the line integral over s is a
 composite-midpoint quadrature with bilinear sampling of the grid.  The
 quadrature step is an explicit parameter so convergence order can be
 measured directly.
+
+The projector splits its work into tasks of one direction and one block of
+consecutive tau rows (at most _BLOCK_SAMPLES ray samples each) and spreads
+them over the CPUs the process may run on: the calling thread and one pool
+worker per further CPU.  Every tau row lies whole inside one task and is
+summed in sample order, so results are bitwise identical at any thread
+count.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -25,6 +36,83 @@ _D4_CHANNELS = (
     lambda i0, j0, n: ((n - 1 - j0) * n + i0, 1, -n),
     lambda i0, j0, n: ((n - 1 - i0) * n + j0, -n, 1),
 )
+
+# Ray samples per projector task.  Blocks this size keep each thread's
+# temporaries small (a whole 256^2 direction holds about 20 MB) while each
+# numpy call stays long enough that the interpreter lock is no bottleneck.
+_BLOCK_SAMPLES = 2**15
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _drop_pool() -> None:
+    """A forked child has none of the parent's threads: let it start its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's worker pool, created at first use with one thread per further CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(1, _cpu_count() - 1),
+                                       thread_name_prefix="uradon-project")
+        return _pool
+
+
+def _run_tasks(task, items: list) -> None:
+    """Call task(item) for every item, on this thread and one pool worker per further CPU.
+
+    All threads take items (never None) from one shared iterator.  The
+    tasks must write disjoint outputs, so which thread runs an item cannot
+    change a result.  With one item or one CPU everything runs inline.
+    Every worker has stopped before this returns or raises; after a task
+    fails no further item is started, and the calling thread's failure, or
+    else the first failed worker's, is raised.
+    """
+    n_threads = min(_cpu_count(), len(items))
+    if n_threads <= 1:
+        for item in items:
+            task(item)
+        return
+    pool = _executor()
+    pending = iter(items)
+    lock = threading.Lock()
+    failed = False
+
+    def drain():
+        nonlocal failed
+        while True:
+            with lock:
+                item = None if failed else next(pending, None)
+            if item is None:
+                return
+            try:
+                task(item)
+            except BaseException:
+                failed = True
+                raise
+
+    futures = [pool.submit(drain) for _ in range(n_threads - 1)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def direction(phi: float) -> tuple[float, float]:
@@ -60,12 +148,15 @@ def _project(images, taus: np.ndarray, directions, ray_step: float | None,
 
     Every ray-driven caller goes through here.  The images share one
     geometry and are projected as real planes (real and imaginary part of
-    each).  Per direction, only the ray samples inside the grid box are
-    kept; their corner indices and bilinear weights are computed once and
-    applied to every channel and plane, and np.bincount sums each tau row in
-    sample order.  An entry therefore depends on its own image, channel, tau
-    and direction only: it has the same bits whatever else the call
-    projects, and repeated calls are bitwise identical.
+    each).  The work is split into tasks of one direction and one block of
+    consecutive tau rows holding at most _BLOCK_SAMPLES ray samples, run by
+    _run_tasks over the available CPUs.  Per task, only the ray samples
+    inside the grid box are kept; their corner indices and bilinear weights
+    are computed once and applied to every channel and plane, and
+    np.bincount sums each tau row in sample order.  A row never straddles
+    two tasks, so an entry depends on its own image, channel, tau and
+    direction only: it has the same bits whatever else the call projects,
+    whatever the thread count, and repeated calls are bitwise identical.
     """
     geometry = images[0].geometry
     if ray_step is None:
@@ -78,25 +169,49 @@ def _project(images, taus: np.ndarray, directions, ray_step: float | None,
     planes = np.stack([part for img in images for part in (img.values.real, img.values.imag)])
     planes = planes.reshape(len(planes), nx * ny)
     sums = np.empty((len(channels), len(planes), len(taus), len(directions)))
-    for m, (c, s) in enumerate(directions):
-        fx = (taus[:, None] * c - offsets[None, :] * s - geometry.x_min) / geometry.dx
-        fy = (taus[:, None] * s + offsets[None, :] * c - geometry.y_min) / geometry.dy
+    block = max(1, _BLOCK_SAMPLES // len(offsets))
+
+    def project_rows(task):
+        m, r0 = task
+        c, s = directions[m]
+        block_taus = taus[r0:r0 + block]
+        # in-place steps: numpy elides temporaries only from 256 KiB up, which
+        # block arrays stay below; same operations in the same order, same bits
+        fx = block_taus[:, None] * c - offsets[None, :] * s
+        fx -= geometry.x_min
+        fx /= geometry.dx
+        fy = block_taus[:, None] * s + offsets[None, :] * c
+        fy -= geometry.y_min
+        fy /= geometry.dy
         keep = np.flatnonzero((fx >= 0.0) & (fx <= nx - 1) & (fy >= 0.0) & (fy <= ny - 1))
         # kept samples lie in [0, n - 1]: _linear_index's clip and inside test are no-ops
-        fx, fy = fx.ravel()[keep], fy.ravel()[keep]
-        i0, j0 = np.minimum(fx.astype(np.intp), nx - 2), np.minimum(fy.astype(np.intp), ny - 2)
-        tx, ty = fx - i0, fy - j0
+        tx, ty = fx.ravel()[keep], fy.ravel()[keep]
         rows = keep // len(offsets)
         del fx, fy, keep  # before the gathers allocate theirs: keeps peak memory down
-        w00, w10 = (1.0 - tx) * (1.0 - ty), tx * (1.0 - ty)
-        w01, w11 = (1.0 - tx) * ty, tx * ty
+        i0, j0 = tx.astype(np.intp), ty.astype(np.intp)
+        np.minimum(i0, nx - 2, out=i0)
+        np.minimum(j0, ny - 2, out=j0)
+        tx -= i0
+        ty -= j0
+        sx, sy = 1.0 - tx, 1.0 - ty
+        weights = (sx * sy, tx * sy, sx * ty, tx * ty)
+        del tx, ty, sx, sy
         for q, remap in enumerate(channels):
             corner, di, dj = remap(i0, j0, ny)
+            corners = (corner, corner + di, corner + dj, corner + (di + dj))
             for k, plane in enumerate(planes):
-                samples = (w00 * plane.take(corner) + w10 * plane.take(corner + di)
-                           + w01 * plane.take(corner + dj) + w11 * plane.take(corner + di + dj))
-                sums[q, k, :, m] = np.bincount(rows, weights=samples, minlength=len(taus))
-            del corner  # one channel's corner array alive at a time
+                samples = plane.take(corners[0])
+                samples *= weights[0]
+                for w, idx in zip(weights[1:], corners[1:]):
+                    term = plane.take(idx)
+                    term *= w
+                    samples += term
+                sums[q, k, r0:r0 + len(block_taus), m] = np.bincount(
+                    rows, weights=samples, minlength=len(block_taus))
+            del corner, corners  # one channel's corner arrays alive at a time
+
+    _run_tasks(project_rows, [(m, r0) for m in range(len(directions))
+                              for r0 in range(0, len(taus), block)])
     sums = sums.reshape(len(channels) * len(planes), len(taus), len(directions))
     out = np.empty((len(sums) // 2, len(taus), len(directions)), dtype=np.complex128)
     out.real = sums[0::2] * h

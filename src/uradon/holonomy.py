@@ -143,14 +143,15 @@ def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
     leak_tol in magnitude are dropped.  The final column is the sum over the
     survivors at the final angles.
 
-    _columns maps (term index, direction sign) to projected columns; entries
-    found there are reused and new ones are added, so paths evaluated with
-    one dict on the same scene, probe, geometry and ray_step project each
-    (term, sign) once.
+    _columns maps (term index, direction sign) to projected columns and a
+    term index to the term's rasterized image; entries found there are
+    reused and new ones are added, so paths evaluated with one dict on the
+    same scene, probe, geometry and ray_step project each (term, sign) once
+    and rasterize each term at most once, and only when it has a column to
+    project.
     """
     if leak_tol is None:
         leak_tol = leak_tolerance(scene, geometry)
-    term_images = [rasterize(CompositeScene((term,)), geometry) for term in scene.terms]
     taus = probe.taus.taus()
     trig = [direction(phi) for phi in probe.angles.phis()]
 
@@ -161,8 +162,11 @@ def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
         sign = -1.0 if count % 2 else 1.0
         missing = [i for i in survivors if (i, sign) not in cache]
         if missing:
+            for i in missing:
+                if i not in cache:
+                    cache[i] = rasterize(CompositeScene((scene.terms[i],)), geometry)
             directions = [(sign * c, sign * s) for c, s in trig]
-            projected = _project([term_images[i] for i in missing], taus, directions, ray_step)
+            projected = _project([cache[i] for i in missing], taus, directions, ray_step)
             cache.update(zip([(i, sign) for i in missing], projected))
         columns = {i: cache[i, sign] for i in survivors}
         norms = tuple((i, float(np.max(np.abs(columns[i])))) for i in survivors)
@@ -187,7 +191,7 @@ def check_holonomy(scene: CompositeScene, probe: Probe, geometry: GridGeometry,
         leak_tol = leak_tolerance(scene, geometry)
     if threshold is None:
         threshold = 10.0 * leak_tol
-    columns: dict = {}  # the +sign columns of the full turn serve the second half turn
+    columns: dict = {}  # the full turn's images and +sign columns serve the two half turns
     one = evaluate_path(scene, ShiftPath.full_turn(), probe, geometry, ray_step, leak_tol, columns)
     two = evaluate_path(scene, ShiftPath.two_half_turns(), probe, geometry, ray_step, leak_tol,
                         columns)

@@ -1,11 +1,17 @@
+import multiprocessing
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import uradon as ur
+import uradon.forward as fwd
 from conftest import analytic_sinogram, rel_l2
 from uradon.forward import _D4_CHANNELS, _project
-from uradon.grids import _d4_folded
+from uradon.grids import _d4_folded, _pi_mirrored
 
 SQRT_2PI = 2.5066282746310002
 
@@ -386,3 +392,196 @@ class TestD4Fold:
         half = angles.n_phi // 2
         direct = _project([img], tau_grid.taus(), directions(angles)[:half], None)[0]
         assert np.array_equal(sino, np.concatenate([direct, direct[::-1]], axis=1))
+
+
+# --- row blocks over threads: results do not depend on the thread count ---
+
+def unblocked_projection(images, taus, dirs, ray_step, channels=_D4_CHANNELS[:1]):
+    """The projector before row blocks: one pass over all tau rows per direction."""
+    geometry = images[0].geometry
+    if ray_step is None:
+        ray_step = ur.default_ray_step(geometry)
+    offsets, h = fwd._ray_offsets(geometry, ray_step)
+    nx, ny = geometry.nx, geometry.ny
+    planes = np.stack([part for img in images for part in (img.values.real, img.values.imag)])
+    planes = planes.reshape(len(planes), nx * ny)
+    sums = np.empty((len(channels), len(planes), len(taus), len(dirs)))
+    for m, (c, s) in enumerate(dirs):
+        fx = (taus[:, None] * c - offsets[None, :] * s - geometry.x_min) / geometry.dx
+        fy = (taus[:, None] * s + offsets[None, :] * c - geometry.y_min) / geometry.dy
+        keep = np.flatnonzero((fx >= 0.0) & (fx <= nx - 1) & (fy >= 0.0) & (fy <= ny - 1))
+        fx, fy = fx.ravel()[keep], fy.ravel()[keep]
+        i0, j0 = np.minimum(fx.astype(np.intp), nx - 2), np.minimum(fy.astype(np.intp), ny - 2)
+        tx, ty = fx - i0, fy - j0
+        rows = keep // len(offsets)
+        w00, w10 = (1.0 - tx) * (1.0 - ty), tx * (1.0 - ty)
+        w01, w11 = (1.0 - tx) * ty, tx * ty
+        for q, remap in enumerate(channels):
+            corner, di, dj = remap(i0, j0, ny)
+            for k, plane in enumerate(planes):
+                samples = (w00 * plane.take(corner) + w10 * plane.take(corner + di)
+                           + w01 * plane.take(corner + dj) + w11 * plane.take(corner + di + dj))
+                sums[q, k, :, m] = np.bincount(rows, weights=samples, minlength=len(taus))
+    sums = sums.reshape(len(channels) * len(planes), len(taus), len(dirs))
+    return (sums[0::2] + 1j * sums[1::2]) * h
+
+
+def block_rows(geom, ray_step):
+    """Tau rows per projector task for this geometry and ray step."""
+    n_s = len(fwd._ray_offsets(geom, ray_step or ur.default_ray_step(geom))[0])
+    return max(1, fwd._BLOCK_SAMPLES // n_s)
+
+
+SCAN_KINDS = {
+    "d4": (ur.GridGeometry.centered(20, 20, 3.0, 3.0), ur.AngularRange.full(16)),
+    "pi-mirrored": (ur.GridGeometry.centered(20, 20, 3.0, 3.0), ur.AngularRange.full(10)),
+    "general": (ur.GridGeometry.centered(20, 20, 3.0, 3.0), ur.AngularRange(0.3, 5.9, 7)),
+    "off-centre": (ur.GridGeometry(23, 17, -1.3, -0.4, 0.11, 0.13), ur.AngularRange.full(8)),
+}
+
+
+@st.composite
+def long_tau_scans(draw):
+    """A scan whose symmetric tau grid spans two to four row blocks, the last one partial."""
+    kind = draw(st.sampled_from(sorted(SCAN_KINDS)))
+    geom, angles = SCAN_KINDS[kind]
+    ray_step = draw(st.sampled_from([None, 0.037, 0.05]))
+    block = block_rows(geom, ray_step)
+    n_tau = 2 * draw(st.integers(block + 1, 2 * block - 1)) + 1
+    tau_grid = ur.TauGrid.symmetric(3.0 * geom.bounding_radius / n_tau, n_tau)
+    return kind, geom, tau_grid, angles, ray_step, draw(st.integers(0, 2**32 - 1))
+
+
+def with_cpus(n, fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fwd, "_cpu_count", lambda: n)
+        return fn(*args)
+
+
+class TestRowBlocksAndThreads:
+    @D4_SETTINGS
+    @given(long_tau_scans())
+    def test_projection_is_the_unblocked_loop_at_any_thread_count(self, scan):
+        kind, geom, tau_grid, angles, ray_step, seed = scan
+        rng = np.random.default_rng(seed)
+        images = [noise_image(rng, geom), blob_image(rng, geom)]
+        taus, dirs = tau_grid.taus(), directions(angles)[:3]
+        channels = _D4_CHANNELS if kind == "d4" else _D4_CHANNELS[:1]
+        assert len(taus) > 2 * block_rows(geom, ray_step)
+        want = unblocked_projection(images, taus, dirs, ray_step, channels)
+        for n_cpus in (1, 2, 3):
+            got = with_cpus(n_cpus, _project, images, taus, dirs, ray_step, channels)
+            assert np.array_equal(got, want)
+
+    @D4_SETTINGS
+    @given(long_tau_scans())
+    def test_transform_is_bit_identical_at_any_thread_count(self, scan):
+        kind, geom, tau_grid, angles, ray_step, seed = scan
+        img = blob_image(np.random.default_rng(seed), geom)
+        assert _d4_folded(geom, tau_grid, angles) == (kind == "d4")
+        assert _pi_mirrored(tau_grid, angles) == (kind != "general")
+        sinos = [with_cpus(n, ur.radon_transform, img, tau_grid, angles, ray_step).values
+                 for n in (1, 2, 3)]
+        assert np.array_equal(sinos[0], sinos[1]) and np.array_equal(sinos[0], sinos[2])
+        # the projected columns are those of the unblocked loop
+        n_projected = {"d4": angles.n_phi // 8 + 1, "general": angles.n_phi}.get(
+            kind, angles.n_phi // 2)
+        want = unblocked_projection([img], tau_grid.taus(), directions(angles)[:n_projected],
+                                    ray_step)[0]
+        assert np.array_equal(sinos[1][:, :n_projected], want)
+
+    def test_radon_point_equals_transform_entries_across_block_edges(self, rng):
+        geom, angles = SCAN_KINDS["d4"]
+        block = block_rows(geom, None)
+        tau_grid = ur.TauGrid.symmetric(2.0 * geom.bounding_radius / (3 * block), 3 * block + 1)
+        img = blob_image(rng, geom)
+        sino = with_cpus(2, ur.radon_transform, img, tau_grid, angles).values
+        taus = tau_grid.taus()
+        for m, phi in enumerate(angles.phis()[:3]):
+            for t in (0, block - 1, block, 2 * block - 1, 2 * block, len(taus) - 1):
+                assert with_cpus(2, ur.radon_point, img, taus[t], phi) == sino[t, m]
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """_cpu_count reads 3, with a fresh two-worker pool that is shut down afterwards."""
+    monkeypatch.setattr(fwd, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(fwd, "_pool", None)
+    yield
+    if fwd._pool is not None:
+        fwd._pool.shutdown(wait=True)
+
+
+class TestRunTasks:
+    def test_one_cpu_or_one_task_runs_inline(self, monkeypatch):
+        threads = []
+        monkeypatch.setattr(fwd, "_cpu_count", lambda: 1)
+        fwd._run_tasks(lambda item: threads.append(threading.get_ident()), list(range(5)))
+        monkeypatch.setattr(fwd, "_cpu_count", lambda: 4)
+        fwd._run_tasks(lambda item: threads.append(threading.get_ident()), [0])
+        assert threads == [threading.get_ident()] * 6
+
+    def test_every_item_runs_once_under_contention(self, three_cpus):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                done = []
+                fwd._run_tasks(done.append, list(range(500)))
+                assert sorted(done) == list(range(500))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_failure_reaches_the_caller_after_every_worker_stopped(self, three_cpus, failing):
+        caller = threading.get_ident()
+        lock = threading.Lock()
+        running, started = [0], []
+
+        def task(item):
+            on_caller = threading.get_ident() == caller
+            with lock:
+                running[0] += 1
+                started.append(item)
+            try:
+                time.sleep(0.002 if on_caller else 0.02)
+                if item >= 3 and on_caller == (failing == "caller"):
+                    raise RuntimeError(f"task {item} failed")
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(RuntimeError, match="failed"):
+            fwd._run_tasks(task, list(range(40)))
+        assert running[0] == 0
+        n_started = len(started)
+        time.sleep(0.05)
+        assert len(started) == n_started < 40  # nothing started after the failure
+
+
+def _project_in_child(conn, args):
+    conn.send(_project(*args))
+    conn.close()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the fork start method is tested on Linux")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_projects_with_a_pool_of_its_own(three_cpus, rng):
+    geom, angles = SCAN_KINDS["general"]
+    args = ([noise_image(rng, geom)], ur.TauGrid.symmetric(0.01, 401).taus(),
+            directions(angles), None)
+    want = _project(*args)
+    assert fwd._pool is not None  # the parent's workers exist before the fork
+    ctx = multiprocessing.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_project_in_child, args=(child_conn, args))
+    child.start()
+    try:
+        assert parent_conn.poll(30), "the forked child hung"
+        got = parent_conn.recv()
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    assert np.array_equal(got, want)

@@ -171,6 +171,27 @@ class TestColumnReuse:
             assert np.array_equal(shared.final_sinogram_column, own.final_sinogram_column)
 
 
+    def test_each_term_is_rasterized_once(self, monkeypatch, probe):
+        geom = ur.GridGeometry.centered(48, 48, 8.0, 8.0)
+        scene = self.three_pair_scene()
+        want = ur.check_holonomy(scene, probe, geom)
+        rasterized = []
+        rasterize = hol.rasterize
+
+        def counting(term_scene, *args):
+            rasterized.append(term_scene.terms)
+            return rasterize(term_scene, *args)
+
+        monkeypatch.setattr(hol, "rasterize", counting)
+        got = ur.check_holonomy(scene, probe, geom)
+        assert sorted(scene.terms.index(t) for (t,) in rasterized) == list(range(len(scene.terms)))
+        for shared, own in ((got.full_turn, want.full_turn),
+                            (got.two_half_turns, want.two_half_turns)):
+            for a, b in zip(shared.records, own.records):
+                assert a.term_norms == b.term_norms and np.array_equal(a.column, b.column)
+        assert got.discrepancy_norm == want.discrepancy_norm
+
+
 def tilde_scene(defect_amp=0.8):
     """(defect + background) in quadrant I plus background in quadrant III."""
     background = [ur.GaussianBlob(1.0, 1.0, 0.5, 1.0), ur.GaussianBlob(-1.0, -1.0, 0.5, 1.0)]
