@@ -9,9 +9,11 @@ measured directly.
 The projector splits its work into tasks of one direction and one block of
 consecutive tau rows (at most _BLOCK_SAMPLES ray samples each) and spreads
 them over the CPUs the process may run on: the calling thread and one pool
-worker per further CPU.  Every tau row lies whole inside one task and is
-summed in sample order, so results are bitwise identical at any thread
-count.
+worker per further CPU.  A task lays its samples out offset-major, so
+consecutive samples add into different tau rows, and every row still sums
+its own samples in ray order: results are bitwise identical at any thread
+count.  The dihedral fold projects f, f.T, rot90(f, -1) and its transpose
+as four plain images.
 """
 
 from __future__ import annotations
@@ -24,18 +26,6 @@ import numpy as np
 
 from .grids import (TWO_PI, AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid,
                     _d4_folded, _finite, _pi_mirrored)
-
-# Channels of _project.  Each maps the bilinear corner (i0, j0) of the kept
-# samples to the flat index (i*n + j) it reads in the image planes and to
-# the index steps of the i + 1 and j + 1 neighbours.  The first reads f as
-# stored; the other three, which need nx == ny == n, read f.T, rot90(f, -1)
-# and rot90(f, -1).T from the same planes without copying them.
-_D4_CHANNELS = (
-    lambda i0, j0, n: (i0 * n + j0, n, 1),
-    lambda i0, j0, n: (j0 * n + i0, 1, n),
-    lambda i0, j0, n: ((n - 1 - j0) * n + i0, 1, -n),
-    lambda i0, j0, n: ((n - 1 - i0) * n + j0, -n, 1),
-)
 
 # Ray samples per projector task.  Blocks this size keep each thread's
 # temporaries small (a whole 256^2 direction holds about 20 MB) while each
@@ -139,12 +129,8 @@ def _ray_offsets(geometry: GridGeometry, ray_step: float) -> tuple[np.ndarray, f
     return -radius + (np.arange(n_s) + 0.5) * h, h
 
 
-def _project(images, taus: np.ndarray, directions, ray_step: float | None,
-             channels=_D4_CHANNELS[:1]) -> np.ndarray:
-    """Line integrals of each channel of each image along <(c, s), x> = tau.
-
-    Returns shape (n_channels * n_images, n_tau, n_dir), channel-major: row
-    q * n_images + k is image k read through channels[q] (see _D4_CHANNELS).
+def _project(images, taus: np.ndarray, directions, ray_step: float | None) -> np.ndarray:
+    """Line integrals of each image along <(c, s), x> = tau, shape (n_images, n_tau, n_dir).
 
     Every ray-driven caller goes through here.  The images share one
     geometry and are projected as real planes (real and imaginary part of
@@ -152,11 +138,15 @@ def _project(images, taus: np.ndarray, directions, ray_step: float | None,
     consecutive tau rows holding at most _BLOCK_SAMPLES ray samples, run by
     _run_tasks over the available CPUs.  Per task, only the ray samples
     inside the grid box are kept; their corner indices and bilinear weights
-    are computed once and applied to every channel and plane, and
-    np.bincount sums each tau row in sample order.  A row never straddles
-    two tasks, so an entry depends on its own image, channel, tau and
-    direction only: it has the same bits whatever else the call projects,
-    whatever the thread count, and repeated calls are bitwise identical.
+    are computed once and applied to every plane.  The samples are laid out
+    offset-major (one ray offset across all rows of the block, then the
+    next), so np.bincount adds consecutive samples into different rows
+    instead of waiting on one row's running sum; each row still receives
+    its own samples in increasing offset order, which gives the bits of a
+    row-by-row sum.  A row never straddles two tasks, so an entry depends on
+    its own image, tau and direction only: it has the same bits whatever
+    else the call projects, whatever the thread count, and repeated calls
+    are bitwise identical.
     """
     geometry = images[0].geometry
     if ray_step is None:
@@ -168,25 +158,26 @@ def _project(images, taus: np.ndarray, directions, ray_step: float | None,
     # plane 2k is the real part of image k, plane 2k + 1 its imaginary part
     planes = np.stack([part for img in images for part in (img.values.real, img.values.imag)])
     planes = planes.reshape(len(planes), nx * ny)
-    sums = np.empty((len(channels), len(planes), len(taus), len(directions)))
+    sums = np.empty((len(planes), len(taus), len(directions)))
     block = max(1, _BLOCK_SAMPLES // len(offsets))
 
     def project_rows(task):
         m, r0 = task
         c, s = directions[m]
         block_taus = taus[r0:r0 + block]
+        n_rows = len(block_taus)
         # in-place steps: numpy elides temporaries only from 256 KiB up, which
         # block arrays stay below; same operations in the same order, same bits
-        fx = block_taus[:, None] * c - offsets[None, :] * s
+        fx = block_taus[None, :] * c - offsets[:, None] * s
         fx -= geometry.x_min
         fx /= geometry.dx
-        fy = block_taus[:, None] * s + offsets[None, :] * c
+        fy = block_taus[None, :] * s + offsets[:, None] * c
         fy -= geometry.y_min
         fy /= geometry.dy
         keep = np.flatnonzero((fx >= 0.0) & (fx <= nx - 1) & (fy >= 0.0) & (fy <= ny - 1))
         # kept samples lie in [0, n - 1]: _linear_index's clip and inside test are no-ops
         tx, ty = fx.ravel()[keep], fy.ravel()[keep]
-        rows = keep // len(offsets)
+        rows = keep % n_rows
         del fx, fy, keep  # before the gathers allocate theirs: keeps peak memory down
         i0, j0 = tx.astype(np.intp), ty.astype(np.intp)
         np.minimum(i0, nx - 2, out=i0)
@@ -196,24 +187,21 @@ def _project(images, taus: np.ndarray, directions, ray_step: float | None,
         sx, sy = 1.0 - tx, 1.0 - ty
         weights = (sx * sy, tx * sy, sx * ty, tx * ty)
         del tx, ty, sx, sy
-        for q, remap in enumerate(channels):
-            corner, di, dj = remap(i0, j0, ny)
-            corners = (corner, corner + di, corner + dj, corner + (di + dj))
-            for k, plane in enumerate(planes):
-                samples = plane.take(corners[0])
-                samples *= weights[0]
-                for w, idx in zip(weights[1:], corners[1:]):
-                    term = plane.take(idx)
-                    term *= w
-                    samples += term
-                sums[q, k, r0:r0 + len(block_taus), m] = np.bincount(
-                    rows, weights=samples, minlength=len(block_taus))
-            del corner, corners  # one channel's corner arrays alive at a time
+        corner = i0 * ny + j0
+        del i0, j0
+        corners = (corner, corner + ny, corner + 1, corner + (ny + 1))
+        for k, plane in enumerate(planes):
+            samples = plane.take(corners[0])
+            samples *= weights[0]
+            for w, idx in zip(weights[1:], corners[1:]):
+                term = plane.take(idx)
+                term *= w
+                samples += term
+            sums[k, r0:r0 + n_rows, m] = np.bincount(rows, weights=samples, minlength=n_rows)
 
     _run_tasks(project_rows, [(m, r0) for m in range(len(directions))
                               for r0 in range(0, len(taus), block)])
-    sums = sums.reshape(len(channels) * len(planes), len(taus), len(directions))
-    out = np.empty((len(sums) // 2, len(taus), len(directions)), dtype=np.complex128)
+    out = np.empty((len(images), len(taus), len(directions)), dtype=np.complex128)
     out.real = sums[0::2] * h
     out.imag = sums[1::2] * h
     return out
@@ -228,20 +216,25 @@ def _radon_values(images, tau_grid: TauGrid, angles: AngularRange,
     R(-tau, phi), and the symmetric ray offsets make both sides the same
     sample set, so the second half is the first with tau reversed.  When
     grids._d4_folded holds as well, only angles m = 0..n_phi/8 are
-    projected, each through the four channels of _D4_CHANNELS, which fill
-    columns m, n_phi/4 - m, m + n_phi/4 and n_phi/2 - m.  The projected
-    columns keep the bits of direct projection; the folded ones agree to
-    rounding, except on a ray lying exactly along an edge of the grid box,
-    where rounding decides which of its samples are inside.
+    projected, of four views of each image passed to _project as plain
+    images in channel-major order: f, f.T, rot90(f, -1) and rot90(f, -1).T,
+    which fill columns m, n_phi/4 - m, m + n_phi/4 and n_phi/2 - m (channels
+    0 to 3 of _d4_sources).  A view reads the same node values
+    with the same weights in the same order as f at the folded angle, so
+    projected columns keep the bits of direct projection; the folded ones
+    agree to rounding, except on a ray lying exactly along an edge of the
+    grid box, where rounding decides which of its samples are inside.
     """
     phis = angles.phis()
     taus = tau_grid.taus()
     if _d4_folded(images[0].geometry, tau_grid, angles):
         n_rep = angles.n_phi // 8 + 1
-        values = _project(images, taus, [direction(phi) for phi in phis[:n_rep]], ray_step,
-                          _D4_CHANNELS)
+        turned = [np.rot90(img.values, -1) for img in images]
+        views = [*images] + [ImageGrid2D.from_geometry(images[0].geometry, v) for v in (
+            [img.values.T for img in images] + turned + [t.T for t in turned])]
+        values = _project(views, taus, [direction(phi) for phi in phis[:n_rep]], ray_step)
         channel, rep = _d4_sources(angles.n_phi)
-        values = values.reshape(len(_D4_CHANNELS), len(images), len(taus), n_rep)
+        values = values.reshape(4, len(images), len(taus), n_rep)
         values = np.moveaxis(values[channel, :, :, rep], 0, -1)
     elif _pi_mirrored(tau_grid, angles):
         values = _project(images, taus, [direction(phi) for phi in phis[:angles.n_phi // 2]],

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import uradon as ur
 import uradon.forward as fwd
 from conftest import analytic_sinogram, rel_l2
-from uradon.forward import _D4_CHANNELS, _project
+from uradon.forward import _d4_sources, _project, _radon_values
 from uradon.grids import _d4_folded, _pi_mirrored
 
 SQRT_2PI = 2.5066282746310002
@@ -315,7 +315,7 @@ def square_scans(draw):
 
 
 def d4_copies(img):
-    """f, f.T, rot90(f, -1) and rot90(f, -1).T as images, in the order of _D4_CHANNELS."""
+    """f, f.T, rot90(f, -1) and rot90(f, -1).T as images, in the channel order of _d4_sources."""
     turned = np.rot90(img.values, -1)
     return [ur.ImageGrid2D.from_geometry(img.geometry, v)
             for v in (img.values, img.values.T, turned, turned.T)]
@@ -367,15 +367,18 @@ class TestD4Fold:
     @D4_SETTINGS
     @given(square_scans())
     def test_remapped_channels_equal_projected_copies_bitwise(self, scan):
+        # every column of [0, pi) is its channel's copy projected at its
+        # representative angle; the second half turn is the first reversed
         geom, tau_grid, angles, ray_step, seed = scan
         rng = np.random.default_rng(seed)
         images = [noise_image(rng, geom) for _ in range(2)]
         taus, dirs = tau_grid.taus(), directions(angles)[:angles.n_phi // 8 + 1]
-        channels = _project(images, taus, dirs, ray_step, _D4_CHANNELS)
-        copies = [copy for img in images for copy in d4_copies(img)]
-        # channel-major rows: row q * n_images + k is channel q of image k
-        want = _project(copies, taus, dirs, ray_step).reshape(2, 4, len(taus), len(dirs))
-        assert np.array_equal(channels, want.transpose(1, 0, 2, 3).reshape(channels.shape))
+        channel, rep = _d4_sources(angles.n_phi)
+        folded = _radon_values(images, tau_grid, angles, ray_step)
+        for img, values in zip(images, folded):
+            copies = _project(d4_copies(img), taus, dirs, ray_step)
+            want = copies[channel, :, rep].T
+            assert np.array_equal(values, np.concatenate([want, want[::-1]], axis=1))
 
     @pytest.mark.parametrize("geom, angles", [
         (ur.GridGeometry.centered(24, 20, 4.8, 4.0), ur.AngularRange.full(8)),
@@ -396,8 +399,23 @@ class TestD4Fold:
 
 # --- row blocks over threads: results do not depend on the thread count ---
 
-def unblocked_projection(images, taus, dirs, ray_step, channels=_D4_CHANNELS[:1]):
-    """The projector before row blocks: one pass over all tau rows per direction."""
+# Each maps the bilinear corner (i0, j0) to the flat index it reads in f and
+# the index steps of its i + 1 and j + 1 neighbours, so that channel q reads
+# d4_copies(img)[q] from the planes of img itself.
+CORNER_REMAPS = (
+    lambda i0, j0, n: (i0 * n + j0, n, 1),
+    lambda i0, j0, n: (j0 * n + i0, 1, n),
+    lambda i0, j0, n: ((n - 1 - j0) * n + i0, 1, -n),
+    lambda i0, j0, n: ((n - 1 - i0) * n + j0, -n, 1),
+)
+
+
+def unblocked_projection(images, taus, dirs, ray_step, channels=CORNER_REMAPS[:1]):
+    """One row-major pass over all tau rows per direction, channels by remapped corners.
+
+    Returns the rows channel-major: row q * n_images + k is image k read
+    through channels[q].
+    """
     geometry = images[0].geometry
     if ray_step is None:
         ray_step = ur.default_ray_step(geometry)
@@ -466,11 +484,15 @@ class TestRowBlocksAndThreads:
         rng = np.random.default_rng(seed)
         images = [noise_image(rng, geom), blob_image(rng, geom)]
         taus, dirs = tau_grid.taus(), directions(angles)[:3]
-        channels = _D4_CHANNELS if kind == "d4" else _D4_CHANNELS[:1]
+        views, channels = images, CORNER_REMAPS[:1]
+        if kind == "d4":
+            # channel-major, as _radon_values passes them: copy q of every image, then q + 1
+            copies = [d4_copies(img) for img in images]
+            views, channels = [c[q] for q in range(4) for c in copies], CORNER_REMAPS
         assert len(taus) > 2 * block_rows(geom, ray_step)
         want = unblocked_projection(images, taus, dirs, ray_step, channels)
         for n_cpus in (1, 2, 3):
-            got = with_cpus(n_cpus, _project, images, taus, dirs, ray_step, channels)
+            got = with_cpus(n_cpus, _project, views, taus, dirs, ray_step)
             assert np.array_equal(got, want)
 
     @D4_SETTINGS
