@@ -145,7 +145,7 @@ def _cmd_phantom(args, argv) -> int:
 
 def _cmd_radon(args, argv) -> int:
     img = _read(args.image, ImageGrid2D)
-    d_tau = args.d_tau if args.d_tau is not None else img.dx
+    d_tau = args.d_tau if args.d_tau is not None else img.geometry.dx
     if args.n_tau is not None:
         tau_grid = TauGrid.symmetric(d_tau, args.n_tau)
     else:

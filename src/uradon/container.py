@@ -12,7 +12,8 @@ import json
 
 import numpy as np
 
-from .grids import AngularRange, HybridField, ImageGrid2D, Provenance, Sinogram, VolumeStack
+from .grids import (AngularRange, GridGeometry, HybridField, ImageGrid2D, Provenance, Sinogram,
+                    VolumeStack)
 
 MAGIC = "URDN1"
 DTYPE_TAG = "c128"
@@ -56,11 +57,15 @@ def _block_from(buf: bytes, offset: int, shape: tuple[int, int]) -> tuple[np.nda
     return arr.reshape(shape, order="F"), offset + nbytes
 
 
+def _geometry_head(g: GridGeometry, *lead: int) -> dict:
+    """Header fields of an image block grid; lead is the block count of a stack."""
+    return {"shape": [*lead, g.nx, g.ny],
+            "x_min": g.x_min, "y_min": g.y_min, "dx": g.dx, "dy": g.dy}
+
+
 def _header_and_payload(obj) -> tuple[dict, bytes]:
     if isinstance(obj, ImageGrid2D):
-        head = {"type": "image", "shape": [obj.nx, obj.ny],
-                "x_min": obj.x_min, "y_min": obj.y_min, "dx": obj.dx, "dy": obj.dy,
-                "real_valued": obj.real_valued}
+        head = {"type": "image", **_geometry_head(obj.geometry), "real_valued": obj.real_valued}
         return head, _block_bytes(obj.values)
     if isinstance(obj, Sinogram):
         head = {"type": "sinogram", "shape": [obj.n_tau, obj.angles.n_phi],
@@ -74,17 +79,12 @@ def _header_and_payload(obj) -> tuple[dict, bytes]:
                 "real_valued": True}
         return head, b""
     if isinstance(obj, VolumeStack):
-        g = obj.geometry
-        head = {"type": "volume", "shape": [obj.n_slices, g.nx, g.ny],
-                "x3_positions": list(obj.x3_positions),
-                "x_min": g.x_min, "y_min": g.y_min, "dx": g.dx, "dy": g.dy,
-                "real_valued": obj.real_valued}
+        head = {"type": "volume", **_geometry_head(obj.geometry, obj.n_slices),
+                "x3_positions": list(obj.x3_positions), "real_valued": obj.real_valued}
         return head, b"".join(_block_bytes(s.values) for s in obj.slices)
     if isinstance(obj, HybridField):
-        g = obj.geometry
-        head = {"type": "hybrid", "shape": [obj.n_k, g.nx, g.ny],
+        head = {"type": "hybrid", **_geometry_head(obj.geometry, obj.n_k),
                 "k_values": list(obj.k_values), "provenance": obj.provenance.value,
-                "x_min": g.x_min, "y_min": g.y_min, "dx": g.dx, "dy": g.dy,
                 "real_valued": all(f.real_valued for f in obj.fields)}
         return head, b"".join(_block_bytes(f.values) for f in obj.fields)
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
@@ -111,7 +111,8 @@ def _require(head: dict, key: str, kinds) -> object:
 
 def _shape(head: dict, rank: int) -> tuple[int, ...]:
     shape = _require(head, "shape", list)
-    if len(shape) != rank or not all(isinstance(n, int) and n >= 0 for n in shape):
+    # type, not isinstance: JSON true is a bool, which isinstance counts as the int 1
+    if len(shape) != rank or not all(type(n) is int and n >= 0 for n in shape):
         raise MalformedHeaderError(f"header: field 'shape' must be {rank} nonnegative ints",
                                    field="shape")
     return tuple(shape)
@@ -150,13 +151,7 @@ def read_container(path):
 
 def _decode(kind: str, head: dict, buf: bytes):
     if kind == "image":
-        nx, ny = _shape(head, 2)
-        values, offset = _block_from(buf, 0, (nx, ny))
-        _check_no_trailing(buf, offset)
-        return ImageGrid2D(nx, ny, _require(head, "x_min", (int, float)),
-                           _require(head, "y_min", (int, float)),
-                           _require(head, "dx", (int, float)),
-                           _require(head, "dy", (int, float)), values)
+        return _images(head, buf, 2)[0]
     if kind == "sinogram":
         n_tau, n_phi = _shape(head, 2)
         values, offset = _block_from(buf, 0, (n_tau, n_phi))
@@ -171,18 +166,9 @@ def _decode(kind: str, head: dict, buf: bytes):
                             _require(head, "phi_max", (int, float)),
                             _require(head, "n_phi", int))
     if kind == "volume":
-        n_slices, nx, ny = _shape(head, 3)
         positions = _require(head, "x3_positions", list)
-        geom = _geometry_fields(head)
-        offset = 0
-        slices = []
-        for _ in range(n_slices):
-            values, offset = _block_from(buf, offset, (nx, ny))
-            slices.append(ImageGrid2D(nx, ny, *geom, values))
-        _check_no_trailing(buf, offset)
-        return VolumeStack(tuple(positions), tuple(slices))
+        return VolumeStack(tuple(positions), tuple(_images(head, buf, 3)))
     if kind == "hybrid":
-        n_k, nx, ny = _shape(head, 3)
         ks = _require(head, "k_values", list)
         provenance = _require(head, "provenance", str)
         try:
@@ -190,20 +176,21 @@ def _decode(kind: str, head: dict, buf: bytes):
         except ValueError as exc:
             raise MalformedHeaderError(f"provenance: unknown value '{provenance}'",
                                        field="provenance") from exc
-        geom = _geometry_fields(head)
-        offset = 0
-        fields = []
-        for _ in range(n_k):
-            values, offset = _block_from(buf, offset, (nx, ny))
-            fields.append(ImageGrid2D(nx, ny, *geom, values))
-        _check_no_trailing(buf, offset)
-        return HybridField(tuple(ks), tuple(fields), provenance)
+        return HybridField(tuple(ks), tuple(_images(head, buf, 3)), provenance)
     raise MalformedHeaderError(f"type: unknown container type '{kind}'", field="type")
 
 
-def _geometry_fields(head: dict) -> tuple[float, float, float, float]:
-    return (_require(head, "x_min", (int, float)), _require(head, "y_min", (int, float)),
-            _require(head, "dx", (int, float)), _require(head, "dy", (int, float)))
+def _images(head: dict, buf: bytes, rank: int) -> list[ImageGrid2D]:
+    """The image blocks of an image (rank 2) or a stack (rank 3), all on one GridGeometry."""
+    *lead, nx, ny = _shape(head, rank)
+    geometry = GridGeometry(nx, ny, *(_require(head, key, (int, float))
+                                      for key in ("x_min", "y_min", "dx", "dy")))
+    images, offset = [], 0
+    for _ in range(lead[0] if lead else 1):
+        values, offset = _block_from(buf, offset, (nx, ny))
+        images.append(ImageGrid2D(geometry, values))
+    _check_no_trailing(buf, offset)
+    return images
 
 
 def _check_no_trailing(buf: bytes, offset: int) -> None:

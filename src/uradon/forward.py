@@ -12,8 +12,9 @@ them over the CPUs the process may run on: the calling thread and one pool
 worker per further CPU.  A task lays its samples out offset-major, so
 consecutive samples add into different tau rows, and every row still sums
 its own samples in ray order: results are bitwise identical at any thread
-count.  The dihedral fold projects f, f.T, rot90(f, -1) and its transpose
-as four plain images.
+count.  The projector takes a GridGeometry and plain sample arrays on it, so
+the dihedral fold projects f, f.T, rot90(f, -1) and its transpose as four
+array views.
 """
 
 from __future__ import annotations
@@ -129,12 +130,14 @@ def _ray_offsets(geometry: GridGeometry, ray_step: float) -> tuple[np.ndarray, f
     return -radius + (np.arange(n_s) + 0.5) * h, h
 
 
-def _project(images, taus: np.ndarray, directions, ray_step: float | None) -> np.ndarray:
-    """Line integrals of each image along <(c, s), x> = tau, shape (n_images, n_tau, n_dir).
+def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
+             ray_step: float | None) -> np.ndarray:
+    """Line integrals of each array along <(c, s), x> = tau, shape (n_arrays, n_tau, n_dir).
 
-    Every ray-driven caller goes through here.  The images share one
-    geometry and are projected as real planes (real and imaginary part of
-    each).  The work is split into tasks of one direction and one block of
+    Every ray-driven caller goes through here.  Each array holds the
+    (nx, ny) samples of one image on ``geometry`` and may be any array
+    view; it is projected as two real planes (its real and imaginary part).
+    The work is split into tasks of one direction and one block of
     consecutive tau rows holding at most _BLOCK_SAMPLES ray samples, run by
     _run_tasks over the available CPUs.  Per task, only the ray samples
     inside the grid box are kept; their corner indices and bilinear weights
@@ -144,19 +147,18 @@ def _project(images, taus: np.ndarray, directions, ray_step: float | None) -> np
     instead of waiting on one row's running sum; each row still receives
     its own samples in increasing offset order, which gives the bits of a
     row-by-row sum.  A row never straddles two tasks, so an entry depends on
-    its own image, tau and direction only: it has the same bits whatever
+    its own array, tau and direction only: it has the same bits whatever
     else the call projects, whatever the thread count, and repeated calls
     are bitwise identical.
     """
-    geometry = images[0].geometry
     if ray_step is None:
         ray_step = default_ray_step(geometry)
     if not (np.isfinite(ray_step) and ray_step > 0):
         raise ValueError(f"ray_step must be positive and finite, got {ray_step}")
     offsets, h = _ray_offsets(geometry, ray_step)
     nx, ny = geometry.nx, geometry.ny
-    # plane 2k is the real part of image k, plane 2k + 1 its imaginary part
-    planes = np.stack([part for img in images for part in (img.values.real, img.values.imag)])
+    # plane 2k is the real part of array k, plane 2k + 1 its imaginary part
+    planes = np.stack([part for a in arrays for part in (a.real, a.imag)])
     planes = planes.reshape(len(planes), nx * ny)
     sums = np.empty((len(planes), len(taus), len(directions)))
     block = max(1, _BLOCK_SAMPLES // len(offsets))
@@ -201,46 +203,46 @@ def _project(images, taus: np.ndarray, directions, ray_step: float | None) -> np
 
     _run_tasks(project_rows, [(m, r0) for m in range(len(directions))
                               for r0 in range(0, len(taus), block)])
-    out = np.empty((len(images), len(taus), len(directions)), dtype=np.complex128)
+    out = np.empty((len(arrays), len(taus), len(directions)), dtype=np.complex128)
     out.real = sums[0::2] * h
     out.imag = sums[1::2] * h
     return out
 
 
-def _radon_values(images, tau_grid: TauGrid, angles: AngularRange,
+def _radon_values(geometry: GridGeometry, arrays, tau_grid: TauGrid, angles: AngularRange,
                   ray_step: float | None) -> np.ndarray:
-    """Sinogram values of each image, shape (n_images, n_tau, n_phi).
+    """Sinogram values of each sample array on geometry, shape (n_arrays, n_tau, n_phi).
 
     On a full range with an even angle count and a tau grid symmetric about
     zero, only [phi_min, phi_min + pi) is projected: R(tau, phi + pi) =
     R(-tau, phi), and the symmetric ray offsets make both sides the same
     sample set, so the second half is the first with tau reversed.  When
     grids._d4_folded holds as well, only angles m = 0..n_phi/8 are
-    projected, of four views of each image passed to _project as plain
-    images in channel-major order: f, f.T, rot90(f, -1) and rot90(f, -1).T,
-    which fill columns m, n_phi/4 - m, m + n_phi/4 and n_phi/2 - m (channels
-    0 to 3 of _d4_sources).  A view reads the same node values
-    with the same weights in the same order as f at the folded angle, so
+    projected, of four array views of each f, with no copy, in
+    channel-major order: f, f.T, rot90(f, -1) and rot90(f, -1).T, which
+    fill columns m, n_phi/4 - m, m + n_phi/4 and n_phi/2 - m (channels 0 to
+    3 of _d4_sources).  A view reads the same node values with the same
+    weights in the same order as f at the folded angle, so
     projected columns keep the bits of direct projection; the folded ones
     agree to rounding, except on a ray lying exactly along an edge of the
     grid box, where rounding decides which of its samples are inside.
     """
     phis = angles.phis()
     taus = tau_grid.taus()
-    if _d4_folded(images[0].geometry, tau_grid, angles):
+    if _d4_folded(geometry, tau_grid, angles):
         n_rep = angles.n_phi // 8 + 1
-        turned = [np.rot90(img.values, -1) for img in images]
-        views = [*images] + [ImageGrid2D.from_geometry(images[0].geometry, v) for v in (
-            [img.values.T for img in images] + turned + [t.T for t in turned])]
-        values = _project(views, taus, [direction(phi) for phi in phis[:n_rep]], ray_step)
+        turned = [np.rot90(a, -1) for a in arrays]
+        views = [*arrays, *(a.T for a in arrays), *turned, *(t.T for t in turned)]
+        values = _project(geometry, views, taus, [direction(phi) for phi in phis[:n_rep]],
+                          ray_step)
         channel, rep = _d4_sources(angles.n_phi)
-        values = values.reshape(4, len(images), len(taus), n_rep)
+        values = values.reshape(4, len(arrays), len(taus), n_rep)
         values = np.moveaxis(values[channel, :, :, rep], 0, -1)
     elif _pi_mirrored(tau_grid, angles):
-        values = _project(images, taus, [direction(phi) for phi in phis[:angles.n_phi // 2]],
-                          ray_step)
+        values = _project(geometry, arrays, taus,
+                          [direction(phi) for phi in phis[:angles.n_phi // 2]], ray_step)
     else:
-        return _project(images, taus, [direction(phi) for phi in phis], ray_step)
+        return _project(geometry, arrays, taus, [direction(phi) for phi in phis], ray_step)
     return np.concatenate([values, values[:, ::-1]], axis=2)
 
 
@@ -263,7 +265,8 @@ def _d4_sources(n_phi: int) -> tuple[np.ndarray, np.ndarray]:
 def radon_point(img: ImageGrid2D, tau: float, phi: float, ray_step: float | None = None) -> complex:
     """Single line integral of the image along <n_phi, x> = tau; tau and phi must be finite."""
     _finite("tau", tau)
-    return complex(_project([img], np.asarray([float(tau)]), [direction(phi)], ray_step)[0, 0, 0])
+    return complex(_project(img.geometry, [img.values], np.asarray([float(tau)]),
+                            [direction(phi)], ray_step)[0, 0, 0])
 
 
 def radon_transform(img: ImageGrid2D, tau_grid: TauGrid, angles: AngularRange,
@@ -273,5 +276,5 @@ def radon_transform(img: ImageGrid2D, tau_grid: TauGrid, angles: AngularRange,
     Deterministic: entries are evaluated in a fixed order, so repeated calls
     are bitwise identical.
     """
-    values = _radon_values([img], tau_grid, angles, ray_step)[0]
+    values = _radon_values(img.geometry, [img.values], tau_grid, angles, ray_step)[0]
     return Sinogram(tau_grid.tau_min, tau_grid.d_tau, tau_grid.n_tau, angles, values)

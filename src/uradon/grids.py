@@ -178,51 +178,35 @@ class GridGeometry:
 class ImageGrid2D:
     """Complex samples of a 2D field on a uniform lattice.
 
-    ``values[i, j]`` is the sample at ``(x_min + i*dx, y_min + j*dy)``.
-    Points outside the closed extent read as zero (compact-support
-    convention).  ``meta`` carries run diagnostics (e.g. coverage flags)
-    and is excluded from equality and from the on-disk format.
+    ``values[i, j]`` is the sample at node (i, j) of ``geometry``.  Points
+    outside the closed extent read as zero (compact-support convention).
+    ``meta`` carries run diagnostics (e.g. coverage flags) and is excluded
+    from equality and from the on-disk format.
     """
 
-    nx: int
-    ny: int
-    x_min: float
-    y_min: float
-    dx: float
-    dy: float
+    geometry: GridGeometry
     values: np.ndarray
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        GridGeometry(self.nx, self.ny, self.x_min, self.y_min, self.dx, self.dy)
-        object.__setattr__(self, "values", _freeze(self.values, (self.nx, self.ny), "ImageGrid2D.values"))
+        g = self.geometry
+        if not isinstance(g, GridGeometry):
+            raise TypeError(f"ImageGrid2D.geometry must be a GridGeometry, not {type(g).__name__}")
+        object.__setattr__(self, "values", _freeze(self.values, (g.nx, g.ny), "ImageGrid2D.values"))
 
     @classmethod
     def from_geometry(cls, geometry: GridGeometry, values, meta: dict | None = None) -> "ImageGrid2D":
-        return cls(geometry.nx, geometry.ny, geometry.x_min, geometry.y_min,
-                   geometry.dx, geometry.dy, values, meta or {})
-
-    @property
-    def geometry(self) -> GridGeometry:
-        return GridGeometry(self.nx, self.ny, self.x_min, self.y_min, self.dx, self.dy)
+        return cls(geometry, values, meta or {})
 
     @property
     def real_valued(self) -> bool:
         """True iff the imaginary part is exactly zero everywhere."""
         return bool(np.all(self.values.imag == 0.0))
 
-    @property
-    def x_max(self) -> float:
-        return self.x_min + (self.nx - 1) * self.dx
-
-    @property
-    def y_max(self) -> float:
-        return self.y_min + (self.ny - 1) * self.dy
-
     def total_integral(self) -> complex:
         """Trapezoid quadrature of the samples over the extent."""
-        wx = _trapezoid_weights(self.nx, self.dx)
-        wy = _trapezoid_weights(self.ny, self.dy)
+        g = self.geometry
+        wx, wy = _trapezoid_weights(g.nx, g.dx), _trapezoid_weights(g.ny, g.dy)
         return complex(wx @ self.values @ wy)
 
     def __eq__(self, other):
@@ -242,8 +226,9 @@ def bilinear_sample(img: ImageGrid2D, x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     scalar = x.ndim == 0 and y.ndim == 0
-    i0, tx, inside_x = _linear_index((x - img.x_min) / img.dx, img.nx)
-    j0, ty, inside_y = _linear_index((y - img.y_min) / img.dy, img.ny)
+    g = img.geometry
+    i0, tx, inside_x = _linear_index((x - g.x_min) / g.dx, g.nx)
+    j0, ty, inside_y = _linear_index((y - g.y_min) / g.dy, g.ny)
     inside = inside_x & inside_y
     v = img.values
     out = ((1.0 - tx) * (1.0 - ty) * v[i0, j0]
@@ -359,22 +344,23 @@ class TauGrid:
 
 @dataclass(frozen=True)
 class Sinogram:
-    """Complex Radon data on a (tau, phi) grid; values has shape (n_tau, n_phi)."""
+    """Complex Radon data on a (tau, phi) grid; values has shape (n_tau, n_phi).
+
+    The three tau fields are validated once into ``tau_grid``, which the
+    instance keeps.
+    """
 
     tau_min: float
     d_tau: float
     n_tau: int
     angles: AngularRange
     values: np.ndarray
+    tau_grid: TauGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        TauGrid(self.tau_min, self.d_tau, self.n_tau)
+        object.__setattr__(self, "tau_grid", TauGrid(self.tau_min, self.d_tau, self.n_tau))
         object.__setattr__(self, "values",
                            _freeze(self.values, (self.n_tau, self.angles.n_phi), "Sinogram.values"))
-
-    @property
-    def tau_grid(self) -> TauGrid:
-        return TauGrid(self.tau_min, self.d_tau, self.n_tau)
 
     @property
     def tau_max(self) -> float:
@@ -403,6 +389,8 @@ class VolumeStack:
     slices: tuple
 
     def __post_init__(self):
+        for p in self.x3_positions:
+            _finite("x3 position", p)
         positions = tuple(float(p) for p in self.x3_positions)
         slices = tuple(self.slices)
         if len(slices) == 0 or len(slices) != len(positions):
@@ -445,6 +433,8 @@ class HybridField:
     provenance: Provenance
 
     def __post_init__(self):
+        for k in self.k_values:
+            _finite("k value", k)
         ks = tuple(float(k) for k in self.k_values)
         fields = tuple(self.fields)
         if len(fields) == 0 or len(fields) != len(ks):

@@ -166,7 +166,8 @@ def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
                 if i not in cache:
                     cache[i] = rasterize(CompositeScene((scene.terms[i],)), geometry)
             directions = [(sign * c, sign * s) for c, s in trig]
-            projected = _project([cache[i] for i in missing], taus, directions, ray_step)
+            projected = _project(geometry, [cache[i].values for i in missing], taus, directions,
+                                 ray_step)
             cache.update(zip([(i, sign) for i in missing], projected))
         columns = {i: cache[i, sign] for i in survivors}
         norms = tuple((i, float(np.max(np.abs(columns[i])))) for i in survivors)
@@ -268,7 +269,7 @@ def extract_defect(scene_tilde: CompositeScene, probe: Probe, geometry: GridGeom
     taus = probe.taus.taus()
     trig = [direction(phi) for phi in probe.angles.phis()]
     # the half-turn shift is the exactly flipped direction
-    both = _project([img], taus, trig + [(-c, -s) for c, s in trig], ray_step)[0]
+    both = _project(geometry, [img.values], taus, trig + [(-c, -s) for c, s in trig], ray_step)[0]
     values = both[:, :len(trig)] - both[:, len(trig):]
     return Sinogram(probe.taus.tau_min, probe.taus.d_tau, probe.taus.n_tau,
                     probe.angles, values)

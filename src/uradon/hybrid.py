@@ -36,7 +36,7 @@ def make_slices(source, x3_positions, geometry: GridGeometry | None = None) -> V
             raise ValueError("rasterizing a 3D scene needs a grid geometry")
         base = rasterize(source.base, geometry)
         weights = source.profile(np.asarray(positions))
-        slices = tuple(ImageGrid2D.from_geometry(geometry, w * base.values) for w in weights)
+        slices = tuple(ImageGrid2D(geometry, w * base.values) for w in weights)
         return VolumeStack(tuple(positions), slices)
     if isinstance(source, VolumeStack):
         stored = np.asarray(source.x3_positions)
@@ -63,8 +63,7 @@ def hybrid_from_scene(scene3d: SeparableScene3D, k_values,
     if not ks:
         raise ValueError("need at least one k value")
     base = rasterize(scene3d.base, geometry)
-    fields = tuple(ImageGrid2D.from_geometry(
-        geometry, scene3d.profile_transform(k) * base.values) for k in ks)
+    fields = tuple(ImageGrid2D(geometry, scene3d.profile_transform(k) * base.values) for k in ks)
     return HybridField(tuple(ks), fields, Provenance.CONTINUOUS)
 
 
@@ -79,8 +78,7 @@ def hybrid_forward(stack: VolumeStack, k_values) -> HybridField:
     fields = []
     for k in ks:
         phases = np.exp(-1j * k * x3)
-        fields.append(ImageGrid2D.from_geometry(
-            geometry, np.tensordot(phases, data, axes=(0, 0))))
+        fields.append(ImageGrid2D(geometry, np.tensordot(phases, data, axes=(0, 0))))
     return HybridField(tuple(ks), tuple(fields), Provenance.SERIES)
 
 
@@ -126,8 +124,7 @@ def hybrid_inverse_series(field: HybridField, x3_positions) -> VolumeStack:
     slices = []
     for x3 in positions:
         phases = np.exp(1j * ks * x3) / n
-        slices.append(ImageGrid2D.from_geometry(
-            geometry, np.tensordot(phases, data, axes=(0, 0))))
+        slices.append(ImageGrid2D(geometry, np.tensordot(phases, data, axes=(0, 0))))
     return VolumeStack(tuple(positions), tuple(slices))
 
 
@@ -138,7 +135,8 @@ def hybrid_radon(field: HybridField, tau_grid: TauGrid, angles: AngularRange,
     All fields are projected in one pass, as channels sharing each angle's
     samples; every sinogram is bit-identical to projecting its field alone.
     """
-    values = _radon_values(field.fields, tau_grid, angles, ray_step)
+    values = _radon_values(field.geometry, [f.values for f in field.fields], tau_grid, angles,
+                           ray_step)
     return [Sinogram(tau_grid.tau_min, tau_grid.d_tau, tau_grid.n_tau, angles, v) for v in values]
 
 

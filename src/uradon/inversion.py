@@ -432,13 +432,13 @@ def invert_fs(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> Imag
     -(1/4pi^2) * integral d_phi FP integral d_eta R(eta + <n_phi, x>) / eta^2.
     """
     (values,), oob = _backproject_terms([sino], geometry, params, _TERMS[:1])
-    return ImageGrid2D.from_geometry(geometry, values, _flag_meta(oob))
+    return ImageGrid2D(geometry, values, _flag_meta(oob))
 
 
 def invert_fa(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> ImageGrid2D:
     """Boundary term: -i pi times the backprojected radial derivative."""
     (values,), oob = _backproject_terms([sino], geometry, params, _TERMS[1:])
-    return ImageGrid2D.from_geometry(geometry, values, _flag_meta(oob))
+    return ImageGrid2D(geometry, values, _flag_meta(oob))
 
 
 def invert_universal(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> Reconstruction:
@@ -462,9 +462,9 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams) -> list[Recons
     meta = _flag_meta(oob)
     recons = []
     for fs, fa in zip(values[::2], values[1::2]):
-        recons.append(Reconstruction(ImageGrid2D.from_geometry(geometry, fs, dict(meta)),
-                                     ImageGrid2D.from_geometry(geometry, fa, dict(meta)),
-                                     ImageGrid2D.from_geometry(geometry, fs + fa, dict(meta))))
+        recons.append(Reconstruction(ImageGrid2D(geometry, fs, dict(meta)),
+                                     ImageGrid2D(geometry, fa, dict(meta)),
+                                     ImageGrid2D(geometry, fs + fa, dict(meta))))
     return recons
 
 
@@ -482,7 +482,7 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
         lambda_max = np.pi / sino.d_tau
     (values,), oob = _backproject([lambda_kernel_filtered(sino, epsilon, lambda_max)], sino,
                                   geometry)
-    return ImageGrid2D.from_geometry(geometry, values, _flag_meta(oob))
+    return ImageGrid2D(geometry, values, _flag_meta(oob))
 
 
 # --- metrics -----------------------------------------------------------------

@@ -87,7 +87,7 @@ def rasterize(scene: CompositeScene, geometry: GridGeometry) -> ImageGrid2D:
         r2 = (X - blob.cx) ** 2 + (Y - blob.cy) ** 2
         term = blob.amplitude * np.exp(-r2 / (2.0 * blob.sigma**2))
         values += np.where(_mask_array(mask, X, Y), term, 0.0)
-    return ImageGrid2D.from_geometry(geometry, values)
+    return ImageGrid2D(geometry, values)
 
 
 def analytic_radon(scene: CompositeScene, tau, phi: float):

@@ -65,11 +65,11 @@ def fst_lhs(img: ImageGrid2D, phi: float, lambdas) -> SpectralSlice:
     """2D trapezoid quadrature of exp(-i lam <n_phi, x>) f(x) over the grid."""
     lams = _check_lambdas(lambdas)
     c, s = direction(phi)
-    wx = _trapezoid_weights(img.nx, img.dx)
-    wy = _trapezoid_weights(img.ny, img.dy)
+    geom = img.geometry
+    wx = _trapezoid_weights(geom.nx, geom.dx)
+    wy = _trapezoid_weights(geom.ny, geom.dy)
     weighted = img.values * wx[:, None] * wy[None, :]
     # separable phase: exp(-i lam (c x + s y)) = exp(-i lam c x) exp(-i lam s y)
-    geom = img.geometry
     px = np.exp(-1j * np.outer(lams, c * geom.x_nodes()))
     py = np.exp(-1j * np.outer(lams, s * geom.y_nodes()))
     values = np.einsum("li,ij,lj->l", px, weighted, py, optimize=True)

@@ -46,7 +46,7 @@ class TestPhantom:
         assert main(["phantom", "--scene", scene_file, "--nx", "32", "--ny", "32",
                      "--extent", "8", "--out", str(out)]) == 0
         img = ur.read_container(out)
-        assert isinstance(img, ur.ImageGrid2D) and img.nx == 32
+        assert isinstance(img, ur.ImageGrid2D) and img.geometry.nx == 32
         manifest = json.loads((tmp_path / "img.urdn.manifest.json").read_text())
         assert str(out) in manifest["outputs"]
 

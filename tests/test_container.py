@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uradon as ur
+from uradon.cli import main
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
 
 def random_image(rng, nx=None, ny=None):
@@ -169,6 +173,130 @@ class TestErrors:
         with pytest.raises(ur.ContainerError, match="finite"):
             ur.read_container(path)
 
+    @pytest.mark.parametrize("positions", [[float("nan"), 1.0], [None, 1.0]],
+                             ids=["NaN", "null"])
+    def test_non_finite_or_non_numeric_slice_position_rejected(self, tmp_path, positions):
+        geom = ur.GridGeometry.centered(3, 3, 2.0, 2.0)
+        img = ur.ImageGrid2D(geom, np.ones((3, 3)))
+        path = tmp_path / "vol.urdn"
+        ur.write_container(path, ur.VolumeStack((0.0, 1.0), (img, img)))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        head = json.loads(header)
+        head["x3_positions"] = positions
+        path.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+        with pytest.raises(ur.ContainerError, match="x3 position"):
+            ur.read_container(path)
+        assert main(["radon", "--image", str(path), "--out", str(tmp_path / "s.urdn")]) == 3
+
+    def test_boolean_block_count_rejected(self, tmp_path):
+        geom = ur.GridGeometry.centered(3, 3, 2.0, 2.0)
+        path = tmp_path / "vol.urdn"
+        ur.write_container(path, ur.VolumeStack((0.0,), (ur.ImageGrid2D(geom, np.ones((3, 3))),)))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        head = json.loads(header)
+        head["shape"] = [True, 3, 3]
+        path.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+        with pytest.raises(ur.MalformedHeaderError) as err:
+            ur.read_container(path)
+        assert err.value.field == "shape"
+
     def test_unsupported_object(self, tmp_path):
         with pytest.raises(TypeError):
             ur.write_container(tmp_path / "x.urdn", {"not": "a grid"})
+
+
+# --- properties over all five types: drawn shapes, geometries, positions and k values ---
+
+coordinates = st.floats(-50.0, 50.0, allow_nan=False)
+spacings = st.floats(1e-3, 5.0)
+
+
+@st.composite
+def sample_arrays(draw, shape):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=shape)
+    return values if draw(st.booleans()) else values + 1j * rng.normal(size=shape)
+
+
+@st.composite
+def images(draw, geometry=None):
+    if geometry is None:
+        geometry = ur.GridGeometry(draw(st.integers(2, 5)), draw(st.integers(2, 5)),
+                                   draw(coordinates), draw(coordinates), draw(spacings),
+                                   draw(spacings))
+    return ur.ImageGrid2D(geometry, draw(sample_arrays((geometry.nx, geometry.ny))))
+
+
+@st.composite
+def angle_ranges(draw):
+    phi_min = draw(st.floats(-10.0, 10.0))
+    span = draw(st.floats(1e-3, 2.0 * np.pi))
+    return ur.AngularRange(phi_min, phi_min + span, draw(st.integers(1, 6)))
+
+
+@st.composite
+def sinograms(draw):
+    angles, n_tau = draw(angle_ranges()), draw(st.integers(1, 6))
+    return ur.Sinogram(draw(coordinates), draw(spacings), n_tau, angles,
+                       draw(sample_arrays((n_tau, angles.n_phi))))
+
+
+@st.composite
+def stacks(draw, kind):
+    n = draw(st.integers(1, 3))
+    first = draw(images())
+    blocks = (first,) + tuple(draw(images(first.geometry)) for _ in range(n - 1))
+    numbers = st.lists(coordinates, min_size=n, max_size=n, unique=True)
+    if kind is ur.VolumeStack:
+        return ur.VolumeStack(tuple(sorted(draw(numbers))), blocks)
+    return ur.HybridField(tuple(draw(numbers)), blocks, draw(st.sampled_from(ur.Provenance)))
+
+
+with_payload = st.one_of(images(), sinograms(), stacks(ur.VolumeStack), stacks(ur.HybridField))
+any_grid = st.one_of(with_payload, angle_ranges())
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("container_properties") / "obj.urdn"
+
+
+def read_bytes_back(path, raw: bytes):
+    path.write_bytes(raw)
+    return ur.read_container(path)
+
+
+class TestProperties:
+    @SETTINGS
+    @given(any_grid)
+    def test_write_read_is_the_identity_and_rewrites_the_same_bytes(self, scratch, obj):
+        ur.write_container(scratch, obj)
+        raw = scratch.read_bytes()
+        back = ur.read_container(scratch)
+        assert type(back) is type(obj) and back == obj
+        ur.write_container(scratch, back)
+        assert scratch.read_bytes() == raw
+
+    @SETTINGS
+    @given(with_payload)
+    def test_every_strict_prefix_is_rejected(self, scratch, obj):
+        ur.write_container(scratch, obj)
+        raw = scratch.read_bytes()
+        for end in range(len(raw)):
+            with pytest.raises(ur.ContainerError):
+                read_bytes_back(scratch, raw[:end])
+
+    @SETTINGS
+    @given(any_grid, st.integers(1, 255))
+    def test_a_flipped_header_byte_is_rejected_or_reads_a_valid_grid(self, scratch, obj, mask):
+        ur.write_container(scratch, obj)
+        raw = scratch.read_bytes()
+        for at in range(raw.index(b"\n") + 1):
+            flipped = bytearray(raw)
+            flipped[at] ^= mask
+            try:
+                back = read_bytes_back(scratch, bytes(flipped))
+            except ur.ContainerError:
+                continue
+            assert isinstance(back, (ur.ImageGrid2D, ur.Sinogram, ur.AngularRange,
+                                     ur.VolumeStack, ur.HybridField))

@@ -69,15 +69,16 @@ class TestBilinearSample:
 
     def test_outside_extent_is_exactly_zero(self, rng):
         img = make_image(rng)
-        assert ur.bilinear_sample(img, img.x_max + 1e-9, 0.0) == 0.0
-        assert ur.bilinear_sample(img, 0.0, img.y_min - 5.0) == 0.0
+        assert ur.bilinear_sample(img, img.geometry.x_max + 1e-9, 0.0) == 0.0
+        assert ur.bilinear_sample(img, 0.0, img.geometry.y_min - 5.0) == 0.0
         assert ur.bilinear_sample(img, 1e6, -1e6) == 0.0
 
     def test_nodal_exactness(self, rng):
         img = make_image(rng)
-        for i in (0, 2, img.nx - 1):
-            for j in (0, 1, img.ny - 1):
-                got = ur.bilinear_sample(img, img.x_min + i * img.dx, img.y_min + j * img.dy)
+        g = img.geometry
+        for i in (0, 2, g.nx - 1):
+            for j in (0, 1, g.ny - 1):
+                got = ur.bilinear_sample(img, g.x_min + i * g.dx, g.y_min + j * g.dy)
                 assert got == img.values[i, j]
 
     def test_linearity_in_values(self, rng):
@@ -164,6 +165,10 @@ class TestTauGrid:
             ur.TauGrid(0.0, 0.1, 0)
 
 
+TINY = ur.GridGeometry(2, 2, 0.0, 0.0, 0.1, 0.1)
+TINY_IMAGE = ur.ImageGrid2D(TINY, np.zeros((2, 2)))
+
+
 @pytest.mark.parametrize("make", [
     lambda: ur.GridGeometry(4, 4, 0.0, 0.0, np.nan, 0.1),
     lambda: ur.GridGeometry(4, 4, 0.0, 0.0, 0.1, np.inf),
@@ -183,16 +188,30 @@ class TestTauGrid:
     lambda: ur.AngularRange(0.0, np.pi, True),
     lambda: ur.AngularRange(np.nan, np.pi, 4),
     lambda: ur.AngularRange(0.0, np.inf, 4),
-    lambda: ur.ImageGrid2D(2, 2, 0.0, 0.0, 0.1, 0.1, [[0.0, np.nan], [0.0, 0.0]]),
-    lambda: ur.ImageGrid2D(2, 2, 0.0, 0.0, 0.1, 0.1, [[0.0, 0.0], [complex(0, -np.inf), 0.0]]),
+    lambda: ur.ImageGrid2D(TINY, [[0.0, np.nan], [0.0, 0.0]]),
+    lambda: ur.ImageGrid2D(TINY, [[0.0, 0.0], [complex(0, -np.inf), 0.0]]),
     lambda: ur.Sinogram(0.0, 0.1, 2, ur.AngularRange.full(1), [[np.inf], [0.0]]),
+    lambda: ur.VolumeStack((np.nan, 1.0), (TINY_IMAGE, TINY_IMAGE)),
+    lambda: ur.VolumeStack((None, 1.0), (TINY_IMAGE, TINY_IMAGE)),
+    lambda: ur.VolumeStack(("0.5", 1.0), (TINY_IMAGE, TINY_IMAGE)),
+    lambda: ur.HybridField((np.inf,), (TINY_IMAGE,), ur.Provenance.SERIES),
+    lambda: ur.HybridField((True,), (TINY_IMAGE,), ur.Provenance.SERIES),
 ], ids=["dx nan", "dy inf", "dx bool", "nx 4.5", "ny 4.0", "nx bool", "x_min nan",
         "y_min -inf", "dx str", "d_tau inf", "d_tau nan", "n_tau 3.5", "n_tau 3.0",
         "tau_min nan", "n_phi 4.5", "n_phi bool", "phi_min nan", "phi_max inf",
-        "image sample nan", "image sample -inf imag", "sinogram sample inf"])
+        "image sample nan", "image sample -inf imag", "sinogram sample inf",
+        "x3 position nan", "x3 position None", "x3 position str", "k value inf", "k value bool"])
 def test_constructors_reject_non_finite_and_non_integer_inputs(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_image_grid_holds_a_grid_geometry():
+    img = ur.ImageGrid2D(TINY, np.ones((2, 2)))
+    assert img.geometry is TINY
+    assert ur.ImageGrid2D.from_geometry(TINY, np.ones((2, 2))) == img
+    with pytest.raises(TypeError):
+        ur.ImageGrid2D((2, 2, 0.0, 0.0, 0.1, 0.1), np.ones((2, 2)))
 
 
 def test_constructors_accept_numpy_scalars():

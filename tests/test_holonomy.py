@@ -149,9 +149,9 @@ class TestColumnReuse:
         projected = []
         project = hol._project
 
-        def counting(images, *args):
-            projected.append(len(images))
-            return project(images, *args)
+        def counting(geometry, arrays, *args):
+            projected.append(len(arrays))
+            return project(geometry, arrays, *args)
 
         monkeypatch.setattr(hol, "_project", counting)
         report = ur.check_holonomy(scene, probe, geom)

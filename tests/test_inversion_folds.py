@@ -274,8 +274,8 @@ class TestExactAngles:
         tau_grid = ur.TauGrid.covering(geom, 0.2)
         img = ur.ImageGrid2D.from_geometry(geom, complex_normal(rng, (24, 24)))
         sino = ur.radon_transform(img, tau_grid, self.ANGLES)
-        direct = _project([img], tau_grid.taus(), [direction(p) for p in self.ANGLES.phis()],
-                          None)[0]
+        direct = _project(geom, [img.values], tau_grid.taus(),
+                          [direction(p) for p in self.ANGLES.phis()], None)[0]
         assert np.array_equal(sino.values, direct)
 
     def test_backprojection_is_direct_bitwise(self, rng, monkeypatch):

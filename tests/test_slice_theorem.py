@@ -41,7 +41,7 @@ class TestRhs:
     @pytest.fixture
     def gaussian_sino(self, unit_blob_scene):
         img = raster(unit_blob_scene, nx=256, extent=10.0)
-        tg = ur.TauGrid.covering(img.geometry, img.dx)
+        tg = ur.TauGrid.covering(img.geometry, img.geometry.dx)
         return ur.radon_transform(img, tg, ur.AngularRange.full(16))
 
     def test_zero_column(self):
@@ -59,7 +59,7 @@ class TestRhs:
 
     def test_angle_outside_range_rejected(self, unit_blob_scene):
         img = raster(unit_blob_scene, nx=48, extent=8.0)
-        tg = ur.TauGrid.covering(img.geometry, img.dx)
+        tg = ur.TauGrid.covering(img.geometry, img.geometry.dx)
         sino = ur.radon_transform(img, tg, ur.AngularRange(0.0, np.pi, 8))
         with pytest.raises(ValueError):
             ur.fst_rhs(sino, 5.0, [1.0])
@@ -68,7 +68,7 @@ class TestRhs:
 class TestCheck:
     def test_gaussian_phantom_passes(self, unit_blob_scene):
         img = raster(unit_blob_scene, nx=128, extent=8.0)
-        tg = ur.TauGrid.covering(img.geometry, img.dx)
+        tg = ur.TauGrid.covering(img.geometry, img.geometry.dx)
         sino = ur.radon_transform(img, tg, ur.AngularRange.full(16))
         reports = ur.fst_check(img, sino, lambdas=np.linspace(0.0, 6.0, 13))
         assert len(reports) == 16
@@ -87,7 +87,7 @@ class TestCheck:
         img = raster(unit_blob_scene, nx=96, extent=8.0)
         other = ur.CompositeScene.of(ur.GaussianBlob(1.5, 0.0, 0.7, 1.0))
         other_img = raster(other, nx=96, extent=8.0)
-        tg = ur.TauGrid.covering(img.geometry, img.dx)
+        tg = ur.TauGrid.covering(img.geometry, img.geometry.dx)
         sino = ur.radon_transform(other_img, tg, ur.AngularRange.full(8))
         reports = ur.fst_check(img, sino, lambdas=np.linspace(0.0, 6.0, 13))
         assert not ur.fst_passed(reports, 1e-3)
@@ -104,7 +104,7 @@ class TestCheck:
     def test_finite_at_zero_frequency(self, unit_blob_scene):
         # the polar-axis degeneracy at lam = 0 must not produce non-finite output
         img = raster(unit_blob_scene, nx=64, extent=8.0)
-        tg = ur.TauGrid.covering(img.geometry, img.dx)
+        tg = ur.TauGrid.covering(img.geometry, img.geometry.dx)
         sino = ur.radon_transform(img, tg, ur.AngularRange.full(4))
         reports = ur.fst_check(img, sino, lambdas=[0.0])
         assert all(np.isfinite(r.max_rel_residual) for r in reports)
