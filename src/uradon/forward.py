@@ -13,8 +13,9 @@ worker per further CPU.  A task lays its samples out offset-major, so
 consecutive samples add into different tau rows, and every row still sums
 its own samples in ray order: results are bitwise identical at any thread
 count.  The projector takes a GridGeometry and plain sample arrays on it, so
-the dihedral fold projects f, f.T, rot90(f, -1) and its transpose as four
-array views.
+the symmetry views of grids._fold_plan (f, f.T, rot90(f, -1) and
+flipud(f)) are projected as array views, from the plan's representative
+angles only.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 from .grids import (TWO_PI, AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid,
-                    _d4_folded, _finite, _pi_mirrored)
+                    _finite, _fold_plan)
 
 # Ray samples per projector task.  Blocks this size keep each thread's
 # temporaries small (a whole 256^2 direction holds about 20 MB) while each
@@ -213,53 +214,27 @@ def _radon_values(geometry: GridGeometry, arrays, tau_grid: TauGrid, angles: Ang
                   ray_step: float | None) -> np.ndarray:
     """Sinogram values of each sample array on geometry, shape (n_arrays, n_tau, n_phi).
 
-    On a full range with an even angle count and a tau grid symmetric about
-    zero, only [phi_min, phi_min + pi) is projected: R(tau, phi + pi) =
-    R(-tau, phi), and the symmetric ray offsets make both sides the same
-    sample set, so the second half is the first with tau reversed.  When
-    grids._d4_folded holds as well, only angles m = 0..n_phi/8 are
-    projected, of four array views of each f, with no copy, in
-    channel-major order: f, f.T, rot90(f, -1) and rot90(f, -1).T, which
-    fill columns m, n_phi/4 - m, m + n_phi/4 and n_phi/2 - m (channels 0 to
-    3 of _d4_sources).  A view reads the same node values with the same
-    weights in the same order as f at the folded angle, so
-    projected columns keep the bits of direct projection; the folded ones
-    agree to rounding, except on a ray lying exactly along an edge of the
-    grid box, where rounding decides which of its samples are inside.
+    Only the representative angles of grids._fold_plan are projected, each
+    for every view of every array (array views, no copy, view-major), and
+    each column is gathered from its view at its representative angle.  On
+    a pi-mirrored scan the plan covers [phi_min, phi_min + pi):
+    R(tau, phi + pi) = R(-tau, phi), and the symmetric ray offsets make both
+    sides the same sample set, so the second half is the first with tau
+    reversed.  A view reads the same node values with the same weights in
+    the same order as f at the folded angle, so projected columns keep the
+    bits of direct projection; the folded ones agree to rounding, except on
+    a ray lying exactly along an edge of the grid box, where rounding
+    decides which of its samples are inside.
     """
-    phis = angles.phis()
+    plan = _fold_plan(geometry, tau_grid, angles)
     taus = tau_grid.taus()
-    if _d4_folded(geometry, tau_grid, angles):
-        n_rep = angles.n_phi // 8 + 1
-        turned = [np.rot90(a, -1) for a in arrays]
-        views = [*arrays, *(a.T for a in arrays), *turned, *(t.T for t in turned)]
-        values = _project(geometry, views, taus, [direction(phi) for phi in phis[:n_rep]],
-                          ray_step)
-        channel, rep = _d4_sources(angles.n_phi)
-        values = values.reshape(4, len(arrays), len(taus), n_rep)
-        values = np.moveaxis(values[channel, :, :, rep], 0, -1)
-    elif _pi_mirrored(tau_grid, angles):
-        values = _project(geometry, arrays, taus,
-                          [direction(phi) for phi in phis[:angles.n_phi // 2]], ray_step)
-    else:
-        return _project(geometry, arrays, taus, [direction(phi) for phi in phis], ray_step)
-    return np.concatenate([values, values[:, ::-1]], axis=2)
-
-
-def _d4_sources(n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(channel, representative angle) of each column of [0, pi) under the D4 fold.
-
-    Column k <= n_phi/4 is angle k itself (channel f) up to n_phi/8 and the
-    transpose of angle n_phi/4 - k beyond; column n_phi/4 + k' repeats this
-    with the quarter-turned channels.  Each column has one source, and no
-    projected column is overwritten by a folded one.
-    """
-    quarter = n_phi // 4
-    k = np.arange(2 * quarter)
-    turned = k > quarter
-    k = k - quarter * turned
-    folded = 8 * k > n_phi
-    return 2 * turned + folded, np.where(folded, quarter - k, k)
+    views = [view(a) for view, _ in plan.views for a in arrays]
+    values = _project(geometry, views, taus, [direction(phi) for phi in plan.phis], ray_step)
+    values = values.reshape(len(plan.views), len(arrays), len(taus), len(plan.phis))
+    values = np.moveaxis(values[plan.view, :, :, plan.rep], 0, -1)
+    if plan.mirrored:
+        values = np.concatenate([values, values[:, ::-1]], axis=2)
+    return values
 
 
 def radon_point(img: ImageGrid2D, tau: float, phi: float, ray_step: float | None = None) -> complex:

@@ -12,6 +12,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,17 +85,46 @@ def _pi_mirrored(tau_grid: TauGrid, angles: AngularRange) -> bool:
     return _spans_exactly(angles, TWO_PI) and angles.n_phi % 2 == 0 and tau_grid.is_symmetric
 
 
-def _d4_folded(geometry: GridGeometry, tau_grid: TauGrid, angles: AngularRange) -> bool:
-    """True iff the symmetries of the square relate the sampled angles: pi-mirrored,
-    phi_min = 0, n_phi % 4 == 0, and a centred square grid.
+# (view, inverse) array maps of the square's symmetries: view q of f at angle
+# phi reads as f at angle phi, pi/2 - phi, phi + pi/2 or pi - phi
+_D4_VIEWS = ((lambda f: f, lambda f: f), (np.transpose, np.transpose),
+             (lambda f: np.rot90(f, -1), np.rot90), (np.flipud, np.flipud))
 
-    A quarter turn or a transpose of such a grid maps its nodes onto nodes,
-    so angle m + n_phi/4 reads the quarter-turned image at angle m and angle
-    n_phi/4 - m the transposed one; with the pi-mirror, angles
-    0..n_phi/8 determine every column.
+
+class _FoldPlan(NamedTuple):
+    """Which angles a scan computes, and where each of its columns comes from."""
+
+    mirrored: bool     # the scan is _pi_mirrored; the fields below cover its first half turn
+    phis: np.ndarray   # representative angles, the only ones projected or given an index field
+    views: tuple       # (view, inverse) pairs of array maps, the identity first
+    view: np.ndarray   # per column, the view it reads
+    rep: np.ndarray    # per column, the index in phis of its representative angle
+
+
+def _fold_plan(geometry: GridGeometry, tau_grid: TauGrid, angles: AngularRange) -> _FoldPlan:
+    """The symmetry plan that the projector and the backprojection both follow.
+
+    A pi-mirrored scan is folded onto its first half turn.  When the angles
+    left are [0, pi) in an even count N (phi_min = 0, span exactly pi or 2 pi
+    folded) on a centred square grid, column k <= N/2 is angle k (view f) up
+    to N/4 and the transposed view of angle N/2 - k beyond; column N/2 + k'
+    repeats this with the quarter-turned views.  Angles 0..N/4 then give
+    every column, and each representative reads f itself.  Every other scan
+    computes each of its angles through f.
     """
-    return (_pi_mirrored(tau_grid, angles) and angles.n_phi % 4 == 0 and angles.phi_min == 0.0
-            and _centred_square(geometry))
+    mirrored = _pi_mirrored(tau_grid, angles)
+    n = angles.n_phi // 2 if mirrored else angles.n_phi
+    phis = angles.phis()
+    if (angles.phi_min == 0.0 and n % 2 == 0 and _centred_square(geometry)
+            and (mirrored or _spans_exactly(angles, np.pi))):
+        quarter = n // 2
+        k = np.arange(n)
+        turned = k > quarter
+        k = k - quarter * turned
+        folded = 4 * k > n
+        return _FoldPlan(mirrored, phis[:n // 4 + 1], _D4_VIEWS, 2 * turned + folded,
+                         np.where(folded, quarter - k, k))
+    return _FoldPlan(mirrored, phis[:n], _D4_VIEWS[:1], np.zeros(n, dtype=np.intp), np.arange(n))
 
 
 def _freeze(values, shape, name: str) -> np.ndarray:

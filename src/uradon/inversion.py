@@ -13,21 +13,22 @@ for the principal-value term; the closed-form regularized lambda-integral
 kernel for an independent third path), then backproject with linear
 interpolation under the angular measure d_phi / (4 pi^2).
 
-Two symmetry folds cut the work, each to rounding of the unfolded sum:
+Two symmetry folds cut the work, each to rounding of the unfolded sum.
+Both follow grids._fold_plan, the plan the projector follows too:
 
-* Half turns.  On a full even scan with a symmetric tau grid
-  (grids._pi_mirrored), angle phi + pi is angle phi read at -tau.  The
-  two-term inverse folds the raw sinogram onto [phi_min, phi_min + pi)
-  before filtering: c[:, :N/2] + c[::-1, N/2:] for the ramp and
-  finite-part filters, whose kernels are even, and c[:, :N/2] -
-  c[::-1, N/2:] for the tau derivative, which is odd.  The filters then
-  run on N/2 columns.  The lambda kernel is not even (K(-eta) = conj
-  K(eta)), so epsilon_lambda_reconstruct filters all N columns and
-  _backproject folds the result.
+* Half turns.  On a mirrored plan (a full even scan with a symmetric tau
+  grid), angle phi + pi is angle phi read at -tau.  The two-term inverse
+  folds the raw sinogram onto [phi_min, phi_min + pi) before filtering:
+  c[:, :N/2] + c[::-1, N/2:] for the ramp and finite-part filters, whose
+  kernels are even, and c[:, :N/2] - c[::-1, N/2:] for the tau
+  derivative, which is odd.  The filters then run on N/2 columns.  The
+  lambda kernel is not even (K(-eta) = conj K(eta)), so
+  epsilon_lambda_reconstruct filters all N columns and _backproject folds
+  the result.
 * The square's symmetries (D4).  When the angles backprojected are [0, pi)
   in an even count N' on a centred square grid, angles phi, pi/2 - phi,
-  phi + pi/2 and pi - phi read the transposed or turned index field of
-  phi, so only N'/4 + 1 index fields are computed.
+  phi + pi/2 and pi - phi read a transposed or turned view of the index
+  field of phi, so only the plan's N'/4 + 1 index fields are computed.
 
 Sinogram values are stored (n_tau, n_phi), so a column's tau samples are
 strided.  The filters transpose once and run their FFTs along contiguous tau
@@ -47,9 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import (ANGULAR_MEASURE_NORM, AngularRange, GridGeometry, ImageGrid2D, Sinogram,
-                    TauGrid, _centred_square, _finite, _linear_index, _pi_mirrored,
-                    _spans_exactly, _trapezoid_weights)
-from .forward import _d4_sources, direction
+                    TauGrid, _finite, _fold_plan, _linear_index, _trapezoid_weights)
+from .forward import direction
 
 
 class Backend(enum.Enum):
@@ -273,7 +273,7 @@ class _Columns(NamedTuple):
 def _fold(values: np.ndarray, parity: float, out: np.ndarray | None = None) -> np.ndarray:
     """values[:, :N/2] + parity * values[::-1, N/2:] for parity +1 or -1.
 
-    On a pi-mirrored grid (grids._pi_mirrored) column m + N/2 is angle
+    On a mirrored plan (grids._fold_plan) column m + N/2 is angle
     phi_m + pi, and row t there is -tau_t: the second half turn read at -tau,
     added onto the first or subtracted from it.
     """
@@ -282,43 +282,25 @@ def _fold(values: np.ndarray, parity: float, out: np.ndarray | None = None) -> n
     return op(values[:, :half], values[::-1, half:], out=out)
 
 
-# where frames 1-3 of _unfold_d4 land: the angles pi/2 - phi, phi + pi/2 and pi - phi
-_D4_VIEWS = (np.transpose, np.rot90, np.flipud)
-
-
-def _unfold_d4(frames: list[np.ndarray], op) -> np.ndarray:
-    """frames[0] + frames[1].T + rot90(frames[2]) + frames[3][::-1] under op, in frames[0].
-
-    Frame q holds the columns of _d4_sources channel q, each gathered through
-    its representative angle's index field.  A single frame is returned as is.
-    """
-    first = frames[0]
-    for frame, view in zip(frames[1:], _D4_VIEWS):
-        op(first, view(frame), out=first)
-    return first
-
-
 def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.ndarray], np.ndarray]:
     """Angular quadrature of per-column data at tau = <n_phi, x>.
 
     columns_seq yields one or more (n_tau, n_phi) arrays on the sinogram's
     grid, each read once; each angle's interpolation indices are computed once and shared
     by all of them, and each result is bit-identical to backprojecting its
-    array alone.  Where angle m + N/2 is angle m + pi read at -tau
-    (grids._pi_mirrored), each array is first folded onto the first half
-    turn (_fold); no symmetry of the data is needed.
+    array alone.  The angles follow grids._fold_plan.  On a mirrored plan
+    (angle m + N/2 is angle m + pi read at -tau), each array is first folded
+    onto the first half turn (_fold); no symmetry of the data is needed.
     Each array is copied to angle-major tau rows with two trailing zeros,
     which pixels outside the stored tau range read instead of being masked.
 
-    When the angles looped are [0, pi) in an even count N' and the grid is a
-    centred square (grids._centred_square), angles phi, pi/2 - phi,
-    phi + pi/2 and pi - phi read the transposed or turned index field of
-    phi: only the representative angles 0..N'/4 of forward._d4_sources
-    get an index field, each related column is gathered into its channel's
-    frame, and the frames are combined once at the end (_unfold_d4), to
-    rounding of the direct loop; a pixel whose offset is exactly an end node
-    of the tau grid reads that node or zero by rounding, so there the two can
-    differ by O(1).  Every other input takes the direct loop.
+    Only the plan's representative angles get an index field; each column
+    is gathered through its representative's field into the frame of its
+    view, and each frame is mapped back through the view's inverse at the
+    end.  This agrees with the direct loop to rounding, except that a pixel
+    whose offset is exactly an end node of the tau grid reads that node or
+    zero by rounding (an O(1) difference); with the identity view alone it
+    is the direct loop, bit for bit.
 
     Returns (values per array, out_of_coverage) where the boolean mask marks
     pixels whose offset fell outside the stored tau range for at least one
@@ -328,41 +310,30 @@ def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.nda
     n = sino.n_tau
     if n < 2:
         raise ValueError("backprojection needs at least 2 tau samples")
-    angles = sino.angles
-    phis = angles.phis()
-    folded = _pi_mirrored(sino.tau_grid, angles)
-    if folded:
-        phis = phis[:angles.n_phi // 2]
+    plan = _fold_plan(geometry, sino.tau_grid, sino.angles)
     rows_seq = []
     for columns in columns_seq:
-        rows = np.zeros((phis.size, n + 2), dtype=np.complex128)
-        if folded:
+        rows = np.zeros((plan.rep.size, n + 2), dtype=np.complex128)
+        if plan.mirrored:
             _fold(columns, 1.0, out=rows[:, :n].T)
         else:
             rows[:, :n] = columns.T
         rows_seq.append(rows)
-    if (angles.phi_min == 0.0 and phis.size % 2 == 0 and _centred_square(geometry)
-            and (folded or _spans_exactly(angles, np.pi))):
-        channel, rep = _d4_sources(2 * phis.size)
-        n_frames = 4
-    else:
-        channel, rep = np.zeros(phis.size, dtype=np.intp), np.arange(phis.size)
-        n_frames = 1
     x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
     shape = (geometry.nx, geometry.ny)
-    accs = [[np.zeros(shape, dtype=np.complex128) for _ in range(n_frames)] for _ in rows_seq]
-    out_of_range = [np.zeros(shape, dtype=bool) for _ in range(n_frames)]
+    accs = [[np.zeros(shape, dtype=np.complex128) for _ in plan.views] for _ in rows_seq]
+    out_of_range = [np.zeros(shape, dtype=bool) for _ in plan.views]
     current = -1
-    for k in np.argsort(rep, kind="stable"):   # columns grouped by the angle whose field they read
-        if rep[k] != current:
-            current = rep[k]
-            c, s = direction(phis[current])
+    for k in np.argsort(plan.rep, kind="stable"):   # columns grouped by the field they read
+        if plan.rep[k] != current:
+            current = plan.rep[k]
+            c, s = direction(plan.phis[current])
             i0, w, inside = _linear_index((c * x + s * y - sino.tau_min) / sino.d_tau, n)
             outside = ~inside
             np.copyto(i0, n, where=outside)
             i1 = i0 + 1
             w0 = 1.0 - w
-        q = channel[k]
+        q = plan.view[k]
         for frames, rows in zip(accs, rows_seq):
             row = rows[k]
             lo = row[i0]
@@ -372,11 +343,13 @@ def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.nda
             lo += hi
             frames[q] += lo
         out_of_range[q] |= outside
-    accs = [_unfold_d4(frames, np.add) for frames in accs]
-    out_of_range = _unfold_d4(out_of_range, np.logical_or)
+    for frames in [*accs, out_of_range]:   # on booleans += is a logical or
+        for frame, (_, inverse) in zip(frames[1:], plan.views[1:]):
+            frames[0] += inverse(frame)
+    accs = [frames[0] for frames in accs]
     for acc in accs:
-        acc *= angles.d_phi * ANGULAR_MEASURE_NORM
-    return accs, out_of_range
+        acc *= sino.angles.d_phi * ANGULAR_MEASURE_NORM
+    return accs, out_of_range[0]
 
 
 def _flag_meta(out_of_range: np.ndarray) -> dict:
@@ -402,13 +375,13 @@ _TERMS = ((_fs_columns, 1.0), (_fa_columns, -1.0))
 def _backproject_terms(sinos, geometry: GridGeometry, params: RegParams, terms=_TERMS):
     """The given terms of every sinogram, filtered one at a time, backprojected in one pass.
 
-    Where grids._pi_mirrored holds, each sinogram is folded onto its first
-    half turn with the term's parity before it is filtered: a filter of that
-    parity commutes with tau reversal, so filtering the fold equals folding
-    the filtered columns, to rounding, at half the columns.
+    On a mirrored plan (grids._fold_plan), each sinogram is folded onto its
+    first half turn with the term's parity before it is filtered: a filter
+    of that parity commutes with tau reversal, so filtering the fold equals
+    folding the filtered columns, to rounding, at half the columns.
     """
     first = sinos[0]
-    half = _pi_mirrored(first.tau_grid, first.angles)
+    half = _fold_plan(geometry, first.tau_grid, first.angles).mirrored
     grid = first
     if half:
         a = first.angles

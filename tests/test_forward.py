@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import uradon as ur
 import uradon.forward as fwd
 from conftest import analytic_sinogram, rel_l2
-from uradon.forward import _d4_sources, _project, _radon_values
-from uradon.grids import _d4_folded, _pi_mirrored
+from uradon.forward import _project, _radon_values
+from uradon.grids import _fold_plan
 
 SQRT_2PI = 2.5066282746310002
 
@@ -289,8 +289,9 @@ class TestPiMirror:
     @pytest.mark.parametrize("tau_grid, angles", [
         (ur.TauGrid.covering(CENTRED, 0.2), ur.AngularRange.full(7)),
         (ur.TauGrid(-3.9, 0.2, 39), ur.AngularRange.full(8)),
-        (ur.TauGrid.covering(CENTRED, 0.2), ur.AngularRange(0.0, np.pi, 8)),
-    ], ids=["odd n_phi", "asymmetric tau", "partial range"])
+        (ur.TauGrid.covering(CENTRED, 0.2), ur.AngularRange(0.0, np.pi, 7)),
+        (ur.TauGrid.covering(CENTRED, 0.2), ur.AngularRange(0.3, 0.3 + np.pi, 8)),
+    ], ids=["odd n_phi", "asymmetric tau", "half range, odd n_phi", "half range, phi_min != 0"])
     def test_other_grids_take_the_direct_path(self, rng, tau_grid, angles):
         img = blob_image(rng, CENTRED)
         sino = ur.radon_transform(img, tau_grid, angles)
@@ -298,25 +299,27 @@ class TestPiMirror:
         assert np.array_equal(sino.values, direct)
 
 
-# --- the dihedral fold: square-symmetric grids project angles 0..n_phi/8 only ---
+# --- the dihedral fold: square-symmetric grids project a quarter of [0, pi) only ---
 
 D4_SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
 
 
 @st.composite
 def square_scans(draw):
-    """A centred square grid, a covering tau grid, a full scan with n_phi % 4 == 0 and a ray step."""
+    """A centred square grid, a covering tau grid, a ray step and a scan the D4 fold applies to:
+    a full scan with n_phi % 4 == 0 or [0, pi) with an even n_phi."""
     n = draw(st.integers(12, 40))
     dx = draw(st.sampled_from([0.1, 0.125, 0.15, 0.2]))
     geom = ur.GridGeometry.centered(n, n, n * dx, n * dx)
     tau_grid = ur.TauGrid.covering(geom, dx * draw(st.sampled_from([0.5, 0.75, 1.0, 1.5])))
-    angles = ur.AngularRange.full(4 * draw(st.integers(1, 12)))
+    k = draw(st.integers(1, 12))
+    angles = draw(st.sampled_from([ur.AngularRange.full(4 * k), ur.AngularRange(0.0, np.pi, 2 * k)]))
     ray_step = draw(st.sampled_from([None, 0.37 * dx]))
     return geom, tau_grid, angles, ray_step, draw(st.integers(0, 2**32 - 1))
 
 
 def d4_copies(img):
-    """f, f.T, rot90(f, -1) and rot90(f, -1).T as arrays, in the channel order of _d4_sources."""
+    """f, f.T, rot90(f, -1) and rot90(f, -1).T as arrays, in the view order of grids._fold_plan."""
     turned = np.rot90(img.values, -1)
     return [img.values, img.values.T, turned, turned.T]
 
@@ -329,11 +332,13 @@ class TestD4Fold:
     @D4_SETTINGS
     @given(square_scans())
     def test_rotation_transpose_and_mirror_identities(self, scan):
-        # channel q at angle m reads f at angle (offset + sign * m) mod n_phi
+        # channel q at angle m reads f at angle (offset + sign * m) mod n, over the
+        # full turn of n angles with the scan's step
         geom, tau_grid, angles, ray_step, seed = scan
         img = blob_image(np.random.default_rng(seed), geom)
-        taus, n, q = tau_grid.taus(), angles.n_phi, angles.n_phi // 4
-        dirs = directions(angles)
+        n = round(2 * np.pi / angles.d_phi)
+        taus, q = tau_grid.taus(), n // 4
+        dirs = directions(ur.AngularRange.full(n))
         direct = _project(geom, [img.values], taus, dirs, ray_step)[0]
         m = np.arange(n)
         for copy, column in zip(d4_copies(img), (m, q - m, m + q, 2 * q - m)):
@@ -345,12 +350,13 @@ class TestD4Fold:
     @given(square_scans())
     def test_folded_transform_matches_direct_projection(self, scan):
         geom, tau_grid, angles, ray_step, seed = scan
-        assert _d4_folded(geom, tau_grid, angles)
+        plan = _fold_plan(geom, tau_grid, angles)
+        assert len(plan.views) == 4
         img = blob_image(np.random.default_rng(seed), geom)
         sino = ur.radon_transform(img, tau_grid, angles, ray_step).values
         direct = _project(geom, [img.values], tau_grid.taus(), directions(angles), ray_step)[0]
         assert peak_error(sino, direct) <= 1e-14
-        n_rep = angles.n_phi // 8 + 1
+        n_rep = len(plan.phis)
         assert np.array_equal(sino[:, :n_rep], direct[:, :n_rep])
 
     @D4_SETTINGS
@@ -360,7 +366,7 @@ class TestD4Fold:
         img = blob_image(np.random.default_rng(seed), geom)
         sino = ur.radon_transform(img, tau_grid, angles, ray_step).values
         taus = tau_grid.taus()
-        for m, phi in enumerate(angles.phis()[:angles.n_phi // 8 + 1]):
+        for m, phi in enumerate(_fold_plan(geom, tau_grid, angles).phis):
             for t in (0, len(taus) // 3, len(taus) // 2, len(taus) - 1):
                 assert ur.radon_point(img, taus[t], phi, ray_step) == sino[t, m]
 
@@ -368,17 +374,19 @@ class TestD4Fold:
     @given(square_scans())
     def test_remapped_channels_equal_projected_copies_bitwise(self, scan):
         # every column of [0, pi) is its channel's copy projected at its
-        # representative angle; the second half turn is the first reversed
+        # representative angle; a second half turn is the first reversed
         geom, tau_grid, angles, ray_step, seed = scan
         rng = np.random.default_rng(seed)
         images = [noise_image(rng, geom) for _ in range(2)]
-        taus, dirs = tau_grid.taus(), directions(angles)[:angles.n_phi // 8 + 1]
-        channel, rep = _d4_sources(angles.n_phi)
+        plan = _fold_plan(geom, tau_grid, angles)
+        taus, dirs = tau_grid.taus(), directions(angles)[:len(plan.phis)]
         folded = _radon_values(geom, [img.values for img in images], tau_grid, angles, ray_step)
         for img, values in zip(images, folded):
             copies = _project(geom, d4_copies(img), taus, dirs, ray_step)
-            want = copies[channel, :, rep].T
-            assert np.array_equal(values, np.concatenate([want, want[::-1]], axis=1))
+            want = copies[plan.view, :, plan.rep].T
+            if plan.mirrored:
+                want = np.concatenate([want, want[::-1]], axis=1)
+            assert np.array_equal(values, want)
 
     @pytest.mark.parametrize("geom, angles", [
         (ur.GridGeometry.centered(24, 20, 4.8, 4.0), ur.AngularRange.full(8)),
@@ -389,7 +397,7 @@ class TestD4Fold:
     ], ids=["nx != ny", "dx != dy", "off-centre", "phi_min != 0", "n_phi % 4 != 0"])
     def test_other_grids_take_the_pi_mirrored_path(self, rng, geom, angles):
         tau_grid = ur.TauGrid.covering(geom, 0.2)
-        assert not _d4_folded(geom, tau_grid, angles)
+        assert len(_fold_plan(geom, tau_grid, angles).views) == 1
         img = blob_image(rng, geom)
         sino = ur.radon_transform(img, tau_grid, angles).values
         half = angles.n_phi // 2
@@ -500,8 +508,9 @@ class TestRowBlocksAndThreads:
     def test_transform_is_bit_identical_at_any_thread_count(self, scan):
         kind, geom, tau_grid, angles, ray_step, seed = scan
         img = blob_image(np.random.default_rng(seed), geom)
-        assert _d4_folded(geom, tau_grid, angles) == (kind == "d4")
-        assert _pi_mirrored(tau_grid, angles) == (kind != "general")
+        plan = _fold_plan(geom, tau_grid, angles)
+        assert (len(plan.views) == 4) == (kind == "d4")
+        assert plan.mirrored == (kind != "general")
         sinos = [with_cpus(n, ur.radon_transform, img, tau_grid, angles, ray_step).values
                  for n in (1, 2, 3)]
         assert np.array_equal(sinos[0], sinos[1]) and np.array_equal(sinos[0], sinos[2])

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import uradon as ur
+import uradon.forward as fwd
 import uradon.inversion as inv
 from uradon.forward import _project, direction
-from uradon.grids import _centred_square, _d4_folded, _linear_index, _pi_mirrored
+from uradon.grids import _D4_VIEWS, _centred_square, _fold_plan, _linear_index, _pi_mirrored
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -188,6 +189,58 @@ class TestD4Backproject:
             assert np.array_equal(g, w)
 
 
+ONE_PLAN_SCANS = {
+    "full D4": (ur.GridGeometry.centered(12, 12, 3.0, 3.0), None, ur.AngularRange.full(16)),
+    "half D4": (ur.GridGeometry.centered(12, 12, 3.0, 3.0), None, ur.AngularRange(0.0, np.pi, 8)),
+    "mirrored only": (ur.GridGeometry.centered(12, 10, 3.0, 2.5), None, ur.AngularRange.full(16)),
+    "general": (ur.GridGeometry.centered(12, 12, 3.0, 3.0), None, ur.AngularRange(0.3, 5.9, 7)),
+    "off-centre": (ur.GridGeometry(12, 12, -1.4, -1.4, 0.25, 0.25), None, ur.AngularRange.full(16)),
+    "asymmetric tau": (ur.GridGeometry.centered(12, 12, 3.0, 3.0), ur.TauGrid(-2.3, 0.2, 21),
+                       ur.AngularRange.full(16)),
+}
+
+
+class TestOnePlan:
+    """The projector and the backprojection compute the angles of one plan, grids._fold_plan."""
+
+    @pytest.mark.parametrize("kind", sorted(ONE_PLAN_SCANS))
+    def test_both_sides_compute_the_plan_angles(self, rng, monkeypatch, kind):
+        geom, tau_grid, angles = ONE_PLAN_SCANS[kind]
+        tau_grid = tau_grid or ur.TauGrid.covering(geom, 0.2)
+        projected, fields = [], []
+        project = fwd._project
+        monkeypatch.setattr(fwd, "_project", lambda g, a, t, dirs, *rest: projected.append(
+            len(dirs)) or project(g, a, t, dirs, *rest))
+        monkeypatch.setattr(inv, "direction", lambda phi: fields.append(phi) or direction(phi))
+        img = ur.ImageGrid2D(geom, complex_normal(rng, (geom.nx, geom.ny)))
+        ur.radon_transform(img, tau_grid, angles)
+        columns = complex_normal(rng, (tau_grid.n_tau, angles.n_phi))
+        inv._backproject([columns], empty_sino(tau_grid, angles), geom)
+        n_phis = len(_fold_plan(geom, tau_grid, angles).phis)
+        assert projected == [n_phis]
+        assert len(fields) == n_phis
+
+    @SETTINGS
+    @given(st.integers(1, 60), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_d4_table_maps_representatives_onto_every_column(self, half_n, full, seed):
+        n = 2 * half_n
+        geom = ur.GridGeometry.centered(8, 8, 2.0, 2.0)
+        angles = ur.AngularRange.full(2 * n) if full else ur.AngularRange(0.0, np.pi, n)
+        plan = _fold_plan(geom, ur.TauGrid.covering(geom, 0.2), angles)
+        assert plan.mirrored == full and len(plan.views) == 4
+        assert plan.view.shape == plan.rep.shape == (n,)
+        assert set(plan.view) <= {0, 1, 2, 3} and set(plan.rep) <= set(range(len(plan.phis)))
+        # the representatives are projected as they are, through f
+        reps = np.arange(len(plan.phis))
+        assert np.array_equal(plan.view[reps], 0 * reps) and np.array_equal(plan.rep[reps], reps)
+        phi = plan.phis[plan.rep]
+        image = np.choose(plan.view, [phi, np.pi / 2 - phi, phi + np.pi / 2, np.pi - phi])
+        assert np.max(np.abs(image - angles.phis()[:n])) <= 1e-15
+        a = complex_normal(np.random.default_rng(seed), (9, 9))
+        for view, inverse in _D4_VIEWS:
+            assert np.array_equal(inverse(view(a)), a)
+
+
 @st.composite
 def mirrored_scans(draw):
     """A pi-mirrored full scan, any image grid (centred square or not) and a seed."""
@@ -266,8 +319,8 @@ class TestExactAngles:
         tau_grid = ur.TauGrid.covering(geom, 0.2)
         assert self.ANGLES.is_full
         assert not _pi_mirrored(tau_grid, self.ANGLES)
-        assert not _d4_folded(geom, tau_grid, self.ANGLES)
-        assert _d4_folded(geom, tau_grid, ur.AngularRange.full(180))
+        assert len(_fold_plan(geom, tau_grid, self.ANGLES).views) == 1
+        assert len(_fold_plan(geom, tau_grid, ur.AngularRange.full(180)).views) == 4
 
     def test_projection_is_direct_bitwise(self, rng):
         geom = ur.GridGeometry.centered(24, 24, 4.8, 4.8)
