@@ -304,7 +304,7 @@ def _cmd_hybrid(args, argv) -> int:
     tau_grid = TauGrid.covering(geometry, d_tau)
     angles = AngularRange.full(args.n_phi)
     sinos = hybrid_radon(field, tau_grid, angles, args.ray_step)
-    params = RegParams(epsilon=2.0 * d_tau, fa_step=d_tau, backend=Backend(args.backend))
+    params = RegParams.defaults(d_tau, Backend(args.backend))
     result = reconstruct_volume(sinos, geometry, params, positions, ks)
     rows = [("k", "fa_norm", "fs_norm", "fa_ratio", "slice_rmse_over_peak")]
     print("hybrid: k, fa_norm/fs_norm, slice rmse/peak")
@@ -359,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slices", type=int, default=None, help="build a volume of N slices")
     p.add_argument("--x3", default=None, help="slice positions start:step")
     p.add_argument("--out", required=True)
-    _allow_dashed_values(p)
     p.set_defaults(func=_cmd_phantom)
 
     p = sub.add_parser("radon", help="forward-project an image container")
@@ -423,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=[b.value for b in Backend],
                    default=Backend.RAMP_FILTER.value)
     p.add_argument("--out-prefix", required=True)
-    _allow_dashed_values(p)
     p.set_defaults(func=_cmd_hybrid)
+    for p in sub.choices.values():
+        _allow_dashed_values(p)
     return parser
 
 

@@ -140,17 +140,18 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     view; it is projected as two real planes (its real and imaginary part).
     The work is split into tasks of one direction and one block of
     consecutive tau rows holding at most _BLOCK_SAMPLES ray samples, run by
-    _run_tasks over the available CPUs.  Per task, only the ray samples
-    inside the grid box are kept; their corner indices and bilinear weights
-    are computed once and applied to every plane.  The samples are laid out
-    offset-major (one ray offset across all rows of the block, then the
-    next), so np.bincount adds consecutive samples into different rows
-    instead of waiting on one row's running sum; each row still receives
-    its own samples in increasing offset order, which gives the bits of a
-    row-by-row sum.  A row never straddles two tasks, so an entry depends on
-    its own array, tau and direction only: it has the same bits whatever
-    else the call projects, whatever the thread count, and repeated calls
-    are bitwise identical.
+    _run_tasks over the available CPUs.  Each plane is read inside a ring of
+    zero nodes (grids._linear_index); per task, only the ray samples inside
+    that padded box are kept (the others read zero), and their corner
+    indices and bilinear weights are computed once and applied to every
+    plane.  The samples are laid out offset-major (one ray offset across all
+    rows of the block, then the next), so np.bincount adds consecutive
+    samples into different rows instead of waiting on one row's running
+    sum; each row still receives its own samples in increasing offset
+    order, which gives the bits of a row-by-row sum.  A row never straddles
+    two tasks, so an entry depends on its own array, tau and direction
+    only: it has the same bits whatever else the call projects, whatever
+    the thread count, and repeated calls are bitwise identical.
     """
     if ray_step is None:
         ray_step = default_ray_step(geometry)
@@ -158,9 +159,12 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
         raise ValueError(f"ray_step must be positive and finite, got {ray_step}")
     offsets, h = _ray_offsets(geometry, ray_step)
     nx, ny = geometry.nx, geometry.ny
-    # plane 2k is the real part of array k, plane 2k + 1 its imaginary part
-    planes = np.stack([part for a in arrays for part in (a.real, a.imag)])
-    planes = planes.reshape(len(planes), nx * ny)
+    # plane 2k is the real part of array k, plane 2k + 1 its imaginary part, each
+    # inside a ring of zeros: node (i, j) at padded (i + 1, j + 1)
+    planes = np.zeros((2 * len(arrays), nx + 2, ny + 2))
+    for plane, part in zip(planes, [p for a in arrays for p in (a.real, a.imag)]):
+        plane[1:-1, 1:-1] = part
+    planes = planes.reshape(len(planes), -1)
     sums = np.empty((len(planes), len(taus), len(directions)))
     block = max(1, _BLOCK_SAMPLES // len(offsets))
 
@@ -169,30 +173,30 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
         c, s = directions[m]
         block_taus = taus[r0:r0 + block]
         n_rows = len(block_taus)
-        # in-place steps: numpy elides temporaries only from 256 KiB up, which
-        # block arrays stay below; same operations in the same order, same bits
+        # padded indices as grids._linear_index forms them, in place: numpy elides
+        # temporaries only from 256 KiB up, which block arrays stay below
         fx = block_taus[None, :] * c - offsets[:, None] * s
         fx -= geometry.x_min
         fx /= geometry.dx
+        fx += 1.0
         fy = block_taus[None, :] * s + offsets[:, None] * c
         fy -= geometry.y_min
         fy /= geometry.dy
-        keep = np.flatnonzero((fx >= 0.0) & (fx <= nx - 1) & (fy >= 0.0) & (fy <= ny - 1))
-        # kept samples lie in [0, n - 1]: _linear_index's clip and inside test are no-ops
+        fy += 1.0
+        keep = np.flatnonzero((fx > 0.0) & (fx < nx + 1) & (fy > 0.0) & (fy < ny + 1))
+        # kept samples lie in (0, n + 1): _linear_index's clip and min are no-ops
         tx, ty = fx.ravel()[keep], fy.ravel()[keep]
         rows = keep % n_rows
         del fx, fy, keep  # before the gathers allocate theirs: keeps peak memory down
         i0, j0 = tx.astype(np.intp), ty.astype(np.intp)
-        np.minimum(i0, nx - 2, out=i0)
-        np.minimum(j0, ny - 2, out=j0)
         tx -= i0
         ty -= j0
         sx, sy = 1.0 - tx, 1.0 - ty
         weights = (sx * sy, tx * sy, sx * ty, tx * ty)
         del tx, ty, sx, sy
-        corner = i0 * ny + j0
+        corner = i0 * (ny + 2) + j0
         del i0, j0
-        corners = (corner, corner + ny, corner + 1, corner + (ny + 1))
+        corners = (corner, corner + (ny + 2), corner + 1, corner + (ny + 3))
         for k, plane in enumerate(planes):
             samples = plane.take(corners[0])
             samples *= weights[0]
@@ -222,9 +226,7 @@ def _radon_values(geometry: GridGeometry, arrays, tau_grid: TauGrid, angles: Ang
     sides the same sample set, so the second half is the first with tau
     reversed.  A view reads the same node values with the same weights in
     the same order as f at the folded angle, so projected columns keep the
-    bits of direct projection; the folded ones agree to rounding, except on
-    a ray lying exactly along an edge of the grid box, where rounding
-    decides which of its samples are inside.
+    bits of direct projection and the folded ones agree to rounding.
     """
     plan = _fold_plan(geometry, tau_grid, angles)
     taus = tau_grid.taus()

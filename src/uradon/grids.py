@@ -34,14 +34,14 @@ def _trapezoid_weights(n: int, d: float) -> np.ndarray:
 def _linear_index(f, n: int):
     """Split fractional node indices f on an n-node axis for linear interpolation.
 
-    Returns (i0, frac, inside): the interpolated value is
-    (1 - frac) * v[i0] + frac * v[i0 + 1], and positions with inside False
-    lie outside [0, n - 1] and read as zero.
+    The package's one edge rule: the axis is read padded with a zero node at
+    each end, p = [0, v[0], ..., v[n - 1], 0], so the field falls linearly to
+    zero one step past either end node.  Returns (i0, frac) on the padded
+    axis: the value is (1 - frac) * p[i0] + frac * p[i0 + 1].
     """
-    inside = (f >= 0.0) & (f <= n - 1)
-    f = np.clip(f, 0.0, n - 1)
-    i0 = np.minimum(f.astype(np.intp), n - 2)
-    return i0, f - i0, inside
+    f = np.clip(f + 1.0, 0.0, n + 1)
+    i0 = np.minimum(f.astype(np.intp), n)
+    return i0, f - i0
 
 
 def _finite(name: str, value, positive: bool = False) -> None:
@@ -208,8 +208,9 @@ class GridGeometry:
 class ImageGrid2D:
     """Complex samples of a 2D field on a uniform lattice.
 
-    ``values[i, j]`` is the sample at node (i, j) of ``geometry``.  Points
-    outside the closed extent read as zero (compact-support convention).
+    ``values[i, j]`` is the sample at node (i, j) of ``geometry``; between
+    and beyond the nodes the field is bilinear_sample's, which falls to zero
+    one node step outside the extent.
     ``meta`` carries run diagnostics (e.g. coverage flags) and is excluded
     from equality and from the on-disk format.
     """
@@ -247,25 +248,23 @@ class ImageGrid2D:
 
 
 def bilinear_sample(img: ImageGrid2D, x, y):
-    """Bilinear interpolation of ``img.values`` at (x, y); zero outside the extent.
+    """Bilinear interpolation of ``img.values`` inside a ring of zeros, at (x, y).
 
+    Continuous: zero from one node step outside the extent on (_linear_index).
     Accepts scalars or broadcastable arrays; returns a complex scalar for
-    scalar input.  Exactly reproduces nodal values at the nodes and is
-    linear in ``img.values``.
+    scalar input.  Exactly reproduces nodal values and is linear in them.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     scalar = x.ndim == 0 and y.ndim == 0
     g = img.geometry
-    i0, tx, inside_x = _linear_index((x - g.x_min) / g.dx, g.nx)
-    j0, ty, inside_y = _linear_index((y - g.y_min) / g.dy, g.ny)
-    inside = inside_x & inside_y
-    v = img.values
+    i0, tx = _linear_index((x - g.x_min) / g.dx, g.nx)
+    j0, ty = _linear_index((y - g.y_min) / g.dy, g.ny)
+    v = np.pad(img.values, 1)
     out = ((1.0 - tx) * (1.0 - ty) * v[i0, j0]
            + tx * (1.0 - ty) * v[i0 + 1, j0]
            + (1.0 - tx) * ty * v[i0, j0 + 1]
            + tx * ty * v[i0 + 1, j0 + 1])
-    out = np.where(inside, out, 0.0 + 0.0j)
     return complex(out) if scalar else out
 
 

@@ -33,10 +33,10 @@ Both follow grids._fold_plan, the plan the projector follows too:
 Sinogram values are stored (n_tau, n_phi), so a column's tau samples are
 strided.  The filters transpose once and run their FFTs along contiguous tau
 rows, returning the (n_tau, n_phi) result as a transposed view; the
-backprojection copies each filtered array into angle-major tau rows padded
-with two zeros, which out-of-range pixels read.  Neither layout changes the
-arithmetic: outside the two folds, every output is bit-identical to the
-column-major form.
+backprojection copies each filtered array into angle-major tau rows between
+two zeros, the padded axis that linear interpolation reads
+(grids._linear_index).  Neither layout changes the arithmetic: outside the
+two folds, every output is bit-identical to the column-major form.
 """
 
 from __future__ import annotations
@@ -228,8 +228,9 @@ def lambda_kernel_filtered(sino: Sinogram, epsilon: float, lambda_max: float) ->
 def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
     """Central difference along tau: (g(tau + h) - g(tau - h)) / (2h).
 
-    Off-grid values come from linear interpolation of the column (zero
-    outside the stored range); h = fa_step may be any value >= d_tau.
+    Off-grid values come from linear interpolation of the column between a
+    zero node at each end (grids._linear_index); h = fa_step may be any
+    value >= d_tau.
     """
     if fa_step < sino.d_tau:
         raise ValueError(f"fa_step {fa_step} must be at least d_tau {sino.d_tau}")
@@ -237,13 +238,13 @@ def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
     shift = fa_step / sino.d_tau
     sides = []
     for step in (shift, -shift):   # every column read at t + h, then at t - h
-        i0, frac, inside = _linear_index(np.arange(n) + step, n)
-        side = v[i0]
-        side *= (1.0 - frac)[:, None]
-        upper = v[i0 + 1]
-        upper *= frac[:, None]
+        # padded node i0 is v[i0 - 1] and i0 + 1 is v[i0]; a pad node gets weight zero
+        i0, frac = _linear_index(np.arange(n) + step, n)
+        side = v[np.maximum(i0 - 1, 0)]
+        side *= ((1.0 - frac) * (i0 > 0))[:, None]
+        upper = v[np.minimum(i0, n - 1)]
+        upper *= (frac * (i0 < n))[:, None]
         side += upper
-        side[~inside] = 0.0
         sides.append(side)
     plus, minus = sides
     plus -= minus
@@ -291,19 +292,17 @@ def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.nda
     array alone.  The angles follow grids._fold_plan.  On a mirrored plan
     (angle m + N/2 is angle m + pi read at -tau), each array is first folded
     onto the first half turn (_fold); no symmetry of the data is needed.
-    Each array is copied to angle-major tau rows with two trailing zeros,
-    which pixels outside the stored tau range read instead of being masked.
+    Each array is copied to angle-major tau rows between two zeros, the
+    padded axis that grids._linear_index reads.
 
     Only the plan's representative angles get an index field; each column
     is gathered through its representative's field into the frame of its
     view, and each frame is mapped back through the view's inverse at the
-    end.  This agrees with the direct loop to rounding, except that a pixel
-    whose offset is exactly an end node of the tau grid reads that node or
-    zero by rounding (an O(1) difference); with the identity view alone it
-    is the direct loop, bit for bit.
+    end.  This agrees with the direct loop to rounding; with the identity
+    view alone it is the direct loop, bit for bit.
 
     Returns (values per array, out_of_coverage) where the boolean mask marks
-    pixels whose offset fell outside the stored tau range for at least one
+    pixels whose offset fell outside [tau_min, tau_max] for at least one
     angle.  Linear interpolation along tau; the fixed angle order keeps the
     result deterministic.
     """
@@ -315,9 +314,9 @@ def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.nda
     for columns in columns_seq:
         rows = np.zeros((plan.rep.size, n + 2), dtype=np.complex128)
         if plan.mirrored:
-            _fold(columns, 1.0, out=rows[:, :n].T)
+            _fold(columns, 1.0, out=rows[:, 1:-1].T)
         else:
-            rows[:, :n] = columns.T
+            rows[:, 1:-1] = columns.T
         rows_seq.append(rows)
     x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
     shape = (geometry.nx, geometry.ny)
@@ -328,9 +327,9 @@ def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.nda
         if plan.rep[k] != current:
             current = plan.rep[k]
             c, s = direction(plan.phis[current])
-            i0, w, inside = _linear_index((c * x + s * y - sino.tau_min) / sino.d_tau, n)
-            outside = ~inside
-            np.copyto(i0, n, where=outside)
+            f = (c * x + s * y - sino.tau_min) / sino.d_tau
+            outside = (f < 0.0) | (f > n - 1)
+            i0, w = _linear_index(f, n)
             i1 = i0 + 1
             w0 = 1.0 - w
         q = plan.view[k]

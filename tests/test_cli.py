@@ -232,3 +232,42 @@ class TestHybrid:
             assert float(fields[4]) <= 0.05        # slice rmse / peak
         stack = ur.read_container(f"{prefix}_volume.urdn")
         assert isinstance(stack, ur.VolumeStack) and stack.n_slices == 4
+
+
+class TestDashedValues:
+    """Option values that start with '-' reach every subcommand as values, not option names.
+
+    phantom and hybrid take a dashed --x3 in test_volume_mode and test_roundtrip_metrics.
+    """
+
+    def test_radon(self, tmp_path, image_file):
+        out = str(tmp_path / "s.urdn")
+        assert main(["radon", "--image", image_file, "--range", "-3.14:3.14", "--n-phi", "12",
+                     "--out", out]) == 0
+        assert ur.read_container(out).angles.phi_min == -3.14
+
+    def test_fst_check(self, image_file, sino_file, capsys):
+        # parsed, then rejected by the check itself
+        assert main(["fst-check", "--image", image_file, "--sinogram", sino_file,
+                     "--lambdas", "-2:2:5"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_invert(self, tmp_path, sino_file, capsys):
+        assert main(["invert", "--sinogram", sino_file, "--nx", "16", "--extent", "8",
+                     "--range", "-1:2", "--out-prefix", str(tmp_path / "r")]) == 0
+        assert "angles=" in capsys.readouterr().out
+
+    def test_holonomy(self, tmp_path):
+        scene = tmp_path / "d.scene"
+        scene.write_text(DEFECT_SCENE)
+        with pytest.warns(UserWarning, match="beyond"):
+            assert main(["holonomy", "--scene", str(scene), "--nx", "32", "--extent", "8",
+                         "--tau", "0.2:3.0:8", "--phi-window", "-0.2:1.0:6"]) == 0
+
+    def test_defect(self, tmp_path, capsys):
+        scene = tmp_path / "d.scene"
+        scene.write_text(DEFECT_SCENE)
+        # parsed, then rejected by the probe itself
+        assert main(["defect", "--scene", str(scene), "--nx", "32", "--extent", "8",
+                     "--tau", "-0.5:3.0:8", "--out-prefix", str(tmp_path / "d")]) == 2
+        assert "strictly positive" in capsys.readouterr().err

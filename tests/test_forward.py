@@ -190,22 +190,24 @@ def noise_image(rng, geom):
     return ur.ImageGrid2D.from_geometry(geom, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
-def blob_image(rng, geom, n_blobs=4):
-    """Smooth random complex image that is zero on the outermost ring of nodes.
-
-    A ray running exactly along an edge of the grid box keeps or drops each
-    sample by rounding, differently for phi and phi + pi; with a zero ring
-    those samples read zero either way.
-    """
+def blob_image(rng, geom, n_blobs=4, sigma=(0.2, 0.35)):
+    """Smooth random complex image: blobs near the centre, widths drawn from sigma."""
     cx = 0.5 * (geom.x_min + geom.x_max)
     cy = 0.5 * (geom.y_min + geom.y_max)
     blobs = [ur.GaussianBlob(cx + rng.uniform(-0.5, 0.5), cy + rng.uniform(-0.5, 0.5),
-                             rng.uniform(0.2, 0.35), complex(rng.normal(), rng.normal()))
+                             rng.uniform(*sigma), complex(rng.normal(), rng.normal()))
              for _ in range(n_blobs)]
-    values = np.array(ur.rasterize(ur.CompositeScene.of(*blobs), geom).values)
-    values[[0, -1], :] = 0.0
-    values[:, [0, -1]] = 0.0
-    return ur.ImageGrid2D.from_geometry(geom, values)
+    return ur.rasterize(ur.CompositeScene.of(*blobs), geom)
+
+
+def wide_blob_image(rng, geom):
+    """Blobs as wide as the grid: far from zero on the outermost nodes."""
+    return blob_image(rng, geom, sigma=(0.4 * geom.diameter, 0.5 * geom.diameter))
+
+
+def abs_peak(geom, img, taus, dirs, ray_step):
+    """Peak of R|f| over the given rays: the scale of the rounding in R f."""
+    return np.max(_project(geom, [np.abs(img.values)], taus, dirs, ray_step)[0].real)
 
 
 def directions(angles):
@@ -405,11 +407,75 @@ class TestD4Fold:
         assert np.array_equal(sino, np.concatenate([direct, direct[::-1]], axis=1))
 
 
+# --- images far from zero on their outermost nodes ---
+
+# nodes at whole multiples of dx: with d_tau = dx, rays run exactly along every edge
+ODD = ur.GridGeometry.centered(31, 31, 3.1, 3.1)
+
+EDGE_SCANS = {
+    "centred, full(8)": (CENTRED, 0.2, ur.AngularRange.full(8)),
+    # the tau row at -0.4 runs along y = y_min
+    "33x27, full(10)": (OFF_CENTRE, 0.2, ur.AngularRange.full(10)),
+    "33x27, full(8)": (OFF_CENTRE, 0.2, ur.AngularRange.full(8)),
+    "odd n, full(16)": (ODD, ODD.dx, ur.AngularRange.full(16)),
+    "odd n, full(10)": (ODD, ODD.dx, ur.AngularRange.full(10)),
+    "odd n, [0, pi)/12": (ODD, ODD.dx, ur.AngularRange(0.0, np.pi, 12)),
+}
+
+
+class TestGeneralImages:
+    """The folds on images that are far from zero on their outermost nodes.
+
+    The projector reads each image inside a ring of zeros, so the field is
+    continuous across the grid box: a ray along an edge of the box reads the
+    same values to rounding at phi and at each folded angle.  Folded columns
+    then agree with direct projection within 1e-14 of the peak of R|f|.
+    """
+
+    @pytest.mark.parametrize("image", [noise_image, wide_blob_image], ids=["noise", "wide blobs"])
+    @pytest.mark.parametrize("kind", sorted(EDGE_SCANS))
+    def test_folded_transform_matches_direct_projection(self, rng, image, kind):
+        geom, d_tau, angles = EDGE_SCANS[kind]
+        tau_grid = ur.TauGrid.covering(geom, d_tau)
+        img = image(rng, geom)
+        edge = np.concatenate([img.values[[0, -1]].ravel(), img.values[:, [0, -1]].ravel()])
+        assert np.min(np.abs(edge)) > 0.0
+        taus, dirs = tau_grid.taus(), directions(angles)
+        sino = ur.radon_transform(img, tau_grid, angles).values
+        direct = _project(geom, [img.values], taus, dirs, None)[0]
+        n_rep = len(_fold_plan(geom, tau_grid, angles).phis)
+        assert np.array_equal(sino[:, :n_rep], direct[:, :n_rep])
+        assert np.max(np.abs(sino - direct)) <= 1e-14 * abs_peak(geom, img, taus, dirs, None)
+
+    @D4_SETTINGS
+    @given(square_scans())
+    def test_d4_identities_and_fold_on_noise_images(self, scan):
+        # as TestD4Fold's first two properties, over the full turn of n angles
+        # with the scan's step, whose first angles are the scan's
+        geom, tau_grid, angles, ray_step, seed = scan
+        img = noise_image(np.random.default_rng(seed), geom)
+        n = round(2 * np.pi / angles.d_phi)
+        taus, q = tau_grid.taus(), n // 4
+        dirs = directions(ur.AngularRange.full(n))
+        direct = _project(geom, [img.values], taus, dirs, ray_step)[0]
+        scale = abs_peak(geom, img, taus, dirs, ray_step)
+        m = np.arange(n)
+        for copy, column in zip(d4_copies(img), (m, q - m, m + q, 2 * q - m)):
+            got = _project(geom, [copy], taus, dirs, ray_step)[0]
+            assert np.max(np.abs(got - direct[:, column % n])) <= 1e-14 * scale
+        assert np.max(np.abs(direct[::-1, :] - direct[:, (m + 2 * q) % n])) <= 1e-14 * scale
+        sino = ur.radon_transform(img, tau_grid, angles, ray_step).values
+        n_rep = len(_fold_plan(geom, tau_grid, angles).phis)
+        assert np.array_equal(sino[:, :n_rep], direct[:, :n_rep])
+        assert np.max(np.abs(sino - direct[:, :angles.n_phi])) <= 1e-14 * scale
+
+
 # --- row blocks over threads: results do not depend on the thread count ---
 
-# Each maps the bilinear corner (i0, j0) to the flat index it reads in f and
-# the index steps of its i + 1 and j + 1 neighbours, so that channel q reads
-# d4_copies(img)[q] from the planes of img itself.
+# Each maps the bilinear corner (i0, j0) of an n x n padded plane (the image
+# inside its ring of zeros) to the flat index it reads in the padded f and the
+# index steps of its i + 1 and j + 1 neighbours, so that channel q reads
+# d4_copies(img)[q] from the padded planes of img itself.
 CORNER_REMAPS = (
     lambda i0, j0, n: (i0 * n + j0, n, 1),
     lambda i0, j0, n: (j0 * n + i0, 1, n),
@@ -429,21 +495,22 @@ def unblocked_projection(images, taus, dirs, ray_step, channels=CORNER_REMAPS[:1
         ray_step = ur.default_ray_step(geometry)
     offsets, h = fwd._ray_offsets(geometry, ray_step)
     nx, ny = geometry.nx, geometry.ny
-    planes = np.stack([part for img in images for part in (img.values.real, img.values.imag)])
-    planes = planes.reshape(len(planes), nx * ny)
+    planes = np.stack([np.pad(part, 1) for img in images
+                       for part in (img.values.real, img.values.imag)])
+    planes = planes.reshape(len(planes), (nx + 2) * (ny + 2))
     sums = np.empty((len(channels), len(planes), len(taus), len(dirs)))
     for m, (c, s) in enumerate(dirs):
-        fx = (taus[:, None] * c - offsets[None, :] * s - geometry.x_min) / geometry.dx
-        fy = (taus[:, None] * s + offsets[None, :] * c - geometry.y_min) / geometry.dy
-        keep = np.flatnonzero((fx >= 0.0) & (fx <= nx - 1) & (fy >= 0.0) & (fy <= ny - 1))
+        fx = (taus[:, None] * c - offsets[None, :] * s - geometry.x_min) / geometry.dx + 1.0
+        fy = (taus[:, None] * s + offsets[None, :] * c - geometry.y_min) / geometry.dy + 1.0
+        keep = np.flatnonzero((fx > 0.0) & (fx < nx + 1) & (fy > 0.0) & (fy < ny + 1))
         fx, fy = fx.ravel()[keep], fy.ravel()[keep]
-        i0, j0 = np.minimum(fx.astype(np.intp), nx - 2), np.minimum(fy.astype(np.intp), ny - 2)
+        i0, j0 = fx.astype(np.intp), fy.astype(np.intp)
         tx, ty = fx - i0, fy - j0
         rows = keep // len(offsets)
         w00, w10 = (1.0 - tx) * (1.0 - ty), tx * (1.0 - ty)
         w01, w11 = (1.0 - tx) * ty, tx * ty
         for q, remap in enumerate(channels):
-            corner, di, dj = remap(i0, j0, ny)
+            corner, di, dj = remap(i0, j0, ny + 2)
             for k, plane in enumerate(planes):
                 samples = (w00 * plane.take(corner) + w10 * plane.take(corner + di)
                            + w01 * plane.take(corner + dj) + w11 * plane.take(corner + di + dj))

@@ -68,10 +68,34 @@ class TestBilinearSample:
             assert ur.bilinear_sample(img, x, y) == pytest.approx(3.0 - 2.0j, abs=1e-14)
 
     def test_outside_extent_is_exactly_zero(self, rng):
+        # zero from one node step past the extent on; half the edge value half a step past it
         img = make_image(rng)
-        assert ur.bilinear_sample(img, img.geometry.x_max + 1e-9, 0.0) == 0.0
-        assert ur.bilinear_sample(img, 0.0, img.geometry.y_min - 5.0) == 0.0
+        g, v = img.geometry, img.values
+        assert ur.bilinear_sample(img, g.x_max + g.dx + 1e-9, 0.0) == 0.0
+        assert ur.bilinear_sample(img, g.x_min, g.y_min - g.dy - 1e-9) == 0.0
+        assert ur.bilinear_sample(img, 0.0, g.y_min - 5.0) == 0.0
         assert ur.bilinear_sample(img, 1e6, -1e6) == 0.0
+        assert ur.bilinear_sample(img, g.x_max + g.dx / 2, g.y_min + g.dy) == pytest.approx(
+            0.5 * v[-1, 1], abs=1e-14)
+        assert ur.bilinear_sample(img, g.x_min + 2 * g.dx, g.y_min - g.dy / 2) == pytest.approx(
+            0.5 * v[2, 0], abs=1e-14)
+        assert ur.bilinear_sample(img, g.x_min - g.dx / 2, g.y_max + g.dy / 2) == pytest.approx(
+            0.25 * v[0, -1], abs=1e-14)
+
+    def test_matches_np_interp_along_x_then_y(self, rng):
+        # the zero-padded node axis read by np.interp, first along x per column, then along y
+        img = make_image(rng)
+        g, v = img.geometry, img.values
+        pts = rng.uniform([g.x_min - 2.5 * g.dx, g.y_min - 2.5 * g.dy],
+                          [g.x_max + 2.5 * g.dx, g.y_max + 2.5 * g.dy], size=(200, 2))
+        got = ur.bilinear_sample(img, pts[:, 0], pts[:, 1])
+        xs, ys = np.arange(-1, g.nx + 1), np.arange(-1, g.ny + 1)
+        for (x, y), value in zip(pts, got):
+            fx, fy = (x - g.x_min) / g.dx, (y - g.y_min) / g.dy
+            along_x = [np.interp(fx, xs, np.pad(v[:, j], 1), left=0.0, right=0.0)
+                       for j in range(g.ny)]
+            want = np.interp(fy, ys, np.pad(along_x, 1), left=0.0, right=0.0)
+            assert abs(value - want) <= 1e-14 * np.max(np.abs(v))
 
     def test_nodal_exactness(self, rng):
         img = make_image(rng)

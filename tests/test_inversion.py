@@ -21,11 +21,12 @@ def direct_backproject(columns_seq, sino, geom):
     out_of_range = np.zeros((geom.nx, geom.ny), dtype=bool)
     for m, phi in enumerate(sino.angles.phis()):
         c, s = direction(phi)
-        i0, w, inside = _linear_index((c * X + s * Y - sino.tau_min) / sino.d_tau, sino.n_tau)
+        f = (c * X + s * Y - sino.tau_min) / sino.d_tau
+        i0, w = _linear_index(f, sino.n_tau)
         for acc, columns in zip(accs, columns_seq):
-            col = columns[:, m]
-            acc += np.where(inside, (1.0 - w) * col[i0] + w * col[i0 + 1], 0.0)
-        out_of_range |= ~inside
+            col = np.pad(columns[:, m], 1)
+            acc += (1.0 - w) * col[i0] + w * col[i0 + 1]
+        out_of_range |= (f < 0.0) | (f > sino.n_tau - 1)
     for acc in accs:
         acc *= sino.angles.d_phi * ur.ANGULAR_MEASURE_NORM
     return accs, out_of_range
@@ -195,7 +196,8 @@ class TestColumnFilters:
 
     def test_tau_derivative_fractional_step_on_linear_columns(self):
         # h = 1.5 d_tau reads between nodes; linear interpolation is exact on
-        # a linear column, and reads past either end are zero
+        # a linear column; half a step past either end it reads half the end
+        # value, and from one step past it zero
         tg = ur.TauGrid(-1.3, 0.1, 27)
         slopes = np.array([2.0 - 1.0j, -0.5])
         col = (0.7 + 0.2j) + tg.taus()[:, None] * slopes[None, :]
@@ -205,12 +207,11 @@ class TestColumnFilters:
         np.testing.assert_allclose(got[2:-2], np.broadcast_to(slopes, got[2:-2].shape),
                                    rtol=0, atol=1e-12)
         taus = tg.taus()
-        for t in (0, 1):
-            np.testing.assert_allclose(got[t], ((0.7 + 0.2j) + (taus[t] + h) * slopes) / (2 * h),
-                                       rtol=1e-12)
-        for t in (-2, -1):
-            np.testing.assert_allclose(got[t], -((0.7 + 0.2j) + (taus[t] - h) * slopes) / (2 * h),
-                                       rtol=1e-12)
+        g = lambda tau: (0.7 + 0.2j) + tau * slopes
+        ends = {0: (g(taus[0] + h), 0.0), 1: (g(taus[1] + h), 0.5 * g(taus[0])),
+                -2: (0.5 * g(taus[-1]), g(taus[-2] - h)), -1: (0.0, g(taus[-1] - h))}
+        for t, (plus, minus) in ends.items():
+            np.testing.assert_allclose(got[t], (plus - minus) / (2 * h), rtol=1e-12)
 
     @pytest.mark.parametrize("steps", [1.0, 1.5, 2.37])
     def test_tau_derivative_matches_the_stacked_formula(self, rng, steps):
@@ -221,11 +222,26 @@ class TestColumnFilters:
         sino = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, ur.AngularRange.full(6), values)
         h = steps * tg.d_tau
         shift = h / tg.d_tau
-        i0, frac, inside = _linear_index(np.arange(27) + np.array([[shift], [-shift]]), 27)
+        i0, frac = _linear_index(np.arange(27) + np.array([[shift], [-shift]]), 27)
         frac = frac[..., None]
-        shifted = (1.0 - frac) * values[i0] + frac * values[i0 + 1]
-        shifted[~inside] = 0.0
+        padded = np.pad(values, ((1, 1), (0, 0)))
+        shifted = (1.0 - frac) * padded[i0] + frac * padded[i0 + 1]
         assert np.array_equal(inv.tau_derivative(sino, h), (shifted[0] - shifted[1]) / (2.0 * h))
+
+    @pytest.mark.parametrize("steps", [1.0, 1.5, 2.37])
+    def test_tau_derivative_matches_np_interp_on_the_zero_padded_axis(self, rng, steps):
+        n = 27
+        values = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        sino = ur.Sinogram(-1.3, 0.1, n, ur.AngularRange.full(4), values)
+        h = steps * sino.d_tau
+        nodes, t = np.arange(-1, n + 1), np.arange(n)
+        want = np.empty_like(values)
+        for m in range(4):
+            col = np.pad(values[:, m], 1)
+            want[:, m] = (np.interp(t + steps, nodes, col, left=0.0, right=0.0)
+                          - np.interp(t - steps, nodes, col, left=0.0, right=0.0)) / (2.0 * h)
+        got = inv.tau_derivative(sino, h)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_tau_derivative_step_validation(self):
         sino = ur.Sinogram(-1.0, 0.5, 5, ur.AngularRange.full(1), np.zeros((5, 1)))
@@ -297,6 +313,39 @@ class TestPiFold:
             assert np.array_equal(g, w)
 
 
+def test_backprojected_column_matches_np_interp_on_the_zero_padded_axis(rng):
+    # one angle on a tau grid narrower than the image: pixels fall inside,
+    # in the ramp to zero past either end node, and beyond it
+    geom = ur.GridGeometry(19, 23, -1.7, -2.9, 0.21, 0.17)
+    tg = ur.TauGrid(-1.1, 0.13, 17)
+    phi = 0.7
+    angles = ur.AngularRange(phi, phi + 0.01, 1)
+    col = rng.normal(size=tg.n_tau) + 1j * rng.normal(size=tg.n_tau)
+    sino = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, angles, col[:, None])
+    (got,), oob = inv._backproject([sino.values], sino, geom)
+    c, s = direction(phi)
+    X, Y = geom.node_mesh()
+    f = (c * X + s * Y - tg.tau_min) / tg.d_tau
+    assert np.any((f > -1.0) & (f < 0.0)) and np.any((f > tg.n_tau - 1) & (f < tg.n_tau))
+    assert np.any(f <= -1.0) and np.any(f >= tg.n_tau)
+    want = np.interp(f, np.arange(-1, tg.n_tau + 1), np.pad(col, 1), left=0.0, right=0.0)
+    want *= angles.d_phi * ur.ANGULAR_MEASURE_NORM
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(oob, (f < 0.0) | (f > tg.n_tau - 1))
+
+
+def test_coverage_flags_mark_offsets_outside_the_closed_tau_range():
+    # at phi = 0 the offset is x, and nodes fall exactly on both end nodes of the tau grid
+    geom = ur.GridGeometry(9, 3, -1.0, 0.0, 0.25, 0.5)
+    sino = ur.Sinogram(-0.5, 0.25, 5, ur.AngularRange(0.0, 0.01, 1), np.ones((5, 1)))
+    (values,), oob = inv._backproject([sino.values], sino, geom)
+    x = geom.x_nodes()
+    assert np.array_equal(oob, np.broadcast_to(((x < -0.5) | (x > 0.5))[:, None], oob.shape))
+    ramp = np.clip(1.0 - (np.abs(x) - 0.5) / 0.25, 0.0, 1.0)
+    np.testing.assert_allclose(values, np.broadcast_to(
+        ramp[:, None] * 0.01 * ur.ANGULAR_MEASURE_NORM, values.shape), rtol=1e-14, atol=0)
+
+
 class TestInvertFs:
     def test_zero_sinogram(self):
         geom = ur.GridGeometry.centered(12, 12, 4.0, 4.0)
@@ -343,6 +392,17 @@ class TestInvertFa:
         fa = ur.invert_fa(sino, geom, params)
         fs = ur.invert_fs(sino, geom, params)
         assert ur.l2_norm(fa.values) <= 1e-3 * ur.l2_norm(fs.values)
+
+    def test_full_range_cancellation_on_an_image_nonzero_on_its_edge(self):
+        # an odd full scan takes no fold, so the cancellation rests on the
+        # projector's R(tau, phi + pi) = R(-tau, phi) across the grid-box edge
+        geom = ur.GridGeometry.centered(64, 64, 4.0, 4.0)
+        img = ur.rasterize(ur.CompositeScene.of(ur.GaussianBlob(0.2, -0.1, 1.0, 1.0)), geom)
+        assert np.max(np.abs(img.values[-1])) >= 0.2 * np.max(np.abs(img.values))
+        tg = ur.TauGrid.covering(geom, geom.dx)
+        sino = ur.radon_transform(img, tg, ur.AngularRange.full(181))
+        recon = ur.invert_universal(sino, geom, ur.RegParams.defaults(tg.d_tau))
+        assert ur.reconstruction_metrics(recon)["fa_fs_ratio"] <= 1e-3
 
     def test_half_range_activates_and_matches_analytic_derivative(self):
         # over [0, pi) the opposite-angle cancellation is absent; the result

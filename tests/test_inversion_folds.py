@@ -9,7 +9,7 @@ every input outside their conditions must take the direct path bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import uradon as ur
 import uradon.forward as fwd
@@ -32,18 +32,18 @@ def pi_folded_backproject(columns_seq, sino, geometry):
     for columns in columns_seq:
         rows = np.zeros((phis.size, n + 2), dtype=np.complex128)
         if folded:
-            np.add(columns[:, :half].T, columns[::-1, half:].T, out=rows[:, :n])
+            np.add(columns[:, :half].T, columns[::-1, half:].T, out=rows[:, 1:-1])
         else:
-            rows[:, :n] = columns.T
+            rows[:, 1:-1] = columns.T
         rows_seq.append(rows)
     x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
     accs = [np.zeros((geometry.nx, geometry.ny), dtype=np.complex128) for _ in rows_seq]
     out_of_range = np.zeros((geometry.nx, geometry.ny), dtype=bool)
     for m, phi in enumerate(phis):
         c, s = direction(phi)
-        i0, w, inside = _linear_index((c * x + s * y - sino.tau_min) / sino.d_tau, n)
-        outside = ~inside
-        np.copyto(i0, n, where=outside)
+        f = (c * x + s * y - sino.tau_min) / sino.d_tau
+        outside = (f < 0.0) | (f > n - 1)
+        i0, w = _linear_index(f, n)
         i1 = i0 + 1
         w0 = 1.0 - w
         for acc, rows in zip(accs, rows_seq):
@@ -99,9 +99,6 @@ def d4_scans(draw):
     else:
         angles = ur.AngularRange(0.0, np.pi, n_half)
         tau_grid = ur.TauGrid(-(n_tau - 1) * d_tau * draw(st.floats(0.0, 0.6)), d_tau, n_tau)
-    # a pixel whose offset is an end node of the tau grid reads that node or zero by
-    # rounding, so the D4 images of such an angle may differ by O(1) there
-    assume(clear_of_tau_ends(geom, tau_grid, angles.phis()[:n_half]))
     return geom, tau_grid, angles, draw(st.integers(0, 2**32 - 1))
 
 
@@ -126,7 +123,11 @@ class TestD4Backproject:
         columns = [complex_normal(rng, (tau_grid.n_tau, angles.n_phi)) for _ in range(count)]
         got, oob = inv._backproject(columns, sino, geom)
         want, want_oob = pi_folded_backproject(columns, sino, geom)
-        assert np.array_equal(oob, want_oob)
+        # a pixel whose offset is an end node of the tau grid is flagged or not by
+        # rounding, so the D4 images of such an angle may flag it differently
+        n_half = angles.n_phi // 2 if angles.is_full else angles.n_phi
+        if clear_of_tau_ends(geom, tau_grid, angles.phis()[:n_half]):
+            assert np.array_equal(oob, want_oob)
         for g, w in zip(got, want, strict=True):
             assert_near(g, w)
 

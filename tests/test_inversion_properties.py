@@ -29,12 +29,13 @@ def column_major_backproject(columns_seq, sino, geometry):
     out_of_range = np.zeros((geometry.nx, geometry.ny), dtype=bool)
     for m, phi in enumerate(phis):
         c, s = direction(phi)
-        i0, w, inside = _linear_index((c * X + s * Y - sino.tau_min) / sino.d_tau, sino.n_tau)
+        f = (c * X + s * Y - sino.tau_min) / sino.d_tau
+        i0, w = _linear_index(f, sino.n_tau)
         w0 = 1.0 - w
         for acc, columns in zip(accs, columns_seq):
-            col = columns[:, m]
-            acc += np.where(inside, w0 * col[i0] + w * col[i0 + 1], 0.0)
-        out_of_range |= ~inside
+            col = np.pad(columns[:, m], 1)
+            acc += w0 * col[i0] + w * col[i0 + 1]
+        out_of_range |= (f < 0.0) | (f > sino.n_tau - 1)
     for acc in accs:
         acc *= sino.angles.d_phi * ur.ANGULAR_MEASURE_NORM
     return accs, out_of_range
