@@ -46,14 +46,15 @@ def _block_bytes(values: np.ndarray) -> bytes:
 
 
 def _block_from(buf: bytes, offset: int, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
+    """A read-only view of one block's payload; the grid constructor makes the only copy."""
     count = shape[0] * shape[1]
     nbytes = count * _PAYLOAD_DTYPE.itemsize
-    chunk = buf[offset:offset + nbytes]
+    chunk = memoryview(buf)[offset:offset + nbytes]
     if len(chunk) < nbytes:
         raise TruncatedPayloadError(
             f"payload: expected {nbytes} bytes for block of shape {shape}, got {len(chunk)}",
             field="payload")
-    arr = np.frombuffer(chunk, dtype=_PAYLOAD_DTYPE).astype(np.complex128)
+    arr = np.frombuffer(chunk, dtype=_PAYLOAD_DTYPE)
     return arr.reshape(shape, order="F"), offset + nbytes
 
 

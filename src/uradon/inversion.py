@@ -31,12 +31,16 @@ Both follow grids._fold_plan, the plan the projector follows too:
   field of phi, so only the plan's N'/4 + 1 index fields are computed.
 
 Sinogram values are stored (n_tau, n_phi), so a column's tau samples are
-strided.  The filters transpose once and run their FFTs along contiguous tau
-rows, returning the (n_tau, n_phi) result as a transposed view; the
-backprojection copies each filtered array into angle-major tau rows between
-two zeros, the padded axis that linear interpolation reads
-(grids._linear_index).  Neither layout changes the arithmetic: outside the
-two folds, every output is bit-identical to the column-major form.
+strided.  The filters run their FFTs along contiguous tau rows, a block of
+columns at a time: each block's spectra fill at most _SPECTRUM_BLOCK entries
+(4 MiB) of one reused buffer, so the working set beyond the input and the
+output does not grow with the number of angles.  Each row is transformed on
+its own, so the blocks carry the bits of one transform of all columns.  The
+(n_tau, n_phi) result is a transposed view; the backprojection copies each
+filtered array into angle-major tau rows between two zeros, the padded axis
+that linear interpolation reads (grids._linear_index).  Neither layout
+changes the arithmetic: outside the two folds, every output is bit-identical
+to the column-major form.
 """
 
 from __future__ import annotations
@@ -132,20 +136,38 @@ def lambda_kernel(eta, epsilon: float, lambda_max: float):
 
 # --- column filters ----------------------------------------------------------
 
+# complex entries in one block of column spectra (4 MiB): the filters' working set
+# beyond their input and output, whatever the number of columns
+_SPECTRUM_BLOCK = 2**18
+
+
 def _correlate_columns(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """out[t, m] = sum_j kernel[j + M] * values[t + j, m], zero outside the grid.
 
     kernel has odd length 2M+1 and is indexed by the signed offset j; rows
     0..n-1 of the circular correlation are wrap-free for any FFT length >= n + M.
-    The transforms run along contiguous tau rows, one per column; the result
-    is their (n, n_cols) transposed view.
+    The transforms run along contiguous tau rows, one per column, in blocks
+    of columns whose spectra fill at most _SPECTRUM_BLOCK entries of one
+    reused buffer.  Each row is transformed on its own, so a block's rows
+    carry the same bits as in one transform of all columns.  The result is
+    the (n, n_cols) transposed view of one (n_cols, n) array.
     """
-    n = values.shape[0]
+    n, n_cols = values.shape
     m_half = (len(kernel) - 1) // 2
     p = 1 << (n + m_half - 1).bit_length()   # next power of two >= n + M
-    spec = np.fft.fft(np.ascontiguousarray(values.T), n=p)
-    spec *= np.fft.fft(kernel[::-1], n=p)
-    return np.fft.ifft(spec, out=spec)[:, m_half:m_half + n].T
+    kernel_spec = np.fft.fft(kernel[::-1], n=p)
+    block = max(1, min(n_cols, _SPECTRUM_BLOCK // p))
+    spec = np.empty((block, p), dtype=np.complex128)
+    out = np.empty((n_cols, n), dtype=np.complex128)
+    for start in range(0, n_cols, block):
+        rows = spec[:min(block, n_cols - start)]
+        rows[:, :n] = values[:, start:start + block].T
+        rows[:, n:] = 0.0
+        np.fft.fft(rows, out=rows)
+        rows *= kernel_spec
+        np.fft.ifft(rows, out=rows)
+        out[start:start + block] = rows[:, m_half:m_half + n]
+    return out.T
 
 
 def _ramp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
@@ -230,26 +252,33 @@ def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
 
     Off-grid values come from linear interpolation of the column between a
     zero node at each end (grids._linear_index); h = fa_step may be any
-    value >= d_tau.
+    value >= d_tau.  Both sides are formed a block of tau rows at a time, in
+    four gathers of a sixteenth of _SPECTRUM_BLOCK entries (256 KiB) each,
+    small enough to stay in cache, and written into one output array.
     """
     if fa_step < sino.d_tau:
         raise ValueError(f"fa_step {fa_step} must be at least d_tau {sino.d_tau}")
     n, v = sino.n_tau, sino.values
     shift = fa_step / sino.d_tau
-    sides = []
-    for step in (shift, -shift):   # every column read at t + h, then at t - h
+    taps = []   # (rows read, weights): g(t + h) is taps 0 + 1, g(t - h) is taps 2 + 3
+    for step in (shift, -shift):
         # padded node i0 is v[i0 - 1] and i0 + 1 is v[i0]; a pad node gets weight zero
         i0, frac = _linear_index(np.arange(n) + step, n)
-        side = v[np.maximum(i0 - 1, 0)]
-        side *= ((1.0 - frac) * (i0 > 0))[:, None]
-        upper = v[np.minimum(i0, n - 1)]
-        upper *= (frac * (i0 < n))[:, None]
-        side += upper
-        sides.append(side)
-    plus, minus = sides
-    plus -= minus
-    plus /= 2.0 * fa_step
-    return plus
+        taps += [(np.maximum(i0 - 1, 0), ((1.0 - frac) * (i0 > 0))[:, None]),
+                 (np.minimum(i0, n - 1), (frac * (i0 < n))[:, None])]
+    out = np.empty(v.shape, dtype=np.complex128)
+    rows = max(1, _SPECTRUM_BLOCK // (16 * v.shape[1]))
+    for t in range(0, n, rows):
+        block = slice(t, t + rows)
+        plus, upper, minus, lower = (v[i[block]] for i, _ in taps)
+        for side, (_, w) in zip((plus, upper, minus, lower), taps):
+            side *= w[block]
+        plus += upper
+        minus += lower
+        np.subtract(plus, minus, out=out[block])
+        del plus, upper, minus, lower   # freed before the next block's gathers
+    out /= 2.0 * fa_step
+    return out
 
 
 # --- symmetry folds and backprojection ---------------------------------------
@@ -318,6 +347,7 @@ def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.nda
         else:
             rows[:, 1:-1] = columns.T
         rows_seq.append(rows)
+        del columns   # free this array before columns_seq makes the next
     x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
     shape = (geometry.nx, geometry.ny)
     accs = [[np.zeros(shape, dtype=np.complex128) for _ in plan.views] for _ in rows_seq]
@@ -331,7 +361,9 @@ def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.nda
             outside = (f < 0.0) | (f > n - 1)
             i0, w = _linear_index(f, n)
             i1 = i0 + 1
-            w0 = 1.0 - w
+            # complex weights, cast once per field rather than once per column and array
+            w0 = (1.0 - w).astype(np.complex128)
+            w = w.astype(np.complex128)
         q = plan.view[k]
         for frames, rows in zip(accs, rows_seq):
             row = rows[k]
@@ -356,14 +388,20 @@ def _flag_meta(out_of_range: np.ndarray) -> dict:
     return {"coverage_flags": flags, "coverage_flag_count": int(flags.shape[0])}
 
 
+# the filters' fresh outputs are scaled in place, with no second (n_tau, n_phi) array
 def _fs_columns(sino: Sinogram, params: RegParams) -> np.ndarray:
     if params.backend is Backend.RAMP_FILTER:
-        return np.pi * ramp_filtered(sino)
-    return -finite_part_filtered(sino)
+        out = ramp_filtered(sino)
+        out *= np.pi
+        return out
+    out = finite_part_filtered(sino)
+    return np.negative(out, out=out)
 
 
 def _fa_columns(sino: Sinogram, params: RegParams) -> np.ndarray:
-    return -1j * np.pi * tau_derivative(sino, params.fa_step)
+    out = tau_derivative(sino, params.fa_step)
+    out *= -1j * np.pi
+    return out
 
 
 # each term's filter, and its parity under tau -> -tau: the ramp and finite-part

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,22 @@ class TestRoundtrip:
             ur.write_container(path, obj)
             back = ur.read_container(path)
             assert back == obj, f"roundtrip failed for {type(obj).__name__}"
+
+    def test_reading_copies_the_payload_once(self, tmp_path, rng):
+        # the file's bytes and the grid's frozen values: 2.06 payloads measured (numpy 2.4),
+        # bound about 10% above; the sliced and then cast copies made it 3
+        values = rng.normal(size=(1000, 100)) + 1j * rng.normal(size=(1000, 100))
+        sino = ur.Sinogram(-5.0, 0.01, 1000, ur.AngularRange.full(100), values)
+        path = tmp_path / "sino.urdn"
+        ur.write_container(path, sino)
+        tracemalloc.start()
+        try:
+            back = ur.read_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == sino
+        assert peak <= 2.25 * values.nbytes
 
     def test_payload_layout_radial_fastest(self, tmp_path):
         # the first index (tau or x) must vary fastest in the byte stream

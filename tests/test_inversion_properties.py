@@ -7,6 +7,7 @@ is the same, so the results must agree bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import uradon as ur
@@ -112,6 +113,21 @@ def test_arrays_backprojected_together_equal_each_alone(inputs):
 @given(st.integers(1, 70), st.integers(0, 80), st.integers(1, 9), st.integers(0, 2**32 - 1))
 def test_correlation_matches_the_column_major_fft(n, m_half, n_cols, seed):
     rng = np.random.default_rng(seed)
+    values = complex_normal(rng, (n, n_cols))
+    kernel = complex_normal(rng, 2 * m_half + 1)
+    got = inv._correlate_columns(values, kernel)
+    assert got.shape == (n, n_cols)
+    assert np.array_equal(got, column_major_correlation(values, kernel))
+
+
+@pytest.mark.parametrize("block_cols", [1, 2, 3])
+@pytest.mark.parametrize("n, m_half, n_cols", [(37, 36, 7), (50, 12, 11), (9, 70, 5)])
+def test_blocked_correlation_matches_the_column_major_fft(monkeypatch, block_cols, n, m_half,
+                                                          n_cols):
+    # a block budget of block_cols spectra; n_cols is no multiple of it, so the last block is short
+    p = 1 << (n + m_half - 1).bit_length()
+    monkeypatch.setattr(inv, "_SPECTRUM_BLOCK", block_cols * p)
+    rng = np.random.default_rng(n * n_cols + block_cols)
     values = complex_normal(rng, (n, n_cols))
     kernel = complex_normal(rng, 2 * m_half + 1)
     got = inv._correlate_columns(values, kernel)
