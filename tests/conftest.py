@@ -5,10 +5,22 @@ never touch the library's transform code, so every [analytic vs numeric]
 assertion is a genuine cross-check.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import uradon as ur
+
+
+def traced_peak(call):
+    """(call(), the peak bytes it allocated while it ran, as tracemalloc saw them)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def rel_l2(a, b):

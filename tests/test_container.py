@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import uradon as ur
 from uradon.cli import main
+from conftest import traced_peak
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
@@ -82,12 +82,7 @@ class TestRoundtrip:
         sino = ur.Sinogram(-5.0, 0.01, 1000, ur.AngularRange.full(100), values)
         path = tmp_path / "sino.urdn"
         ur.write_container(path, sino)
-        tracemalloc.start()
-        try:
-            back = ur.read_container(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        back, peak = traced_peak(lambda: ur.read_container(path))
         assert back == sino
         assert peak <= 2.25 * values.nbytes
 

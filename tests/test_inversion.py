@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ import uradon as ur
 import uradon.inversion as inv
 from uradon.forward import direction
 from uradon.grids import _linear_index
-from conftest import analytic_sinogram, rel_l2
+from conftest import analytic_sinogram, rel_l2, traced_peak
 
 SQRT_2PI = 2.5066282746310002
 
@@ -566,15 +564,10 @@ def test_working_set_stays_within_a_multiple_of_the_payload(rng, path):
     values = rng.normal(size=(401, 360)) + 1j * rng.normal(size=(401, 360))
     sino = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, ur.AngularRange.full(360), values)
     if path == "epsilon_lambda":
-        run = lambda: ur.epsilon_lambda_reconstruct(sino, geom)
+        _, peak = traced_peak(lambda: ur.epsilon_lambda_reconstruct(sino, geom))
     else:
-        run = lambda: ur.invert_universal(sino, geom, ur.RegParams.defaults(tg.d_tau, path))
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        params = ur.RegParams.defaults(tg.d_tau, path)
+        _, peak = traced_peak(lambda: ur.invert_universal(sino, geom, params))
     assert peak <= WORKING_SET_BOUNDS[path] * sino.values.nbytes
 
 

@@ -124,7 +124,7 @@ def test_correlation_matches_the_column_major_fft(n, m_half, n_cols, seed):
 @pytest.mark.parametrize("n, m_half, n_cols", [(37, 36, 7), (50, 12, 11), (9, 70, 5)])
 def test_blocked_correlation_matches_the_column_major_fft(monkeypatch, block_cols, n, m_half,
                                                           n_cols):
-    # a block budget of block_cols spectra; n_cols is no multiple of it, so the last block is short
+    # a budget of block_cols spectra; n_cols is no multiple of 2 or 3, so those end in a short block
     p = 1 << (n + m_half - 1).bit_length()
     monkeypatch.setattr(inv, "_SPECTRUM_BLOCK", block_cols * p)
     rng = np.random.default_rng(n * n_cols + block_cols)
