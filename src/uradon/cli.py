@@ -3,7 +3,7 @@
 Subcommands wire the library into reproducible experiments: containers in,
 containers plus CSV metrics out, one manifest (flags, version, output
 checksums) per run.  Exit codes: 0 success, 1 failed check, 2 bad
-arguments, 3 file or format errors.
+arguments, 3 file or format errors (malformed, unreadable or unwritable).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import hashlib
 import json
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .holonomy import (Probe, check_holonomy, classify_defect_scene,
 from .hybrid import dual_k_grid, hybrid_forward, hybrid_radon, make_slices, reconstruct_volume
 from .inversion import (Backend, RegParams, epsilon_lambda_reconstruct, invert_universal,
                         l2_norm, reconstruction_metrics)
-from .phantoms import SceneFormatError, load_scene, rasterize
+from .phantoms import (CompositeScene, SceneFormatError, SeparableScene3D, load_scene,
+                       rasterize)
 from .slice_theorem import fst_check, fst_passed
 
 EXIT_OK = 0
@@ -40,22 +42,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_pair(text: str, name: str) -> tuple[float, float]:
+def _fields(text: str, name: str, *types) -> tuple:
+    """Split 'a:b' (or 'a:b:n') into one value per type in ``types``."""
     parts = text.split(":")
-    if len(parts) != 2:
-        raise CliError(f"--{name} expects a:b, got '{text}'", EXIT_BAD_ARGS)
+    if len(parts) != len(types):
+        form = ":".join("abn"[:len(types)])
+        raise CliError(f"--{name} expects {form}, got '{text}'", EXIT_BAD_ARGS)
     try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise CliError(f"--{name}: {exc}", EXIT_BAD_ARGS) from exc
-
-
-def _parse_window(text: str, name: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CliError(f"--{name} expects a:b:n, got '{text}'", EXIT_BAD_ARGS)
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        return tuple(kind(part) for kind, part in zip(types, parts))
     except ValueError as exc:
         raise CliError(f"--{name}: {exc}", EXIT_BAD_ARGS) from exc
 
@@ -63,17 +57,24 @@ def _parse_window(text: str, name: str) -> tuple[float, float, int]:
 def _load_scene(path):
     try:
         return load_scene(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"scene file not found: {path}", EXIT_FORMAT) from exc
     except SceneFormatError as exc:
         raise CliError(f"bad scene file {path}: {exc}", EXIT_FORMAT) from exc
+
+
+def _scene3d(args) -> tuple[SeparableScene3D, list[float]]:
+    """The scene file as a 3D scene (unit x3 profile if it has none), and --x3's positions."""
+    scene, profile3d = _load_scene(args.scene)
+    if args.x3 is None:
+        raise CliError("--slices requires --x3 start:step", EXIT_BAD_ARGS)
+    start, step = _fields(args.x3, "x3", float, float)
+    if profile3d is None:
+        profile3d = SeparableScene3D(scene)
+    return profile3d, [start + step * n for n in range(args.slices)]
 
 
 def _read(path, expected_type):
     try:
         obj = read_container(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"file not found: {path}", EXIT_FORMAT) from exc
     except ContainerError as exc:
         raise CliError(f"bad container {path}: {exc}", EXIT_FORMAT) from exc
     if not isinstance(obj, expected_type):
@@ -88,25 +89,28 @@ def _geometry(args) -> GridGeometry:
     return GridGeometry.centered(args.nx, ny, args.extent, extent_y)
 
 
-def _write_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+def _emit(base: str, argv: list[str], outputs: dict) -> None:
+    """Write each output, a grid container or a list of CSV rows, in order.
 
-
-def _write_manifest(base: str, argv: list[str], outputs: list[str]) -> str:
+    Then hash them in the same order into ``base + ".manifest.json"`` (flags,
+    version, sha256 per output).  Hashing after all writes keeps the order of
+    allocations that peak-RSS measurements were taken with; order alone has
+    moved them by megabytes.
+    """
+    for path, obj in outputs.items():
+        if isinstance(obj, list):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(",".join(map(str, row)) + "\n" for row in obj)
+        else:  # the module global, which perfbench/tracing.py patches
+            write_container(path, obj)
     checksums = {}
-    for out in outputs:
-        digest = hashlib.sha256()
-        with open(out, "rb") as fh:
-            digest.update(fh.read())
-        checksums[out] = digest.hexdigest()
+    for path in outputs:
+        with open(path, "rb") as fh:
+            checksums[path] = hashlib.sha256(fh.read()).hexdigest()
     manifest = {"command": argv, "version": __version__, "outputs": checksums}
-    path = f"{base}.manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(f"{base}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _restrict_angles(sino: Sinogram, window: tuple[float, float]) -> Sinogram:
@@ -125,21 +129,13 @@ def _restrict_angles(sino: Sinogram, window: tuple[float, float]) -> Sinogram:
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_phantom(args, argv) -> int:
-    scene, profile3d = _load_scene(args.scene)
-    geometry = _geometry(args)
-    if args.slices is not None:
-        if args.x3 is None:
-            raise CliError("--slices requires --x3 start:step", EXIT_BAD_ARGS)
-        start, step = _parse_pair(args.x3, "x3")
-        positions = [start + step * n for n in range(args.slices)]
-        if profile3d is None:
-            from .phantoms import SeparableScene3D
-            profile3d = SeparableScene3D(scene)
-        stack = make_slices(profile3d, positions, geometry)
-        write_container(args.out, stack)
+    if args.slices is None:
+        scene, _ = _load_scene(args.scene)
+        grid = rasterize(scene, _geometry(args))
     else:
-        write_container(args.out, rasterize(scene, geometry))
-    _write_manifest(args.out, argv, [args.out])
+        profile3d, positions = _scene3d(args)
+        grid = make_slices(profile3d, positions, _geometry(args))
+    _emit(args.out, argv, {args.out: grid})
     return EXIT_OK
 
 
@@ -150,11 +146,9 @@ def _cmd_radon(args, argv) -> int:
         tau_grid = TauGrid.symmetric(d_tau, args.n_tau)
     else:
         tau_grid = TauGrid.covering(img.geometry, d_tau)
-    lo, hi = _parse_pair(args.range, "range")
-    angles = AngularRange(lo, hi, args.n_phi)
+    angles = AngularRange(*_fields(args.range, "range", float, float), args.n_phi)
     sino = radon_transform(img, tau_grid, angles, args.ray_step)
-    write_container(args.out, sino)
-    _write_manifest(args.out, argv, [args.out])
+    _emit(args.out, argv, {args.out: sino})
     return EXIT_OK
 
 
@@ -163,10 +157,9 @@ def _cmd_fst_check(args, argv) -> int:
     sino = _read(args.sinogram, Sinogram)
     lambdas = None
     if args.lambdas is not None:
-        lo, hi, n = _parse_window(args.lambdas, "lambdas")
-        lambdas = np.linspace(lo, hi, n)
+        lambdas = np.linspace(*_fields(args.lambdas, "lambdas", float, float, int))
     try:
-        reports = fst_check(img, sino, lambdas=lambdas, tolerance=args.tolerance)
+        reports = fst_check(img, sino, lambdas=lambdas)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_ARGS) from exc
     passed = fst_passed(reports, args.tolerance)
@@ -175,11 +168,8 @@ def _cmd_fst_check(args, argv) -> int:
         scale = max(float(rep.lhs_abs.max()), 1e-300)
         for lam, la, ra, res in zip(rep.lambda_values, rep.lhs_abs, rep.rhs_abs, rep.residuals):
             rows.append((rep.phi, lam, la, ra, res / scale))
-    outputs = []
     if args.out:
-        _write_csv(args.out, rows)
-        outputs.append(args.out)
-        _write_manifest(args.out, argv, outputs)
+        _emit(args.out, argv, {args.out: rows})
     worst = max(rep.max_rel_residual for rep in reports)
     print(f"fst-check: angles={len(reports)} max_rel_residual={worst:.3e} "
           f"tolerance={args.tolerance:.1e} -> {'pass' if passed else 'FAIL'}")
@@ -192,12 +182,11 @@ def _cmd_fst_check(args, argv) -> int:
 def _cmd_invert(args, argv) -> int:
     sino = _read(args.sinogram, Sinogram)
     if args.range is not None:
-        sino = _restrict_angles(sino, _parse_pair(args.range, "range"))
+        sino = _restrict_angles(sino, _fields(args.range, "range", float, float))
     geometry = _geometry(args)
-    params = RegParams(
-        epsilon=args.epsilon if args.epsilon is not None else 2.0 * sino.d_tau,
-        fa_step=args.fa_step if args.fa_step is not None else sino.d_tau,
-        backend=Backend(args.backend))
+    given = {name: getattr(args, name) for name in ("epsilon", "fa_step")
+             if getattr(args, name) is not None}
+    params = replace(RegParams.defaults(sino.d_tau, Backend(args.backend)), **given)
     recon = invert_universal(sino, geometry, params)
     reference = _read(args.reference, ImageGrid2D) if args.reference else None
     metrics = reconstruction_metrics(recon, reference)
@@ -207,15 +196,9 @@ def _cmd_invert(args, argv) -> int:
         metrics["epsilon_lambda_rel_diff"] = (
             l2_norm(alt.values - recon.f_total.values) / denom if denom > 0 else 0.0)
     prefix = args.out_prefix
-    outputs = []
-    for tag, grid in (("fs", recon.f_s), ("fa", recon.f_a), ("total", recon.f_total)):
-        path = f"{prefix}_{tag}.urdn"
-        write_container(path, grid)
-        outputs.append(path)
-    metrics_path = f"{prefix}_metrics.csv"
-    _write_csv(metrics_path, [("metric", "value")] + sorted(metrics.items()))
-    outputs.append(metrics_path)
-    _write_manifest(prefix, argv, outputs)
+    _emit(prefix, argv, {f"{prefix}_fs.urdn": recon.f_s, f"{prefix}_fa.urdn": recon.f_a,
+                         f"{prefix}_total.urdn": recon.f_total,
+                         f"{prefix}_metrics.csv": [("metric", "value")] + sorted(metrics.items())})
     print(f"invert: backend={params.backend.value} angles={sino.angles.n_phi} "
           f"fa_fs_ratio={metrics['fa_fs_ratio']:.3e} flagged={metrics['flagged_pixels']}")
     if "rmse_over_peak" in metrics:
@@ -223,80 +206,60 @@ def _cmd_invert(args, argv) -> int:
     return EXIT_OK
 
 
-def _probe_from_args(args) -> Probe:
-    t_lo, t_hi, t_n = _parse_window(args.tau, "tau")
-    p_lo, p_hi, p_n = _parse_window(args.phi_window, "phi-window")
+def _probe_inputs(args) -> tuple[CompositeScene, Probe, GridGeometry]:
+    """The scene, the probe and the output geometry of the flags _add_probe_flags adds."""
+    scene, _ = _load_scene(args.scene)
+    geometry = _geometry(args)
+    t_lo, t_hi, t_n = _fields(args.tau, "tau", float, float, int)
+    p_lo, p_hi, p_n = _fields(args.phi_window, "phi-window", float, float, int)
     if t_n < 1 or p_n < 1:
         raise CliError("probe needs at least one tau and one phi sample", EXIT_BAD_ARGS)
     d_tau = (t_hi - t_lo) / t_n
     taus = TauGrid(t_lo + d_tau / 2.0, d_tau, t_n)  # cell-centered inside (lo, hi]
-    return Probe(taus, AngularRange(p_lo, p_hi, p_n))
+    return scene, Probe(taus, AngularRange(p_lo, p_hi, p_n)), geometry
 
 
 def _cmd_holonomy(args, argv) -> int:
-    scene, _ = _load_scene(args.scene)
-    geometry = _geometry(args)
-    probe = _probe_from_args(args)
-    report = check_holonomy(scene, probe, geometry)
+    report = check_holonomy(*_probe_inputs(args))
     rows = [("metric", "value"),
             ("discrepancy_norm", report.discrepancy_norm),
             ("threshold", report.threshold),
             ("detected", int(report.detected)),
             ("full_turn_survivors", " ".join(map(str, report.full_turn.surviving_terms))),
             ("stepwise_survivors", " ".join(map(str, report.two_half_turns.surviving_terms)))]
-    outputs = []
     if args.out:
-        _write_csv(args.out, rows)
-        outputs.append(args.out)
-        _write_manifest(args.out, argv, outputs)
+        _emit(args.out, argv, {args.out: rows})
     print(f"holonomy: discrepancy={report.discrepancy_norm:.6e} "
           f"threshold={report.threshold:.3e} detected={report.detected}")
     return EXIT_OK
 
 
 def _cmd_defect(args, argv) -> int:
-    scene, _ = _load_scene(args.scene)
-    geometry = _geometry(args)
-    probe = _probe_from_args(args)
+    scene, probe, geometry = _probe_inputs(args)
     try:
         defect_terms, _ = classify_defect_scene(scene)
         extracted = extract_defect(scene, probe, geometry)
     except UnsupportedSceneError as exc:
         raise CliError(f"unsupported defect scene: {exc}", EXIT_BAD_ARGS) from exc
-    prefix = args.out_prefix
-    outputs = []
-    sino_path = f"{prefix}_defect.urdn"
-    write_container(sino_path, extracted)
-    outputs.append(sino_path)
-    params = RegParams.defaults(extracted.d_tau)
-    recon = invert_universal(extracted, geometry, params)
-    recon_path = f"{prefix}_defect_recon.urdn"
-    write_container(recon_path, recon.f_total)
-    outputs.append(recon_path)
+    recon = invert_universal(extracted, geometry, RegParams.defaults(extracted.d_tau))
     metrics = [("metric", "value"), ("defect_norm", l2_norm(extracted.values))]
     if defect_terms:
-        from .phantoms import CompositeScene
         direct_img = rasterize(CompositeScene(defect_terms), geometry)
         direct = radon_transform(direct_img, extracted.tau_grid, extracted.angles)
         denom = l2_norm(direct.values)
         rel = l2_norm(extracted.values - direct.values) / denom if denom > 0 else 0.0
         metrics.append(("direct_rel_diff", rel))
-    metrics_path = f"{prefix}_metrics.csv"
-    _write_csv(metrics_path, metrics)
-    outputs.append(metrics_path)
-    _write_manifest(prefix, argv, outputs)
+    prefix = args.out_prefix
+    outputs = {f"{prefix}_defect.urdn": extracted, f"{prefix}_defect_recon.urdn": recon.f_total,
+               f"{prefix}_metrics.csv": metrics}
+    _emit(prefix, argv, outputs)
     print(f"defect: norm={l2_norm(extracted.values):.6e} outputs={len(outputs)}")
     return EXIT_OK
 
 
 def _cmd_hybrid(args, argv) -> int:
-    scene, profile3d = _load_scene(args.scene)
-    if profile3d is None:
-        from .phantoms import SeparableScene3D
-        profile3d = SeparableScene3D(scene)
+    profile3d, positions = _scene3d(args)
     geometry = _geometry(args)
-    start, step = _parse_pair(args.x3, "x3")
-    positions = [start + step * n for n in range(args.slices)]
     stack = make_slices(profile3d, positions, geometry)
     ks, _ = dual_k_grid(positions)
     field = hybrid_forward(stack, ks)
@@ -318,14 +281,7 @@ def _cmd_hybrid(args, argv) -> int:
                      rmse / peak if peak > 0 else rmse))
         print(f"  {k:9.4f}  {ratio:10.3e}  {rmse / peak if peak > 0 else rmse:10.3e}")
     prefix = args.out_prefix
-    outputs = []
-    stack_path = f"{prefix}_volume.urdn"
-    write_container(stack_path, result.stack)
-    outputs.append(stack_path)
-    metrics_path = f"{prefix}_metrics.csv"
-    _write_csv(metrics_path, rows)
-    outputs.append(metrics_path)
-    _write_manifest(prefix, argv, outputs)
+    _emit(prefix, argv, {f"{prefix}_volume.urdn": result.stack, f"{prefix}_metrics.csv": rows})
     return EXIT_OK
 
 
@@ -344,6 +300,13 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ny", type=int, default=None, help="samples in y (default: nx)")
     p.add_argument("--extent", type=float, required=True, help="physical width in x")
     p.add_argument("--extent-y", type=float, default=None, help="height (default: extent)")
+
+
+def _add_probe_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scene", required=True)
+    _add_geometry_flags(p)
+    p.add_argument("--tau", default="0.2:3.0:16", help="probe radial window a:b:n")
+    p.add_argument("--phi-window", default=f"0:{np.pi/2}:6", help="probe angles a:b:n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,18 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("holonomy", help="compare full-turn vs two-half-turn protocols")
-    p.add_argument("--scene", required=True)
-    _add_geometry_flags(p)
-    p.add_argument("--tau", default="0.2:3.0:16", help="probe radial window a:b:n")
-    p.add_argument("--phi-window", default=f"0:{np.pi/2}:6", help="probe angles a:b:n")
+    _add_probe_flags(p)
     p.add_argument("--out", default=None, help="CSV report path")
     p.set_defaults(func=_cmd_holonomy)
 
     p = sub.add_parser("defect", help="extract a hidden defect's projection")
-    p.add_argument("--scene", required=True)
-    _add_geometry_flags(p)
-    p.add_argument("--tau", default="0.2:3.0:16")
-    p.add_argument("--phi-window", default=f"0:{np.pi/2}:6")
+    _add_probe_flags(p)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_defect)
 
@@ -437,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ContainerError, SceneFormatError) as exc:
+    except (ContainerError, SceneFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ValueError as exc:

@@ -352,10 +352,9 @@ class TauGrid:
         return cls(-(n_tau - 1) * d_tau / 2.0, d_tau, n_tau)
 
     @classmethod
-    def covering(cls, geometry: GridGeometry, d_tau: float, pad: float = 0.0) -> "TauGrid":
-        """Symmetric grid covering the geometry's bounding circle (+pad)."""
-        radius = geometry.bounding_radius + pad
-        half = int(np.ceil(radius / d_tau))
+    def covering(cls, geometry: GridGeometry, d_tau: float) -> "TauGrid":
+        """Symmetric grid covering the geometry's bounding circle."""
+        half = int(np.ceil(geometry.bounding_radius / d_tau))
         return cls.symmetric(d_tau, 2 * half + 1)
 
     @property

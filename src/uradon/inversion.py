@@ -483,11 +483,12 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
                                lambda_max: float | None = None) -> ImageGrid2D:
     """Independent reconstruction through the closed-form regularized kernel.
 
-    Defaults: epsilon = 2*d_tau, lambda_max = pi/d_tau (radial Nyquist of
-    the tau grid).  Serves as a third oracle for invert_universal.
+    Defaults: epsilon from ``RegParams.defaults``, lambda_max = pi/d_tau
+    (radial Nyquist of the tau grid).  Serves as a third oracle for
+    invert_universal.
     """
     if epsilon is None:
-        epsilon = 2.0 * sino.d_tau
+        epsilon = RegParams.defaults(sino.d_tau).epsilon
     if lambda_max is None:
         lambda_max = np.pi / sino.d_tau
     (values,), oob = _backproject([lambda_kernel_filtered(sino, epsilon, lambda_max)], sino,

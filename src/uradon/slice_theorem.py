@@ -88,12 +88,12 @@ def fst_rhs(sino: Sinogram, phi: float, lambdas) -> SpectralSlice:
 
 
 def fst_check(img: ImageGrid2D, sino: Sinogram, angles: AngularRange | None = None,
-              lambdas=None, tolerance: float = 1e-3) -> list[FstReport]:
+              lambdas=None) -> list[FstReport]:
     """Evaluate both sides at every requested angle and report residuals.
 
     ``angles`` defaults to the sinogram's own grid; ``lambdas`` defaults to
-    33 samples from 0 to the radial Nyquist pi / d_tau.  Overall pass iff
-    every report's max_rel_residual is <= tolerance (see ``fst_passed``).
+    33 samples from 0 to the radial Nyquist pi / d_tau.  ``fst_passed``
+    judges the reports against a tolerance.
     """
     if angles is None:
         angles = sino.angles

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -79,12 +80,86 @@ class TestPhantom:
         assert isinstance(stack, ur.VolumeStack)
         assert stack.x3_positions == (-1.5, -0.5, 0.5, 1.5)
 
-    def test_determinism_bit_identical(self, tmp_path, scene_file):
-        a, b = tmp_path / "a.urdn", tmp_path / "b.urdn"
-        args = ["phantom", "--scene", scene_file, "--nx", "24", "--extent", "6"]
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+
+MASKED_SCENE = ("cx=1.5 cy=1.5 sigma=0.5 amp_re=1.0 amp_im=0.0 mask=quadrant1\n"
+                "cx=-1.5 cy=-1.5 sigma=0.5 amp_re=1.0 amp_im=0.0 mask=quadrant3\n")
+PROBE = ["--tau", "0.2:3.0:8", "--phi-window", f"0:{np.pi/2}:4"]
+
+# (argv with {scene}/{image}/{sino}/{masked}/{defect} inputs, files written, manifest)
+RUNS = {
+    "phantom": (["phantom", "--scene", "{scene}", "--nx", "24", "--extent", "6", "--out", "i.urdn"],
+                ["i.urdn"], "i.urdn.manifest.json"),
+    "phantom-volume": (["phantom", "--scene", "{scene}", "--nx", "16", "--extent", "6",
+                        "--slices", "3", "--x3", "-1:1", "--out", "v.urdn"],
+                       ["v.urdn"], "v.urdn.manifest.json"),
+    "radon": (["radon", "--image", "{image}", "--n-phi", "12", "--out", "s.urdn"],
+              ["s.urdn"], "s.urdn.manifest.json"),
+    "fst-check": (["fst-check", "--image", "{image}", "--sinogram", "{sino}",
+                   "--lambdas", "0:6:13", "--out", "f.csv"], ["f.csv"], "f.csv.manifest.json"),
+    "invert": (["invert", "--sinogram", "{sino}", "--nx", "96", "--extent", "8",
+                "--reference", "{image}", "--out-prefix", "r"],
+               ["r_fs.urdn", "r_fa.urdn", "r_total.urdn", "r_metrics.csv"], "r.manifest.json"),
+    "holonomy": (["holonomy", "--scene", "{masked}", "--nx", "48", "--extent", "8", *PROBE,
+                  "--out", "h.csv"], ["h.csv"], "h.csv.manifest.json"),
+    "defect": (["defect", "--scene", "{defect}", "--nx", "48", "--extent", "8", *PROBE,
+                "--out-prefix", "d"],
+               ["d_defect.urdn", "d_defect_recon.urdn", "d_metrics.csv"], "d.manifest.json"),
+    "hybrid": (["hybrid", "--scene", "{scene}", "--nx", "16", "--extent", "8", "--slices", "2",
+                "--x3", "-0.5:1.0", "--n-phi", "8", "--out-prefix", "y"],
+               ["y_volume.urdn", "y_metrics.csv"], "y.manifest.json"),
+}
+
+
+@pytest.fixture
+def run_inputs(tmp_path, scene_file, image_file, sino_file):
+    (tmp_path / "m.scene").write_text(MASKED_SCENE)
+    (tmp_path / "d.scene").write_text(DEFECT_SCENE)
+    return dict(scene=scene_file, image=image_file, sino=sino_file,
+                masked=str(tmp_path / "m.scene"), defect=str(tmp_path / "d.scene"))
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_manifest_lists_every_output_and_reruns_bit_identical(
+            self, tmp_path, monkeypatch, run_inputs, command):
+        template, written, manifest_name = RUNS[command]
+        argv = [arg.format(**run_inputs) for arg in template]
+        runs = []
+        for run in ("first", "second"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert main(argv) == 0
+            files = {p.name: p.read_bytes() for p in Path().iterdir()}
+            assert sorted(files) == sorted(written + [manifest_name])
+            manifest = json.loads(files[manifest_name])
+            assert manifest["command"] == argv and manifest["version"] == ur.__version__
+            assert manifest["outputs"] == {name: hashlib.sha256(files[name]).hexdigest()
+                                           for name in written}
+            runs.append(files)
+        assert runs[0] == runs[1]
+
+    def test_unwritable_output_is_file_error(self, tmp_path, scene_file, capsys):
+        out = tmp_path / "missing" / "x.urdn"
+        assert main(["phantom", "--scene", scene_file, "--nx", "16", "--extent", "4",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err and len(err.splitlines()) == 1
+
+    def test_directory_as_input_is_file_error(self, tmp_path, capsys):
+        assert main(["radon", "--image", str(tmp_path), "--n-phi", "8",
+                     "--out", str(tmp_path / "s.urdn")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, flag, value",
+                             [("radon", "--range", "1"), ("holonomy", "--tau", "0.2:3.0")])
+    def test_wrong_field_count_is_bad_argument(self, tmp_path, monkeypatch, run_inputs, capsys,
+                                               command, flag, value):
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.format(**run_inputs) for arg in RUNS[command][0]]
+        assert main(argv + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "expects" in err and flag in err
 
 
 class TestFstCheck:
