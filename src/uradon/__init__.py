@@ -13,8 +13,8 @@ from .forward import default_ray_step, direction, radon_point, radon_transform
 from .slice_theorem import FstReport, SpectralSlice, fst_check, fst_lhs, fst_passed, fst_rhs
 from .inversion import (Backend, Reconstruction, RegParams, delta_plus,
                         epsilon_lambda_reconstruct, finite_part_filtered,
-                        invert_fa, invert_fs, invert_universal, l2_norm,
-                        lambda_kernel, lambda_kernel_filtered, ramp_filtered,
+                        invert_universal, l2_norm, lambda_kernel,
+                        lambda_kernel_filtered, ramp_filtered,
                         reconstruction_metrics, tau_derivative)
 from .holonomy import (HolonomyReport, PathEvaluation, Probe, ShiftPath, StepRecord,
                        UnsupportedSceneError, boundary_jump, check_holonomy,
@@ -39,7 +39,7 @@ __all__ = [
     "delta_plus", "direction", "dual_k_grid", "epsilon_lambda_reconstruct",
     "evaluate_path", "extract_defect", "finite_part_filtered", "fst_check",
     "fst_lhs", "fst_passed", "fst_rhs", "hybrid_forward", "hybrid_from_scene", "hybrid_inverse_series",
-    "hybrid_radon", "invert_fa", "invert_fs", "invert_universal", "l2_norm",
+    "hybrid_radon", "invert_universal", "l2_norm",
     "lambda_kernel", "lambda_kernel_filtered", "leak_tolerance", "load_scene",
     "make_slices", "radon_point", "radon_transform",
     "ramp_filtered", "rasterize", "read_container", "reconstruct_volume",

@@ -165,9 +165,9 @@ def _cmd_fst_check(args, argv) -> int:
     passed = fst_passed(reports, args.tolerance)
     rows = [("phi", "lambda", "abs_lhs", "abs_rhs", "rel_residual")]
     for rep in reports:
-        scale = max(float(rep.lhs_abs.max()), 1e-300)
-        for lam, la, ra, res in zip(rep.lambda_values, rep.lhs_abs, rep.rhs_abs, rep.residuals):
-            rows.append((rep.phi, lam, la, ra, res / scale))
+        for lam, la, ra, rel in zip(rep.lambda_values, rep.lhs_abs, rep.rhs_abs,
+                                    rep.rel_residuals):
+            rows.append((rep.phi, lam, la, ra, rel))
     if args.out:
         _emit(args.out, argv, {args.out: rows})
     worst = max(rep.max_rel_residual for rep in reports)
@@ -271,12 +271,11 @@ def _cmd_hybrid(args, argv) -> int:
     result = reconstruct_volume(sinos, geometry, params, positions, ks)
     rows = [("k", "fa_norm", "fs_norm", "fa_ratio", "slice_rmse_over_peak")]
     print("hybrid: k, fa_norm/fs_norm, slice rmse/peak")
-    for m, k in enumerate(ks):
+    for m, (k, ratio) in enumerate(zip(ks, result.fa_ratios().tolist())):
         ref = stack.slices[m].values
         rec = result.stack.slices[m].values
         peak = float(np.max(np.abs(ref)))
         rmse = float(np.sqrt(np.mean(np.abs(rec - ref) ** 2)))
-        ratio = result.fa_norms[m] / result.fs_norms[m] if result.fs_norms[m] > 0 else 0.0
         rows.append((k, result.fa_norms[m], result.fs_norms[m], ratio,
                      rmse / peak if peak > 0 else rmse))
         print(f"  {k:9.4f}  {ratio:10.3e}  {rmse / peak if peak > 0 else rmse:10.3e}")

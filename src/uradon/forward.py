@@ -155,8 +155,7 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     """
     if ray_step is None:
         ray_step = default_ray_step(geometry)
-    if not (np.isfinite(ray_step) and ray_step > 0):
-        raise ValueError(f"ray_step must be positive and finite, got {ray_step}")
+    _finite("ray_step", ray_step, positive=True)
     offsets, h = _ray_offsets(geometry, ray_step)
     nx, ny = geometry.nx, geometry.ny
     # plane 2k is the real part of array k, plane 2k + 1 its imaginary part, each

@@ -17,7 +17,7 @@ import numpy as np
 from .grids import (AngularRange, GridGeometry, HybridField, ImageGrid2D, Provenance,
                     Sinogram, TauGrid, VolumeStack)
 from .forward import _radon_values
-from .inversion import RegParams, _invert_all, l2_norm
+from .inversion import RegParams, _fa_fs_ratio, _invert_all, l2_norm
 from .phantoms import SeparableScene3D, rasterize
 
 
@@ -149,7 +149,8 @@ class VolumeReconstruction:
     fs_norms: tuple
 
     def fa_ratios(self) -> np.ndarray:
-        return np.asarray(self.fa_norms) / np.asarray(self.fs_norms)
+        """Per-k fa_norm / fs_norm, by the rule of reconstruction_metrics' fa_fs_ratio."""
+        return np.array([_fa_fs_ratio(a, s) for a, s in zip(self.fa_norms, self.fs_norms)])
 
 
 def reconstruct_volume(sinos, geometry: GridGeometry, params: RegParams, x3_positions,

@@ -409,15 +409,31 @@ def _fa_columns(sino: Sinogram, params: RegParams) -> np.ndarray:
 _TERMS = ((_fs_columns, 1.0), (_fa_columns, -1.0))
 
 
-def _backproject_terms(sinos, geometry: GridGeometry, params: RegParams, terms=_TERMS):
-    """The given terms of every sinogram, filtered one at a time, backprojected in one pass.
+def invert_universal(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> Reconstruction:
+    """Both terms and their sum, backprojected together in one pass.
 
-    On a mirrored plan (grids._fold_plan), each sinogram is folded onto its
-    first half turn with the term's parity before it is filtered: a filter
-    of that parity commutes with tau reversal, so filtering the fold equals
-    folding the filtered columns, to rounding, at half the columns.
+    f_s is the principal-value term.  ramp_filter backend: band-limited ramp
+    kernel then backprojection, scaled by pi.  fp_quadrature backend: direct
+    finite-part quadrature kernel then backprojection, scaled by -1.  Both
+    realize -(1/4pi^2) * integral d_phi FP integral d_eta R(eta + <n_phi, x>) / eta^2.
+    f_a is the boundary term: -i pi times the backprojected radial derivative.
+    """
+    return _invert_all([sino], geometry, params)[0]
+
+
+def _invert_all(sinos, geometry: GridGeometry, params: RegParams) -> list[Reconstruction]:
+    """invert_universal of every sinogram, all terms backprojected in one pass.
+
+    The sinograms must share one tau grid and angular range; each result is
+    bit-identical to inverting its sinogram alone.  On a mirrored plan
+    (grids._fold_plan), each sinogram is folded onto its first half turn
+    with the term's parity before it is filtered: a filter of that parity
+    commutes with tau reversal, so filtering the fold equals folding the
+    filtered columns, to rounding, at half the columns.
     """
     first = sinos[0]
+    if any(s.tau_grid != first.tau_grid or s.angles != first.angles for s in sinos):
+        raise ValueError("sinograms inverted together must share one tau grid and angular range")
     half = _fold_plan(geometry, first.tau_grid, first.angles).mirrored
     grid = first
     if half:
@@ -427,48 +443,10 @@ def _backproject_terms(sinos, geometry: GridGeometry, params: RegParams, terms=_
 
     def filtered():   # one array alive at a time: _backproject copies each into rows
         for s in sinos:
-            for term, parity in terms:
+            for term, parity in _TERMS:
                 yield term(grid._replace(values=_fold(s.values, parity)) if half else s, params)
 
-    return _backproject(filtered(), grid, geometry)
-
-
-def invert_fs(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> ImageGrid2D:
-    """Principal-value term of the reconstruction.
-
-    ramp_filter backend: band-limited ramp kernel then backprojection,
-    scaled by pi.  fp_quadrature backend: direct finite-part quadrature
-    kernel then backprojection, scaled by -1.  Both realize
-    -(1/4pi^2) * integral d_phi FP integral d_eta R(eta + <n_phi, x>) / eta^2.
-    """
-    (values,), oob = _backproject_terms([sino], geometry, params, _TERMS[:1])
-    return ImageGrid2D(geometry, values, _flag_meta(oob))
-
-
-def invert_fa(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> ImageGrid2D:
-    """Boundary term: -i pi times the backprojected radial derivative."""
-    (values,), oob = _backproject_terms([sino], geometry, params, _TERMS[1:])
-    return ImageGrid2D(geometry, values, _flag_meta(oob))
-
-
-def invert_universal(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> Reconstruction:
-    """Both terms and their sum, backprojected together in one pass.
-
-    f_s and f_a are bit-identical to invert_fs and invert_fa.
-    """
-    return _invert_all([sino], geometry, params)[0]
-
-
-def _invert_all(sinos, geometry: GridGeometry, params: RegParams) -> list[Reconstruction]:
-    """invert_universal of every sinogram, all terms backprojected in one pass.
-
-    The sinograms must share one tau grid and angular range; each result is
-    bit-identical to inverting its sinogram alone.
-    """
-    first = sinos[0]
-    if any(s.tau_grid != first.tau_grid or s.angles != first.angles for s in sinos):
-        raise ValueError("sinograms inverted together must share one tau grid and angular range")
-    values, oob = _backproject_terms(sinos, geometry, params)
+    values, oob = _backproject(filtered(), grid, geometry)
     meta = _flag_meta(oob)
     recons = []
     for fs, fa in zip(values[::2], values[1::2]):
@@ -502,6 +480,11 @@ def l2_norm(values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(values) ** 2)))
 
 
+def _fa_fs_ratio(fa_norm: float, fs_norm: float) -> float:
+    """Boundary over principal norm: 0 when both are 0, inf when only fs_norm is."""
+    return fa_norm / fs_norm if fs_norm > 0 else float("inf") if fa_norm else 0.0
+
+
 def reconstruction_metrics(recon: Reconstruction,
                            reference: ImageGrid2D | None = None) -> dict:
     """Scalar quality metrics: boundary/principal ratio, coverage, optional RMSE."""
@@ -510,7 +493,7 @@ def reconstruction_metrics(recon: Reconstruction,
     out = {
         "fs_norm": fs_norm,
         "fa_norm": fa_norm,
-        "fa_fs_ratio": fa_norm / fs_norm if fs_norm > 0 else float("inf") if fa_norm else 0.0,
+        "fa_fs_ratio": _fa_fs_ratio(fa_norm, fs_norm),
         "flagged_pixels": recon.f_total.meta.get("coverage_flag_count", 0),
     }
     if reference is not None:

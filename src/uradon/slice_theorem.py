@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import AngularRange, ImageGrid2D, Sinogram, _trapezoid_weights
+from .grids import AngularRange, ImageGrid2D, Sinogram, _finite, _trapezoid_weights
 from .forward import direction
 
 
@@ -47,9 +47,18 @@ class FstReport:
     phi: float
     lambda_values: np.ndarray
     residuals: np.ndarray        # |lhs - rhs| per lambda
-    max_rel_residual: float      # normalized by max |lhs| over the lambda set
     lhs_abs: np.ndarray
     rhs_abs: np.ndarray
+
+    @property
+    def rel_residuals(self) -> np.ndarray:
+        """Residuals over max |lhs| on the lambda set; as they are if lhs is zero there."""
+        scale = float(self.lhs_abs.max())
+        return self.residuals / scale if scale > 0.0 else self.residuals
+
+    @property
+    def max_rel_residual(self) -> float:
+        return float(self.rel_residuals.max())
 
 
 def _check_lambdas(lambdas) -> np.ndarray:
@@ -104,13 +113,11 @@ def fst_check(img: ImageGrid2D, sino: Sinogram, angles: AngularRange | None = No
     for phi in angles.phis():
         lhs = fst_lhs(img, phi, lams).values
         rhs = fst_rhs(sino, phi, lams).values
-        residuals = np.abs(lhs - rhs)
-        scale = float(np.max(np.abs(lhs)))
-        max_rel = float(residuals.max() / scale) if scale > 0.0 else float(residuals.max())
-        reports.append(FstReport(float(phi), lams, residuals, max_rel,
-                                 np.abs(lhs), np.abs(rhs)))
+        reports.append(FstReport(float(phi), lams, np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs)))
     return reports
 
 
 def fst_passed(reports: list[FstReport], tolerance: float = 1e-3) -> bool:
+    """Whether every report's max_rel_residual is at most tolerance (finite, above zero)."""
+    _finite("tolerance", tolerance, positive=True)
     return all(r.max_rel_residual <= tolerance for r in reports)

@@ -181,6 +181,14 @@ class TestFstCheck:
         assert main(["fst-check", "--image", other_img, "--sinogram", sino_file,
                      "--lambdas", "0:6:13"]) == 1
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, image_file, sino_file, capsys,
+                                                   tolerance):
+        assert main(["fst-check", "--image", image_file, "--sinogram", sino_file,
+                     "--lambdas", "0:6:13", "--tolerance", tolerance]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tolerance" in err and len(err.splitlines()) == 1
+
     def test_wrong_magic_is_format_error(self, tmp_path, image_file, sino_file):
         bad = tmp_path / "bad.urdn"
         bad.write_bytes(Path(sino_file).read_bytes().replace(b"URDN1", b"XXXXX", 1))

@@ -42,7 +42,7 @@ class TestRadonPoint:
 
     def test_ray_step_validation(self, unit_blob_scene):
         img = gaussian_image(unit_blob_scene, nx=32)
-        for bad in (0.0, -1.0, np.nan, np.inf):
+        for bad in (0.0, -1.0, np.nan, np.inf, True):
             with pytest.raises(ValueError):
                 ur.radon_point(img, 0.0, 0.0, ray_step=bad)
 

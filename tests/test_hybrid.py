@@ -191,6 +191,7 @@ class TestReconstructVolume:
         out = ur.reconstruct_volume([zeros, zeros], geom, ur.RegParams.defaults(tg.d_tau),
                                     positions)
         assert all(np.all(s.values == 0) for s in out.stack.slices)
+        assert np.array_equal(out.fa_ratios(), [0.0, 0.0])
 
     def test_one_pass_matches_inverting_each_field(self, rng):
         geom = ur.GridGeometry(14, 11, -2.1, -1.6, 0.3, 0.27)

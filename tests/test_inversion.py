@@ -359,20 +359,20 @@ class TestInvertFs:
     def test_zero_sinogram(self):
         geom = ur.GridGeometry.centered(12, 12, 4.0, 4.0)
         sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(8), np.zeros((13, 8)))
-        out = ur.invert_fs(sino, geom, ur.RegParams.defaults(0.5))
+        out = ur.invert_universal(sino, geom, ur.RegParams.defaults(0.5)).f_s
         assert np.all(out.values == 0.0)
 
     def test_centered_gaussian_amplitude(self, unit_blob_scene):
         geom = ur.GridGeometry.centered(128, 128, 8.0, 8.0)
         sino = make_sino(unit_blob_scene, geom, geom.dx, ur.AngularRange.full(180))
-        f_s = ur.invert_fs(sino, geom, ur.RegParams.defaults(sino.d_tau))
+        f_s = ur.invert_universal(sino, geom, ur.RegParams.defaults(sino.d_tau)).f_s
         assert ur.bilinear_sample(f_s, 0.0, 0.0) == pytest.approx(1.0, abs=0.03)
 
     def test_backends_agree_pointwise(self, unit_blob_scene):
         geom = ur.GridGeometry.centered(96, 96, 8.0, 8.0)
         sino = make_sino(unit_blob_scene, geom, 0.02, ur.AngularRange.full(180))
-        a = ur.invert_fs(sino, geom, ur.RegParams.defaults(sino.d_tau, ur.Backend.RAMP_FILTER))
-        b = ur.invert_fs(sino, geom, ur.RegParams.defaults(sino.d_tau, ur.Backend.FP_QUADRATURE))
+        a, b = (ur.invert_universal(sino, geom, ur.RegParams.defaults(sino.d_tau, backend)).f_s
+                for backend in (ur.Backend.RAMP_FILTER, ur.Backend.FP_QUADRATURE))
         scale = np.max(np.abs(a.values))
         assert np.max(np.abs(a.values - b.values)) / scale <= 1e-2
 
@@ -381,7 +381,7 @@ class TestInvertFs:
         # tau window too narrow for the grid corners
         tg = ur.TauGrid.symmetric(0.1, 41)
         sino = analytic_sinogram(unit_blob_scene, tg, ur.AngularRange.full(16))
-        out = ur.invert_fs(sino, geom, ur.RegParams.defaults(0.1))
+        out = ur.invert_universal(sino, geom, ur.RegParams.defaults(0.1)).f_s
         assert out.meta["coverage_flag_count"] > 0
         flags = out.meta["coverage_flags"]
         assert flags.shape[1] == 2
@@ -391,15 +391,15 @@ class TestInvertFa:
     def test_zero_sinogram(self):
         geom = ur.GridGeometry.centered(12, 12, 4.0, 4.0)
         sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(8), np.zeros((13, 8)))
-        assert np.all(ur.invert_fa(sino, geom, ur.RegParams.defaults(0.5)).values == 0.0)
+        assert np.all(ur.invert_universal(sino, geom, ur.RegParams.defaults(0.5)).f_a.values == 0.0)
 
     def test_full_range_cancellation(self):
         scene = ur.CompositeScene.of(ur.GaussianBlob(0.7, -0.4, 1.0, 1.0))
         geom = ur.GridGeometry.centered(64, 64, 8.0, 8.0)
         sino = make_sino(scene, geom, 0.05, ur.AngularRange.full(120))
         params = ur.RegParams.defaults(sino.d_tau)
-        fa = ur.invert_fa(sino, geom, params)
-        fs = ur.invert_fs(sino, geom, params)
+        recon = ur.invert_universal(sino, geom, params)
+        fa, fs = recon.f_a, recon.f_s
         assert ur.l2_norm(fa.values) <= 1e-3 * ur.l2_norm(fs.values)
 
     def test_full_range_cancellation_on_an_image_nonzero_on_its_edge(self):
@@ -423,8 +423,8 @@ class TestInvertFa:
         half = ur.AngularRange(0.0, np.pi, 180)
         sino = make_sino(scene, geom, 0.02, half)
         params = ur.RegParams.defaults(sino.d_tau)
-        fa = ur.invert_fa(sino, geom, params)
-        fs = ur.invert_fs(sino, geom, params)
+        recon = ur.invert_universal(sino, geom, params)
+        fa, fs = recon.f_a, recon.f_s
         assert ur.l2_norm(fa.values) > 1e-2 * ur.l2_norm(fs.values)
 
         X, Y = geom.node_mesh()
@@ -442,7 +442,7 @@ class TestInvertFa:
         geom = ur.GridGeometry.centered(12, 12, 4.0, 4.0)
         sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(8), np.zeros((13, 8)))
         with pytest.raises(ValueError):
-            ur.invert_fa(sino, geom, ur.RegParams(epsilon=1.0, fa_step=0.25))
+            ur.invert_universal(sino, geom, ur.RegParams(epsilon=1.0, fa_step=0.25))
 
 
 class TestInvertUniversal:
@@ -487,16 +487,12 @@ class TestInvertUniversal:
     @pytest.mark.parametrize("backend", list(ur.Backend))
     @pytest.mark.parametrize("angles", [ur.AngularRange.full(30), ur.AngularRange(0.0, np.pi, 15)],
                              ids=["full", "half"])
-    def test_one_pass_matches_separate_terms_bitwise(self, unit_blob_scene, backend, angles):
+    def test_parts_share_one_coverage_flags_array(self, unit_blob_scene, backend, angles):
         geom = ur.GridGeometry.centered(32, 32, 8.0, 8.0)
         sino = make_sino(unit_blob_scene, geom, 0.2, angles)
-        params = ur.RegParams(0.4, 0.3, backend)
-        r = ur.invert_universal(sino, geom, params)
-        f_s, f_a = ur.invert_fs(sino, geom, params), ur.invert_fa(sino, geom, params)
-        assert np.array_equal(r.f_s.values, f_s.values)
-        assert np.array_equal(r.f_a.values, f_a.values)
-        for part in (r.f_s, r.f_a, r.f_total):
-            assert np.array_equal(part.meta["coverage_flags"], f_s.meta["coverage_flags"])
+        r = ur.invert_universal(sino, geom, ur.RegParams(0.4, 0.3, backend))
+        for part in (r.f_a, r.f_total):
+            assert np.array_equal(part.meta["coverage_flags"], r.f_s.meta["coverage_flags"])
 
     def test_determinism(self, unit_blob_scene):
         geom = ur.GridGeometry.centered(32, 32, 8.0, 8.0)

@@ -93,6 +93,15 @@ class TestCheck:
         assert not ur.fst_passed(reports, 1e-3)
         assert max(r.max_rel_residual for r in reports) > 1e-2
 
+    @pytest.mark.parametrize("tolerance", [np.nan, -1.0, 0.0, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
+        img = ur.ImageGrid2D.from_geometry(geom, np.zeros((16, 16)))
+        sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(4), np.zeros((13, 4)))
+        reports = ur.fst_check(img, sino, lambdas=[0.0, 1.0])
+        with pytest.raises(ValueError, match="tolerance"):
+            ur.fst_passed(reports, tolerance)
+
     def test_amplitude_homogeneity(self, unit_blob_scene):
         img = raster(unit_blob_scene, nx=96, extent=8.0)
         scaled = ur.ImageGrid2D.from_geometry(img.geometry, 3.0 * img.values)
