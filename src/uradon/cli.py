@@ -9,6 +9,7 @@ arguments, 3 file or format errors (malformed, unreadable or unwritable).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -123,7 +124,8 @@ def _restrict_angles(sino: Sinogram, window: tuple[float, float]) -> Sinogram:
         raise CliError("angle window must select a contiguous block", EXIT_BAD_ARGS)
     d_phi = sino.angles.d_phi
     angles = AngularRange(float(phis[keep[0]]), float(phis[keep[0]] + len(keep) * d_phi), len(keep))
-    return Sinogram(sino.tau_min, sino.d_tau, sino.n_tau, angles, sino.values[:, keep])
+    return Sinogram(sino.tau_min, sino.d_tau, sino.n_tau, angles,
+                    sino.values[:, keep[0]:keep[-1] + 1])
 
 
 # --- subcommands -------------------------------------------------------------
@@ -308,7 +310,9 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phi-window", default=f"0:{np.pi/2}:6", help="probe angles a:b:n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="uradon",
         description="Complex-valued Radon transforms: projection, slice checks, "

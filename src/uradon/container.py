@@ -4,16 +4,19 @@ Layout: one UTF-8 JSON header line (newline terminated) followed by the raw
 payload -- little-endian float64 pairs (re, im), written with the radial
 (or x) index fastest.  The roundtrip write -> read is the identity for all
 five grid types.
+A sinogram's payload is its angle-major rows, Sinogram.values' layout: they
+are written as they are and read straight into the array the Sinogram keeps.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
 from .grids import (AngularRange, GridGeometry, HybridField, ImageGrid2D, Provenance, Sinogram,
-                    VolumeStack)
+                    VolumeStack, _Handover)
 
 MAGIC = "URDN1"
 DTYPE_TAG = "c128"
@@ -40,22 +43,30 @@ class TruncatedPayloadError(ContainerError):
     pass
 
 
-def _block_bytes(values: np.ndarray) -> bytes:
-    # order="F": first index (tau or x) varies fastest in the byte stream
-    return np.ascontiguousarray(values, dtype=np.complex128).astype(_PAYLOAD_DTYPE).tobytes(order="F")
+def _blocks(fh, shape: tuple[int, int], count: int, real_valued: bool):
+    """The payload's ``count`` blocks of ``shape``, each read straight into fresh rows.
 
+    The file must hold exactly their bytes, checked before anything is
+    allocated.  Each block is yielded as the transpose of its rows, a
+    grids._Handover array: a Sinogram adopts it, an image copies it to C order.
+    """
+    nbytes = shape[0] * shape[1] * _PAYLOAD_DTYPE.itemsize
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != count * nbytes:
+        raise TruncatedPayloadError(f"payload: expected {count * nbytes} bytes for {count} "
+                                    f"block(s) of shape {shape}, file carries {size}",
+                                    field="payload")
 
-def _block_from(buf: bytes, offset: int, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
-    """A read-only view of one block's payload; the grid constructor makes the only copy."""
-    count = shape[0] * shape[1]
-    nbytes = count * _PAYLOAD_DTYPE.itemsize
-    chunk = memoryview(buf)[offset:offset + nbytes]
-    if len(chunk) < nbytes:
-        raise TruncatedPayloadError(
-            f"payload: expected {nbytes} bytes for block of shape {shape}, got {len(chunk)}",
-            field="payload")
-    arr = np.frombuffer(chunk, dtype=_PAYLOAD_DTYPE)
-    return arr.reshape(shape, order="F"), offset + nbytes
+    def block():
+        rows = np.empty(shape[::-1], dtype=_PAYLOAD_DTYPE).view(_Handover)
+        if fh.readinto(rows) != nbytes:
+            raise TruncatedPayloadError("payload: the file shrank while read", field="payload")
+        if real_valued and np.any(rows.imag):
+            raise MalformedHeaderError("real_valued: header says true but the payload has "
+                                       "nonzero imaginary parts", field="real_valued")
+        return rows.T
+
+    return (block() for _ in range(count))
 
 
 def _geometry_head(g: GridGeometry, *lead: int) -> dict:
@@ -64,41 +75,46 @@ def _geometry_head(g: GridGeometry, *lead: int) -> dict:
             "x_min": g.x_min, "y_min": g.y_min, "dx": g.dx, "dy": g.dy}
 
 
-def _header_and_payload(obj) -> tuple[dict, bytes]:
+def _header_and_arrays(obj) -> tuple[dict, list[np.ndarray]]:
     if isinstance(obj, ImageGrid2D):
         head = {"type": "image", **_geometry_head(obj.geometry), "real_valued": obj.real_valued}
-        return head, _block_bytes(obj.values)
+        return head, [obj.values]
     if isinstance(obj, Sinogram):
         head = {"type": "sinogram", "shape": [obj.n_tau, obj.angles.n_phi],
                 "tau_min": obj.tau_min, "d_tau": obj.d_tau,
                 "phi_min": obj.angles.phi_min, "phi_max": obj.angles.phi_max,
                 "real_valued": obj.real_valued}
-        return head, _block_bytes(obj.values)
+        return head, [obj.values]
     if isinstance(obj, AngularRange):
         head = {"type": "angles", "shape": [0, 0],
                 "phi_min": obj.phi_min, "phi_max": obj.phi_max, "n_phi": obj.n_phi,
                 "real_valued": True}
-        return head, b""
+        return head, []
     if isinstance(obj, VolumeStack):
         head = {"type": "volume", **_geometry_head(obj.geometry, obj.n_slices),
                 "x3_positions": list(obj.x3_positions), "real_valued": obj.real_valued}
-        return head, b"".join(_block_bytes(s.values) for s in obj.slices)
+        return head, [s.values for s in obj.slices]
     if isinstance(obj, HybridField):
         head = {"type": "hybrid", **_geometry_head(obj.geometry, obj.n_k),
                 "k_values": list(obj.k_values), "provenance": obj.provenance.value,
                 "real_valued": all(f.real_valued for f in obj.fields)}
-        return head, b"".join(_block_bytes(f.values) for f in obj.fields)
+        return head, [f.values for f in obj.fields]
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def write_container(path, obj) -> None:
-    """Write one of the five grid types to ``path`` in URDN1 format."""
-    head, payload = _header_and_payload(obj)
+    """Write one of the five grid types to ``path`` in URDN1 format.
+
+    Each block is written from rows along its last axis, the first index
+    fastest: a sinogram's own angle-major rows, an image's transposed copy.
+    """
+    head, arrays = _header_and_arrays(obj)
     header = {"magic": MAGIC, "dtype": DTYPE_TAG, **head}
     line = json.dumps(header, sort_keys=True) + "\n"
     with open(path, "wb") as fh:
         fh.write(line.encode("utf-8"))
-        fh.write(payload)
+        for values in arrays:
+            fh.write(np.ascontiguousarray(values.T, dtype=_PAYLOAD_DTYPE))
 
 
 def _require(head: dict, key: str, kinds) -> object:
@@ -122,53 +138,46 @@ def _shape(head: dict, rank: int) -> tuple[int, ...]:
 def read_container(path):
     """Read a URDN1 file back into its grid type (inverse of write_container)."""
     with open(path, "rb") as fh:
-        line = fh.readline()
-        buf = fh.read()
-    try:
-        head = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedHeaderError(f"header: not a JSON line ({exc})", field="header") from exc
-    if not isinstance(head, dict):
-        raise MalformedHeaderError("header: not a key-value object", field="header")
-    magic = _require(head, "magic", str)
-    if magic != MAGIC:
-        raise MagicMismatchError(f"magic: expected '{MAGIC}', got '{magic}'", field="magic")
-    dtype = _require(head, "dtype", str)
-    if dtype != DTYPE_TAG:
-        raise MalformedHeaderError(f"dtype: expected '{DTYPE_TAG}', got '{dtype}'", field="dtype")
-    kind = _require(head, "type", str)
-    real_valued = _require(head, "real_valued", bool)
-    try:
-        obj = _decode(kind, head, buf)
-    except ValueError as exc:
-        # a field or sample the grid constructors refuse, such as a NaN spacing or sample
-        raise ContainerError(f"{kind}: {exc}") from exc
-    # _decode has checked that buf holds exactly the payload's values
-    if real_valued and np.any(np.frombuffer(buf, dtype=_PAYLOAD_DTYPE).imag != 0.0):
-        raise MalformedHeaderError("real_valued: header says true but the payload has "
-                                   "nonzero imaginary parts", field="real_valued")
-    return obj
+        try:
+            head = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise MalformedHeaderError(f"header: not a JSON line ({exc})", field="header") from exc
+        if not isinstance(head, dict):
+            raise MalformedHeaderError("header: not a key-value object", field="header")
+        magic = _require(head, "magic", str)
+        if magic != MAGIC:
+            raise MagicMismatchError(f"magic: expected '{MAGIC}', got '{magic}'", field="magic")
+        dtype = _require(head, "dtype", str)
+        if dtype != DTYPE_TAG:
+            raise MalformedHeaderError(f"dtype: expected '{DTYPE_TAG}', got '{dtype}'",
+                                       field="dtype")
+        kind = _require(head, "type", str)
+        real_valued = _require(head, "real_valued", bool)
+        try:
+            return _decode(kind, head, fh, real_valued)
+        except ValueError as exc:
+            # a field or sample the grid constructors refuse, such as a NaN spacing or sample
+            raise ContainerError(f"{kind}: {exc}") from exc
 
 
-def _decode(kind: str, head: dict, buf: bytes):
+def _decode(kind: str, head: dict, fh, real_valued: bool):
     if kind == "image":
-        return _images(head, buf, 2)[0]
+        return _images(head, fh, 2, real_valued)[0]
     if kind == "sinogram":
         n_tau, n_phi = _shape(head, 2)
-        values, offset = _block_from(buf, 0, (n_tau, n_phi))
-        _check_no_trailing(buf, offset)
         angles = AngularRange(_require(head, "phi_min", (int, float)),
                               _require(head, "phi_max", (int, float)), n_phi)
+        (values,) = _blocks(fh, (n_tau, n_phi), 1, real_valued)
         return Sinogram(_require(head, "tau_min", (int, float)),
                         _require(head, "d_tau", (int, float)), n_tau, angles, values)
     if kind == "angles":
-        _check_no_trailing(buf, 0)
+        _blocks(fh, (0, 0), 0, real_valued)   # checks that no payload follows
         return AngularRange(_require(head, "phi_min", (int, float)),
                             _require(head, "phi_max", (int, float)),
                             _require(head, "n_phi", int))
     if kind == "volume":
         positions = _require(head, "x3_positions", list)
-        return VolumeStack(tuple(positions), tuple(_images(head, buf, 3)))
+        return VolumeStack(tuple(positions), tuple(_images(head, fh, 3, real_valued)))
     if kind == "hybrid":
         ks = _require(head, "k_values", list)
         provenance = _require(head, "provenance", str)
@@ -177,25 +186,14 @@ def _decode(kind: str, head: dict, buf: bytes):
         except ValueError as exc:
             raise MalformedHeaderError(f"provenance: unknown value '{provenance}'",
                                        field="provenance") from exc
-        return HybridField(tuple(ks), tuple(_images(head, buf, 3)), provenance)
+        return HybridField(tuple(ks), tuple(_images(head, fh, 3, real_valued)), provenance)
     raise MalformedHeaderError(f"type: unknown container type '{kind}'", field="type")
 
 
-def _images(head: dict, buf: bytes, rank: int) -> list[ImageGrid2D]:
+def _images(head: dict, fh, rank: int, real_valued: bool) -> list[ImageGrid2D]:
     """The image blocks of an image (rank 2) or a stack (rank 3), all on one GridGeometry."""
     *lead, nx, ny = _shape(head, rank)
     geometry = GridGeometry(nx, ny, *(_require(head, key, (int, float))
                                       for key in ("x_min", "y_min", "dx", "dy")))
-    images, offset = [], 0
-    for _ in range(lead[0] if lead else 1):
-        values, offset = _block_from(buf, offset, (nx, ny))
-        images.append(ImageGrid2D(geometry, values))
-    _check_no_trailing(buf, offset)
-    return images
-
-
-def _check_no_trailing(buf: bytes, offset: int) -> None:
-    if len(buf) != offset:
-        raise TruncatedPayloadError(
-            f"payload: expected {offset} bytes total, file carries {len(buf)}",
-            field="payload")
+    return [ImageGrid2D(geometry, values)
+            for values in _blocks(fh, (nx, ny), lead[0] if lead else 1, real_valued)]

@@ -151,7 +151,8 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     order, which gives the bits of a row-by-row sum.  A row never straddles
     two tasks, so an entry depends on its own array, tau and direction
     only: it has the same bits whatever else the call projects, whatever
-    the thread count, and repeated calls are bitwise identical.
+    the thread count, and repeated calls are bitwise identical.  Each task
+    writes its sums contiguously: the result is a transposed angle-major view.
     """
     if ray_step is None:
         ray_step = default_ray_step(geometry)
@@ -164,7 +165,7 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     for plane, part in zip(planes, [p for a in arrays for p in (a.real, a.imag)]):
         plane[1:-1, 1:-1] = part
     planes = planes.reshape(len(planes), -1)
-    sums = np.empty((len(planes), len(taus), len(directions)))
+    sums = np.empty((len(planes), len(directions), len(taus)))
     block = max(1, _BLOCK_SAMPLES // len(offsets))
 
     def project_rows(task):
@@ -203,14 +204,14 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
                 term = plane.take(idx)
                 term *= w
                 samples += term
-            sums[k, r0:r0 + n_rows, m] = np.bincount(rows, weights=samples, minlength=n_rows)
+            sums[k, m, r0:r0 + n_rows] = np.bincount(rows, weights=samples, minlength=n_rows)
 
     _run_tasks(project_rows, [(m, r0) for m in range(len(directions))
                               for r0 in range(0, len(taus), block)])
-    out = np.empty((len(arrays), len(taus), len(directions)), dtype=np.complex128)
+    out = np.empty((len(arrays), len(directions), len(taus)), dtype=np.complex128)
     out.real = sums[0::2] * h
     out.imag = sums[1::2] * h
-    return out
+    return out.transpose(0, 2, 1)
 
 
 def _radon_values(geometry: GridGeometry, arrays, tau_grid: TauGrid, angles: AngularRange,
@@ -225,17 +226,18 @@ def _radon_values(geometry: GridGeometry, arrays, tau_grid: TauGrid, angles: Ang
     sides the same sample set, so the second half is the first with tau
     reversed.  A view reads the same node values with the same weights in
     the same order as f at the folded angle, so projected columns keep the
-    bits of direct projection and the folded ones agree to rounding.
+    bits of direct projection and the folded ones agree to rounding.  The
+    result is a transposed view of angle-major rows, Sinogram.values' layout.
     """
     plan = _fold_plan(geometry, tau_grid, angles)
     taus = tau_grid.taus()
     views = [view(a) for view, _ in plan.views for a in arrays]
     values = _project(geometry, views, taus, [direction(phi) for phi in plan.phis], ray_step)
-    values = values.reshape(len(plan.views), len(arrays), len(taus), len(plan.phis))
-    values = np.moveaxis(values[plan.view, :, :, plan.rep], 0, -1)
+    rows = values.transpose(0, 2, 1).reshape(len(plan.views), len(arrays), len(plan.phis), -1)
+    rows = np.moveaxis(rows[plan.view, :, plan.rep], 0, 1)
     if plan.mirrored:
-        values = np.concatenate([values, values[:, ::-1]], axis=2)
-    return values
+        rows = np.concatenate([rows, rows[:, :, ::-1]], axis=1)
+    return rows.transpose(0, 2, 1)
 
 
 def radon_point(img: ImageGrid2D, tau: float, phi: float, ray_step: float | None = None) -> complex:

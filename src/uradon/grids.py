@@ -127,13 +127,19 @@ def _fold_plan(geometry: GridGeometry, tau_grid: TauGrid, angles: AngularRange) 
     return _FoldPlan(mirrored, phis[:n], _D4_VIEWS[:1], np.zeros(n, dtype=np.intp), np.arange(n))
 
 
-def _freeze(values, shape, name: str) -> np.ndarray:
-    """Copy to a read-only, C-contiguous complex128 array of the given shape and finite values."""
-    arr = np.array(values, dtype=np.complex128, order="C", copy=True)
+class _Handover(np.ndarray):
+    """A fresh array that _freeze adopts instead of copying (the container reader's blocks)."""
+
+
+def _freeze(values, shape, name: str, order: str = "C") -> np.ndarray:
+    """Copy to a read-only complex128 array in memory order ``order``, of the given shape and
+    finite values; a _Handover array already in that layout is adopted uncopied."""
+    arr = np.array(values, dtype=np.complex128, order=order,
+                   copy=None if isinstance(values, _Handover) else True)
     if arr.shape != tuple(shape):
         raise ValueError(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
-    # min and max propagate nan and reach any inf, and allocate nothing
-    parts = arr.view(np.float64)
+    # min and max propagate nan and reach any inf, and allocate nothing (contiguous view)
+    parts = arr.ravel(order).view(np.float64)
     if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
         bad = np.count_nonzero(~np.isfinite(arr))
         raise ValueError(f"{name}: samples must be finite, got {bad} nan or inf")
@@ -232,7 +238,7 @@ class ImageGrid2D:
     @property
     def real_valued(self) -> bool:
         """True iff the imaginary part is exactly zero everywhere."""
-        return bool(np.all(self.values.imag == 0.0))
+        return not np.any(self.values.imag)
 
     def total_integral(self) -> complex:
         """Trapezoid quadrature of the samples over the extent."""
@@ -374,6 +380,8 @@ class TauGrid:
 class Sinogram:
     """Complex Radon data on a (tau, phi) grid; values has shape (n_tau, n_phi).
 
+    values is stored angle-major (F order), as the container file holds it:
+    values.T is read-only, C-contiguous rows of tau samples, one per angle.
     The three tau fields are validated once into ``tau_grid``, which the
     instance keeps.
     """
@@ -388,7 +396,8 @@ class Sinogram:
     def __post_init__(self):
         object.__setattr__(self, "tau_grid", TauGrid(self.tau_min, self.d_tau, self.n_tau))
         object.__setattr__(self, "values",
-                           _freeze(self.values, (self.n_tau, self.angles.n_phi), "Sinogram.values"))
+                           _freeze(self.values, (self.n_tau, self.angles.n_phi), "Sinogram.values",
+                                   order="F"))
 
     @property
     def tau_max(self) -> float:
@@ -399,7 +408,7 @@ class Sinogram:
 
     @property
     def real_valued(self) -> bool:
-        return bool(np.all(self.values.imag == 0.0))
+        return not np.any(self.values.imag)
 
     def __eq__(self, other):
         if not isinstance(other, Sinogram):

@@ -30,17 +30,19 @@ Both follow grids._fold_plan, the plan the projector follows too:
   phi + pi/2 and pi - phi read a transposed or turned view of the index
   field of phi, so only the plan's N'/4 + 1 index fields are computed.
 
-Sinogram values are stored (n_tau, n_phi), so a column's tau samples are
-strided.  The filters run their FFTs along contiguous tau rows, a block of
-columns at a time: each block's spectra fill at most _SPECTRUM_BLOCK entries
-(4 MiB) of one reused buffer, so the working set beyond the input and the
-output does not grow with the number of angles.  Each row is transformed on
-its own, so the blocks carry the bits of one transform of all columns.  The
-(n_tau, n_phi) result is a transposed view; the backprojection copies each
-filtered array into angle-major tau rows between two zeros, the padded axis
-that linear interpolation reads (grids._linear_index).  Neither layout
-changes the arithmetic: outside the two folds, every output is bit-identical
-to the column-major form.
+Sinogram values have shape (n_tau, n_phi) and are stored angle-major (F
+order), as the container file holds them: values.T is one contiguous tau row
+per angle.  The filters copy blocks of these rows into their FFT buffer and
+run the transforms along them: each block's spectra fill at most
+_SPECTRUM_BLOCK entries (4 MiB) of one reused buffer, so the working set
+beyond the input and the output does not grow with the number of angles.
+Each row is transformed on its own, so the blocks carry the bits of one
+transform of all columns.  The tau derivative gathers along blocks of the
+same rows.  Every filter returns the (n_tau, n_phi) transposed view of
+angle-major rows; the backprojection copies each filtered array into rows
+between two zeros, the padded axis that linear interpolation reads
+(grids._linear_index).  No layout changes the arithmetic: outside the two
+folds, every output is bit-identical to the column-major form.
 """
 
 from __future__ import annotations
@@ -146,11 +148,12 @@ def _correlate_columns(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
     kernel has odd length 2M+1 and is indexed by the signed offset j; rows
     0..n-1 of the circular correlation are wrap-free for any FFT length >= n + M.
-    The transforms run along contiguous tau rows, one per column, in blocks
-    of columns whose spectra fill at most _SPECTRUM_BLOCK entries of one
-    reused buffer.  Each row is transformed on its own, so a block's rows
-    carry the same bits as in one transform of all columns.  The result is
-    the (n, n_cols) transposed view of one (n_cols, n) array.
+    The transforms run along tau rows, one per column (contiguous in a
+    Sinogram's angle-major values), in blocks of columns whose spectra fill
+    at most _SPECTRUM_BLOCK entries of one reused buffer.  Each row is
+    transformed on its own, so a block's rows carry the same bits as in one
+    transform of all columns.  The result is the (n, n_cols) transposed view
+    of one (n_cols, n) array.
     """
     n, n_cols = values.shape
     m_half = (len(kernel) - 1) // 2
@@ -252,33 +255,34 @@ def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
 
     Off-grid values come from linear interpolation of the column between a
     zero node at each end (grids._linear_index); h = fa_step may be any
-    value >= d_tau.  Both sides are formed a block of tau rows at a time, in
-    four gathers of a sixteenth of _SPECTRUM_BLOCK entries (256 KiB) each,
-    small enough to stay in cache, and written into one output array.
+    value >= d_tau.  Both sides are formed a block of angle-major rows at a
+    time, in four gathers of a sixteenth of _SPECTRUM_BLOCK entries (256 KiB)
+    each, small enough to stay in cache, and written into one (n_phi, n_tau)
+    array that is returned transposed.
     """
     if fa_step < sino.d_tau:
         raise ValueError(f"fa_step {fa_step} must be at least d_tau {sino.d_tau}")
-    n, v = sino.n_tau, sino.values
+    n, v = sino.n_tau, sino.values.T
     shift = fa_step / sino.d_tau
-    taps = []   # (rows read, weights): g(t + h) is taps 0 + 1, g(t - h) is taps 2 + 3
+    taps = []   # (nodes read, weights): g(t + h) is taps 0 + 1, g(t - h) is taps 2 + 3
     for step in (shift, -shift):
         # padded node i0 is v[i0 - 1] and i0 + 1 is v[i0]; a pad node gets weight zero
         i0, frac = _linear_index(np.arange(n) + step, n)
-        taps += [(np.maximum(i0 - 1, 0), ((1.0 - frac) * (i0 > 0))[:, None]),
-                 (np.minimum(i0, n - 1), (frac * (i0 < n))[:, None])]
+        taps += [(np.maximum(i0 - 1, 0), (1.0 - frac) * (i0 > 0)),
+                 (np.minimum(i0, n - 1), frac * (i0 < n))]
     out = np.empty(v.shape, dtype=np.complex128)
-    rows = max(1, _SPECTRUM_BLOCK // (16 * v.shape[1]))
-    for t in range(0, n, rows):
-        block = slice(t, t + rows)
-        plus, upper, minus, lower = (v[i[block]] for i, _ in taps)
+    rows = max(1, _SPECTRUM_BLOCK // (16 * n))
+    for a in range(0, v.shape[0], rows):
+        block = v[a:a + rows]
+        plus, upper, minus, lower = (block.take(i, axis=1) for i, _ in taps)
         for side, (_, w) in zip((plus, upper, minus, lower), taps):
-            side *= w[block]
+            side *= w
         plus += upper
         minus += lower
-        np.subtract(plus, minus, out=out[block])
+        np.subtract(plus, minus, out=out[a:a + rows])
         del plus, upper, minus, lower   # freed before the next block's gathers
     out /= 2.0 * fa_step
-    return out
+    return out.T
 
 
 # --- symmetry folds and backprojection ---------------------------------------
@@ -477,7 +481,8 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
 # --- metrics -----------------------------------------------------------------
 
 def l2_norm(values: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(values) ** 2)))
+    """Euclidean norm, summed in C order whatever the layout, so an F-order copy keeps its bits."""
+    return float(np.sqrt(np.sum(np.abs(values, order="C") ** 2)))
 
 
 def _fa_fs_ratio(fa_norm: float, fs_norm: float) -> float:

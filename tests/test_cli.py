@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import uradon as ur
-from uradon.cli import main
+from uradon.cli import build_parser, main
 
 SCENE = "cx=0.0 cy=0.0 sigma=1.0 amp_re=1.0 amp_im=0.0 mask=none\n"
 
@@ -354,3 +354,17 @@ class TestDashedValues:
         assert main(["defect", "--scene", str(scene), "--nx", "32", "--extent", "8",
                      "--tau", "-0.5:3.0:8", "--out-prefix", str(tmp_path / "d")]) == 2
         assert "strictly positive" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_a_rejected_call_leaves_the_parser_usable(self, tmp_path, scene_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["phantom", "--scene", scene_file, "--nx", "sixteen", "--extent", "4",
+                  "--out", str(tmp_path / "bad.urdn")])
+        assert exc.value.code == 2 and "--nx" in capsys.readouterr().err
+        assert main(["phantom", "--scene", scene_file, "--nx", "16", "--extent", "4",
+                     "--out", str(tmp_path / "good.urdn")]) == 0
+        assert ur.read_container(tmp_path / "good.urdn").geometry.nx == 16

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import uradon as ur
+from uradon.cli import _restrict_angles
 
 
 def make_image(rng, nx=5, ny=4):
@@ -270,3 +271,76 @@ class TestStacksAndFields:
         real = ur.ImageGrid2D.from_geometry(geom, np.ones((4, 4)))
         stack = ur.VolumeStack((0.0, 1.0), (real, real))
         assert stack.real_valued
+
+
+# --- every path that makes a Sinogram hands it angle-major values ---
+
+def _layout_image():
+    geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
+    return ur.rasterize(ur.CompositeScene.of(ur.GaussianBlob(0.3, -0.2, 0.6, 1.0 + 0.5j)), geom)
+
+
+def _tau_grid(img):
+    return ur.TauGrid.covering(img.geometry, img.geometry.dx)
+
+
+def _radon(angles):
+    img = _layout_image()
+    return ur.radon_transform(img, _tau_grid(img), angles)
+
+
+def _hybrid(angles):
+    img = _layout_image()
+    field = ur.HybridField((0.0, 1.0, 2.0), (img, img, img), ur.Provenance.SERIES)
+    return ur.hybrid_radon(field, _tau_grid(img), angles)[1]
+
+
+def _defect():
+    q1, q3 = ur.RegionMask.QUADRANT_I, ur.RegionMask.QUADRANT_III
+    blob, partner = ur.GaussianBlob(1.0, 1.0, 0.5, 1.0), ur.GaussianBlob(-1.0, -1.0, 0.5, 1.0)
+    scene = ur.CompositeScene(((ur.GaussianBlob(1.5, 0.5, 0.4, 0.8), q1), (blob, q1),
+                               (partner, q1), (blob, q3), (partner, q3)))
+    probe = ur.Probe(ur.TauGrid(0.3, 0.2, 8), ur.AngularRange(0.0, np.pi / 2, 4))
+    return ur.extract_defect(scene, probe, ur.GridGeometry.centered(32, 32, 8.0, 8.0))
+
+
+def _read_back(tmp_path):
+    sino = _radon(ur.AngularRange(0.0, 2.0, 5))
+    ur.write_container(tmp_path / "sino.urdn", sino)
+    back = ur.read_container(tmp_path / "sino.urdn")
+    assert back == sino
+    return back
+
+
+_RAW = np.arange(12.0).reshape(4, 3) + 1j
+_FULL3 = ur.AngularRange.full(3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: ur.Sinogram(0.0, 0.5, 4, _FULL3, _RAW),
+    lambda tmp: ur.Sinogram(0.0, 0.5, 4, _FULL3, np.asfortranarray(_RAW)),
+    lambda tmp: ur.Sinogram(0.0, 0.5, 4, _FULL3, _RAW.tolist()),
+    lambda tmp: _radon(ur.AngularRange.full(16)),
+    lambda tmp: _radon(ur.AngularRange(0.1, 2.0, 7)),
+    lambda tmp: _hybrid(ur.AngularRange.full(12)),
+    lambda tmp: _hybrid(ur.AngularRange(0.0, 1.5, 5)),
+    lambda tmp: _defect(),
+    _read_back,
+    lambda tmp: _restrict_angles(_radon(ur.AngularRange.full(12)), (0.5, 3.0)),
+], ids=["C-order", "F-order", "lists", "radon-full", "radon-partial", "hybrid-full",
+        "hybrid-partial", "defect", "read", "restrict-angles"])
+def test_sinogram_values_are_read_only_angle_major_rows(tmp_path, make):
+    sino = make(tmp_path)
+    assert sino.values.shape == (sino.n_tau, sino.angles.n_phi)
+    assert sino.values.T.flags.c_contiguous
+    with pytest.raises(ValueError):
+        sino.values.T[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sinogram_constructor_copies_its_input(order):
+    raw = np.array(_RAW, order=order)
+    sino = ur.Sinogram(0.0, 0.5, 4, _FULL3, raw)
+    assert not np.shares_memory(sino.values, raw)
+    raw[0, 0] = 99.0
+    assert np.array_equal(sino.values, _RAW)

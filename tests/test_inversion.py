@@ -567,6 +567,13 @@ def test_working_set_stays_within_a_multiple_of_the_payload(rng, path):
     assert peak <= WORKING_SET_BOUNDS[path] * sino.values.nbytes
 
 
+def test_l2_norm_keeps_its_bits_in_either_memory_order(rng):
+    for shape in [(7, 5), (128, 96), (1685, 3)]:
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert ur.l2_norm(a) == ur.l2_norm(np.asfortranarray(a))
+        assert ur.l2_norm(a.T) == ur.l2_norm(np.ascontiguousarray(a.T))
+
+
 def test_reconstruction_type_validation(unit_blob_scene):
     geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
     zero = ur.ImageGrid2D.from_geometry(geom, np.zeros((16, 16)))
