@@ -25,8 +25,8 @@ from .grids import AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid
 from .holonomy import (Probe, check_holonomy, classify_defect_scene,
                        extract_defect, UnsupportedSceneError)
 from .hybrid import dual_k_grid, hybrid_forward, hybrid_radon, make_slices, reconstruct_volume
-from .inversion import (Backend, RegParams, epsilon_lambda_reconstruct, invert_universal,
-                        l2_norm, reconstruction_metrics)
+from .inversion import (Backend, RegParams, _rmse_over_peak, epsilon_lambda_reconstruct,
+                        invert_universal, l2_norm, reconstruction_metrics)
 from .phantoms import (CompositeScene, SceneFormatError, SeparableScene3D, load_scene,
                        rasterize)
 from .slice_theorem import fst_check, fst_passed
@@ -181,6 +181,12 @@ def _cmd_fst_check(args, argv) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+def _rel_diff(values: np.ndarray, reference: np.ndarray) -> float:
+    """|values - reference| / |reference| in the l2 norm; 0 where the reference is all zero."""
+    denom = l2_norm(reference)
+    return l2_norm(values - reference) / denom if denom > 0 else 0.0
+
+
 def _cmd_invert(args, argv) -> int:
     sino = _read(args.sinogram, Sinogram)
     if args.range is not None:
@@ -194,9 +200,7 @@ def _cmd_invert(args, argv) -> int:
     metrics = reconstruction_metrics(recon, reference)
     if args.with_epsilon_lambda:
         alt = epsilon_lambda_reconstruct(sino, geometry, params.epsilon)
-        denom = l2_norm(recon.f_total.values)
-        metrics["epsilon_lambda_rel_diff"] = (
-            l2_norm(alt.values - recon.f_total.values) / denom if denom > 0 else 0.0)
+        metrics["epsilon_lambda_rel_diff"] = _rel_diff(alt.values, recon.f_total.values)
     prefix = args.out_prefix
     _emit(prefix, argv, {f"{prefix}_fs.urdn": recon.f_s, f"{prefix}_fa.urdn": recon.f_a,
                          f"{prefix}_total.urdn": recon.f_total,
@@ -248,9 +252,7 @@ def _cmd_defect(args, argv) -> int:
     if defect_terms:
         direct_img = rasterize(CompositeScene(defect_terms), geometry)
         direct = radon_transform(direct_img, extracted.tau_grid, extracted.angles)
-        denom = l2_norm(direct.values)
-        rel = l2_norm(extracted.values - direct.values) / denom if denom > 0 else 0.0
-        metrics.append(("direct_rel_diff", rel))
+        metrics.append(("direct_rel_diff", _rel_diff(extracted.values, direct.values)))
     prefix = args.out_prefix
     outputs = {f"{prefix}_defect.urdn": extracted, f"{prefix}_defect_recon.urdn": recon.f_total,
                f"{prefix}_metrics.csv": metrics}
@@ -274,13 +276,9 @@ def _cmd_hybrid(args, argv) -> int:
     rows = [("k", "fa_norm", "fs_norm", "fa_ratio", "slice_rmse_over_peak")]
     print("hybrid: k, fa_norm/fs_norm, slice rmse/peak")
     for m, (k, ratio) in enumerate(zip(ks, result.fa_ratios().tolist())):
-        ref = stack.slices[m].values
-        rec = result.stack.slices[m].values
-        peak = float(np.max(np.abs(ref)))
-        rmse = float(np.sqrt(np.mean(np.abs(rec - ref) ** 2)))
-        rows.append((k, result.fa_norms[m], result.fs_norms[m], ratio,
-                     rmse / peak if peak > 0 else rmse))
-        print(f"  {k:9.4f}  {ratio:10.3e}  {rmse / peak if peak > 0 else rmse:10.3e}")
+        _, rel = _rmse_over_peak(result.stack.slices[m].values, stack.slices[m].values)
+        rows.append((k, result.fa_norms[m], result.fs_norms[m], ratio, rel))
+        print(f"  {k:9.4f}  {ratio:10.3e}  {rel:10.3e}")
     prefix = args.out_prefix
     _emit(prefix, argv, {f"{prefix}_volume.urdn": result.stack, f"{prefix}_metrics.csv": rows})
     return EXIT_OK

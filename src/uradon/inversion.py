@@ -18,13 +18,12 @@ Both follow grids._fold_plan, the plan the projector follows too:
 
 * Half turns.  On a mirrored plan (a full even scan with a symmetric tau
   grid), angle phi + pi is angle phi read at -tau.  The two-term inverse
-  folds the raw sinogram onto [phi_min, phi_min + pi) before filtering:
-  c[:, :N/2] + c[::-1, N/2:] for the ramp and finite-part filters, whose
-  kernels are even, and c[:, :N/2] - c[::-1, N/2:] for the tau
-  derivative, which is odd.  The filters then run on N/2 columns.  The
-  lambda kernel is not even (K(-eta) = conj K(eta)), so
-  epsilon_lambda_reconstruct filters all N columns and _backproject folds
-  the result.
+  fills each term's buffer already folded onto [phi_min, phi_min + pi):
+  row m plus row m + N/2 read at -tau for the ramp and finite-part filters,
+  whose kernels are even, and minus it for the tau derivative, which is
+  odd.  The filters then run on N/2 rows.  The lambda kernel is not even
+  (K(-eta) = conj K(eta)), so epsilon_lambda_reconstruct filters all N rows
+  and folds its buffer in place afterwards.
 * The square's symmetries (D4).  When the angles backprojected are [0, pi)
   in an even count N' on a centred square grid, angles phi, pi/2 - phi,
   phi + pi/2 and pi - phi read a transposed or turned view of the index
@@ -32,29 +31,31 @@ Both follow grids._fold_plan, the plan the projector follows too:
 
 Sinogram values have shape (n_tau, n_phi) and are stored angle-major (F
 order), as the container file holds them: values.T is one contiguous tau row
-per angle.  The filters copy blocks of these rows into their FFT buffer and
-run the transforms along them: each block's spectra fill at most
-_SPECTRUM_BLOCK entries (4 MiB) of one reused buffer, so the working set
-beyond the input and the output does not grow with the number of angles.
-Each row is transformed on its own, so the blocks carry the bits of one
-transform of all columns.  The tau derivative gathers along blocks of the
-same rows.  Every filter returns the (n_tau, n_phi) transposed view of
-angle-major rows; the backprojection copies each filtered array into rows
-between two zeros, the padded axis that linear interpolation reads
-(grids._linear_index).  No layout changes the arithmetic: outside the two
-folds, every output is bit-identical to the column-major form.
+per angle.  Each term of an inverse has one buffer of padded rows, shape
+(n_rows, n_tau + 2): the angle-major tau rows between two zeros, the padded
+axis that linear interpolation reads (grids._linear_index).  The filters run
+in place on it.  The correlation copies blocks of rows into its FFT buffer,
+each block's spectra filling at most _SPECTRUM_BLOCK entries (4 MiB) of one
+reused buffer, and writes each block's result back over its rows; each row
+is transformed on its own, so the blocks carry the bits of one transform of
+all rows.  The tau derivative gathers along blocks of the same rows and reads
+their zero ends.  _backproject then reads the buffers as they are, so the
+working set beyond the sinogram is one buffer per term and bounded blocks.
+The public filters run on a padded copy of a sinogram's rows and return the
+(n_tau, n_phi) view of its interior.  No layout changes the arithmetic:
+outside the two folds, every output is bit-identical to the column-major
+form.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .grids import (ANGULAR_MEASURE_NORM, AngularRange, GridGeometry, ImageGrid2D, Sinogram,
-                    TauGrid, _finite, _fold_plan, _linear_index, _trapezoid_weights)
+from .grids import (ANGULAR_MEASURE_NORM, GridGeometry, ImageGrid2D, Sinogram, _finite,
+                    _fold_plan, _linear_index, _trapezoid_weights)
 from .forward import direction
 
 
@@ -136,41 +137,95 @@ def lambda_kernel(eta, epsilon: float, lambda_max: float):
     return complex(out) if out.ndim == 0 else out
 
 
-# --- column filters ----------------------------------------------------------
+# --- row filters -------------------------------------------------------------
 
-# complex entries in one block of column spectra (4 MiB): the filters' working set
-# beyond their input and output, whatever the number of columns
+# complex entries in one block of row spectra (4 MiB): the filters' working set
+# beyond their buffer, whatever the number of rows
 _SPECTRUM_BLOCK = 2**18
 
 
-def _correlate_columns(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """out[t, m] = sum_j kernel[j + M] * values[t + j, m], zero outside the grid.
+def _padded_rows(values: np.ndarray, parity: float = 0.0) -> np.ndarray:
+    """The (n_phi, n_tau + 2) angle-major tau rows of values between two zeros.
 
-    kernel has odd length 2M+1 and is indexed by the signed offset j; rows
-    0..n-1 of the circular correlation are wrap-free for any FFT length >= n + M.
-    The transforms run along tau rows, one per column (contiguous in a
-    Sinogram's angle-major values), in blocks of columns whose spectra fill
-    at most _SPECTRUM_BLOCK entries of one reused buffer.  Each row is
-    transformed on its own, so a block's rows carry the same bits as in one
-    transform of all columns.  The result is the (n, n_cols) transposed view
-    of one (n_cols, n) array.
+    With parity +1 or -1 the rows are folded (a mirrored plan, grids._fold_plan):
+    the N/2 rows hold row m plus parity times row m + N/2 read at -tau, which is
+    angle phi_m + pi.
     """
-    n, n_cols = values.shape
+    v = values.T
+    half = v.shape[0] // 2
+    rows = np.zeros((half if parity else v.shape[0], v.shape[1] + 2), dtype=np.complex128)
+    if parity:
+        (np.add if parity > 0 else np.subtract)(v[:half], v[half:, ::-1], out=rows[:, 1:-1])
+    else:
+        rows[:, 1:-1] = v
+    return rows
+
+
+def _correlate_rows(rows: np.ndarray, kernel: np.ndarray) -> None:
+    """Correlate each padded row with kernel in place, zero outside the grid.
+
+    On the n inner entries g of a row: g[t] <- sum_j kernel[j + M] * g[t + j].
+    kernel has odd length 2M+1 and is indexed by the signed offset j; entries
+    0..n-1 of the circular correlation are wrap-free for any FFT length >= n + M.
+    The rows go through the transforms in blocks whose spectra fill at most
+    _SPECTRUM_BLOCK entries of one reused buffer.  Each row is transformed on
+    its own, so a block's rows carry the same bits as one transform of all rows.
+    """
+    n_rows, n = rows.shape[0], rows.shape[1] - 2
     m_half = (len(kernel) - 1) // 2
     p = 1 << (n + m_half - 1).bit_length()   # next power of two >= n + M
     kernel_spec = np.fft.fft(kernel[::-1], n=p)
-    block = max(1, min(n_cols, _SPECTRUM_BLOCK // p))
+    block = max(1, min(n_rows, _SPECTRUM_BLOCK // p))
     spec = np.empty((block, p), dtype=np.complex128)
-    out = np.empty((n_cols, n), dtype=np.complex128)
-    for start in range(0, n_cols, block):
-        rows = spec[:min(block, n_cols - start)]
-        rows[:, :n] = values[:, start:start + block].T
-        rows[:, n:] = 0.0
-        np.fft.fft(rows, out=rows)
-        rows *= kernel_spec
-        np.fft.ifft(rows, out=rows)
-        out[start:start + block] = rows[:, m_half:m_half + n]
-    return out.T
+    for start in range(0, n_rows, block):
+        inner = rows[start:start + block, 1:-1]
+        part = spec[:inner.shape[0]]
+        part[:, :n] = inner
+        part[:, n:] = 0.0
+        np.fft.fft(part, out=part)
+        part *= kernel_spec
+        np.fft.ifft(part, out=part)
+        inner[...] = part[:, m_half:m_half + n]
+
+
+def _differentiate_rows(rows: np.ndarray, d_tau: float, fa_step: float) -> None:
+    """Central difference (g(tau + h) - g(tau - h)) / (2h) of each padded row, in place.
+
+    Off-grid values are linear interpolation on the padded row
+    (grids._linear_index), whose zero ends give the field past either end
+    node; h = fa_step may be any value >= d_tau.  Both sides are formed a
+    block of rows at a time, in gathers of a sixteenth of _SPECTRUM_BLOCK
+    entries (256 KiB) each, small enough to stay in cache, and written back
+    over the block's inner entries.
+    """
+    if fa_step < d_tau:
+        raise ValueError(f"fa_step {fa_step} must be at least d_tau {d_tau}")
+    n = rows.shape[1] - 2
+    shift = fa_step / d_tau
+    # g(t + h) and g(t - h): (1 - frac) * p[i0] + frac * p[i0 + 1] on the padded row p
+    taps = [(i0, 1.0 - frac, frac) for i0, frac in
+            (_linear_index(np.arange(n) + step, n) for step in (shift, -shift))]
+    block = max(1, _SPECTRUM_BLOCK // (16 * n))
+    for a in range(0, rows.shape[0], block):
+        part = rows[a:a + block]
+        sides = []
+        for i0, w0, w1 in taps:
+            lo = part.take(i0, axis=1)
+            lo *= w0
+            hi = part.take(i0 + 1, axis=1)
+            hi *= w1
+            lo += hi
+            sides.append(lo)
+        inner = part[:, 1:-1]
+        np.subtract(*sides, out=inner)
+        inner /= 2.0 * fa_step
+
+
+def _filtered(sino: Sinogram, filter_rows, *args) -> np.ndarray:
+    """filter_rows run on a padded copy of sino's rows: the (n_tau, n_phi) view of the result."""
+    rows = _padded_rows(sino.values)
+    filter_rows(rows, *args)
+    return rows[:, 1:-1].T
 
 
 def _ramp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
@@ -194,7 +249,7 @@ def ramp_filtered(sino: Sinogram) -> np.ndarray:
     The result approximates (1/2pi) * integral |lam| R^(lam) exp(i lam tau) dlam
     on the stored tau nodes (kernel: _ramp_kernel).
     """
-    return _correlate_columns(sino.values, _ramp_kernel(sino.n_tau, sino.d_tau))
+    return _filtered(sino, _correlate_rows, _ramp_kernel(sino.n_tau, sino.d_tau))
 
 
 def _fp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
@@ -211,6 +266,8 @@ def _fp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
     linear Taylor term -eta g'(0) sums to exactly zero on this symmetric
     grid, so no derivative estimate is needed.
     """
+    if n_tau < 3:
+        raise ValueError("finite-part quadrature needs at least 3 tau samples")
     m_half = n_tau - 1
     window = m_half * d_tau
     j = np.arange(-m_half, m_half + 1)
@@ -228,9 +285,7 @@ def _fp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
 
 def finite_part_filtered(sino: Sinogram) -> np.ndarray:
     """Hadamard finite-part transform of every column on its own tau grid."""
-    if sino.n_tau < 3:
-        raise ValueError("finite-part quadrature needs at least 3 tau samples")
-    return _correlate_columns(sino.values, _fp_kernel(sino.n_tau, sino.d_tau))
+    return _filtered(sino, _correlate_rows, _fp_kernel(sino.n_tau, sino.d_tau))
 
 
 def _lambda_correlation_kernel(n_tau: int, d_tau: float, epsilon: float,
@@ -246,8 +301,8 @@ def _lambda_correlation_kernel(n_tau: int, d_tau: float, epsilon: float,
 
 def lambda_kernel_filtered(sino: Sinogram, epsilon: float, lambda_max: float) -> np.ndarray:
     """Correlate every column with the closed-form regularized kernel."""
-    return _correlate_columns(sino.values, _lambda_correlation_kernel(sino.n_tau, sino.d_tau,
-                                                                      epsilon, lambda_max))
+    return _filtered(sino, _correlate_rows,
+                     _lambda_correlation_kernel(sino.n_tau, sino.d_tau, epsilon, lambda_max))
 
 
 def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
@@ -255,86 +310,31 @@ def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
 
     Off-grid values come from linear interpolation of the column between a
     zero node at each end (grids._linear_index); h = fa_step may be any
-    value >= d_tau.  Both sides are formed a block of angle-major rows at a
-    time, in four gathers of a sixteenth of _SPECTRUM_BLOCK entries (256 KiB)
-    each, small enough to stay in cache, and written into one (n_phi, n_tau)
-    array that is returned transposed.
+    value >= d_tau.
     """
-    if fa_step < sino.d_tau:
-        raise ValueError(f"fa_step {fa_step} must be at least d_tau {sino.d_tau}")
-    n, v = sino.n_tau, sino.values.T
-    shift = fa_step / sino.d_tau
-    taps = []   # (nodes read, weights): g(t + h) is taps 0 + 1, g(t - h) is taps 2 + 3
-    for step in (shift, -shift):
-        # padded node i0 is v[i0 - 1] and i0 + 1 is v[i0]; a pad node gets weight zero
-        i0, frac = _linear_index(np.arange(n) + step, n)
-        taps += [(np.maximum(i0 - 1, 0), (1.0 - frac) * (i0 > 0)),
-                 (np.minimum(i0, n - 1), frac * (i0 < n))]
-    out = np.empty(v.shape, dtype=np.complex128)
-    rows = max(1, _SPECTRUM_BLOCK // (16 * n))
-    for a in range(0, v.shape[0], rows):
-        block = v[a:a + rows]
-        plus, upper, minus, lower = (block.take(i, axis=1) for i, _ in taps)
-        for side, (_, w) in zip((plus, upper, minus, lower), taps):
-            side *= w
-        plus += upper
-        minus += lower
-        np.subtract(plus, minus, out=out[a:a + rows])
-        del plus, upper, minus, lower   # freed before the next block's gathers
-    out /= 2.0 * fa_step
-    return out.T
+    return _filtered(sino, _differentiate_rows, sino.d_tau, fa_step)
 
 
-# --- symmetry folds and backprojection ---------------------------------------
+# --- backprojection ----------------------------------------------------------
 
-class _Columns(NamedTuple):
-    """Sinogram-shaped data made inside this module, held as is: neither copied nor checked.
+def _backproject(rows_seq, sino, geometry: GridGeometry) -> tuple[list[np.ndarray], np.ndarray]:
+    """Angular quadrature of padded rows at tau = <n_phi, x>.
 
-    values is None where only the grid is needed.
-    """
+    rows_seq holds one or more buffers of padded rows on the sinogram's grid
+    (_padded_rows: one angle per row, its tau samples between two zeros); each
+    angle's interpolation indices are computed once and shared by all of them,
+    and each result is bit-identical to backprojecting its buffer alone.  The
+    angles follow grids._fold_plan: on a mirrored plan the buffers hold (at
+    least) N/2 rows already folded onto the first half turn, and only those
+    are read.  The buffers are read as they are, neither copied nor checked.
 
-    tau_min: float
-    d_tau: float
-    n_tau: int
-    angles: AngularRange
-    values: np.ndarray | None = None
+    Only the plan's representative angles get an index field; each row is
+    gathered through its representative's field into the frame of its view,
+    and each frame is mapped back through the view's inverse at the end.
+    This agrees with the direct loop to rounding; with the identity view
+    alone it is the direct loop, bit for bit.
 
-    @property
-    def tau_grid(self) -> TauGrid:
-        return TauGrid(self.tau_min, self.d_tau, self.n_tau)
-
-
-def _fold(values: np.ndarray, parity: float, out: np.ndarray | None = None) -> np.ndarray:
-    """values[:, :N/2] + parity * values[::-1, N/2:] for parity +1 or -1.
-
-    On a mirrored plan (grids._fold_plan) column m + N/2 is angle
-    phi_m + pi, and row t there is -tau_t: the second half turn read at -tau,
-    added onto the first or subtracted from it.
-    """
-    half = values.shape[1] // 2
-    op = np.add if parity > 0 else np.subtract
-    return op(values[:, :half], values[::-1, half:], out=out)
-
-
-def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.ndarray], np.ndarray]:
-    """Angular quadrature of per-column data at tau = <n_phi, x>.
-
-    columns_seq yields one or more (n_tau, n_phi) arrays on the sinogram's
-    grid, each read once; each angle's interpolation indices are computed once and shared
-    by all of them, and each result is bit-identical to backprojecting its
-    array alone.  The angles follow grids._fold_plan.  On a mirrored plan
-    (angle m + N/2 is angle m + pi read at -tau), each array is first folded
-    onto the first half turn (_fold); no symmetry of the data is needed.
-    Each array is copied to angle-major tau rows between two zeros, the
-    padded axis that grids._linear_index reads.
-
-    Only the plan's representative angles get an index field; each column
-    is gathered through its representative's field into the frame of its
-    view, and each frame is mapped back through the view's inverse at the
-    end.  This agrees with the direct loop to rounding; with the identity
-    view alone it is the direct loop, bit for bit.
-
-    Returns (values per array, out_of_coverage) where the boolean mask marks
+    Returns (values per buffer, out_of_coverage) where the boolean mask marks
     pixels whose offset fell outside [tau_min, tau_max] for at least one
     angle.  Linear interpolation along tau; the fixed angle order keeps the
     result deterministic.
@@ -343,21 +343,12 @@ def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.nda
     if n < 2:
         raise ValueError("backprojection needs at least 2 tau samples")
     plan = _fold_plan(geometry, sino.tau_grid, sino.angles)
-    rows_seq = []
-    for columns in columns_seq:
-        rows = np.zeros((plan.rep.size, n + 2), dtype=np.complex128)
-        if plan.mirrored:
-            _fold(columns, 1.0, out=rows[:, 1:-1].T)
-        else:
-            rows[:, 1:-1] = columns.T
-        rows_seq.append(rows)
-        del columns   # free this array before columns_seq makes the next
     x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
     shape = (geometry.nx, geometry.ny)
     accs = [[np.zeros(shape, dtype=np.complex128) for _ in plan.views] for _ in rows_seq]
     out_of_range = [np.zeros(shape, dtype=bool) for _ in plan.views]
     current = -1
-    for k in np.argsort(plan.rep, kind="stable"):   # columns grouped by the field they read
+    for k in np.argsort(plan.rep, kind="stable"):   # rows grouped by the field they read
         if plan.rep[k] != current:
             current = plan.rep[k]
             c, s = direction(plan.phis[current])
@@ -365,7 +356,7 @@ def _backproject(columns_seq, sino, geometry: GridGeometry) -> tuple[list[np.nda
             outside = (f < 0.0) | (f > n - 1)
             i0, w = _linear_index(f, n)
             i1 = i0 + 1
-            # complex weights, cast once per field rather than once per column and array
+            # complex weights, cast once per field rather than once per row and buffer
             w0 = (1.0 - w).astype(np.complex128)
             w = w.astype(np.complex128)
         q = plan.view[k]
@@ -392,25 +383,25 @@ def _flag_meta(out_of_range: np.ndarray) -> dict:
     return {"coverage_flags": flags, "coverage_flag_count": int(flags.shape[0])}
 
 
-# the filters' fresh outputs are scaled in place, with no second (n_tau, n_phi) array
-def _fs_columns(sino: Sinogram, params: RegParams) -> np.ndarray:
+# each term's filter runs in place on its padded rows and scales their inner entries
+def _fs_rows(rows: np.ndarray, sino: Sinogram, params: RegParams) -> None:
+    inner = rows[:, 1:-1]
     if params.backend is Backend.RAMP_FILTER:
-        out = ramp_filtered(sino)
-        out *= np.pi
-        return out
-    out = finite_part_filtered(sino)
-    return np.negative(out, out=out)
+        _correlate_rows(rows, _ramp_kernel(sino.n_tau, sino.d_tau))
+        inner *= np.pi
+    else:
+        _correlate_rows(rows, _fp_kernel(sino.n_tau, sino.d_tau))
+        np.negative(inner, out=inner)
 
 
-def _fa_columns(sino: Sinogram, params: RegParams) -> np.ndarray:
-    out = tau_derivative(sino, params.fa_step)
-    out *= -1j * np.pi
-    return out
+def _fa_rows(rows: np.ndarray, sino: Sinogram, params: RegParams) -> None:
+    _differentiate_rows(rows, sino.d_tau, params.fa_step)
+    rows[:, 1:-1] *= -1j * np.pi
 
 
 # each term's filter, and its parity under tau -> -tau: the ramp and finite-part
 # kernels are even, the tau derivative is odd
-_TERMS = ((_fs_columns, 1.0), (_fa_columns, -1.0))
+_TERMS = ((_fs_rows, 1.0), (_fa_rows, -1.0))
 
 
 def invert_universal(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> Reconstruction:
@@ -430,27 +421,23 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams) -> list[Recons
 
     The sinograms must share one tau grid and angular range; each result is
     bit-identical to inverting its sinogram alone.  On a mirrored plan
-    (grids._fold_plan), each sinogram is folded onto its first half turn
-    with the term's parity before it is filtered: a filter of that parity
-    commutes with tau reversal, so filtering the fold equals folding the
-    filtered columns, to rounding, at half the columns.
+    (grids._fold_plan), each term's rows are folded onto the first half turn
+    with the term's parity as they are filled, before they are filtered: a
+    filter of that parity commutes with tau reversal, so filtering the fold
+    equals folding the filtered rows, to rounding, at half the rows.
     """
     first = sinos[0]
     if any(s.tau_grid != first.tau_grid or s.angles != first.angles for s in sinos):
         raise ValueError("sinograms inverted together must share one tau grid and angular range")
-    half = _fold_plan(geometry, first.tau_grid, first.angles).mirrored
-    grid = first
-    if half:
-        a = first.angles
-        grid = _Columns(first.tau_min, first.d_tau, first.n_tau,
-                        AngularRange(a.phi_min, a.phi_min + a.span / 2, a.n_phi // 2))
-
-    def filtered():   # one array alive at a time: _backproject copies each into rows
-        for s in sinos:
-            for term, parity in _TERMS:
-                yield term(grid._replace(values=_fold(s.values, parity)) if half else s, params)
-
-    values, oob = _backproject(filtered(), grid, geometry)
+    mirrored = _fold_plan(geometry, first.tau_grid, first.angles).mirrored
+    buffers = []
+    for s in sinos:
+        for term, parity in _TERMS:
+            rows = _padded_rows(s.values, parity if mirrored else 0.0)
+            term(rows, s, params)
+            buffers.append(rows)
+    values, oob = _backproject(buffers, first, geometry)
+    del buffers, rows   # freed before the images are made
     meta = _flag_meta(oob)
     recons = []
     for fs, fa in zip(values[::2], values[1::2]):
@@ -467,14 +454,19 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
 
     Defaults: epsilon from ``RegParams.defaults``, lambda_max = pi/d_tau
     (radial Nyquist of the tau grid).  Serves as a third oracle for
-    invert_universal.
+    invert_universal.  The kernel is not even, so on a mirrored plan the rows
+    are folded after filtering: row m plus row m + N/2 read at -tau.
     """
     if epsilon is None:
         epsilon = RegParams.defaults(sino.d_tau).epsilon
     if lambda_max is None:
         lambda_max = np.pi / sino.d_tau
-    (values,), oob = _backproject([lambda_kernel_filtered(sino, epsilon, lambda_max)], sino,
-                                  geometry)
+    rows = _padded_rows(sino.values)
+    _correlate_rows(rows, _lambda_correlation_kernel(sino.n_tau, sino.d_tau, epsilon, lambda_max))
+    if _fold_plan(geometry, sino.tau_grid, sino.angles).mirrored:
+        inner, half = rows[:, 1:-1], sino.angles.n_phi // 2
+        inner[:half] += inner[half:, ::-1]
+    (values,), oob = _backproject([rows], sino, geometry)
     return ImageGrid2D(geometry, values, _flag_meta(oob))
 
 
@@ -488,6 +480,14 @@ def l2_norm(values: np.ndarray) -> float:
 def _fa_fs_ratio(fa_norm: float, fs_norm: float) -> float:
     """Boundary over principal norm: 0 when both are 0, inf when only fs_norm is."""
     return fa_norm / fs_norm if fs_norm > 0 else float("inf") if fa_norm else 0.0
+
+
+def _rmse_over_peak(values: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
+    """(rmse, rmse / max|reference|) of values against reference; the ratio is the rmse
+    itself where the reference is all zero."""
+    rmse = float(np.sqrt(np.mean(np.abs(values - reference) ** 2)))
+    peak = float(np.max(np.abs(reference)))
+    return rmse, rmse / peak if peak > 0 else rmse
 
 
 def reconstruction_metrics(recon: Reconstruction,
@@ -504,9 +504,6 @@ def reconstruction_metrics(recon: Reconstruction,
     if reference is not None:
         if reference.geometry != recon.f_total.geometry:
             raise ValueError("reference geometry differs from reconstruction")
-        diff = recon.f_total.values - reference.values
-        peak = float(np.max(np.abs(reference.values)))
-        rmse = float(np.sqrt(np.mean(np.abs(diff) ** 2)))
-        out["rmse"] = rmse
-        out["rmse_over_peak"] = rmse / peak if peak > 0 else rmse
+        out["rmse"], out["rmse_over_peak"] = _rmse_over_peak(recon.f_total.values,
+                                                             reference.values)
     return out

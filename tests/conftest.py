@@ -1,4 +1,5 @@
-"""Shared helpers: independent quadrature oracles and error metrics.
+"""Shared helpers: independent quadrature oracles, error metrics, and adapters
+that hand the inversion's private kernels the padded row buffers they work on.
 
 The oracles here evaluate scene formulas directly on fine sample sets and
 never touch the library's transform code, so every [analytic vs numeric]
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 import uradon as ur
+import uradon.inversion as inv
+from uradon.grids import _fold_plan
 
 
 def traced_peak(call):
@@ -74,6 +77,33 @@ def analytic_sinogram(scene, tau_grid, angles):
     taus = tau_grid.taus()
     values = np.stack([ur.analytic_radon(scene, taus, phi) for phi in angles.phis()], axis=1)
     return ur.Sinogram(tau_grid.tau_min, tau_grid.d_tau, tau_grid.n_tau, angles, values)
+
+
+def backproject(columns_seq, sino, geometry):
+    """inversion._backproject of (n_tau, n_phi) arrays, each handed over as padded rows.
+
+    Where the plan is mirrored the rows are folded onto the first half turn:
+    row m plus row m + N/2 read at -tau.
+    """
+    parity = 1.0 if _fold_plan(geometry, sino.tau_grid, sino.angles).mirrored else 0.0
+    return inv._backproject([inv._padded_rows(c, parity) for c in columns_seq], sino, geometry)
+
+
+def correlate(values, kernel):
+    """inversion._correlate_rows on the columns of values: the filtered (n, n_cols) array."""
+    rows = inv._padded_rows(values)
+    inv._correlate_rows(rows, kernel)
+    return rows[:, 1:-1].T
+
+
+def term_columns(sino, params):
+    """The inverse's filtered f_s and f_a columns at every stored angle, unfolded."""
+    out = []
+    for term in (inv._fs_rows, inv._fa_rows):
+        rows = inv._padded_rows(sino.values)
+        term(rows, sino, params)
+        out.append(rows[:, 1:-1].T)
+    return out
 
 
 @pytest.fixture

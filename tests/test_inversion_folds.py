@@ -16,6 +16,7 @@ import uradon.forward as fwd
 import uradon.inversion as inv
 from uradon.forward import _project, direction
 from uradon.grids import _D4_VIEWS, _centred_square, _fold_plan, _linear_index, _pi_mirrored
+from conftest import backproject, term_columns
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -121,7 +122,7 @@ class TestD4Backproject:
         rng = np.random.default_rng(seed)
         sino = empty_sino(tau_grid, angles)
         columns = [complex_normal(rng, (tau_grid.n_tau, angles.n_phi)) for _ in range(count)]
-        got, oob = inv._backproject(columns, sino, geom)
+        got, oob = backproject(columns, sino, geom)
         want, want_oob = pi_folded_backproject(columns, sino, geom)
         # a pixel whose offset is an end node of the tau grid is flagged or not by
         # rounding, so the D4 images of such an angle may flag it differently
@@ -138,9 +139,9 @@ class TestD4Backproject:
         rng = np.random.default_rng(seed)
         sino = empty_sino(tau_grid, angles)
         columns = [complex_normal(rng, (tau_grid.n_tau, angles.n_phi)) for _ in range(2)]
-        together, oob = inv._backproject(columns, sino, geom)
+        together, oob = backproject(columns, sino, geom)
         for g, columns_alone in zip(together, columns, strict=True):
-            (alone,), alone_oob = inv._backproject([columns_alone], sino, geom)
+            (alone,), alone_oob = backproject([columns_alone], sino, geom)
             assert np.array_equal(g, alone)
             assert np.array_equal(oob, alone_oob)
 
@@ -154,7 +155,7 @@ class TestD4Backproject:
         columns = [complex_normal(rng, (tau_grid.n_tau, angles.n_phi))]
         calls = []
         monkeypatch.setattr(inv, "direction", lambda phi: calls.append(phi) or direction(phi))
-        got, oob = inv._backproject(columns, sino, geom)
+        got, oob = backproject(columns, sino, geom)
         assert len(calls) == n_half // 4 + 1
         assert np.array_equal(calls, angles.phis()[:n_half // 4 + 1])
         monkeypatch.undo()
@@ -180,7 +181,7 @@ class TestD4Backproject:
         columns = [complex_normal(rng, (tau_grid.n_tau, angles.n_phi)) for _ in range(2)]
         calls = []
         monkeypatch.setattr(inv, "direction", lambda phi: calls.append(phi) or direction(phi))
-        got, oob = inv._backproject(columns, sino, geom)
+        got, oob = backproject(columns, sino, geom)
         monkeypatch.undo()
         mirrored = _pi_mirrored(tau_grid, angles)
         assert len(calls) == (angles.n_phi // 2 if mirrored else angles.n_phi)
@@ -216,7 +217,7 @@ class TestOnePlan:
         img = ur.ImageGrid2D(geom, complex_normal(rng, (geom.nx, geom.ny)))
         ur.radon_transform(img, tau_grid, angles)
         columns = complex_normal(rng, (tau_grid.n_tau, angles.n_phi))
-        inv._backproject([columns], empty_sino(tau_grid, angles), geom)
+        backproject([columns], empty_sino(tau_grid, angles), geom)
         n_phis = len(_fold_plan(geom, tau_grid, angles).phis)
         assert projected == [n_phis]
         assert len(fields) == n_phis
@@ -267,9 +268,8 @@ class TestFoldBeforeFilter:
         sino = random_sino(np.random.default_rng(seed), tau_grid, angles)
         params = ur.RegParams(2.0 * tau_grid.d_tau, fa_step, backend)
         got = ur.invert_universal(sino, geom, params)
-        # every column filtered, then folded by _backproject: the order before the fold moved
-        (fs, fa), oob = inv._backproject([inv._fs_columns(sino, params),
-                                          inv._fa_columns(sino, params)], sino, geom)
+        # every column filtered, then folded into the padded rows: the order before the fold moved
+        (fs, fa), oob = backproject(term_columns(sino, params), sino, geom)
         assert_near(got.f_s.values, fs)
         assert_near(got.f_a.values, fa)
         assert np.array_equal(got.f_s.meta["coverage_flags"], np.argwhere(oob))
@@ -280,12 +280,12 @@ class TestFoldBeforeFilter:
         tau_grid = ur.TauGrid.covering(geom, 0.2)
         sino = random_sino(rng, tau_grid, ur.AngularRange.full(24))
         widths = []
-        for name in ("ramp_filtered", "finite_part_filtered", "tau_derivative"):
+        for name in ("_correlate_rows", "_differentiate_rows"):
             original = getattr(inv, name)
-            monkeypatch.setattr(inv, name, lambda s, *a, f=original: widths.append(
-                s.values.shape) or f(s, *a))
+            monkeypatch.setattr(inv, name, lambda rows, *a, f=original: widths.append(
+                rows.shape) or f(rows, *a))
         ur.invert_universal(sino, geom, ur.RegParams.defaults(0.2, backend))
-        assert widths == [(tau_grid.n_tau, 12)] * 2
+        assert widths == [(12, tau_grid.n_tau + 2)] * 2
 
 
 class TestKernelParity:
@@ -342,8 +342,7 @@ class TestExactAngles:
         monkeypatch.undo()
         assert len(calls) == 180
         params = ur.RegParams.defaults(0.2)
-        (fs, fa), oob = pi_folded_backproject([inv._fs_columns(sino, params),
-                                               inv._fa_columns(sino, params)], sino, geom)
+        (fs, fa), oob = pi_folded_backproject(term_columns(sino, params), sino, geom)
         assert np.array_equal(got.f_s.values, fs)
         assert np.array_equal(got.f_a.values, fa)
         assert np.array_equal(got.f_s.meta["coverage_flags"], np.argwhere(oob))

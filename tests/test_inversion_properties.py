@@ -14,6 +14,7 @@ import uradon as ur
 import uradon.inversion as inv
 from uradon.forward import direction
 from uradon.grids import _linear_index, _pi_mirrored
+from conftest import backproject, correlate
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 CASES = ("full_even", "full_odd", "partial", "asymmetric_tau")
@@ -91,7 +92,7 @@ def backprojection_inputs(draw):
 @given(backprojection_inputs())
 def test_backproject_matches_the_column_major_loop(inputs):
     sino, geometry, columns = inputs
-    got, oob = inv._backproject(columns, sino, geometry)
+    got, oob = backproject(columns, sino, geometry)
     want, want_oob = column_major_backproject(columns, sino, geometry)
     assert np.array_equal(oob, want_oob)
     for g, w in zip(got, want, strict=True):
@@ -102,9 +103,9 @@ def test_backproject_matches_the_column_major_loop(inputs):
 @given(backprojection_inputs())
 def test_arrays_backprojected_together_equal_each_alone(inputs):
     sino, geometry, columns = inputs
-    together, oob = inv._backproject(columns, sino, geometry)
+    together, oob = backproject(columns, sino, geometry)
     for g, columns_alone in zip(together, columns, strict=True):
-        (alone,), alone_oob = inv._backproject([columns_alone], sino, geometry)
+        (alone,), alone_oob = backproject([columns_alone], sino, geometry)
         assert np.array_equal(g, alone)
         assert np.array_equal(oob, alone_oob)
 
@@ -115,7 +116,7 @@ def test_correlation_matches_the_column_major_fft(n, m_half, n_cols, seed):
     rng = np.random.default_rng(seed)
     values = complex_normal(rng, (n, n_cols))
     kernel = complex_normal(rng, 2 * m_half + 1)
-    got = inv._correlate_columns(values, kernel)
+    got = correlate(values, kernel)
     assert got.shape == (n, n_cols)
     assert np.array_equal(got, column_major_correlation(values, kernel))
 
@@ -130,6 +131,6 @@ def test_blocked_correlation_matches_the_column_major_fft(monkeypatch, block_col
     rng = np.random.default_rng(n * n_cols + block_cols)
     values = complex_normal(rng, (n, n_cols))
     kernel = complex_normal(rng, 2 * m_half + 1)
-    got = inv._correlate_columns(values, kernel)
+    got = correlate(values, kernel)
     assert got.shape == (n, n_cols)
     assert np.array_equal(got, column_major_correlation(values, kernel))
