@@ -36,6 +36,7 @@ print("\ncross-validation of the three paths:")
 print(f"  finite-part vs ramp  = {rel(fp.f_total.values, recon.f_total.values):.3e}")
 print(f"  closed-form-kernel vs ramp = {rel(alt.values, recon.f_total.values):.3e}")
 
-print("\nregularized pole samples 1/(eta - i eps), eps = {:.3f}:".format(params.epsilon))
-for eta in (0.0, params.epsilon, 5 * params.epsilon):
-    print(f"  eta = {eta:6.3f}: {ur.delta_plus(eta, params.epsilon):+.4f}")
+eps = 2.0 * sino.d_tau   # epsilon_lambda_reconstruct's default regulator
+print("\nregularized pole samples 1/(eta - i eps), eps = {:.3f}:".format(eps))
+for eta in (0.0, eps, 5 * eps):
+    print(f"  eta = {eta:6.3f}: {ur.delta_plus(eta, eps):+.4f}")

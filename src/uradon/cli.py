@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .container import ContainerError, read_container, write_container
 from .forward import radon_transform
-from .grids import AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid
+from .grids import AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid, _finite
 from .holonomy import (Probe, check_holonomy, classify_defect_scene,
                        extract_defect, UnsupportedSceneError)
 from .hybrid import dual_k_grid, hybrid_forward, hybrid_radon, make_slices, reconstruct_volume
@@ -65,8 +65,6 @@ def _load_scene(path):
 def _scene3d(args) -> tuple[SeparableScene3D, list[float]]:
     """The scene file as a 3D scene (unit x3 profile if it has none), and --x3's positions."""
     scene, profile3d = _load_scene(args.scene)
-    if args.x3 is None:
-        raise CliError("--slices requires --x3 start:step", EXIT_BAD_ARGS)
     start, step = _fields(args.x3, "x3", float, float)
     if profile3d is None:
         profile3d = SeparableScene3D(scene)
@@ -117,11 +115,10 @@ def _emit(base: str, argv: list[str], outputs: dict) -> None:
 def _restrict_angles(sino: Sinogram, window: tuple[float, float]) -> Sinogram:
     lo, hi = window
     phis = sino.angles.phis()
+    # the phis increase, so the window selects one contiguous block
     keep = np.nonzero((phis >= lo - 1e-12) & (phis < hi - 1e-12))[0]
     if len(keep) == 0:
         raise CliError(f"no stored angles inside [{lo}, {hi})", EXIT_BAD_ARGS)
-    if not np.array_equal(keep, np.arange(keep[0], keep[-1] + 1)):
-        raise CliError("angle window must select a contiguous block", EXIT_BAD_ARGS)
     d_phi = sino.angles.d_phi
     angles = AngularRange(float(phis[keep[0]]), float(phis[keep[0]] + len(keep) * d_phi), len(keep))
     return Sinogram(sino.tau_min, sino.d_tau, sino.n_tau, angles,
@@ -131,6 +128,8 @@ def _restrict_angles(sino: Sinogram, window: tuple[float, float]) -> Sinogram:
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_phantom(args, argv) -> int:
+    if (args.slices is None) != (args.x3 is None):
+        raise CliError("--slices N and --x3 start:step go together", EXIT_BAD_ARGS)
     if args.slices is None:
         scene, _ = _load_scene(args.scene)
         grid = rasterize(scene, _geometry(args))
@@ -188,18 +187,22 @@ def _rel_diff(values: np.ndarray, reference: np.ndarray) -> float:
 
 
 def _cmd_invert(args, argv) -> int:
+    if args.epsilon is not None:   # the regulator of the epsilon-lambda path alone
+        if not args.with_epsilon_lambda:
+            raise CliError("--epsilon requires --with-epsilon-lambda", EXIT_BAD_ARGS)
+        _finite("epsilon", args.epsilon, positive=True)
     sino = _read(args.sinogram, Sinogram)
     if args.range is not None:
         sino = _restrict_angles(sino, _fields(args.range, "range", float, float))
     geometry = _geometry(args)
-    given = {name: getattr(args, name) for name in ("epsilon", "fa_step")
-             if getattr(args, name) is not None}
-    params = replace(RegParams.defaults(sino.d_tau, Backend(args.backend)), **given)
+    params = RegParams.defaults(sino.d_tau, Backend(args.backend))
+    if args.fa_step is not None:
+        params = replace(params, fa_step=args.fa_step)
     recon = invert_universal(sino, geometry, params)
     reference = _read(args.reference, ImageGrid2D) if args.reference else None
     metrics = reconstruction_metrics(recon, reference)
     if args.with_epsilon_lambda:
-        alt = epsilon_lambda_reconstruct(sino, geometry, params.epsilon)
+        alt = epsilon_lambda_reconstruct(sino, geometry, args.epsilon)
         metrics["epsilon_lambda_rel_diff"] = _rel_diff(alt.values, recon.f_total.values)
     prefix = args.out_prefix
     _emit(prefix, argv, {f"{prefix}_fs.urdn": recon.f_s, f"{prefix}_fa.urdn": recon.f_a,
@@ -349,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(p)
     p.add_argument("--backend", choices=[b.value for b in Backend],
                    default=Backend.RAMP_FILTER.value)
-    p.add_argument("--epsilon", type=float, default=None, help="default 2*d_tau")
     p.add_argument("--fa-step", type=float, default=None, help="default d_tau")
     p.add_argument("--range", default=None,
                    help="restrict to stored angles inside a:b before inverting")
     p.add_argument("--reference", default=None, help="image container for RMSE")
     p.add_argument("--with-epsilon-lambda", action="store_true",
                    help="also run the closed-form-kernel path and report the difference")
+    p.add_argument("--epsilon", type=float, default=None, help="its pole regulator, default 2*d_tau")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_invert)
 

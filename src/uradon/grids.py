@@ -418,6 +418,20 @@ class Sinogram:
                 and np.array_equal(self.values, other.values))
 
 
+def _slice_axis(keys, grids, key: str, grid: str) -> tuple[tuple, tuple]:
+    """(keys as floats, grids), both tuples: every key finite, one grid per key, at least
+    one, all on one geometry.  key and grid name the two in messages ("k value", "field")."""
+    for value in keys:
+        _finite(key, value)
+    keys, grids = tuple(float(value) for value in keys), tuple(grids)
+    if len(grids) == 0 or len(grids) != len(keys):
+        raise ValueError(f"need one {grid} per {key}, at least one of each")
+    for n, g in enumerate(grids):
+        if g.geometry != grids[0].geometry:
+            raise ValueError(f"{grid} {n} geometry differs from {grid} 0")
+    return keys, grids
+
+
 @dataclass(frozen=True)
 class VolumeStack:
     """Finite set of 2D slices at strictly increasing third-axis positions."""
@@ -426,18 +440,9 @@ class VolumeStack:
     slices: tuple
 
     def __post_init__(self):
-        for p in self.x3_positions:
-            _finite("x3 position", p)
-        positions = tuple(float(p) for p in self.x3_positions)
-        slices = tuple(self.slices)
-        if len(slices) == 0 or len(slices) != len(positions):
-            raise ValueError("need one slice per x3 position, at least one of each")
+        positions, slices = _slice_axis(self.x3_positions, self.slices, "x3 position", "slice")
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ValueError("x3_positions must be strictly increasing")
-        geom = slices[0].geometry
-        for k, s in enumerate(slices):
-            if s.geometry != geom:
-                raise ValueError(f"slice {k} geometry differs from slice 0")
         object.__setattr__(self, "x3_positions", positions)
         object.__setattr__(self, "slices", slices)
 
@@ -470,16 +475,7 @@ class HybridField:
     provenance: Provenance
 
     def __post_init__(self):
-        for k in self.k_values:
-            _finite("k value", k)
-        ks = tuple(float(k) for k in self.k_values)
-        fields = tuple(self.fields)
-        if len(fields) == 0 or len(fields) != len(ks):
-            raise ValueError("need one field per k value, at least one of each")
-        geom = fields[0].geometry
-        for k, f in enumerate(fields):
-            if f.geometry != geom:
-                raise ValueError(f"field {k} geometry differs from field 0")
+        ks, fields = _slice_axis(self.k_values, self.fields, "k value", "field")
         if not isinstance(self.provenance, Provenance):
             object.__setattr__(self, "provenance", Provenance(self.provenance))
         object.__setattr__(self, "k_values", ks)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import AngularRange, GridGeometry, Sinogram, TauGrid
+from .grids import AngularRange, GridGeometry, Sinogram, TauGrid, _finite
 from .forward import _project, direction
 from .inversion import l2_norm
 from .phantoms import CompositeScene, GaussianBlob, RegionMask, rasterize
@@ -133,6 +133,16 @@ def leak_tolerance(scene: CompositeScene, geometry: GridGeometry) -> float:
     return 1e-6 * scene.peak * geometry.diameter
 
 
+def _tolerance(name: str, value: float | None, default: float) -> float:
+    """value, or default where it is None, once it is a finite number >= 0 (zero is
+    legal: masked columns outside their quadrant are exactly zero)."""
+    value = default if value is None else value
+    _finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+    return value
+
+
 def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
                   geometry: GridGeometry, ray_step: float | None = None,
                   leak_tol: float | None = None, _columns: dict | None = None) -> PathEvaluation:
@@ -150,8 +160,7 @@ def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
     and rasterize each term at most once, and only when it has a column to
     project.
     """
-    if leak_tol is None:
-        leak_tol = leak_tolerance(scene, geometry)
+    leak_tol = _tolerance("leak_tol", leak_tol, leak_tolerance(scene, geometry))
     taus = probe.taus.taus()
     trig = [direction(phi) for phi in probe.angles.phis()]
 
@@ -187,11 +196,11 @@ def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
 def check_holonomy(scene: CompositeScene, probe: Probe, geometry: GridGeometry,
                    ray_step: float | None = None, leak_tol: float | None = None,
                    threshold: float | None = None) -> HolonomyReport:
-    """Compare the full-turn and two-half-turn protocols on the probe window."""
-    if leak_tol is None:
-        leak_tol = leak_tolerance(scene, geometry)
-    if threshold is None:
-        threshold = 10.0 * leak_tol
+    """Compare the full-turn and two-half-turn protocols on the probe window.
+
+    leak_tol (default leak_tolerance) and threshold (default 10 * leak_tol): finite, >= 0."""
+    leak_tol = _tolerance("leak_tol", leak_tol, leak_tolerance(scene, geometry))
+    threshold = _tolerance("threshold", threshold, 10.0 * leak_tol)
     columns: dict = {}  # the full turn's images and +sign columns serve the two half turns
     one = evaluate_path(scene, ShiftPath.full_turn(), probe, geometry, ray_step, leak_tol, columns)
     two = evaluate_path(scene, ShiftPath.two_half_turns(), probe, geometry, ray_step, leak_tol,

@@ -29,8 +29,6 @@ def make_slices(source, x3_positions, geometry: GridGeometry | None = None) -> V
     every requested position must already be stored).
     """
     positions = [float(p) for p in x3_positions]
-    if len(set(positions)) != len(positions):
-        raise ValueError("x3 positions contain duplicates")
     if isinstance(source, SeparableScene3D):
         if geometry is None:
             raise ValueError("rasterizing a 3D scene needs a grid geometry")
@@ -60,26 +58,24 @@ def hybrid_from_scene(scene3d: SeparableScene3D, k_values,
     for the series sum: a dense slice stack's Riemann sum converges to it.
     """
     ks = [float(k) for k in k_values]
-    if not ks:
-        raise ValueError("need at least one k value")
     base = rasterize(scene3d.base, geometry)
     fields = tuple(ImageGrid2D(geometry, scene3d.profile_transform(k) * base.values) for k in ks)
     return HybridField(tuple(ks), fields, Provenance.CONTINUOUS)
 
 
+def _phase_sums(phases, grids) -> tuple:
+    """One image per phase row: sum_n row[n] * grids[n], on the grids' shared geometry."""
+    data = np.stack([g.values for g in grids])
+    geometry = grids[0].geometry
+    return tuple(ImageGrid2D(geometry, np.tensordot(row, data, axes=(0, 0))) for row in phases)
+
+
 def hybrid_forward(stack: VolumeStack, k_values) -> HybridField:
     """Discrete Fourier sum over the slice axis: F(x; k) = sum_n exp(-i k x3_n) f_n(x)."""
     ks = [float(k) for k in k_values]
-    if not ks:
-        raise ValueError("need at least one k value")
     x3 = np.asarray(stack.x3_positions)
-    data = np.stack([s.values for s in stack.slices])
-    geometry = stack.geometry
-    fields = []
-    for k in ks:
-        phases = np.exp(-1j * k * x3)
-        fields.append(ImageGrid2D(geometry, np.tensordot(phases, data, axes=(0, 0))))
-    return HybridField(tuple(ks), tuple(fields), Provenance.SERIES)
+    fields = _phase_sums([np.exp(-1j * k * x3) for k in ks], stack.slices)
+    return HybridField(tuple(ks), fields, Provenance.SERIES)
 
 
 def dual_k_grid(x3_positions) -> tuple[np.ndarray, float]:
@@ -119,13 +115,8 @@ def hybrid_inverse_series(field: HybridField, x3_positions) -> VolumeStack:
     _require_dual_grid(field.k_values, positions)
     n = len(positions)
     ks = np.asarray(field.k_values)
-    data = np.stack([f.values for f in field.fields])
-    geometry = field.geometry
-    slices = []
-    for x3 in positions:
-        phases = np.exp(1j * ks * x3) / n
-        slices.append(ImageGrid2D(geometry, np.tensordot(phases, data, axes=(0, 0))))
-    return VolumeStack(tuple(positions), tuple(slices))
+    slices = _phase_sums([np.exp(1j * ks * x3) / n for x3 in positions], field.fields)
+    return VolumeStack(tuple(positions), slices)
 
 
 def hybrid_radon(field: HybridField, tau_grid: TauGrid, angles: AngularRange,

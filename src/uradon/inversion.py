@@ -68,27 +68,26 @@ class Backend(enum.Enum):
 
 @dataclass(frozen=True)
 class RegParams:
-    """Regularization parameters.
+    """What the two-term inverse (invert_universal, reconstruct_volume) reads.
 
-    epsilon is the pole regulator (offset - i*epsilon); fa_step is the
-    central-difference step for the radial derivative in the boundary term
-    and must not be finer than the stored d_tau.
+    fa_step, the central-difference step of the boundary term's radial
+    derivative, must not be finer than the stored d_tau; backend picks the
+    principal-value filter.  The pole regulator epsilon is not among them:
+    only the independent oracle, epsilon_lambda_reconstruct, takes it.
     """
 
-    epsilon: float
     fa_step: float
     backend: Backend = Backend.RAMP_FILTER
 
     def __post_init__(self):
-        _finite("epsilon", self.epsilon, positive=True)
         _finite("fa_step", self.fa_step, positive=True)
         if not isinstance(self.backend, Backend):
             object.__setattr__(self, "backend", Backend(self.backend))
 
     @classmethod
     def defaults(cls, d_tau: float, backend: Backend = Backend.RAMP_FILTER) -> "RegParams":
-        """epsilon = 2*d_tau, fa_step = d_tau: regulators below the grid scale only add noise."""
-        return cls(epsilon=2.0 * d_tau, fa_step=d_tau, backend=backend)
+        """fa_step = d_tau: a step below the grid scale only adds noise."""
+        return cls(fa_step=d_tau, backend=backend)
 
 
 @dataclass(frozen=True)
@@ -452,13 +451,14 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
                                lambda_max: float | None = None) -> ImageGrid2D:
     """Independent reconstruction through the closed-form regularized kernel.
 
-    Defaults: epsilon from ``RegParams.defaults``, lambda_max = pi/d_tau
+    Defaults: pole regulator (offset - i*epsilon) epsilon = 2*d_tau, as a
+    regulator below the grid scale only adds noise; lambda_max = pi/d_tau
     (radial Nyquist of the tau grid).  Serves as a third oracle for
-    invert_universal.  The kernel is not even, so on a mirrored plan the rows
-    are folded after filtering: row m plus row m + N/2 read at -tau.
+    invert_universal, sharing none of its RegParams.  The kernel is not even,
+    so on a mirrored plan the rows are folded after filtering.
     """
     if epsilon is None:
-        epsilon = RegParams.defaults(sino.d_tau).epsilon
+        epsilon = 2.0 * sino.d_tau
     if lambda_max is None:
         lambda_max = np.pi / sino.d_tau
     rows = _padded_rows(sino.values)

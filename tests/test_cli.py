@@ -92,13 +92,17 @@ RUNS = {
     "phantom-volume": (["phantom", "--scene", "{scene}", "--nx", "16", "--extent", "6",
                         "--slices", "3", "--x3", "-1:1", "--out", "v.urdn"],
                        ["v.urdn"], "v.urdn.manifest.json"),
-    "radon": (["radon", "--image", "{image}", "--n-phi", "12", "--out", "s.urdn"],
+    "radon": (["radon", "--image", "{image}", "--n-tau", "61", "--n-phi", "12", "--out", "s.urdn"],
               ["s.urdn"], "s.urdn.manifest.json"),
     "fst-check": (["fst-check", "--image", "{image}", "--sinogram", "{sino}",
                    "--lambdas", "0:6:13", "--out", "f.csv"], ["f.csv"], "f.csv.manifest.json"),
     "invert": (["invert", "--sinogram", "{sino}", "--nx", "96", "--extent", "8",
                 "--reference", "{image}", "--out-prefix", "r"],
                ["r_fs.urdn", "r_fa.urdn", "r_total.urdn", "r_metrics.csv"], "r.manifest.json"),
+    "invert-epsilon-lambda": (["invert", "--sinogram", "{sino}", "--nx", "32", "--extent", "8",
+                               "--with-epsilon-lambda", "--epsilon", "0.5", "--out-prefix", "e"],
+                              ["e_fs.urdn", "e_fa.urdn", "e_total.urdn", "e_metrics.csv"],
+                              "e.manifest.json"),
     "holonomy": (["holonomy", "--scene", "{masked}", "--nx", "48", "--extent", "8", *PROBE,
                   "--out", "h.csv"], ["h.csv"], "h.csv.manifest.json"),
     "defect": (["defect", "--scene", "{defect}", "--nx", "48", "--extent", "8", *PROBE,
@@ -151,15 +155,25 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(tmp_path) in err and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("command, flag, value",
-                             [("radon", "--range", "1"), ("holonomy", "--tau", "0.2:3.0")])
-    def test_wrong_field_count_is_bad_argument(self, tmp_path, monkeypatch, run_inputs, capsys,
-                                               command, flag, value):
-        monkeypatch.chdir(tmp_path)
+    @pytest.mark.parametrize("command, extra, words", [
+        ("radon", ["--range", "1"], ["expects", "--range"]),
+        ("holonomy", ["--tau", "0.2:3.0"], ["expects", "--tau"]),
+        ("holonomy", ["--tau", "0.2:3.0:0"], ["at least one tau"]),
+        ("invert", ["--epsilon", "0.5"], ["--epsilon", "--with-epsilon-lambda"]),
+        ("phantom", ["--x3", "0:1"], ["--slices", "--x3"]),
+        ("phantom", ["--slices", "2"], ["--slices", "--x3"]),
+    ], ids=["range fields", "tau fields", "no tau samples", "epsilon alone", "x3 alone",
+            "slices alone"])
+    def test_refused_flags_are_bad_arguments(self, tmp_path, monkeypatch, run_inputs, capsys,
+                                             command, extra, words):
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path / "out")
         argv = [arg.format(**run_inputs) for arg in RUNS[command][0]]
-        assert main(argv + [flag, value]) == 2
+        assert main(argv + extra) == 2
         err = capsys.readouterr().err
-        assert "expects" in err and flag in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert all(word in err for word in words)
+        assert not any(Path().iterdir())   # refused before anything was written
 
 
 class TestFstCheck:
@@ -255,10 +269,26 @@ class TestInvert:
         assert main(["invert", "--sinogram", sino_file, "--nx", "16", "--extent", "8",
                      "--range", "9.0:9.1", "--out-prefix", str(tmp_path / "x")]) == 2
 
+    def test_epsilon_changes_only_the_epsilon_lambda_metric(self, tmp_path, sino_file):
+        def run(name, *extra):
+            prefix = str(tmp_path / name)
+            assert main(["invert", "--sinogram", sino_file, "--nx", "32", "--extent", "8",
+                         "--with-epsilon-lambda", *extra, "--out-prefix", prefix]) == 0
+            images = [Path(f"{prefix}_{part}.urdn").read_bytes() for part in ("fs", "fa", "total")]
+            rows = Path(f"{prefix}_metrics.csv").read_text().splitlines()[1:]
+            return images, dict(row.split(",") for row in rows)
+
+        images, metrics = run("default")
+        eps_images, eps_metrics = run("eps", "--epsilon", "0.5")   # the default is 2*d_tau = 1/6
+        assert eps_images == images
+        assert eps_metrics.pop("epsilon_lambda_rel_diff") != metrics.pop("epsilon_lambda_rel_diff")
+        assert eps_metrics == metrics
+
     @pytest.mark.parametrize("flag, field", [("--fa-step", "fa_step"), ("--epsilon", "epsilon")])
     def test_non_finite_regulator_is_bad_argument(self, tmp_path, sino_file, capsys, flag, field):
         assert main(["invert", "--sinogram", sino_file, "--nx", "16", "--extent", "8",
-                     flag, "nan", "--out-prefix", str(tmp_path / "x")]) == 2
+                     "--with-epsilon-lambda", flag, "nan",
+                     "--out-prefix", str(tmp_path / "x")]) == 2
         assert field in capsys.readouterr().err
 
     def test_missing_sinogram_is_format_error(self, tmp_path):

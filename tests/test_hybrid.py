@@ -197,7 +197,7 @@ class TestReconstructVolume:
         geom = ur.GridGeometry(14, 11, -2.1, -1.6, 0.3, 0.27)
         tg = ur.TauGrid.covering(geom, 0.2)
         positions = (-1.0, 0.0, 1.0)
-        params = ur.RegParams(0.4, 0.3)
+        params = ur.RegParams(0.3)
         for angles in (ur.AngularRange.full(10), ur.AngularRange(0.0, np.pi, 9)):
             shape = (tg.n_tau, angles.n_phi)
             sinos = [ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, angles,
@@ -223,7 +223,7 @@ class TestReconstructVolume:
         geom = ur.GridGeometry.centered(6, 6, 2.0, 2.0)
         first = ur.Sinogram(-1.0, 0.2, 11, ur.AngularRange.full(8), np.zeros((11, 8)))
         with pytest.raises(ValueError, match="share one tau grid"):
-            ur.reconstruct_volume([first, other], geom, ur.RegParams(0.4, 0.2), (0.0, 1.0))
+            ur.reconstruct_volume([first, other], geom, ur.RegParams(0.2), (0.0, 1.0))
 
     def test_wrong_sinogram_count(self):
         geom = ur.GridGeometry.centered(12, 12, 4.0, 4.0)

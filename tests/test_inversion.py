@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -261,20 +263,24 @@ class TestColumnFilters:
 class TestRegParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ur.RegParams(0.0, 0.1)
-        with pytest.raises(ValueError):
-            ur.RegParams(0.1, 0.0)
+            ur.RegParams(0.0)
         for bad in (np.nan, np.inf, True, "0.1"):
-            with pytest.raises(ValueError, match="epsilon"):
-                ur.RegParams(bad, 0.1)
             with pytest.raises(ValueError, match="fa_step"):
-                ur.RegParams(0.1, bad)
-        params = ur.RegParams(0.1, 0.2, "fp_quadrature")
+                ur.RegParams(bad)
+        params = ur.RegParams(0.2, "fp_quadrature")
         assert params.backend is ur.Backend.FP_QUADRATURE
+        # the two-term inverse reads fa_step and backend alone; the old
+        # (epsilon, fa_step, backend) order fails instead of shifting its meaning
+        assert [f.name for f in dataclasses.fields(params)] == ["fa_step", "backend"]
+        with pytest.raises(TypeError):
+            ur.RegParams(0.1, 0.2, "fp_quadrature")
+        with pytest.raises(ValueError, match="Backend"):
+            ur.RegParams(0.1, 0.2)
+        with pytest.raises(TypeError):
+            ur.RegParams(epsilon=0.1, fa_step=0.2)
 
     def test_defaults(self):
         params = ur.RegParams.defaults(0.05)
-        assert params.epsilon == 0.1
         assert params.fa_step == 0.05
 
 
@@ -442,7 +448,7 @@ class TestInvertFa:
         geom = ur.GridGeometry.centered(12, 12, 4.0, 4.0)
         sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(8), np.zeros((13, 8)))
         with pytest.raises(ValueError):
-            ur.invert_universal(sino, geom, ur.RegParams(epsilon=1.0, fa_step=0.25))
+            ur.invert_universal(sino, geom, ur.RegParams(fa_step=0.25))
 
 
 class TestInvertUniversal:
@@ -490,7 +496,7 @@ class TestInvertUniversal:
     def test_parts_share_one_coverage_flags_array(self, unit_blob_scene, backend, angles):
         geom = ur.GridGeometry.centered(32, 32, 8.0, 8.0)
         sino = make_sino(unit_blob_scene, geom, 0.2, angles)
-        r = ur.invert_universal(sino, geom, ur.RegParams(0.4, 0.3, backend))
+        r = ur.invert_universal(sino, geom, ur.RegParams(0.3, backend))
         for part in (r.f_a, r.f_total):
             assert np.array_equal(part.meta["coverage_flags"], r.f_s.meta["coverage_flags"])
 
