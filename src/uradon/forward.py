@@ -16,6 +16,14 @@ count.  The projector takes a GridGeometry and plain sample arrays on it, so
 the symmetry views of grids._fold_plan (f, f.T, rot90(f, -1) and
 flipud(f)) are projected as array views, from the plan's representative
 angles only.
+
+The projector skips the ray samples whose contribution is exactly +0 or
+-0.  The arrays of a call are grouped by the box of their nonzero nodes,
+and a task keeps only the samples strictly inside its group's box; a
+dropped sample reads four zero corners, or a nonzero corner at weight zero.
+A row's sum starts at +0, so it is never -0, and adding +0 or -0 to it
+changes no bit.  All-zero arrays are not sampled at all.  An image of full
+support has the whole padded grid as its box, so it is sampled as before.
 """
 
 from __future__ import annotations
@@ -131,6 +139,26 @@ def _ray_offsets(geometry: GridGeometry, ray_step: float) -> tuple[np.ndarray, f
     return -radius + (np.arange(n_s) + 0.5) * h, h
 
 
+def _support_box(a: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Open bounds (i_lo, i_hi, j_lo, j_hi) on padded fx and fy of the samples that can read a
+    nonzero node of a, or None if a is all zero.
+
+    A sample at padded (fx, fy) reads the corners floor(fx) and floor(fx) + 1
+    (likewise in y), and node i sits at padded i + 1.  Outside the open box
+    i_first < fx < i_last + 2 (and in y) each corner holds zero or has weight
+    zero.  When every border line of a holds a nonzero node the box is the
+    whole padded grid, (0, nx + 1, 0, ny + 1), found without a full scan.
+    """
+    if a[0].any() and a[-1].any() and a[:, 0].any() and a[:, -1].any():
+        return 0, a.shape[0] + 1, 0, a.shape[1] + 1
+    nonzero = a != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 2, int(cols[0]), int(cols[-1]) + 2
+
+
 def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
              ray_step: float | None) -> np.ndarray:
     """Line integrals of each array along <(c, s), x> = tau, shape (n_arrays, n_tau, n_dir).
@@ -141,18 +169,24 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     The work is split into tasks of one direction and one block of
     consecutive tau rows holding at most _BLOCK_SAMPLES ray samples, run by
     _run_tasks over the available CPUs.  Each plane is read inside a ring of
-    zero nodes (grids._linear_index); per task, only the ray samples inside
-    that padded box are kept (the others read zero), and their corner
-    indices and bilinear weights are computed once and applied to every
-    plane.  The samples are laid out offset-major (one ray offset across all
-    rows of the block, then the next), so np.bincount adds consecutive
-    samples into different rows instead of waiting on one row's running
-    sum; each row still receives its own samples in increasing offset
-    order, which gives the bits of a row-by-row sum.  A row never straddles
-    two tasks, so an entry depends on its own array, tau and direction
-    only: it has the same bits whatever else the call projects, whatever
-    the thread count, and repeated calls are bitwise identical.  Each task
-    writes its sums contiguously: the result is a transposed angle-major view.
+    zero nodes (grids._linear_index).  The arrays are grouped by the box of
+    their nonzero nodes (_support_box); per task and group, only the ray
+    samples strictly inside the box are kept, and their corner indices and
+    bilinear weights are computed once and applied to every plane of the
+    group; all-zero arrays are not sampled, and their rows stay +0.  The
+    samples are laid out offset-major (one ray offset across all rows of the
+    block, then the next), so np.bincount adds consecutive samples into
+    different rows instead of waiting on one row's running sum; each row
+    still receives its own samples in increasing offset order, which gives
+    the bits of a row-by-row sum.
+
+    A dropped sample would add exactly +0 or -0 (module docstring), so the
+    kept ones give every bit of the full sum.  A row never straddles two
+    tasks, and an array's box is its own, so an entry depends on its own
+    array, tau and direction only: it has the same bits whatever else the
+    call projects, whatever the thread count, and repeated calls are bitwise
+    identical.  Each task writes its sums contiguously: the result is a
+    transposed angle-major view.
     """
     if ray_step is None:
         ray_step = default_ray_step(geometry)
@@ -165,7 +199,12 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     for plane, part in zip(planes, [p for a in arrays for p in (a.real, a.imag)]):
         plane[1:-1, 1:-1] = part
     planes = planes.reshape(len(planes), -1)
-    sums = np.empty((len(planes), len(directions), len(taus)))
+    groups: dict = {}   # support box -> the planes of the arrays that have it
+    for k, a in enumerate(arrays):
+        box = _support_box(a)
+        if box is not None:
+            groups.setdefault(box, []).extend((2 * k, 2 * k + 1))
+    sums = np.zeros((len(planes), len(directions), len(taus)))
     block = max(1, _BLOCK_SAMPLES // len(offsets))
 
     def project_rows(task):
@@ -183,28 +222,34 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
         fy -= geometry.y_min
         fy /= geometry.dy
         fy += 1.0
-        keep = np.flatnonzero((fx > 0.0) & (fx < nx + 1) & (fy > 0.0) & (fy < ny + 1))
-        # kept samples lie in (0, n + 1): _linear_index's clip and min are no-ops
-        tx, ty = fx.ravel()[keep], fy.ravel()[keep]
-        rows = keep % n_rows
-        del fx, fy, keep  # before the gathers allocate theirs: keeps peak memory down
-        i0, j0 = tx.astype(np.intp), ty.astype(np.intp)
-        tx -= i0
-        ty -= j0
-        sx, sy = 1.0 - tx, 1.0 - ty
-        weights = (sx * sy, tx * sy, sx * ty, tx * ty)
-        del tx, ty, sx, sy
-        corner = i0 * (ny + 2) + j0
-        del i0, j0
-        corners = (corner, corner + (ny + 2), corner + 1, corner + (ny + 3))
-        for k, plane in enumerate(planes):
-            samples = plane.take(corners[0])
-            samples *= weights[0]
-            for w, idx in zip(weights[1:], corners[1:]):
-                term = plane.take(idx)
-                term *= w
-                samples += term
-            sums[k, m, r0:r0 + n_rows] = np.bincount(rows, weights=samples, minlength=n_rows)
+        kept = []
+        for (i_lo, i_hi, j_lo, j_hi), members in groups.items():
+            keep = np.flatnonzero((fx > i_lo) & (fx < i_hi) & (fy > j_lo) & (fy < j_hi))
+            if keep.size:   # else the group's rows keep their +0
+                kept.append((members, fx.ravel()[keep], fy.ravel()[keep], keep % n_rows))
+        del fx, fy  # before the gathers allocate theirs: keeps peak memory down
+        while kept:
+            # kept samples lie in (0, n + 1): _linear_index's clip and min are no-ops
+            members, tx, ty, rows = kept.pop()
+            i0, j0 = tx.astype(np.intp), ty.astype(np.intp)
+            tx -= i0
+            ty -= j0
+            sx, sy = 1.0 - tx, 1.0 - ty
+            weights = (sx * sy, tx * sy, sx * ty, tx * ty)
+            del tx, ty, sx, sy
+            corner = i0 * (ny + 2) + j0
+            del i0, j0
+            corners = (corner, corner + (ny + 2), corner + 1, corner + (ny + 3))
+            for k in members:
+                plane = planes[k]
+                samples = plane.take(corners[0])
+                samples *= weights[0]
+                for w, idx in zip(weights[1:], corners[1:]):
+                    term = plane.take(idx)
+                    term *= w
+                    samples += term
+                sums[k, m, r0:r0 + n_rows] = np.bincount(rows, weights=samples,
+                                                         minlength=n_rows)
 
     _run_tasks(project_rows, [(m, r0) for m in range(len(directions))
                               for r0 in range(0, len(taus), block)])

@@ -42,7 +42,17 @@ all rows.  The tau derivative gathers along blocks of the same rows and reads
 their zero ends.  _backproject then reads the buffers as they are, so the
 working set beyond the sinogram is one buffer per term and bounded blocks.
 The public filters run on a padded copy of a sinogram's rows and return the
-(n_tau, n_phi) view of its interior.  No layout changes the arithmetic:
+(n_tau, n_phi) view of its interior.
+
+The backprojection skips the pixels whose contribution is exactly +0.  A
+pixel a node or more past either end of the tau grid (fractional index
+f <= -1 or f >= n_tau on the unpadded row) reads p[0] * 1 + p[1] * 0 or
+p[n_tau] * 0 + p[n_tau + 1] * 1 on its padded row p, which is +0 + 0j
+whatever the row holds.  A frame starts at +0 and so is never -0, and
+adding +0 to it changes no bit.  f is monotone in x and in y, so its four
+corner values tell whether a field has such pixels; only then is the band
+-1 < f < n_tau gathered and added at its flat indices.  Coverage flags are
+still computed on every pixel.  No layout changes the arithmetic:
 outside the two folds, every output is bit-identical to the column-major
 form.
 """
@@ -187,18 +197,23 @@ def _correlate_rows(rows: np.ndarray, kernel: np.ndarray) -> None:
         inner[...] = part[:, m_half:m_half + n]
 
 
+def _check_fa_step(fa_step: float, d_tau: float) -> None:
+    """The tau derivative's step must not be finer than the stored grid."""
+    if fa_step < d_tau:
+        raise ValueError(f"fa_step {fa_step} must be at least d_tau {d_tau}")
+
+
 def _differentiate_rows(rows: np.ndarray, d_tau: float, fa_step: float) -> None:
     """Central difference (g(tau + h) - g(tau - h)) / (2h) of each padded row, in place.
 
     Off-grid values are linear interpolation on the padded row
     (grids._linear_index), whose zero ends give the field past either end
-    node; h = fa_step may be any value >= d_tau.  Both sides are formed a
-    block of rows at a time, in gathers of a sixteenth of _SPECTRUM_BLOCK
-    entries (256 KiB) each, small enough to stay in cache, and written back
-    over the block's inner entries.
+    node; h = fa_step may be any value >= d_tau (_check_fa_step, which the
+    callers run before any buffer is made).  Both sides are formed a block
+    of rows at a time, in gathers of a sixteenth of _SPECTRUM_BLOCK entries
+    (256 KiB) each, small enough to stay in cache, and written back over the
+    block's inner entries.
     """
-    if fa_step < d_tau:
-        raise ValueError(f"fa_step {fa_step} must be at least d_tau {d_tau}")
     n = rows.shape[1] - 2
     shift = fa_step / d_tau
     # g(t + h) and g(t - h): (1 - frac) * p[i0] + frac * p[i0 + 1] on the padded row p
@@ -311,6 +326,7 @@ def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
     zero node at each end (grids._linear_index); h = fa_step may be any
     value >= d_tau.
     """
+    _check_fa_step(fa_step, sino.d_tau)
     return _filtered(sino, _differentiate_rows, sino.d_tau, fa_step)
 
 
@@ -353,6 +369,11 @@ def _backproject(rows_seq, sino, geometry: GridGeometry) -> tuple[list[np.ndarra
             c, s = direction(plan.phis[current])
             f = (c * x + s * y - sino.tau_min) / sino.d_tau
             outside = (f < 0.0) | (f > n - 1)
+            # f is monotone in x and in y, so its corners bound it (module docstring)
+            corners, band = f[[0, 0, -1, -1], [0, -1, 0, -1]], None
+            if corners.min() <= -1.0 or corners.max() >= n:
+                band = np.flatnonzero((f > -1.0) & (f < n))
+                f = f.reshape(-1)[band]
             i0, w = _linear_index(f, n)
             i1 = i0 + 1
             # complex weights, cast once per field rather than once per row and buffer
@@ -366,7 +387,10 @@ def _backproject(rows_seq, sino, geometry: GridGeometry) -> tuple[list[np.ndarra
             hi = row[i1]
             hi *= w
             lo += hi
-            frames[q] += lo
+            if band is None:
+                frames[q] += lo
+            else:
+                frames[q].reshape(-1)[band] += lo
         out_of_range[q] |= outside
     for frames in [*accs, out_of_range]:   # on booleans += is a logical or
         for frame, (_, inverse) in zip(frames[1:], plan.views[1:]):
@@ -428,6 +452,7 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams) -> list[Recons
     first = sinos[0]
     if any(s.tau_grid != first.tau_grid or s.angles != first.angles for s in sinos):
         raise ValueError("sinograms inverted together must share one tau grid and angular range")
+    _check_fa_step(params.fa_step, first.d_tau)
     mirrored = _fold_plan(geometry, first.tau_grid, first.angles).mirrored
     buffers = []
     for s in sinos:

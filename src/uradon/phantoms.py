@@ -71,22 +71,29 @@ class CompositeScene:
         return max(abs(blob.amplitude) for blob, _ in self.terms)
 
 
-def _mask_array(mask: RegionMask, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _mask_block(mask: RegionMask, x: np.ndarray, y: np.ndarray) -> tuple[slice, slice]:
+    """The block of (x, y) nodes a mask keeps: the nodes are sorted, so a quadrant is one block."""
+    i, j = np.searchsorted(x, 0.0), np.searchsorted(y, 0.0)   # the first node >= 0 per axis
     if mask is RegionMask.QUADRANT_I:
-        return (X >= 0.0) & (Y >= 0.0)
+        return slice(i, None), slice(j, None)
     if mask is RegionMask.QUADRANT_III:
-        return (X < 0.0) & (Y < 0.0)
-    return np.ones_like(X, dtype=bool)
+        return slice(None, i), slice(None, j)
+    return slice(None), slice(None)
 
 
 def rasterize(scene: CompositeScene, geometry: GridGeometry) -> ImageGrid2D:
-    """Sample the scene at the grid nodes (masks evaluated sharply)."""
-    X, Y = geometry.node_mesh()
+    """Sample the scene at the grid nodes (masks evaluated sharply).
+
+    A masked term is evaluated only on its quadrant's block of nodes (_mask_block).
+    Outside it the term is +0, and adding +0 to a sum that starts at +0 changes
+    no bit, so the result is that of masking the term over the whole grid.
+    """
+    x, y = geometry.x_nodes(), geometry.y_nodes()
     values = np.zeros((geometry.nx, geometry.ny), dtype=np.complex128)
     for blob, mask in scene.terms:
-        r2 = (X - blob.cx) ** 2 + (Y - blob.cy) ** 2
-        term = blob.amplitude * np.exp(-r2 / (2.0 * blob.sigma**2))
-        values += np.where(_mask_array(mask, X, Y), term, 0.0)
+        bx, by = _mask_block(mask, x, y)
+        r2 = (x[bx, None] - blob.cx) ** 2 + (y[by] - blob.cy) ** 2
+        values[bx, by] += blob.amplitude * np.exp(-r2 / (2.0 * blob.sigma**2))
     return ImageGrid2D(geometry, values)
 
 

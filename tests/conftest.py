@@ -31,6 +31,13 @@ def rel_l2(a, b):
     return ur.l2_norm(np.asarray(a) - np.asarray(b)) / ur.l2_norm(np.asarray(b))
 
 
+def same_bits(got, want):
+    """Equal in shape, dtype and every bit: unlike np.array_equal, +0 and -0 differ."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
 def scene_values(scene, x, y):
     """Direct pointwise evaluation of a scene (masks included)."""
     x = np.asarray(x, dtype=float)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import uradon as ur
 import uradon.forward as fwd
-from conftest import analytic_sinogram, rel_l2
+from conftest import analytic_sinogram, rel_l2, same_bits
 from uradon.forward import _project, _radon_values
 from uradon.grids import _fold_plan
 
@@ -598,6 +598,114 @@ class TestRowBlocksAndThreads:
         for m, phi in enumerate(angles.phis()[:3]):
             for t in (0, block - 1, block, 2 * block - 1, 2 * block, len(taus) - 1):
                 assert with_cpus(2, ur.radon_point, img, taus[t], phi) == sino[t, m]
+
+
+# --- support boxes: ray samples that can read only zero nodes are dropped, bit for bit ---
+
+# the first grid has nodes on x = 0 and y = 0, so quadrant masks cut along a node line
+SUPPORT_GRIDS = (ur.GridGeometry(21, 17, -1.0, -0.8, 0.1, 0.1), OFF_CENTRE,
+                 ur.GridGeometry.centered(16, 16, 3.2, 3.2))
+
+
+def zero_margin_array(rng, geom, kind):
+    """One array on geom: a nonzero node at a corner or on an edge, a random block of
+    nonzero nodes, a quadrant-masked blob, all zero, or noise on every node."""
+    nx, ny = geom.nx, geom.ny
+    a = np.zeros((nx, ny), dtype=complex)
+    value = complex(rng.normal(), rng.normal())
+    if kind == "corner":
+        a[rng.choice([0, nx - 1]), rng.choice([0, ny - 1])] = value
+    elif kind == "edge":
+        i, j = rng.integers(nx), rng.integers(ny)
+        if rng.integers(2):
+            i = rng.choice([0, nx - 1])
+        else:
+            j = rng.choice([0, ny - 1])
+        a[i, j] = value
+    elif kind == "block":
+        (i0, i1), (j0, j1) = np.sort(rng.integers(nx, size=2)), np.sort(rng.integers(ny, size=2))
+        a[i0:i1 + 1, j0:j1 + 1] = rng.normal(size=(i1 - i0 + 1, j1 - j0 + 1)) + 1j * value
+    elif kind == "quadrant":
+        blob = ur.GaussianBlob(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                               rng.uniform(0.2, 0.6), value)
+        mask = rng.choice([ur.RegionMask.QUADRANT_I, ur.RegionMask.QUADRANT_III])
+        a = ur.rasterize(ur.CompositeScene(((blob, mask),)), geom).values
+    elif kind == "full":
+        a = noise_image(rng, geom).values
+    return a
+
+
+@st.composite
+def zero_margin_scans(draw):
+    """Arrays with random zero margins mixed with full-support ones, tau rows that pass
+    through nodes, axis-aligned and random directions, and a row-block size."""
+    geom = draw(st.sampled_from(SUPPORT_GRIDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["corner", "edge", "block", "quadrant", "zero", "full"]),
+                          min_size=1, max_size=6))
+    arrays = [zero_margin_array(rng, geom, kind) for kind in kinds]
+    # a half node step from below the grid to above it: at phi = 0 and pi/2 some rows
+    # run along node lines, where the box edges fall exactly on samples
+    d_tau = 0.5 * min(geom.dx, geom.dy)
+    taus = -geom.bounding_radius + d_tau * np.arange(int(2.0 * geom.bounding_radius / d_tau) + 2)
+    dirs = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    dirs += [ur.direction(phi) for phi in rng.uniform(0.0, 2.0 * np.pi, size=4)]
+    return geom, arrays, taus, dirs, draw(st.sampled_from([fwd._BLOCK_SAMPLES, 600]))
+
+
+class TestSupportBoxes:
+    @D4_SETTINGS
+    @given(zero_margin_scans())
+    def test_projection_is_the_unblocked_loop_alone_and_together(self, scan):
+        geom, arrays, taus, dirs, block_samples = scan
+        want = unblocked_projection([ur.ImageGrid2D(geom, a) for a in arrays], taus, dirs, None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fwd, "_BLOCK_SAMPLES", block_samples)
+            for n_cpus in (1, 2, 3):
+                assert same_bits(with_cpus(n_cpus, _project, geom, arrays, taus, dirs, None), want)
+            for a, alone in zip(arrays, want):
+                assert same_bits(_project(geom, [a], taus, dirs, None)[0], alone)
+
+    @pytest.mark.parametrize("geom", SUPPORT_GRIDS[:2])
+    def test_boxes_bound_the_nonzero_nodes(self, rng, geom):
+        a = zero_margin_array(rng, geom, "block")
+        i_lo, i_hi, j_lo, j_hi = fwd._support_box(a)
+        rows, cols = np.nonzero(a)
+        assert (i_lo, i_hi, j_lo, j_hi) == (rows.min(), rows.max() + 2, cols.min(), cols.max() + 2)
+        assert fwd._support_box(np.zeros_like(a)) is None
+        assert fwd._support_box(noise_image(rng, geom).values) == (0, geom.nx + 1, 0, geom.ny + 1)
+
+    def test_a_third_quadrant_term_is_not_sampled_on_a_probe_window(self, monkeypatch):
+        # the probes of uradon holonomy and defect: 32 taus in (0.2, 3], phi in [0, pi/2]
+        geom = ur.GridGeometry.centered(64, 64, 8.0, 8.0)
+
+        def masked(c, mask):   # a blob at (c, c) in its own quadrant
+            blob = ur.GaussianBlob(c, c, 0.5, 1.0 - 0.5j)
+            return ur.rasterize(ur.CompositeScene(((blob, mask),)), geom).values
+
+        q1, q3 = masked(1.5, ur.RegionMask.QUADRANT_I), masked(-1.5, ur.RegionMask.QUADRANT_III)
+        assert np.all(q3[:32, :32] != 0.0) and not q3[32:].any() and not q3[:, 32:].any()
+        taus = ur.TauGrid(0.2 + 2.8 / 64, 2.8 / 32, 32).taus()
+        plus = [ur.direction(phi) for phi in np.linspace(0.0, np.pi / 2.0, 12)]
+        minus = [(-c, -s) for c, s in plus]
+        samples = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount",
+                            lambda rows, **kw: samples.append(len(rows)) or bincount(rows, **kw))
+
+        def counted(arrays, dirs):
+            samples.clear()
+            values = _project(geom, arrays, taus, dirs, None)
+            return values, sum(samples)
+
+        values, n = counted([q3], plus)
+        assert n == 0 and not values.any()
+        values, n = counted([q1], minus)   # and the first quadrant after a half turn
+        assert n == 0 and not values.any()
+        _, n_q1 = counted([q1], plus)
+        _, n_q3 = counted([q3], minus)
+        _, n_full = counted([q1 + q3], plus)
+        assert 0 < n_q1 < n_full and 0 < n_q3 < n_full
 
 
 @pytest.fixture

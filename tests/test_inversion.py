@@ -444,11 +444,16 @@ class TestInvertFa:
         acc *= half.d_phi * ur.ANGULAR_MEASURE_NORM * (-1j * np.pi)
         assert rel_l2(fa.values, acc) < 1e-3
 
-    def test_fa_step_must_cover_grid(self):
+    def test_fa_step_must_cover_grid(self, monkeypatch):
         geom = ur.GridGeometry.centered(12, 12, 4.0, 4.0)
         sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(8), np.zeros((13, 8)))
-        with pytest.raises(ValueError):
+        filtered = []
+        correlate_rows = inv._correlate_rows
+        monkeypatch.setattr(inv, "_correlate_rows",
+                            lambda *args: filtered.append(1) or correlate_rows(*args))
+        with pytest.raises(ValueError, match="fa_step 0.25 must be at least d_tau 0.5"):
             ur.invert_universal(sino, geom, ur.RegParams(fa_step=0.25))
+        assert filtered == []   # refused before the f_s filter ran
 
 
 class TestInvertUniversal:

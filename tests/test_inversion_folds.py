@@ -16,7 +16,8 @@ import uradon.forward as fwd
 import uradon.inversion as inv
 from uradon.forward import _project, direction
 from uradon.grids import _D4_VIEWS, _centred_square, _fold_plan, _linear_index, _pi_mirrored
-from conftest import backproject, term_columns
+from conftest import backproject, same_bits, term_columns
+from test_inversion import direct_backproject
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -346,3 +347,118 @@ class TestExactAngles:
         assert np.array_equal(got.f_s.values, fs)
         assert np.array_equal(got.f_a.values, fa)
         assert np.array_equal(got.f_s.meta["coverage_flags"], np.argwhere(oob))
+
+
+# --- the tau band: pixels a node or more past either end of the tau grid add +0 ---
+
+def whole_field_backproject(columns_seq, sino, geometry):
+    """Test-local copy of _backproject before the tau band: every pixel of every field,
+    through the plan's views, with the rows handed over as conftest.backproject does."""
+    plan = _fold_plan(geometry, sino.tau_grid, sino.angles)
+    rows_seq = [inv._padded_rows(c, 1.0 if plan.mirrored else 0.0) for c in columns_seq]
+    n = sino.n_tau
+    x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
+    shape = (geometry.nx, geometry.ny)
+    accs = [[np.zeros(shape, dtype=complex) for _ in plan.views] for _ in rows_seq]
+    out_of_range = [np.zeros(shape, dtype=bool) for _ in plan.views]
+    for k in np.argsort(plan.rep, kind="stable"):
+        c, s = direction(plan.phis[plan.rep[k]])
+        f = (c * x + s * y - sino.tau_min) / sino.d_tau
+        i0, w = _linear_index(f, n)
+        w0, w = (1.0 - w).astype(complex), w.astype(complex)
+        q = plan.view[k]
+        for frames, rows in zip(accs, rows_seq):
+            lo = rows[k][i0]
+            lo *= w0
+            hi = rows[k][i0 + 1]
+            hi *= w
+            lo += hi
+            frames[q] += lo
+        out_of_range[q] |= (f < 0.0) | (f > n - 1)
+    for frames in [*accs, out_of_range]:
+        for frame, (_, inverse) in zip(frames[1:], plan.views[1:]):
+            frames[0] += inverse(frame)
+    for frames in accs:
+        frames[0] *= sino.angles.d_phi * ur.ANGULAR_MEASURE_NORM
+    return [frames[0] for frames in accs], out_of_range[0]
+
+
+BAND_SCANS = {   # each takes the plan its name gives
+    "general": (ur.GridGeometry(14, 11, -1.3, -0.9, 0.2, 0.17), ur.AngularRange(0.3, 5.9, 7)),
+    "mirrored": (ur.GridGeometry.centered(16, 12, 3.2, 2.4), ur.AngularRange.full(10)),
+    "D4 full": (ur.GridGeometry.centered(16, 16, 3.2, 3.2), ur.AngularRange.full(16)),
+    "D4 half": (ur.GridGeometry.centered(16, 16, 3.2, 3.2), ur.AngularRange(0.0, np.pi, 8)),
+}
+
+
+@st.composite
+def band_scans(draw):
+    """A scan of each plan and a tau grid that covers all, part or none of the image.
+
+    Mirrored plans need a symmetric tau grid, which always meets the image."""
+    kind = draw(st.sampled_from(sorted(BAND_SCANS)))
+    geom, angles = BAND_SCANS[kind]
+    d_tau = draw(st.floats(0.05, 0.5))
+    n_tau = draw(st.integers(2, 40))
+    if _pi_mirrored(ur.TauGrid.symmetric(d_tau, n_tau), angles):
+        tau_grid = ur.TauGrid.symmetric(d_tau, n_tau)
+    else:
+        tau_grid = ur.TauGrid(draw(st.floats(-6.0, 4.0)), d_tau, n_tau)
+    return kind, geom, tau_grid, angles, draw(st.integers(0, 2**32 - 1))
+
+
+def engages_band(geom, tau_grid, angles):
+    """Whether some pixel of some representative field lies a node or more past either end."""
+    x, y = geom.x_nodes()[:, None], geom.y_nodes()
+    for phi in _fold_plan(geom, tau_grid, angles).phis:
+        c, s = direction(phi)
+        f = (c * x + s * y - tau_grid.tau_min) / tau_grid.d_tau
+        if f.min() <= -1.0 or f.max() >= tau_grid.n_tau:
+            return True
+    return False
+
+
+class TestTauBand:
+    @SETTINGS
+    @given(band_scans(), st.integers(1, 2))
+    def test_matches_the_whole_field_loop_bitwise(self, scan, count):
+        kind, geom, tau_grid, angles, seed = scan
+        plan = _fold_plan(geom, tau_grid, angles)
+        assert plan.mirrored == (kind in ("mirrored", "D4 full"))
+        assert (len(plan.views) == 4) == kind.startswith("D4")
+        rng = np.random.default_rng(seed)
+        sino = empty_sino(tau_grid, angles)
+        columns = [complex_normal(rng, (tau_grid.n_tau, angles.n_phi)) for _ in range(count)]
+        got, oob = backproject(columns, sino, geom)
+        want, want_oob = whole_field_backproject(columns, sino, geom)
+        assert np.array_equal(oob, want_oob)
+        for g, w in zip(got, want, strict=True):
+            assert same_bits(g, w)
+
+    # a mirrored plan needs a symmetric tau grid, which always meets the image
+    @pytest.mark.parametrize("kind, window", [(kind, "part") for kind in sorted(BAND_SCANS)] + [
+        (kind, window) for kind in ("general", "D4 half") for window in ("one side", "none")])
+    def test_matches_the_direct_and_pi_folded_loops(self, rng, kind, window):
+        geom, angles = BAND_SCANS[kind]
+        tau_grid = {"part": ur.TauGrid.symmetric(0.1, 11), "one side": ur.TauGrid(0.25, 0.1, 12),
+                    "none": ur.TauGrid(4.0, 0.1, 8)}[window]
+        plan = _fold_plan(geom, tau_grid, angles)
+        assert (len(plan.views) == 4) == kind.startswith("D4")
+        assert engages_band(geom, tau_grid, angles)
+        sino = empty_sino(tau_grid, angles)
+        columns = [complex_normal(rng, (tau_grid.n_tau, angles.n_phi)) for _ in range(2)]
+        got, oob = backproject(columns, sino, geom)
+        folded, folded_oob = pi_folded_backproject(columns, sino, geom)
+        assert np.array_equal(oob, folded_oob)
+        if window == "none":
+            assert oob.all() and not any(g.any() for g in got)
+        if len(plan.views) == 4:   # the D4 fold agrees with the pi-folded loop to rounding
+            for g, w in zip(got, folded, strict=True):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+            return
+        want = folded
+        if not plan.mirrored:
+            want, direct_oob = direct_backproject(columns, sino, geom)
+            assert np.array_equal(oob, direct_oob)
+        for g, w in zip(got, want, strict=True):
+            assert same_bits(g, w)

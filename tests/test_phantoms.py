@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uradon as ur
-from conftest import fourier_quad_1d, fourier_quad_2d, line_integral_quad
+from conftest import fourier_quad_1d, fourier_quad_2d, line_integral_quad, same_bits
 
 SQRT_2PI = 2.5066282746310002  # independent quadrature of exp(-s^2/2): see conftest oracles
 TWO_PI = 2 * np.pi
@@ -38,6 +39,50 @@ class TestRasterize:
         parts = (ur.rasterize(ur.CompositeScene.of(b1), geom).values
                  + ur.rasterize(ur.CompositeScene.of(b2), geom).values)
         assert np.array_equal(both.values, parts)
+
+
+def where_rasterize(scene, geometry):
+    """Test-local copy of rasterize before the quadrant blocks: each term over the whole grid,
+    masked by np.where."""
+    X, Y = geometry.node_mesh()
+    values = np.zeros((geometry.nx, geometry.ny), dtype=np.complex128)
+    for blob, mask in scene.terms:
+        r2 = (X - blob.cx) ** 2 + (Y - blob.cy) ** 2
+        term = blob.amplitude * np.exp(-r2 / (2.0 * blob.sigma**2))
+        keep = {ur.RegionMask.QUADRANT_I: (X >= 0.0) & (Y >= 0.0),
+                ur.RegionMask.QUADRANT_III: (X < 0.0) & (Y < 0.0)}.get(mask, np.True_)
+        values += np.where(keep, term, 0.0)
+    return values
+
+
+# nodes exactly on x = 0 and y = 0 (inside, first and -0.0), none on them, and grids
+# lying in one quadrant, where the other quadrant's block is empty
+AXIS_GRIDS = (ur.GridGeometry(7, 9, -1.5, -2.0, 0.5, 0.5), ur.GridGeometry(6, 5, 0.0, -0.0, 0.3, 0.4),
+              ur.GridGeometry.centered(10, 8, 4.0, 3.0), ur.GridGeometry(5, 6, 0.2, 0.1, 0.3, 0.3),
+              ur.GridGeometry(5, 6, -2.0, -3.0, 0.3, 0.3), ur.GridGeometry(21, 17, -1.0, -0.8, 0.1, 0.1))
+
+masked_blobs = st.tuples(
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.05, 1.5),
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from(list(ur.RegionMask)))
+
+
+class TestQuadrantBlocks:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.sampled_from(AXIS_GRIDS), st.lists(masked_blobs, min_size=1, max_size=5))
+    def test_matches_masking_over_the_whole_grid(self, geom, blobs):
+        scene = ur.CompositeScene(tuple((ur.GaussianBlob(cx, cy, sigma, amp), mask)
+                                        for cx, cy, sigma, amp, mask in blobs))
+        assert same_bits(ur.rasterize(scene, geom).values, where_rasterize(scene, geom))
+
+    def test_axis_nodes_belong_to_the_first_quadrant_block(self):
+        geom = AXIS_GRIDS[0]
+        assert geom.x_nodes()[3] == 0.0 and geom.y_nodes()[4] == 0.0
+        blob = ur.GaussianBlob(0.0, 0.0, 1.0, 1.0)
+        q1 = ur.rasterize(ur.CompositeScene(((blob, ur.RegionMask.QUADRANT_I),)), geom).values
+        q3 = ur.rasterize(ur.CompositeScene(((blob, ur.RegionMask.QUADRANT_III),)), geom).values
+        assert np.all(q1[3:, 4:] != 0.0) and not q1[:3].any() and not q1[:, :4].any()
+        assert np.all(q3[:3, :4] != 0.0) and not q3[3:].any() and not q3[:, 4:].any()
 
 
 class TestAnalyticRadon:
