@@ -18,15 +18,14 @@ scene = ur.CompositeScene((
     (ur.GaussianBlob(1.5, 1.5, 0.5, 1.0), ur.RegionMask.QUADRANT_I),
     (ur.GaussianBlob(-1.5, -1.5, 0.5, 1.0), ur.RegionMask.QUADRANT_III)))
 
-for path, label in ((ur.ShiftPath.full_turn(), "single 2*pi step"),
-                    (ur.ShiftPath.two_half_turns(), "two pi steps")):
-    ev = ur.evaluate_path(scene, path, probe, geom)
+report = ur.check_holonomy(scene, probe, geom)
+for ev, label in ((report.full_turn, "single 2*pi step"),
+                  (report.two_half_turns, "two pi steps")):
     print(f"{label}:")
     for rec in ev.records:
         print(f"  after shift {rec.cumulative_shift:5.3f}: survivors {rec.survivors}, "
               f"column sup {np.max(np.abs(rec.column)):.3e}")
 
-report = ur.check_holonomy(scene, probe, geom)
 print(f"\ndiscrepancy between protocols: {report.discrepancy_norm:.4f} "
       f"(threshold {report.threshold:.2e}) -> detected = {report.detected}")
 

@@ -154,6 +154,7 @@ def _cmd_radon(args, argv) -> int:
 
 
 def _cmd_fst_check(args, argv) -> int:
+    _finite("tolerance", args.tolerance, positive=True)
     img = _read(args.image, ImageGrid2D)
     sino = _read(args.sinogram, Sinogram)
     lambdas = None
@@ -191,6 +192,8 @@ def _cmd_invert(args, argv) -> int:
         if not args.with_epsilon_lambda:
             raise CliError("--epsilon requires --with-epsilon-lambda", EXIT_BAD_ARGS)
         _finite("epsilon", args.epsilon, positive=True)
+    if args.fa_step is not None:
+        _finite("fa_step", args.fa_step, positive=True)
     sino = _read(args.sinogram, Sinogram)
     if args.range is not None:
         sino = _restrict_angles(sino, _fields(args.range, "range", float, float))
@@ -267,12 +270,12 @@ def _cmd_defect(args, argv) -> int:
 def _cmd_hybrid(args, argv) -> int:
     profile3d, positions = _scene3d(args)
     geometry = _geometry(args)
-    stack = make_slices(profile3d, positions, geometry)
-    ks, _ = dual_k_grid(positions)
-    field = hybrid_forward(stack, ks)
     d_tau = args.d_tau if args.d_tau is not None else geometry.dx
     tau_grid = TauGrid.covering(geometry, d_tau)
     angles = AngularRange.full(args.n_phi)
+    stack = make_slices(profile3d, positions, geometry)
+    ks, _ = dual_k_grid(positions)
+    field = hybrid_forward(stack, ks)
     sinos = hybrid_radon(field, tau_grid, angles, args.ray_step)
     params = RegParams.defaults(d_tau, Backend(args.backend))
     result = reconstruct_volume(sinos, geometry, params, positions, ks)

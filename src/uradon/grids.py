@@ -355,11 +355,14 @@ class TauGrid:
     @classmethod
     def symmetric(cls, d_tau: float, n_tau: int) -> "TauGrid":
         """Grid symmetric about zero: tau_min = -(n_tau-1)*d_tau/2."""
+        _finite("d_tau", d_tau, positive=True)
+        _positive_int("n_tau", n_tau)
         return cls(-(n_tau - 1) * d_tau / 2.0, d_tau, n_tau)
 
     @classmethod
     def covering(cls, geometry: GridGeometry, d_tau: float) -> "TauGrid":
         """Symmetric grid covering the geometry's bounding circle."""
+        _finite("d_tau", d_tau, positive=True)
         half = int(np.ceil(geometry.bounding_radius / d_tau))
         return cls.symmetric(d_tau, 2 * half + 1)
 

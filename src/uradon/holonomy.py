@@ -7,9 +7,10 @@ turn annihilates those.  The mismatch between the two protocols is the
 holonomy signal; the same mechanism isolates a "defect" term hidden in a
 centrally symmetric background by comparing opposite-angle views.
 
-Shift bookkeeping is symbolic: angles live on the real line and half-turn
-shifts flip the direction vector's sign exactly, so a full turn reproduces
-the unshifted columns bit for bit.
+Shift bookkeeping is symbolic: a half turn flips the direction vector's sign
+exactly, so one projection (_half_turns) tabulates every term at both half-turn
+parities, every path walks that one table, and a full turn reproduces the
+unshifted columns bit for bit.
 """
 
 from __future__ import annotations
@@ -143,54 +144,50 @@ def _tolerance(name: str, value: float | None, default: float) -> float:
     return value
 
 
+def _half_turns(geometry: GridGeometry, arrays, probe: Probe, ray_step: float | None) -> tuple:
+    """Each array's (n_arrays, n_tau, n_phi) columns on the probe window and after a half
+    turn, which is the exactly flipped direction, from one _project call."""
+    trig = [direction(phi) for phi in probe.angles.phis()]
+    both = _project(geometry, arrays, probe.taus.taus(), trig + [(-c, -s) for c, s in trig],
+                    ray_step)
+    return both[..., :len(trig)], both[..., len(trig):]
+
+
+def _term_columns(scene: CompositeScene, probe: Probe, geometry: GridGeometry,
+                  ray_step: float | None) -> tuple:
+    """_half_turns of every term, each rasterized alone: the one table every path walks."""
+    images = [rasterize(CompositeScene((term,)), geometry).values for term in scene.terms]
+    return _half_turns(geometry, images, probe, ray_step)
+
+
+def _walk(path: ShiftPath, columns: tuple, leak_tol: float) -> PathEvaluation:
+    """Walk the path over a _term_columns table: count half turns read columns[count % 2]."""
+    survivors = list(range(len(columns[0])))
+    records = []
+    for count in path.half_turn_counts():
+        shifted = columns[count % 2]
+        norms = tuple((i, float(np.max(np.abs(shifted[i])))) for i in survivors)
+        survivors = [i for i, norm in norms if norm > leak_tol]
+        total = sum((shifted[i] for i in survivors), np.zeros(shifted.shape[1:], np.complex128))
+        records.append(StepRecord(cumulative_shift=count * HALF_TURN, term_norms=norms,
+                                  survivors=tuple(survivors), column=total))
+    final = records[-1]
+    return PathEvaluation(path=path, records=tuple(records), surviving_terms=final.survivors,
+                          final_sinogram_column=final.column, leak_tol=leak_tol)
+
+
 def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
                   geometry: GridGeometry, ray_step: float | None = None,
-                  leak_tol: float | None = None, _columns: dict | None = None) -> PathEvaluation:
+                  leak_tol: float | None = None) -> PathEvaluation:
     """Walk the shift path, dropping terms whose columns vanish on the window.
 
     At each step all probe angles shift by the step; every surviving term's
     masked column is evaluated there and terms whose column stays below
     leak_tol in magnitude are dropped.  The final column is the sum over the
     survivors at the final angles.
-
-    _columns maps (term index, direction sign) to projected columns and a
-    term index to the term's rasterized image; entries found there are
-    reused and new ones are added, so paths evaluated with one dict on the
-    same scene, probe, geometry and ray_step project each (term, sign) once
-    and rasterize each term at most once, and only when it has a column to
-    project.
     """
     leak_tol = _tolerance("leak_tol", leak_tol, leak_tolerance(scene, geometry))
-    taus = probe.taus.taus()
-    trig = [direction(phi) for phi in probe.angles.phis()]
-
-    cache = {} if _columns is None else _columns
-    survivors = list(range(len(scene.terms)))
-    records = []
-    for count in path.half_turn_counts():
-        sign = -1.0 if count % 2 else 1.0
-        missing = [i for i in survivors if (i, sign) not in cache]
-        if missing:
-            for i in missing:
-                if i not in cache:
-                    cache[i] = rasterize(CompositeScene((scene.terms[i],)), geometry)
-            directions = [(sign * c, sign * s) for c, s in trig]
-            projected = _project(geometry, [cache[i].values for i in missing], taus, directions,
-                                 ray_step)
-            cache.update(zip([(i, sign) for i in missing], projected))
-        columns = {i: cache[i, sign] for i in survivors}
-        norms = tuple((i, float(np.max(np.abs(columns[i])))) for i in survivors)
-        kept = [i for i, norm in norms if norm > leak_tol]
-        total = np.zeros((probe.taus.n_tau, probe.angles.n_phi), dtype=np.complex128)
-        for i in kept:
-            total = total + columns[i]
-        records.append(StepRecord(cumulative_shift=count * HALF_TURN,
-                                  term_norms=norms, survivors=tuple(kept), column=total))
-        survivors = kept
-    final = records[-1]
-    return PathEvaluation(path=path, records=tuple(records),
-                          surviving_terms=final.survivors,
-                          final_sinogram_column=final.column, leak_tol=leak_tol)
+    return _walk(path, _term_columns(scene, probe, geometry, ray_step), leak_tol)
 
 
 def check_holonomy(scene: CompositeScene, probe: Probe, geometry: GridGeometry,
@@ -201,10 +198,9 @@ def check_holonomy(scene: CompositeScene, probe: Probe, geometry: GridGeometry,
     leak_tol (default leak_tolerance) and threshold (default 10 * leak_tol): finite, >= 0."""
     leak_tol = _tolerance("leak_tol", leak_tol, leak_tolerance(scene, geometry))
     threshold = _tolerance("threshold", threshold, 10.0 * leak_tol)
-    columns: dict = {}  # the full turn's images and +sign columns serve the two half turns
-    one = evaluate_path(scene, ShiftPath.full_turn(), probe, geometry, ray_step, leak_tol, columns)
-    two = evaluate_path(scene, ShiftPath.two_half_turns(), probe, geometry, ray_step, leak_tol,
-                        columns)
+    columns = _term_columns(scene, probe, geometry, ray_step)
+    one = _walk(ShiftPath.full_turn(), columns, leak_tol)
+    two = _walk(ShiftPath.two_half_turns(), columns, leak_tol)
     discrepancy = l2_norm(one.final_sinogram_column - two.final_sinogram_column)
     return HolonomyReport(discrepancy_norm=discrepancy, threshold=threshold,
                           detected=discrepancy > threshold, full_turn=one,
@@ -274,14 +270,10 @@ def extract_defect(scene_tilde: CompositeScene, probe: Probe, geometry: GridGeom
     projection.
     """
     classify_defect_scene(scene_tilde)  # validates the scene shape
-    img = rasterize(scene_tilde, geometry)
-    taus = probe.taus.taus()
-    trig = [direction(phi) for phi in probe.angles.phis()]
-    # the half-turn shift is the exactly flipped direction
-    both = _project(geometry, [img.values], taus, trig + [(-c, -s) for c, s in trig], ray_step)[0]
-    values = both[:, :len(trig)] - both[:, len(trig):]
+    plus, minus = _half_turns(geometry, [rasterize(scene_tilde, geometry).values], probe,
+                              ray_step)
     return Sinogram(probe.taus.tau_min, probe.taus.d_tau, probe.taus.n_tau,
-                    probe.angles, values)
+                    probe.angles, plus[0] - minus[0])
 
 
 def _one_sided_limit(taus: np.ndarray, vals: np.ndarray) -> complex:

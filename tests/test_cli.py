@@ -203,6 +203,12 @@ class TestFstCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "tolerance" in err and len(err.splitlines()) == 1
 
+    def test_bad_tolerance_is_refused_before_reading(self, tmp_path, image_file, capsys):
+        # a missing sinogram would be a file error (3): the number is checked first
+        assert main(["fst-check", "--image", image_file,
+                     "--sinogram", str(tmp_path / "missing.urdn"), "--tolerance", "nan"]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
     def test_wrong_magic_is_format_error(self, tmp_path, image_file, sino_file):
         bad = tmp_path / "bad.urdn"
         bad.write_bytes(Path(sino_file).read_bytes().replace(b"URDN1", b"XXXXX", 1))
@@ -230,6 +236,16 @@ class TestRadon:
         assert main(["radon", "--image", str(bad), "--n-phi", "8",
                      "--out", str(tmp_path / "s.urdn")]) == 3
         assert "finite" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("extra", [["--d-tau", "0"], ["--d-tau", "-1"], ["--d-tau", "nan"],
+                                       ["--d-tau", "inf"], ["--n-tau", "5", "--d-tau", "nan"]],
+                             ids=["zero", "negative", "nan", "inf", "nan with n-tau"])
+    def test_bad_d_tau_is_bad_argument(self, tmp_path, image_file, capsys, extra):
+        assert main(["radon", "--image", image_file, "--n-phi", "8", *extra,
+                     "--out", str(tmp_path / "s.urdn")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "d_tau" in err and len(err.splitlines()) == 1
 
 
 class TestInvert:
@@ -295,6 +311,13 @@ class TestInvert:
         assert main(["invert", "--sinogram", str(tmp_path / "nope.urdn"), "--nx", "16",
                      "--extent", "8", "--out-prefix", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("flag, field", [("--fa-step", "fa_step"), ("--epsilon", "epsilon")])
+    def test_bad_regulator_is_refused_before_reading(self, tmp_path, capsys, flag, field):
+        assert main(["invert", "--sinogram", str(tmp_path / "nope.urdn"), "--nx", "16",
+                     "--extent", "8", "--with-epsilon-lambda", flag, "nan",
+                     "--out-prefix", str(tmp_path / "x")]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestHolonomyAndDefect:
     def test_holonomy_report(self, tmp_path):
@@ -345,6 +368,13 @@ class TestHybrid:
             assert float(fields[4]) <= 0.05        # slice rmse / peak
         stack = ur.read_container(f"{prefix}_volume.urdn")
         assert isinstance(stack, ur.VolumeStack) and stack.n_slices == 4
+
+    def test_zero_d_tau_is_bad_argument(self, tmp_path, scene_file, capsys):
+        assert main(["hybrid", "--scene", scene_file, "--nx", "16", "--extent", "8",
+                     "--slices", "2", "--x3", "-0.5:1.0", "--n-phi", "8", "--d-tau", "0",
+                     "--out-prefix", str(tmp_path / "y")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "d_tau" in err and len(err.splitlines()) == 1
 
 
 class TestDashedValues:

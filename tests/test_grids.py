@@ -231,6 +231,22 @@ def test_constructors_reject_non_finite_and_non_integer_inputs(make):
         make()
 
 
+@pytest.mark.parametrize("d_tau", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("make", [lambda d_tau: ur.TauGrid.symmetric(d_tau, 5),
+                                  lambda d_tau: ur.TauGrid.covering(TINY, d_tau)],
+                         ids=["symmetric", "covering"])
+def test_tau_grid_classmethods_check_d_tau_first(make, d_tau):
+    # computed from first, a bad step raised ZeroDivisionError or blamed tau_min or n_tau
+    with pytest.raises(ValueError, match="d_tau"):
+        make(d_tau)
+
+
+@pytest.mark.parametrize("n_tau", [0, 3.5, "5"])
+def test_symmetric_tau_grid_checks_n_tau(n_tau):
+    with pytest.raises(ValueError, match="n_tau"):
+        ur.TauGrid.symmetric(0.1, n_tau)
+
+
 def test_image_grid_holds_a_grid_geometry():
     img = ur.ImageGrid2D(TINY, np.ones((2, 2)))
     assert img.geometry is TINY

@@ -3,7 +3,8 @@ import pytest
 
 import uradon as ur
 import uradon.holonomy as hol
-from conftest import rel_l2
+from conftest import rel_l2, same_bits
+from uradon import forward
 
 Q1 = ur.RegionMask.QUADRANT_I
 Q3 = ur.RegionMask.QUADRANT_III
@@ -151,25 +152,25 @@ class TestColumnReuse:
             for term in ((ur.GaussianBlob(cx, cy, sigma, amp), Q1),
                          (ur.GaussianBlob(-cx, -cy, sigma, amp), Q3))))
 
-    def test_plus_sign_columns_are_projected_once(self, monkeypatch, probe):
+    def test_both_paths_walk_one_projection(self, monkeypatch, probe):
         geom = ur.GridGeometry.centered(96, 96, 8.0, 8.0)
         scene = self.three_pair_scene()
         projected = []
         project = hol._project
 
-        def counting(geometry, arrays, *args):
-            projected.append(len(arrays))
-            return project(geometry, arrays, *args)
+        def counting(geometry, arrays, taus, directions, *args):
+            projected.append((len(arrays), len(directions)))
+            return project(geometry, arrays, taus, directions, *args)
 
         monkeypatch.setattr(hol, "_project", counting)
         report = ur.check_holonomy(scene, probe, geom)
-        # 6 terms at +sign (full turn), 6 at -sign, and the 3 survivors' +sign
-        # columns of the second half turn come from the full turn
-        assert projected == [6, 6]
+        # the 6 terms at the probe angles and after a half turn, in one call
+        both = (6, 2 * probe.angles.n_phi)
+        assert projected == [both]
         projected.clear()
         alone = [ur.evaluate_path(scene, path, probe, geom)
                  for path in (ur.ShiftPath.full_turn(), ur.ShiftPath.two_half_turns())]
-        assert sum(projected) == 15
+        assert projected == [both, both]
         for shared, own in zip((report.full_turn, report.two_half_turns), alone):
             assert len(shared.records) == len(own.records)
             for a, b in zip(shared.records, own.records):
@@ -198,6 +199,46 @@ class TestColumnReuse:
             for a, b in zip(shared.records, own.records):
                 assert a.term_norms == b.term_norms and np.array_equal(a.column, b.column)
         assert got.discrepancy_norm == want.discrepancy_norm
+
+
+def reference_walk(scene, path, probe, geom, leak_tol):
+    """The path walked step by step: each step projects its survivors at sign * direction."""
+    taus = probe.taus.taus()
+    trig = [forward.direction(phi) for phi in probe.angles.phis()]
+    survivors, records = list(range(len(scene.terms))), []
+    for count in path.half_turn_counts():
+        sign = -1.0 if count % 2 else 1.0
+        images = [ur.rasterize(ur.CompositeScene((scene.terms[i],)), geom).values
+                  for i in survivors]
+        columns = forward._project(geom, images, taus, [(sign * c, sign * s) for c, s in trig],
+                                   None) if survivors else []
+        norms = tuple((i, float(np.max(np.abs(col)))) for i, col in zip(survivors, columns))
+        kept = [k for k, (_, norm) in enumerate(norms) if norm > leak_tol]
+        total = np.zeros((probe.taus.n_tau, probe.angles.n_phi), dtype=np.complex128)
+        for k in kept:
+            total = total + columns[k]
+        survivors = [survivors[k] for k in kept]
+        records.append((count * np.pi, norms, tuple(survivors), total))
+    return records
+
+
+class TestReferenceWalk:
+    def test_both_paths_equal_a_step_by_step_walk_bitwise(self, geom, probe):
+        # the unmasked term survives every step, so both parities carry nonzero columns
+        scene = ur.CompositeScene(masked_pair_scene().terms
+                                  + ((ur.GaussianBlob(0.5, -0.3, 0.5, 0.7 + 0.2j),
+                                      ur.RegionMask.NONE),))
+        leak_tol = ur.leak_tolerance(scene, geom)
+        for path in (ur.ShiftPath.full_turn(), ur.ShiftPath.two_half_turns()):
+            ev = ur.evaluate_path(scene, path, probe, geom)
+            want = reference_walk(scene, path, probe, geom, leak_tol)
+            assert len(ev.records) == len(want)
+            for got, (shift, norms, survivors, column) in zip(ev.records, want):
+                assert got.cumulative_shift == shift
+                assert got.term_norms == norms and got.survivors == survivors
+                assert same_bits(got.column, column) and np.any(column)
+            assert same_bits(ev.final_sinogram_column, want[-1][3])
+        assert [r.survivors for r in ev.records] == [(1, 2), (2,)]
 
 
 def tilde_scene(defect_amp=0.8):
