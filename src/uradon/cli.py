@@ -25,8 +25,10 @@ from .grids import AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid, _
 from .holonomy import (Probe, check_holonomy, classify_defect_scene,
                        extract_defect, UnsupportedSceneError)
 from .hybrid import dual_k_grid, hybrid_forward, hybrid_radon, make_slices, reconstruct_volume
-from .inversion import (Backend, RegParams, _rmse_over_peak, epsilon_lambda_reconstruct,
-                        invert_universal, l2_norm, reconstruction_metrics)
+# epsilon_lambda_reconstruct is not called here, but perfbench/tracing.py patches this name
+from .inversion import (Backend, RegParams, _invert_all, _rmse_over_peak,
+                        epsilon_lambda_reconstruct, invert_universal, l2_norm,
+                        reconstruction_metrics)
 from .phantoms import (CompositeScene, SceneFormatError, SeparableScene3D, load_scene,
                        rasterize)
 from .slice_theorem import fst_check, fst_passed
@@ -141,13 +143,14 @@ def _cmd_phantom(args, argv) -> int:
 
 
 def _cmd_radon(args, argv) -> int:
+    window = _fields(args.range, "range", float, float)
     img = _read(args.image, ImageGrid2D)
     d_tau = args.d_tau if args.d_tau is not None else img.geometry.dx
     if args.n_tau is not None:
         tau_grid = TauGrid.symmetric(d_tau, args.n_tau)
     else:
         tau_grid = TauGrid.covering(img.geometry, d_tau)
-    angles = AngularRange(*_fields(args.range, "range", float, float), args.n_phi)
+    angles = AngularRange(*window, args.n_phi)
     sino = radon_transform(img, tau_grid, angles, args.ray_step)
     _emit(args.out, argv, {args.out: sino})
     return EXIT_OK
@@ -155,11 +158,11 @@ def _cmd_radon(args, argv) -> int:
 
 def _cmd_fst_check(args, argv) -> int:
     _finite("tolerance", args.tolerance, positive=True)
-    img = _read(args.image, ImageGrid2D)
-    sino = _read(args.sinogram, Sinogram)
     lambdas = None
     if args.lambdas is not None:
         lambdas = np.linspace(*_fields(args.lambdas, "lambdas", float, float, int))
+    img = _read(args.image, ImageGrid2D)
+    sino = _read(args.sinogram, Sinogram)
     try:
         reports = fst_check(img, sino, lambdas=lambdas)
     except ValueError as exc:
@@ -194,18 +197,21 @@ def _cmd_invert(args, argv) -> int:
         _finite("epsilon", args.epsilon, positive=True)
     if args.fa_step is not None:
         _finite("fa_step", args.fa_step, positive=True)
+    window = _fields(args.range, "range", float, float) if args.range is not None else None
     sino = _read(args.sinogram, Sinogram)
-    if args.range is not None:
-        sino = _restrict_angles(sino, _fields(args.range, "range", float, float))
+    if window is not None:
+        sino = _restrict_angles(sino, window)
     geometry = _geometry(args)
     params = RegParams.defaults(sino.d_tau, Backend(args.backend))
     if args.fa_step is not None:
         params = replace(params, fa_step=args.fa_step)
-    recon = invert_universal(sino, geometry, params)
+    if args.with_epsilon_lambda:   # both inverses in one pass
+        (recon,), (alt,) = _invert_all([sino], geometry, params, (args.epsilon, None))
+    else:
+        recon = invert_universal(sino, geometry, params)
     reference = _read(args.reference, ImageGrid2D) if args.reference else None
     metrics = reconstruction_metrics(recon, reference)
     if args.with_epsilon_lambda:
-        alt = epsilon_lambda_reconstruct(sino, geometry, args.epsilon)
         metrics["epsilon_lambda_rel_diff"] = _rel_diff(alt.values, recon.f_total.values)
     prefix = args.out_prefix
     _emit(prefix, argv, {f"{prefix}_fs.urdn": recon.f_s, f"{prefix}_fa.urdn": recon.f_a,

@@ -44,6 +44,7 @@ _BLOCK_SAMPLES = 2**15
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+_worker = threading.local()   # busy is set in the pool's threads alone
 
 
 def _cpu_count() -> int:
@@ -69,8 +70,15 @@ def _executor() -> ThreadPoolExecutor:
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(max_workers=max(1, _cpu_count() - 1),
-                                       thread_name_prefix="uradon-project")
+                                       thread_name_prefix="uradon-project",
+                                       initializer=setattr, initargs=(_worker, "busy", True))
         return _pool
+
+
+def _thread_count(n_items: int) -> int:
+    """Threads that _run_tasks spreads n_items over: one per CPU and item, but 1 in a pool
+    worker, whose nested call could wait for drains that no idle worker starts."""
+    return 1 if getattr(_worker, "busy", False) else min(_cpu_count(), n_items)
 
 
 def _run_tasks(task, items: list) -> None:
@@ -78,12 +86,13 @@ def _run_tasks(task, items: list) -> None:
 
     All threads take items (never None) from one shared iterator.  The
     tasks must write disjoint outputs, so which thread runs an item cannot
-    change a result.  With one item or one CPU everything runs inline.
-    Every worker has stopped before this returns or raises; after a task
-    fails no further item is started, and the calling thread's failure, or
-    else the first failed worker's, is raised.
+    change a result.  With one item or one CPU, or from a pool worker
+    (_thread_count), everything runs inline.  Every worker has stopped
+    before this returns or raises; after a task fails no further item is
+    started, and the calling thread's failure, or else the first failed
+    worker's, is raised.
     """
-    n_threads = min(_cpu_count(), len(items))
+    n_threads = _thread_count(len(items))
     if n_threads <= 1:
         for item in items:
             task(item)

@@ -160,7 +160,7 @@ def reconstruct_volume(sinos, geometry: GridGeometry, params: RegParams, x3_posi
     if len(sinos) != len(required):
         raise ValueError(f"need one sinogram per dual k value "
                          f"({len(required)}), got {len(sinos)}")
-    recons = _invert_all(sinos, geometry, params)
+    recons, _ = _invert_all(sinos, geometry, params)
     fields = tuple(r.f_total for r in recons)
     hybrid = HybridField(tuple(required), fields, Provenance.SERIES)
     stack = hybrid_inverse_series(hybrid, positions)

@@ -22,8 +22,11 @@ Both follow grids._fold_plan, the plan the projector follows too:
   row m plus row m + N/2 read at -tau for the ramp and finite-part filters,
   whose kernels are even, and minus it for the tau derivative, which is
   odd.  The filters then run on N/2 rows.  The lambda kernel is not even
-  (K(-eta) = conj K(eta)), so epsilon_lambda_reconstruct filters all N rows
-  and folds its buffer in place afterwards.
+  (K(-eta) = conj K(eta)), so epsilon_lambda_reconstruct folds rows m and
+  m + N/2 after filtering them, as each block is written back.  A projected
+  scan, whose second half turn is exactly its first reversed, folds to an
+  all-zero f_a buffer: it is neither differentiated nor backprojected, and
+  its image is the +0 that both would give.
 * The square's symmetries (D4).  When the angles backprojected are [0, pi)
   in an even count N' on a centred square grid, angles phi, pi/2 - phi,
   phi + pi/2 and pi - phi read a transposed or turned view of the index
@@ -35,14 +38,21 @@ per angle.  Each term of an inverse has one buffer of padded rows, shape
 (n_rows, n_tau + 2): the angle-major tau rows between two zeros, the padded
 axis that linear interpolation reads (grids._linear_index).  The filters run
 in place on it.  The correlation copies blocks of rows into its FFT buffer,
-each block's spectra filling at most _SPECTRUM_BLOCK entries (4 MiB) of one
-reused buffer, and writes each block's result back over its rows; each row
-is transformed on its own, so the blocks carry the bits of one transform of
-all rows.  The tau derivative gathers along blocks of the same rows and reads
-their zero ends.  _backproject then reads the buffers as they are, so the
-working set beyond the sinogram is one buffer per term and bounded blocks.
-The public filters run on a padded copy of a sinogram's rows and return the
+each block's spectra filling at most its budget of entries in one reused
+buffer, and writes each block's result back over its rows; each row is
+transformed on its own, so the blocks carry the bits of one transform of all
+rows.  The tau derivative gathers along blocks of the same rows and reads
+their zero ends.  The public filters run on a padded copy of a sinogram's
+rows, with all of _SPECTRUM_BLOCK (2 MiB) as budget, and return the
 (n_tau, n_phi) view of its interior.
+
+Every inverse is one pass (_invert_all): each term's buffer, the
+epsilon-lambda oracle's included, is filled and filtered as one task of
+forward._run_tasks, and the filters that run at once split _SPECTRUM_BLOCK
+between them.  One _backproject call then reads every buffer, so the index
+fields are built once.  A buffer is filtered on its own and its share of a
+pass equals its own pass, so no output depends on the CPU count or on what
+else the pass inverts.
 
 The backprojection skips the pixels whose contribution is exactly +0.  A
 pixel a node or more past either end of the tau grid (fractional index
@@ -66,7 +76,7 @@ import numpy as np
 
 from .grids import (ANGULAR_MEASURE_NORM, GridGeometry, ImageGrid2D, Sinogram, _finite,
                     _fold_plan, _linear_index, _trapezoid_weights)
-from .forward import direction
+from .forward import _run_tasks, _thread_count, direction
 
 
 class Backend(enum.Enum):
@@ -148,9 +158,9 @@ def lambda_kernel(eta, epsilon: float, lambda_max: float):
 
 # --- row filters -------------------------------------------------------------
 
-# complex entries in one block of row spectra (4 MiB): the filters' working set
-# beyond their buffer, whatever the number of rows
-_SPECTRUM_BLOCK = 2**18
+# complex entries in one block of row spectra (2 MiB): the working set beyond their
+# buffers of all the filters that run at once, whatever the number of rows
+_SPECTRUM_BLOCK = 2**17
 
 
 def _padded_rows(values: np.ndarray, parity: float = 0.0) -> np.ndarray:
@@ -170,31 +180,43 @@ def _padded_rows(values: np.ndarray, parity: float = 0.0) -> np.ndarray:
     return rows
 
 
-def _correlate_rows(rows: np.ndarray, kernel: np.ndarray) -> None:
+def _correlate_rows(rows: np.ndarray, kernel: np.ndarray, budget: int,
+                    halves: np.ndarray | None = None) -> None:
     """Correlate each padded row with kernel in place, zero outside the grid.
 
     On the n inner entries g of a row: g[t] <- sum_j kernel[j + M] * g[t + j].
     kernel has odd length 2M+1 and is indexed by the signed offset j; entries
     0..n-1 of the circular correlation are wrap-free for any FFT length >= n + M.
     The rows go through the transforms in blocks whose spectra fill at most
-    _SPECTRUM_BLOCK entries of one reused buffer.  Each row is transformed on
-    its own, so a block's rows carry the same bits as one transform of all rows.
+    budget entries of one reused buffer.  Each row is transformed on its own,
+    so a block's rows carry the same bits as one transform of all rows.
+
+    With halves, the (N, n) angle-major rows of a mirrored scan, row m of rows
+    gets the correlation of halves[m] plus that of halves[m + N/2] read at
+    -tau, both transformed in one block: the bits of filtering, then folding.
     """
     n_rows, n = rows.shape[0], rows.shape[1] - 2
     m_half = (len(kernel) - 1) // 2
     p = 1 << (n + m_half - 1).bit_length()   # next power of two >= n + M
     kernel_spec = np.fft.fft(kernel[::-1], n=p)
-    block = max(1, min(n_rows, _SPECTRUM_BLOCK // p))
-    spec = np.empty((block, p), dtype=np.complex128)
+    sources = [rows[:, 1:-1]] if halves is None else [halves[:n_rows], halves[n_rows:]]
+    block = max(1, min(n_rows, budget // (len(sources) * p)))
+    spec = np.empty((len(sources) * block, p), dtype=np.complex128)
     for start in range(0, n_rows, block):
         inner = rows[start:start + block, 1:-1]
-        part = spec[:inner.shape[0]]
-        part[:, :n] = inner
+        k = inner.shape[0]
+        part = spec[:len(sources) * k]
+        for j, source in enumerate(sources):
+            part[j * k:(j + 1) * k, :n] = source[start:start + k]
         part[:, n:] = 0.0
         np.fft.fft(part, out=part)
         part *= kernel_spec
         np.fft.ifft(part, out=part)
-        inner[...] = part[:, m_half:m_half + n]
+        out = part[:, m_half:m_half + n]
+        if halves is None:
+            inner[...] = out
+        else:
+            np.add(out[:k], out[k:, ::-1], out=inner)
 
 
 def _check_fa_step(fa_step: float, d_tau: float) -> None:
@@ -203,23 +225,23 @@ def _check_fa_step(fa_step: float, d_tau: float) -> None:
         raise ValueError(f"fa_step {fa_step} must be at least d_tau {d_tau}")
 
 
-def _differentiate_rows(rows: np.ndarray, d_tau: float, fa_step: float) -> None:
+def _differentiate_rows(rows: np.ndarray, d_tau: float, fa_step: float, budget: int) -> None:
     """Central difference (g(tau + h) - g(tau - h)) / (2h) of each padded row, in place.
 
     Off-grid values are linear interpolation on the padded row
     (grids._linear_index), whose zero ends give the field past either end
     node; h = fa_step may be any value >= d_tau (_check_fa_step, which the
     callers run before any buffer is made).  Both sides are formed a block
-    of rows at a time, in gathers of a sixteenth of _SPECTRUM_BLOCK entries
-    (256 KiB) each, small enough to stay in cache, and written back over the
-    block's inner entries.
+    of rows at a time, in gathers of a sixteenth of budget entries (128 KiB
+    for all of _SPECTRUM_BLOCK) each, small enough to stay in cache, and
+    written back over the block's inner entries.
     """
     n = rows.shape[1] - 2
     shift = fa_step / d_tau
     # g(t + h) and g(t - h): (1 - frac) * p[i0] + frac * p[i0 + 1] on the padded row p
     taps = [(i0, 1.0 - frac, frac) for i0, frac in
             (_linear_index(np.arange(n) + step, n) for step in (shift, -shift))]
-    block = max(1, _SPECTRUM_BLOCK // (16 * n))
+    block = max(1, budget // (16 * n))
     for a in range(0, rows.shape[0], block):
         part = rows[a:a + block]
         sides = []
@@ -236,9 +258,10 @@ def _differentiate_rows(rows: np.ndarray, d_tau: float, fa_step: float) -> None:
 
 
 def _filtered(sino: Sinogram, filter_rows, *args) -> np.ndarray:
-    """filter_rows run on a padded copy of sino's rows: the (n_tau, n_phi) view of the result."""
+    """filter_rows run on a padded copy of sino's rows, with all of _SPECTRUM_BLOCK: the
+    (n_tau, n_phi) view of the result."""
     rows = _padded_rows(sino.values)
-    filter_rows(rows, *args)
+    filter_rows(rows, *args, _SPECTRUM_BLOCK)
     return rows[:, 1:-1].T
 
 
@@ -406,25 +429,35 @@ def _flag_meta(out_of_range: np.ndarray) -> dict:
     return {"coverage_flags": flags, "coverage_flag_count": int(flags.shape[0])}
 
 
-# each term's filter runs in place on its padded rows and scales their inner entries
-def _fs_rows(rows: np.ndarray, sino: Sinogram, params: RegParams) -> None:
+# Each term fills one buffer of padded rows, folded when fold is set (a mirrored plan),
+# and filters it in place; None stands for a buffer whose image is all +0.
+def _fs_rows(sino: Sinogram, fold: bool, params: RegParams, budget: int) -> np.ndarray:
+    rows = _padded_rows(sino.values, 1.0 if fold else 0.0)   # both kernels are even
     inner = rows[:, 1:-1]
     if params.backend is Backend.RAMP_FILTER:
-        _correlate_rows(rows, _ramp_kernel(sino.n_tau, sino.d_tau))
+        _correlate_rows(rows, _ramp_kernel(sino.n_tau, sino.d_tau), budget)
         inner *= np.pi
     else:
-        _correlate_rows(rows, _fp_kernel(sino.n_tau, sino.d_tau))
+        _correlate_rows(rows, _fp_kernel(sino.n_tau, sino.d_tau), budget)
         np.negative(inner, out=inner)
+    return rows
 
 
-def _fa_rows(rows: np.ndarray, sino: Sinogram, params: RegParams) -> None:
-    _differentiate_rows(rows, sino.d_tau, params.fa_step)
+def _fa_rows(sino: Sinogram, fold: bool, params: RegParams, budget: int) -> np.ndarray | None:
+    rows = _padded_rows(sino.values, -1.0 if fold else 0.0)   # the tau derivative is odd
+    if fold and not rows.any():   # an exactly mirrored scan, as the projector makes
+        return None
+    _differentiate_rows(rows, sino.d_tau, params.fa_step, budget)
     rows[:, 1:-1] *= -1j * np.pi
+    return rows
 
 
-# each term's filter, and its parity under tau -> -tau: the ramp and finite-part
-# kernels are even, the tau derivative is odd
-_TERMS = ((_fs_rows, 1.0), (_fa_rows, -1.0))
+def _lambda_rows(sino: Sinogram, fold: bool, kernel: np.ndarray, budget: int) -> np.ndarray:
+    # the kernel is not even: a mirrored scan's rows are folded as they are filtered
+    rows = (np.zeros((sino.angles.n_phi // 2, sino.n_tau + 2), dtype=np.complex128) if fold
+            else _padded_rows(sino.values))
+    _correlate_rows(rows, kernel, budget, sino.values.T if fold else None)
+    return rows
 
 
 def invert_universal(sino: Sinogram, geometry: GridGeometry, params: RegParams) -> Reconstruction:
@@ -436,39 +469,55 @@ def invert_universal(sino: Sinogram, geometry: GridGeometry, params: RegParams) 
     realize -(1/4pi^2) * integral d_phi FP integral d_eta R(eta + <n_phi, x>) / eta^2.
     f_a is the boundary term: -i pi times the backprojected radial derivative.
     """
-    return _invert_all([sino], geometry, params)[0]
+    return _invert_all([sino], geometry, params)[0][0]
 
 
-def _invert_all(sinos, geometry: GridGeometry, params: RegParams) -> list[Reconstruction]:
-    """invert_universal of every sinogram, all terms backprojected in one pass.
+def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
+                oracle: tuple | None = None) -> tuple[list[Reconstruction], list[ImageGrid2D]]:
+    """invert_universal (given params) and epsilon_lambda_reconstruct (given oracle =
+    (epsilon, lambda_max), None for a default) of every sinogram, in one pass.
 
     The sinograms must share one tau grid and angular range; each result is
-    bit-identical to inverting its sinogram alone.  On a mirrored plan
-    (grids._fold_plan), each term's rows are folded onto the first half turn
-    with the term's parity as they are filled, before they are filtered: a
-    filter of that parity commutes with tau reversal, so filtering the fold
-    equals folding the filtered rows, to rounding, at half the rows.
+    bit-identical to its path alone on its sinogram alone, at any CPU count
+    (module docstring).  On a mirrored plan, the f_s and f_a rows are folded
+    with the term's parity before they are filtered: a filter of that parity
+    commutes with tau reversal, so this equals folding the filtered rows, to
+    rounding.  Returns the Reconstruction of each sinogram (none without
+    params) and its epsilon-lambda image (none without oracle).
     """
     first = sinos[0]
     if any(s.tau_grid != first.tau_grid or s.angles != first.angles for s in sinos):
         raise ValueError("sinograms inverted together must share one tau grid and angular range")
-    _check_fa_step(params.fa_step, first.d_tau)
-    mirrored = _fold_plan(geometry, first.tau_grid, first.angles).mirrored
-    buffers = []
-    for s in sinos:
-        for term, parity in _TERMS:
-            rows = _padded_rows(s.values, parity if mirrored else 0.0)
-            term(rows, s, params)
-            buffers.append(rows)
-    values, oob = _backproject(buffers, first, geometry)
-    del buffers, rows   # freed before the images are made
-    meta = _flag_meta(oob)
-    recons = []
-    for fs, fa in zip(values[::2], values[1::2]):
-        recons.append(Reconstruction(ImageGrid2D(geometry, fs, dict(meta)),
-                                     ImageGrid2D(geometry, fa, dict(meta)),
-                                     ImageGrid2D(geometry, fs + fa, dict(meta))))
-    return recons
+    terms = []
+    if oracle is not None:   # the longest filter first, so the others fill in around it
+        epsilon, lambda_max = oracle
+        terms.append((_lambda_rows, _lambda_correlation_kernel(
+            first.n_tau, first.d_tau, 2.0 * first.d_tau if epsilon is None else epsilon,
+            np.pi / first.d_tau if lambda_max is None else lambda_max)))
+    if params is not None:
+        _check_fa_step(params.fa_step, first.d_tau)
+        terms += [(_fs_rows, params), (_fa_rows, params)]
+    fold = _fold_plan(geometry, first.tau_grid, first.angles).mirrored
+    jobs = [(term, s, arg) for s in sinos for term, arg in terms]
+    buffers = [None] * len(jobs)
+    budget = _SPECTRUM_BLOCK // _thread_count(len(jobs))
+
+    def fill(k):
+        term, s, arg = jobs[k]
+        buffers[k] = term(s, fold, arg, budget)
+
+    _run_tasks(fill, list(range(len(jobs))))
+    skipped = [rows is None for rows in buffers]
+    values, oob = _backproject([rows for rows in buffers if rows is not None], first, geometry)
+    del buffers   # freed before the images are made
+    meta, values = _flag_meta(oob), iter(values)
+    images = [ImageGrid2D(geometry, np.zeros((geometry.nx, geometry.ny), dtype=np.complex128)
+                          if skip else next(values), dict(meta)) for skip in skipped]
+    n = len(terms)
+    recons = [] if params is None else [
+        Reconstruction(fs, fa, ImageGrid2D(geometry, fs.values + fa.values, dict(meta)))
+        for fs, fa in zip(images[n - 2::n], images[n - 1::n])]
+    return recons, images[::n] if oracle is not None else []
 
 
 def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
@@ -480,19 +529,10 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
     regulator below the grid scale only adds noise; lambda_max = pi/d_tau
     (radial Nyquist of the tau grid).  Serves as a third oracle for
     invert_universal, sharing none of its RegParams.  The kernel is not even,
-    so on a mirrored plan the rows are folded after filtering.
+    so on a mirrored plan the rows are folded after filtering, pair by pair
+    as they leave the transforms (_correlate_rows).
     """
-    if epsilon is None:
-        epsilon = 2.0 * sino.d_tau
-    if lambda_max is None:
-        lambda_max = np.pi / sino.d_tau
-    rows = _padded_rows(sino.values)
-    _correlate_rows(rows, _lambda_correlation_kernel(sino.n_tau, sino.d_tau, epsilon, lambda_max))
-    if _fold_plan(geometry, sino.tau_grid, sino.angles).mirrored:
-        inner, half = rows[:, 1:-1], sino.angles.n_phi // 2
-        inner[:half] += inner[half:, ::-1]
-    (values,), oob = _backproject([rows], sino, geometry)
-    return ImageGrid2D(geometry, values, _flag_meta(oob))
+    return _invert_all([sino], geometry, None, (epsilon, lambda_max))[1][0]
 
 
 # --- metrics -----------------------------------------------------------------

@@ -99,18 +99,14 @@ def backproject(columns_seq, sino, geometry):
 def correlate(values, kernel):
     """inversion._correlate_rows on the columns of values: the filtered (n, n_cols) array."""
     rows = inv._padded_rows(values)
-    inv._correlate_rows(rows, kernel)
+    inv._correlate_rows(rows, kernel, inv._SPECTRUM_BLOCK)
     return rows[:, 1:-1].T
 
 
 def term_columns(sino, params):
     """The inverse's filtered f_s and f_a columns at every stored angle, unfolded."""
-    out = []
-    for term in (inv._fs_rows, inv._fa_rows):
-        rows = inv._padded_rows(sino.values)
-        term(rows, sino, params)
-        out.append(rows[:, 1:-1].T)
-    return out
+    return [term(sino, False, params, inv._SPECTRUM_BLOCK)[:, 1:-1].T
+            for term in (inv._fs_rows, inv._fa_rows)]
 
 
 @pytest.fixture

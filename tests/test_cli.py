@@ -175,6 +175,21 @@ class TestOutputs:
         assert all(word in err for word in words)
         assert not any(Path().iterdir())   # refused before anything was written
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["fst-check", "--image", "missing.urdn", "--sinogram", "missing.urdn",
+          "--lambdas", "0:6"], "--lambdas"),
+        (["invert", "--sinogram", "missing.urdn", "--nx", "16", "--extent", "8",
+          "--range", "0:x", "--out-prefix", "x"], "--range"),
+        (["radon", "--image", "missing.urdn", "--range", "0:x", "--out", "s.urdn"], "--range"),
+    ], ids=["fst-check lambdas", "invert range", "radon range"])
+    def test_malformed_windows_are_refused_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                          argv, flag):
+        # a missing input would be a file error (3): the window is parsed first
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err and len(err.splitlines()) == 1
+
 
 class TestFstCheck:
     def test_matching_pair_passes(self, image_file, sino_file, tmp_path):

@@ -765,6 +765,28 @@ class TestRunTasks:
         assert len(started) == n_started < 40  # nothing started after the failure
 
 
+    def test_a_call_from_a_pool_worker_runs_inline(self, monkeypatch):
+        # a fresh one-worker pool: a nested call that waited for it would wait forever
+        monkeypatch.setattr(fwd, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(fwd, "_pool", None)
+        done, lock = [], threading.Lock()
+
+        def inner(item):
+            with lock:
+                done.append(item)
+
+        def outer(item):
+            time.sleep(0.01)   # lets the worker take an item of its own
+            fwd._run_tasks(inner, [(item, k) for k in range(3)])
+
+        caller = threading.Thread(target=fwd._run_tasks, args=(outer, list(range(4))))
+        caller.start()
+        caller.join(timeout=30)
+        pool = fwd._pool
+        assert not caller.is_alive(), "a nested _run_tasks deadlocked"
+        pool.shutdown(wait=True)
+        assert sorted(done) == [(i, k) for i in range(4) for k in range(3)]
+
 def _project_in_child(conn, args):
     conn.send(_project(*args))
     conn.close()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import uradon as ur
+import uradon.forward as fwd
 import uradon.inversion as inv
 from uradon.forward import direction
-from uradon.grids import _linear_index
-from conftest import analytic_sinogram, backproject, correlate, rel_l2, traced_peak
+from uradon.grids import _fold_plan, _linear_index
+from conftest import analytic_sinogram, backproject, correlate, rel_l2, same_bits, traced_peak
 
 SQRT_2PI = 2.5066282746310002
 
@@ -557,12 +558,123 @@ class TestEpsilonLambdaPath:
         assert d_coarse / d_fine >= 1.5
 
 
-# tracemalloc peaks in multiples of the sinogram's payload bytes, measured (numpy 2.4):
-# - a 401 tau x 360 angle full scan into a 64^2 image: epsilon-lambda 2.95 (at this size the
-#   4 MiB spectrum block alone is 1.8 payloads), invert_universal 1.85 with either backend;
+
+# mirrored without D4 (a non-square grid), mirrored with D4, and an unmirrored window
+ONE_PASS_SCANS = {
+    "mirrored": (ur.GridGeometry.centered(16, 12, 4.0, 3.0), ur.AngularRange.full(24)),
+    "d4": (ur.GridGeometry.centered(16, 16, 4.0, 4.0), ur.AngularRange.full(24)),
+    "unmirrored": (ur.GridGeometry.centered(16, 16, 4.0, 4.0), ur.AngularRange(0.3, 2.5, 17)),
+}
+
+
+def one_pass_sino(rng, scan):
+    geom, angles = ONE_PASS_SCANS[scan]
+    tg = ur.TauGrid.covering(geom, 0.2)
+    values = rng.normal(size=(tg.n_tau, angles.n_phi)) + 1j * rng.normal(size=(tg.n_tau, angles.n_phi))
+    return geom, ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, angles, values)
+
+
+def assert_same_image(got, want):
+    assert same_bits(got.values, want.values)
+    assert np.array_equal(got.meta["coverage_flags"], want.meta["coverage_flags"])
+
+
+class TestOnePass:
+    """_invert_all runs the two-term inverse and the epsilon-lambda oracle as one pass."""
+
+    @pytest.mark.parametrize("scan", list(ONE_PASS_SCANS))
+    @pytest.mark.parametrize("backend", list(ur.Backend))
+    def test_oracle_in_the_pass_is_each_inverse_alone(self, rng, scan, backend):
+        geom, sino = one_pass_sino(rng, scan)
+        params = ur.RegParams.defaults(sino.d_tau, backend)
+        (recon,), (alt,) = inv._invert_all([sino], geom, params, (0.5, None))
+        alone = ur.invert_universal(sino, geom, params)
+        for part in ("f_s", "f_a", "f_total"):
+            assert_same_image(getattr(recon, part), getattr(alone, part))
+        assert_same_image(alt, ur.epsilon_lambda_reconstruct(sino, geom, 0.5))
+
+    @pytest.mark.parametrize("scan", list(ONE_PASS_SCANS))
+    def test_epsilon_lambda_is_filter_then_fold_then_backproject(self, rng, scan):
+        # the algorithm before its rows were folded pair by pair in the transforms
+        geom, sino = one_pass_sino(rng, scan)
+        rows = inv._padded_rows(sino.values)
+        kernel = inv._lambda_correlation_kernel(sino.n_tau, sino.d_tau, 2.0 * sino.d_tau,
+                                                np.pi / sino.d_tau)
+        inv._correlate_rows(rows, kernel, inv._SPECTRUM_BLOCK)
+        if _fold_plan(geom, sino.tau_grid, sino.angles).mirrored:
+            inner, half = rows[:, 1:-1], sino.angles.n_phi // 2
+            inner[:half] += inner[half:, ::-1]
+        (want,), oob = inv._backproject([rows], sino, geom)
+        got = ur.epsilon_lambda_reconstruct(sino, geom)
+        assert same_bits(got.values, want)
+        assert np.array_equal(got.meta["coverage_flags"], np.argwhere(oob))
+
+    @pytest.mark.parametrize("pairs", [1, 2, 5, 12])
+    def test_paired_rows_fold_as_filter_then_fold(self, rng, pairs):
+        # blocks of 1, 2 and 5 of the 12 row pairs (a short last block) and one block of all
+        n, n_rows = 29, 24
+        halves = rng.normal(size=(n_rows, n)) + 1j * rng.normal(size=(n_rows, n))
+        kernel = rng.normal(size=2 * n - 1) + 1j * rng.normal(size=2 * n - 1)   # not even
+        want = inv._padded_rows(halves.T)
+        inv._correlate_rows(want, kernel, inv._SPECTRUM_BLOCK)
+        want[:n_rows // 2, 1:-1] += want[n_rows // 2:, -2:0:-1]
+        p = 1 << (n + n - 2).bit_length()
+        got = np.full((n_rows // 2, n + 2), np.nan + 0j)
+        got[:, [0, -1]] = 0.0
+        inv._correlate_rows(got, kernel, 2 * pairs * p, halves)
+        assert same_bits(got, want[:n_rows // 2])
+
+    @pytest.mark.parametrize("scan", list(ONE_PASS_SCANS))
+    def test_every_inverse_keeps_its_bits_at_one_and_two_cpus(self, rng, monkeypatch, scan):
+        geom, sino = one_pass_sino(rng, scan)
+        other = dataclasses.replace(sino, values=sino.values[::-1] * (0.5 - 1j))
+
+        def inverses():
+            out = []
+            for backend in ur.Backend:
+                params = ur.RegParams.defaults(sino.d_tau, backend)
+                recons, alts = inv._invert_all([sino, other], geom, params, (None, None))
+                out += [ur.invert_universal(sino, geom, params).f_total,
+                        *(r.f_s for r in recons), *(r.f_a for r in recons), *alts]
+            return out + [ur.epsilon_lambda_reconstruct(sino, geom)]
+
+        monkeypatch.setattr(fwd, "_cpu_count", lambda: 1)
+        one = inverses()
+        monkeypatch.setattr(fwd, "_cpu_count", lambda: 2)
+        for got, want in zip(inverses(), one, strict=True):
+            assert same_bits(got.values, want.values)
+
+    def test_fa_of_an_exactly_mirrored_scan_is_skipped(self, monkeypatch):
+        scene = ur.CompositeScene.of(ur.GaussianBlob(0.4, -0.3, 0.8, 1.0 + 0.5j))
+        geom = ur.GridGeometry.centered(24, 24, 6.0, 6.0)
+        tg, angles = ur.TauGrid.covering(geom, geom.dx), ur.AngularRange.full(36)
+        params = ur.RegParams.defaults(tg.d_tau)
+        calls = []
+        differentiate = inv._differentiate_rows
+        monkeypatch.setattr(inv, "_differentiate_rows",
+                            lambda *args: calls.append(1) or differentiate(*args))
+        for sino, n_calls in ((ur.radon_transform(ur.rasterize(scene, geom), tg, angles), 0),
+                              (analytic_sinogram(scene, tg, angles), 1)):
+            calls.clear()
+            got = ur.invert_universal(sino, geom, params)
+            assert len(calls) == n_calls
+            # the full path: fold, differentiate, backproject
+            rows = inv._padded_rows(sino.values, -1.0)
+            differentiate(rows, sino.d_tau, params.fa_step, inv._SPECTRUM_BLOCK)
+            rows[:, 1:-1] *= -1j * np.pi
+            (fa,), _ = inv._backproject([rows], sino, geom)
+            assert same_bits(got.f_a.values, fa)
+            assert same_bits(got.f_total.values, got.f_s.values + fa)
+            assert np.any(fa) == bool(n_calls)
+
+# tracemalloc peaks in multiples of the sinogram's payload bytes, measured (numpy 2.4) on one
+# CPU and on two, where the f_s and f_a buffers are alive at once while their filters run:
+# - a 401 tau x 360 angle full scan into a 64^2 image: epsilon-lambda 1.65 / 1.59 (its buffer
+#   holds the folded N/2 rows), invert_universal 1.48 / 1.68 with either backend;
 # - the unmirrored [0, pi) step of the reconstruct benchmark, 1685 tau x 180 angles into 128^2,
-#   where the backprojection's frames set the peak: epsilon-lambda 1.92, invert_universal 2.85.
-# Each bound is about 10% above its measured value.
+#   where the backprojection's frames set the peak: epsilon-lambda 1.64, invert_universal 2.85.
+# The bounds were set about 10% above the values measured with a 4 MiB spectrum block, one
+# CPU and a full-height epsilon-lambda buffer (2.95, 1.85, 1.92 and 2.85).
 RECONSTRUCT_GRID = ur.GridGeometry.centered(128, 128, 12.0, 12.0)
 WORKING_SET_SCANS = {
     "full": (ur.GridGeometry.centered(64, 64, 8.0, 8.0), ur.TauGrid.symmetric(0.03, 401),
