@@ -35,8 +35,7 @@ print(f"\nseries roundtrip error (no projection involved): {roundtrip:.2e}")
 
 tau_grid = ur.TauGrid.covering(geom, geom.dx)
 sinos = ur.hybrid_radon(field, tau_grid, ur.AngularRange.full(120))
-out = ur.reconstruct_volume(sinos, geom, ur.RegParams.defaults(tau_grid.d_tau),
-                            positions, ks)
+out = ur.reconstruct_volume(sinos, geom, ur.RegParams.defaults(tau_grid.d_tau), positions)
 
 print("\nend-to-end reconstruction, per slice:")
 for x3, ref, rec in zip(positions, stack.slices, out.stack.slices):

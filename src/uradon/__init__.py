@@ -16,10 +16,9 @@ from .inversion import (Backend, Reconstruction, RegParams, delta_plus,
                         invert_universal, l2_norm, lambda_kernel,
                         lambda_kernel_filtered, ramp_filtered,
                         reconstruction_metrics, tau_derivative)
-from .holonomy import (HolonomyReport, PathEvaluation, Probe, ShiftPath, StepRecord,
+from .holonomy import (HolonomyReport, PathEvaluation, Probe, StepRecord,
                        UnsupportedSceneError, boundary_jump, check_holonomy,
-                       classify_defect_scene, evaluate_path, extract_defect,
-                       leak_tolerance)
+                       classify_defect_scene, extract_defect, leak_tolerance)
 from .hybrid import (VolumeReconstruction, dual_k_grid, hybrid_forward,
                      hybrid_from_scene, hybrid_inverse_series, hybrid_radon,
                      make_slices, reconstruct_volume)
@@ -31,13 +30,13 @@ __all__ = [
     "ContainerError", "FstReport", "GaussianBlob", "GridGeometry", "HolonomyReport",
     "HybridField", "ImageGrid2D", "MagicMismatchError", "MalformedHeaderError",
     "PathEvaluation", "Probe", "Provenance", "Reconstruction", "RegParams",
-    "RegionMask", "SceneFormatError", "SeparableScene3D", "ShiftPath", "Sinogram",
+    "RegionMask", "SceneFormatError", "SeparableScene3D", "Sinogram",
     "SpectralSlice", "StepRecord", "TauGrid", "TruncatedPayloadError",
     "UnsupportedOracleError", "UnsupportedSceneError", "VolumeReconstruction",
     "VolumeStack", "analytic_fourier", "analytic_radon", "bilinear_sample",
     "boundary_jump", "check_holonomy", "classify_defect_scene", "default_ray_step",
     "delta_plus", "direction", "dual_k_grid", "epsilon_lambda_reconstruct",
-    "evaluate_path", "extract_defect", "finite_part_filtered", "fst_check",
+    "extract_defect", "finite_part_filtered", "fst_check",
     "fst_lhs", "fst_passed", "fst_rhs", "hybrid_forward", "hybrid_from_scene", "hybrid_inverse_series",
     "hybrid_radon", "invert_universal", "l2_norm",
     "lambda_kernel", "lambda_kernel_filtered", "leak_tolerance", "load_scene",

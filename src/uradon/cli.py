@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .container import ContainerError, read_container, write_container
 from .forward import radon_transform
-from .grids import AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid, _finite
+from .grids import (AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid, _finite,
+                    _positive_int)
 from .holonomy import (Probe, check_holonomy, classify_defect_scene,
                        extract_defect, UnsupportedSceneError)
 from .hybrid import dual_k_grid, hybrid_forward, hybrid_radon, make_slices, reconstruct_volume
@@ -31,7 +32,7 @@ from .inversion import (Backend, RegParams, _invert_all, _rmse_over_peak,
                         reconstruction_metrics)
 from .phantoms import (CompositeScene, SceneFormatError, SeparableScene3D, load_scene,
                        rasterize)
-from .slice_theorem import fst_check, fst_passed
+from .slice_theorem import _check_lambdas, fst_check, fst_passed
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,9 +66,13 @@ def _load_scene(path):
 
 
 def _scene3d(args) -> tuple[SeparableScene3D, list[float]]:
-    """The scene file as a 3D scene (unit x3 profile if it has none), and --x3's positions."""
-    scene, profile3d = _load_scene(args.scene)
+    """The scene file as a 3D scene (unit x3 profile if it has none), and the --slices
+    positions that --x3 start:step places, checked before the file is read."""
+    _positive_int("slices", args.slices)
     start, step = _fields(args.x3, "x3", float, float)
+    _finite("x3 start", start)
+    _finite("x3 step", step, positive=args.slices > 1)   # positions must increase
+    scene, profile3d = _load_scene(args.scene)
     if profile3d is None:
         profile3d = SeparableScene3D(scene)
     return profile3d, [start + step * n for n in range(args.slices)]
@@ -88,6 +93,13 @@ def _geometry(args) -> GridGeometry:
     ny = args.ny if args.ny is not None else args.nx
     extent_y = args.extent_y if args.extent_y is not None else args.extent
     return GridGeometry.centered(args.nx, ny, args.extent, extent_y)
+
+
+def _check_steps(args, *names) -> None:
+    """Refuse each named flag that is given unless it is a finite number above zero."""
+    for name in names:
+        if getattr(args, name) is not None:
+            _finite(name, getattr(args, name), positive=True)
 
 
 def _emit(base: str, argv: list[str], outputs: dict) -> None:
@@ -132,25 +144,27 @@ def _restrict_angles(sino: Sinogram, window: tuple[float, float]) -> Sinogram:
 def _cmd_phantom(args, argv) -> int:
     if (args.slices is None) != (args.x3 is None):
         raise CliError("--slices N and --x3 start:step go together", EXIT_BAD_ARGS)
+    geometry = _geometry(args)
     if args.slices is None:
         scene, _ = _load_scene(args.scene)
-        grid = rasterize(scene, _geometry(args))
+        grid = rasterize(scene, geometry)
     else:
-        profile3d, positions = _scene3d(args)
-        grid = make_slices(profile3d, positions, _geometry(args))
+        grid = make_slices(*_scene3d(args), geometry)
     _emit(args.out, argv, {args.out: grid})
     return EXIT_OK
 
 
 def _cmd_radon(args, argv) -> int:
-    window = _fields(args.range, "range", float, float)
+    angles = AngularRange(*_fields(args.range, "range", float, float), args.n_phi)
+    _check_steps(args, "d_tau", "ray_step")
+    if args.n_tau is not None:
+        _positive_int("n_tau", args.n_tau)
     img = _read(args.image, ImageGrid2D)
     d_tau = args.d_tau if args.d_tau is not None else img.geometry.dx
     if args.n_tau is not None:
         tau_grid = TauGrid.symmetric(d_tau, args.n_tau)
     else:
         tau_grid = TauGrid.covering(img.geometry, d_tau)
-    angles = AngularRange(*window, args.n_phi)
     sino = radon_transform(img, tau_grid, angles, args.ray_step)
     _emit(args.out, argv, {args.out: sino})
     return EXIT_OK
@@ -160,13 +174,10 @@ def _cmd_fst_check(args, argv) -> int:
     _finite("tolerance", args.tolerance, positive=True)
     lambdas = None
     if args.lambdas is not None:
-        lambdas = np.linspace(*_fields(args.lambdas, "lambdas", float, float, int))
+        lambdas = _check_lambdas(np.linspace(*_fields(args.lambdas, "lambdas", float, float, int)))
     img = _read(args.image, ImageGrid2D)
     sino = _read(args.sinogram, Sinogram)
-    try:
-        reports = fst_check(img, sino, lambdas=lambdas)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_ARGS) from exc
+    reports = fst_check(img, sino, lambdas=lambdas)
     passed = fst_passed(reports, args.tolerance)
     rows = [("phi", "lambda", "abs_lhs", "abs_rhs", "rel_residual")]
     for rep in reports:
@@ -194,14 +205,12 @@ def _cmd_invert(args, argv) -> int:
     if args.epsilon is not None:   # the regulator of the epsilon-lambda path alone
         if not args.with_epsilon_lambda:
             raise CliError("--epsilon requires --with-epsilon-lambda", EXIT_BAD_ARGS)
-        _finite("epsilon", args.epsilon, positive=True)
-    if args.fa_step is not None:
-        _finite("fa_step", args.fa_step, positive=True)
+    _check_steps(args, "epsilon", "fa_step")
     window = _fields(args.range, "range", float, float) if args.range is not None else None
+    geometry = _geometry(args)
     sino = _read(args.sinogram, Sinogram)
     if window is not None:
         sino = _restrict_angles(sino, window)
-    geometry = _geometry(args)
     params = RegParams.defaults(sino.d_tau, Backend(args.backend))
     if args.fa_step is not None:
         params = replace(params, fa_step=args.fa_step)
@@ -226,7 +235,6 @@ def _cmd_invert(args, argv) -> int:
 
 def _probe_inputs(args) -> tuple[CompositeScene, Probe, GridGeometry]:
     """The scene, the probe and the output geometry of the flags _add_probe_flags adds."""
-    scene, _ = _load_scene(args.scene)
     geometry = _geometry(args)
     t_lo, t_hi, t_n = _fields(args.tau, "tau", float, float, int)
     p_lo, p_hi, p_n = _fields(args.phi_window, "phi-window", float, float, int)
@@ -234,7 +242,9 @@ def _probe_inputs(args) -> tuple[CompositeScene, Probe, GridGeometry]:
         raise CliError("probe needs at least one tau and one phi sample", EXIT_BAD_ARGS)
     d_tau = (t_hi - t_lo) / t_n
     taus = TauGrid(t_lo + d_tau / 2.0, d_tau, t_n)  # cell-centered inside (lo, hi]
-    return scene, Probe(taus, AngularRange(p_lo, p_hi, p_n)), geometry
+    probe = Probe(taus, AngularRange(p_lo, p_hi, p_n))
+    scene, _ = _load_scene(args.scene)
+    return scene, probe, geometry
 
 
 def _cmd_holonomy(args, argv) -> int:
@@ -274,17 +284,18 @@ def _cmd_defect(args, argv) -> int:
 
 
 def _cmd_hybrid(args, argv) -> int:
-    profile3d, positions = _scene3d(args)
     geometry = _geometry(args)
     d_tau = args.d_tau if args.d_tau is not None else geometry.dx
     tau_grid = TauGrid.covering(geometry, d_tau)
     angles = AngularRange.full(args.n_phi)
+    _check_steps(args, "ray_step")
+    profile3d, positions = _scene3d(args)
     stack = make_slices(profile3d, positions, geometry)
     ks, _ = dual_k_grid(positions)
     field = hybrid_forward(stack, ks)
     sinos = hybrid_radon(field, tau_grid, angles, args.ray_step)
     params = RegParams.defaults(d_tau, Backend(args.backend))
-    result = reconstruct_volume(sinos, geometry, params, positions, ks)
+    result = reconstruct_volume(sinos, geometry, params, positions)
     rows = [("k", "fa_norm", "fs_norm", "fa_ratio", "slice_rmse_over_peak")]
     print("hybrid: k, fa_norm/fs_norm, slice rmse/peak")
     for m, (k, ratio) in enumerate(zip(ks, result.fa_ratios().tolist())):
@@ -297,6 +308,13 @@ def _cmd_hybrid(args, argv) -> int:
 
 
 # --- parser ------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a call with one error line and exit code 2, like every other refusal."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_ARGS, f"error: {message}\n")
+
 
 # lets option values like "-3.5:1.0" pass as values instead of option names
 _DASHED_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)(:.*)?$")
@@ -323,7 +341,7 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uradon",
         description="Complex-valued Radon transforms: projection, slice checks, "
                     "two-term inversion, holonomy analysis, slice-stacked volumes.")

@@ -175,6 +175,10 @@ class GridGeometry:
         Nodes sit at -(n-1)*d/2 + i*d, so the lattice is mirror-symmetric
         about the origin and no node falls exactly on either axis.
         """
+        _positive_int("nx", nx)
+        _positive_int("ny", ny)
+        _finite("extent_x", extent_x, positive=True)
+        _finite("extent_y", extent_y, positive=True)
         dx = extent_x / nx
         dy = extent_y / ny
         return cls(nx, ny, -(nx - 1) * dx / 2.0, -(ny - 1) * dy / 2.0, dx, dy)
@@ -280,7 +284,7 @@ class AngularRange:
 
     Samples are phi_min + m*d_phi with d_phi = (phi_max - phi_min)/n_phi;
     the endpoint is excluded (periodic convention).  The angular measure
-    carries the fixed normalization 1/(4 pi^2).
+    carries the fixed normalization ANGULAR_MEASURE_NORM = 1/(4 pi^2).
     """
 
     phi_min: float
@@ -310,10 +314,6 @@ class AngularRange:
     @property
     def d_phi(self) -> float:
         return self.span / self.n_phi
-
-    @property
-    def normalization(self) -> float:
-        return ANGULAR_MEASURE_NORM
 
     def phis(self) -> np.ndarray:
         return self.phi_min + self.d_phi * np.arange(self.n_phi)

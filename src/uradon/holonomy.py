@@ -9,8 +9,8 @@ centrally symmetric background by comparing opposite-angle views.
 
 Shift bookkeeping is symbolic: a half turn flips the direction vector's sign
 exactly, so one projection (_half_turns) tabulates every term at both half-turn
-parities, every path walks that one table, and a full turn reproduces the
-unshifted columns bit for bit.
+parities, check_holonomy walks both protocols over that one table, and a full
+turn reproduces the unshifted columns bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .inversion import l2_norm
 from .phantoms import CompositeScene, GaussianBlob, RegionMask, rasterize
 
 HALF_TURN = float(np.pi)
-FULL_TURN = float(2.0 * np.pi)
 
 NORMATIVE_PHI_MAX = float(np.pi / 2.0)
 
@@ -60,41 +59,6 @@ class Probe:
 
 
 @dataclass(frozen=True)
-class ShiftPath:
-    """Ordered angle increments, each a half or full turn, totalling one turn."""
-
-    steps: tuple
-
-    def __post_init__(self):
-        steps = tuple(float(s) for s in self.steps)
-        if not steps:
-            raise ValueError("path needs at least one step")
-        for s in steps:
-            if not (abs(s - HALF_TURN) <= 1e-12 or abs(s - FULL_TURN) <= 1e-12):
-                raise ValueError(f"steps must be pi or 2*pi, got {s}")
-        if abs(sum(steps) - FULL_TURN) > 1e-12:
-            raise ValueError("total shift must be one full turn")
-        object.__setattr__(self, "steps", steps)
-
-    @classmethod
-    def full_turn(cls) -> "ShiftPath":
-        return cls((FULL_TURN,))
-
-    @classmethod
-    def two_half_turns(cls) -> "ShiftPath":
-        return cls((HALF_TURN, HALF_TURN))
-
-    def half_turn_counts(self) -> list[int]:
-        """Cumulative number of half turns after each step."""
-        out = []
-        total = 0
-        for s in self.steps:
-            total += 1 if abs(s - HALF_TURN) <= 1e-12 else 2
-            out.append(total)
-        return out
-
-
-@dataclass(frozen=True)
 class StepRecord:
     """State after one step.
 
@@ -111,7 +75,6 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class PathEvaluation:
-    path: ShiftPath
     records: tuple
     surviving_terms: tuple
     final_sinogram_column: np.ndarray
@@ -153,18 +116,12 @@ def _half_turns(geometry: GridGeometry, arrays, probe: Probe, ray_step: float | 
     return both[..., :len(trig)], both[..., len(trig):]
 
 
-def _term_columns(scene: CompositeScene, probe: Probe, geometry: GridGeometry,
-                  ray_step: float | None) -> tuple:
-    """_half_turns of every term, each rasterized alone: the one table every path walks."""
-    images = [rasterize(CompositeScene((term,)), geometry).values for term in scene.terms]
-    return _half_turns(geometry, images, probe, ray_step)
-
-
-def _walk(path: ShiftPath, columns: tuple, leak_tol: float) -> PathEvaluation:
-    """Walk the path over a _term_columns table: count half turns read columns[count % 2]."""
+def _walk(counts: tuple, columns: tuple, leak_tol: float) -> PathEvaluation:
+    """Walk check_holonomy's table; counts are the half turns done after each step, (2,) or
+    (1, 2).  Step count reads columns[count % 2], dropping terms within leak_tol there."""
     survivors = list(range(len(columns[0])))
     records = []
-    for count in path.half_turn_counts():
+    for count in counts:
         shifted = columns[count % 2]
         norms = tuple((i, float(np.max(np.abs(shifted[i])))) for i in survivors)
         survivors = [i for i, norm in norms if norm > leak_tol]
@@ -172,22 +129,8 @@ def _walk(path: ShiftPath, columns: tuple, leak_tol: float) -> PathEvaluation:
         records.append(StepRecord(cumulative_shift=count * HALF_TURN, term_norms=norms,
                                   survivors=tuple(survivors), column=total))
     final = records[-1]
-    return PathEvaluation(path=path, records=tuple(records), surviving_terms=final.survivors,
+    return PathEvaluation(records=tuple(records), surviving_terms=final.survivors,
                           final_sinogram_column=final.column, leak_tol=leak_tol)
-
-
-def evaluate_path(scene: CompositeScene, path: ShiftPath, probe: Probe,
-                  geometry: GridGeometry, ray_step: float | None = None,
-                  leak_tol: float | None = None) -> PathEvaluation:
-    """Walk the shift path, dropping terms whose columns vanish on the window.
-
-    At each step all probe angles shift by the step; every surviving term's
-    masked column is evaluated there and terms whose column stays below
-    leak_tol in magnitude are dropped.  The final column is the sum over the
-    survivors at the final angles.
-    """
-    leak_tol = _tolerance("leak_tol", leak_tol, leak_tolerance(scene, geometry))
-    return _walk(path, _term_columns(scene, probe, geometry, ray_step), leak_tol)
 
 
 def check_holonomy(scene: CompositeScene, probe: Probe, geometry: GridGeometry,
@@ -195,12 +138,14 @@ def check_holonomy(scene: CompositeScene, probe: Probe, geometry: GridGeometry,
                    threshold: float | None = None) -> HolonomyReport:
     """Compare the full-turn and two-half-turn protocols on the probe window.
 
+    Each term is rasterized alone, and both paths walk its _half_turns columns.
     leak_tol (default leak_tolerance) and threshold (default 10 * leak_tol): finite, >= 0."""
     leak_tol = _tolerance("leak_tol", leak_tol, leak_tolerance(scene, geometry))
     threshold = _tolerance("threshold", threshold, 10.0 * leak_tol)
-    columns = _term_columns(scene, probe, geometry, ray_step)
-    one = _walk(ShiftPath.full_turn(), columns, leak_tol)
-    two = _walk(ShiftPath.two_half_turns(), columns, leak_tol)
+    images = [rasterize(CompositeScene((term,)), geometry).values for term in scene.terms]
+    columns = _half_turns(geometry, images, probe, ray_step)
+    one = _walk((2,), columns, leak_tol)
+    two = _walk((1, 2), columns, leak_tol)
     discrepancy = l2_norm(one.final_sinogram_column - two.final_sinogram_column)
     return HolonomyReport(discrepancy_norm=discrepancy, threshold=threshold,
                           detected=discrepancy > threshold, full_turn=one,

@@ -21,31 +21,14 @@ from .inversion import RegParams, _fa_fs_ratio, _invert_all, l2_norm
 from .phantoms import SeparableScene3D, rasterize
 
 
-def make_slices(source, x3_positions, geometry: GridGeometry | None = None) -> VolumeStack:
-    """Build a stack of transverse sections at the given positions.
-
-    ``source`` is either a SeparableScene3D (rasterized once, scaled per
-    slice by the separable profile) or an existing VolumeStack (re-indexed;
-    every requested position must already be stored).
-    """
+def make_slices(scene3d: SeparableScene3D, x3_positions, geometry: GridGeometry) -> VolumeStack:
+    """Transverse sections at the given positions: the base rasterized once, scaled per
+    slice by the separable profile."""
     positions = [float(p) for p in x3_positions]
-    if isinstance(source, SeparableScene3D):
-        if geometry is None:
-            raise ValueError("rasterizing a 3D scene needs a grid geometry")
-        base = rasterize(source.base, geometry)
-        weights = source.profile(np.asarray(positions))
-        slices = tuple(ImageGrid2D(geometry, w * base.values) for w in weights)
-        return VolumeStack(tuple(positions), slices)
-    if isinstance(source, VolumeStack):
-        stored = np.asarray(source.x3_positions)
-        slices = []
-        for p in positions:
-            hits = np.nonzero(np.abs(stored - p) <= 1e-12)[0]
-            if len(hits) == 0:
-                raise ValueError(f"position {p} is not a stored slice position")
-            slices.append(source.slices[int(hits[0])])
-        return VolumeStack(tuple(positions), tuple(slices))
-    raise TypeError(f"cannot slice object of type {type(source).__name__}")
+    base = rasterize(scene3d.base, geometry)
+    weights = scene3d.profile(np.asarray(positions))
+    slices = tuple(ImageGrid2D(geometry, w * base.values) for w in weights)
+    return VolumeStack(tuple(positions), slices)
 
 
 def hybrid_from_scene(scene3d: SeparableScene3D, k_values,
@@ -94,15 +77,6 @@ def dual_k_grid(x3_positions) -> tuple[np.ndarray, float]:
     return 2.0 * np.pi * np.arange(n) / (n * spacing), spacing
 
 
-def _require_dual_grid(k_values, x3_positions) -> None:
-    required, _ = dual_k_grid(x3_positions)
-    ks = np.asarray([float(k) for k in k_values])
-    if len(ks) != len(required) or np.max(np.abs(ks - required)) > 1e-9 * max(1.0, float(np.max(np.abs(required)))):
-        raise ValueError(
-            "k grid does not match the slice grid; required k_m = 2*pi*m/(N*spacing): "
-            f"{np.array2string(required, precision=6)}")
-
-
 def hybrid_inverse_series(field: HybridField, x3_positions) -> VolumeStack:
     """Inverse Fourier sum: f_n(x) = (1/N) sum_m exp(+i k_m x3_n) F(x; k_m).
 
@@ -112,9 +86,13 @@ def hybrid_inverse_series(field: HybridField, x3_positions) -> VolumeStack:
     if field.provenance is not Provenance.SERIES:
         raise ValueError("series inverse applies to series-provenance fields only")
     positions = [float(p) for p in x3_positions]
-    _require_dual_grid(field.k_values, positions)
-    n = len(positions)
+    required, _ = dual_k_grid(positions)
     ks = np.asarray(field.k_values)
+    if len(ks) != len(required) or np.max(np.abs(ks - required)) > 1e-9 * max(1.0, float(np.max(np.abs(required)))):
+        raise ValueError(
+            "k grid does not match the slice grid; required k_m = 2*pi*m/(N*spacing): "
+            f"{np.array2string(required, precision=6)}")
+    n = len(positions)
     slices = _phase_sums([np.exp(1j * ks * x3) / n for x3 in positions], field.fields)
     return VolumeStack(tuple(positions), slices)
 
@@ -144,19 +122,16 @@ class VolumeReconstruction:
         return np.array([_fa_fs_ratio(a, s) for a, s in zip(self.fa_norms, self.fs_norms)])
 
 
-def reconstruct_volume(sinos, geometry: GridGeometry, params: RegParams, x3_positions,
-                       k_values=None) -> VolumeReconstruction:
+def reconstruct_volume(sinos, geometry: GridGeometry, params: RegParams,
+                       x3_positions) -> VolumeReconstruction:
     """Invert one sinogram per k, reassemble the stack, record per-k norms.
 
-    The sinogram list must be ordered along the dual k grid of the slice
-    positions; pass ``k_values`` to have the ordering checked explicitly.
+    The sinogram list must be ordered along dual_k_grid(x3_positions).
     All sinograms must share one tau grid and angular range: the f_s and f_a
     columns of every k field are backprojected in one pass.
     """
     positions = [float(p) for p in x3_positions]
     required, _ = dual_k_grid(positions)
-    if k_values is not None:
-        _require_dual_grid(k_values, positions)
     if len(sinos) != len(required):
         raise ValueError(f"need one sinogram per dual k value "
                          f"({len(required)}), got {len(sinos)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import AngularRange, ImageGrid2D, Sinogram, _finite, _trapezoid_weights
+from .grids import ImageGrid2D, Sinogram, _finite, _trapezoid_weights
 from .forward import direction
 
 
@@ -96,21 +96,17 @@ def fst_rhs(sino: Sinogram, phi: float, lambdas) -> SpectralSlice:
     return SpectralSlice(phi, lams, values)
 
 
-def fst_check(img: ImageGrid2D, sino: Sinogram, angles: AngularRange | None = None,
-              lambdas=None) -> list[FstReport]:
-    """Evaluate both sides at every requested angle and report residuals.
+def fst_check(img: ImageGrid2D, sino: Sinogram, lambdas=None) -> list[FstReport]:
+    """Evaluate both sides at every stored angle of the sinogram and report residuals.
 
-    ``angles`` defaults to the sinogram's own grid; ``lambdas`` defaults to
-    33 samples from 0 to the radial Nyquist pi / d_tau.  ``fst_passed``
-    judges the reports against a tolerance.
+    ``lambdas`` defaults to 33 samples from 0 to the radial Nyquist pi / d_tau.
+    ``fst_passed`` judges the reports against a tolerance.
     """
-    if angles is None:
-        angles = sino.angles
     if lambdas is None:
         lambdas = np.linspace(0.0, np.pi / sino.d_tau, 33)
     lams = _check_lambdas(lambdas)
     reports = []
-    for phi in angles.phis():
+    for phi in sino.angles.phis():
         lhs = fst_lhs(img, phi, lams).values
         rhs = fst_rhs(sino, phi, lams).values
         reports.append(FstReport(float(phi), lams, np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs)))

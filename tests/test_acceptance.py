@@ -150,10 +150,11 @@ def test_06_holonomy():
         (ur.GaussianBlob(1.5, 1.5, 0.5, 1.0), ur.RegionMask.QUADRANT_I),
         (ur.GaussianBlob(-1.5, -1.5, 0.5, 1.0), ur.RegionMask.QUADRANT_III)))
     leak = ur.leak_tolerance(scene, geom)
-    two = ur.evaluate_path(scene, ur.ShiftPath.two_half_turns(), probe, geom)
+    rep = ur.check_holonomy(scene, probe, geom)
+    two = rep.two_half_turns
     stepwise_max = float(np.max(np.abs(two.final_sinogram_column)))
 
-    one = ur.evaluate_path(scene, ur.ShiftPath.full_turn(), probe, geom)
+    one = rep.full_turn
     defect_only = ur.CompositeScene((scene.terms[0],))
     img = ur.rasterize(defect_only, geom)
     direct = np.empty_like(one.final_sinogram_column)
@@ -162,7 +163,6 @@ def test_06_holonomy():
             direct[t, m] = ur.radon_point(img, tau, phi)
     full_turn_rel = rel_l2(one.final_sinogram_column, direct)
 
-    rep = ur.check_holonomy(scene, probe, geom)
     control = ur.check_holonomy(
         ur.CompositeScene.of(ur.GaussianBlob(0.5, 0.4, 0.5, 1.0)), probe, geom)
     passed = (stepwise_max <= leak and full_turn_rel <= 1e-6
@@ -227,7 +227,7 @@ def test_08_hybrid_pipeline():
     tau_grid = ur.TauGrid.covering(geom, geom.dx)
     sinos = ur.hybrid_radon(field, tau_grid, ur.AngularRange.full(180))
     out = ur.reconstruct_volume(sinos, geom, ur.RegParams.defaults(tau_grid.d_tau),
-                                positions, ks)
+                                positions)
     worst_rmse = 0.0
     for ref, rec in zip(stack.slices, out.stack.slices):
         peak = float(np.max(np.abs(ref.values)))

@@ -175,20 +175,47 @@ class TestOutputs:
         assert all(word in err for word in words)
         assert not any(Path().iterdir())   # refused before anything was written
 
-    @pytest.mark.parametrize("argv, flag", [
+    @pytest.mark.parametrize("argv, word", [
         (["fst-check", "--image", "missing.urdn", "--sinogram", "missing.urdn",
           "--lambdas", "0:6"], "--lambdas"),
         (["invert", "--sinogram", "missing.urdn", "--nx", "16", "--extent", "8",
           "--range", "0:x", "--out-prefix", "x"], "--range"),
         (["radon", "--image", "missing.urdn", "--range", "0:x", "--out", "s.urdn"], "--range"),
-    ], ids=["fst-check lambdas", "invert range", "radon range"])
-    def test_malformed_windows_are_refused_before_reading(self, tmp_path, monkeypatch, capsys,
-                                                          argv, flag):
-        # a missing input would be a file error (3): the window is parsed first
+        (["radon", "--image", "missing.urdn", "--d-tau", "0", "--out", "s.urdn"], "d_tau"),
+        (["radon", "--image", "missing.urdn", "--n-phi", "0", "--out", "s.urdn"], "n_phi"),
+        (["radon", "--image", "missing.urdn", "--n-tau", "0", "--out", "s.urdn"], "n_tau"),
+        (["radon", "--image", "missing.urdn", "--ray-step", "nan", "--out", "s.urdn"], "ray_step"),
+        (["invert", "--sinogram", "missing.urdn", "--nx", "0", "--extent", "8",
+          "--out-prefix", "x"], "nx"),
+        (["invert", "--sinogram", "missing.urdn", "--nx", "16", "--extent", "nan",
+          "--out-prefix", "x"], "extent"),
+        (["phantom", "--scene", "missing.scene", "--nx", "0", "--extent", "8",
+          "--out", "i.urdn"], "nx"),
+        (["phantom", "--scene", "missing.scene", "--nx", "16", "--extent", "8",
+          "--slices", "0", "--x3", "0:1", "--out", "v.urdn"], "slices"),
+        (["holonomy", "--scene", "missing.scene", "--nx", "16", "--extent", "nan"], "extent"),
+        (["hybrid", "--scene", "missing.scene", "--nx", "16", "--extent", "8", "--slices", "2",
+          "--x3", "0:1", "--n-phi", "0", "--out-prefix", "y"], "n_phi"),
+        (["hybrid", "--scene", "missing.scene", "--nx", "16", "--extent", "8", "--slices", "2",
+          "--x3", "nan:1", "--out-prefix", "y"], "x3"),
+        (["phantom", "--scene", "missing.scene", "--nx", "16", "--extent", "8",
+          "--slices", "2", "--x3", "1:0", "--out", "v.urdn"], "x3 step"),
+        (["hybrid", "--scene", "missing.scene", "--nx", "16", "--extent", "8", "--slices", "2",
+          "--x3", "0:1", "--ray-step", "-1", "--out-prefix", "y"], "ray_step"),
+        (["fst-check", "--image", "missing.urdn", "--sinogram", "missing.urdn",
+          "--lambdas=-1:2:3"], "nonnegative"),
+    ], ids=["fst-check lambdas", "invert range", "radon range", "radon d-tau", "radon n-phi",
+            "radon n-tau", "radon ray-step", "invert nx", "invert extent", "phantom nx",
+            "phantom slices", "holonomy extent", "hybrid n-phi", "hybrid x3", "phantom x3 step",
+            "hybrid ray-step", "fst-check negative lambdas"])
+    def test_bad_values_are_refused_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                   argv, word):
+        # a missing input would be a file error (3): every window and number is checked first
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and flag in err and len(err.splitlines()) == 1
+        assert err.startswith("error:") and word in err and len(err.splitlines()) == 1
+        assert not any(Path().iterdir())
 
 
 class TestFstCheck:
@@ -435,11 +462,26 @@ class TestParser:
     def test_built_once_per_process(self):
         assert build_parser() is build_parser()
 
+    @pytest.mark.parametrize("argv, word", [
+        (["radon", "--n-phi", "3"], "--image"),
+        (["invert", "--sinogram", "s.urdn", "--nx", "16", "--extent", "8", "--backend", "x",
+          "--out-prefix", "r"], "--backend"),
+        (["transform"], "transform"),
+    ], ids=["missing required", "bad choice", "unknown command"])
+    def test_argparse_refusals_are_one_error_line(self, capsys, argv, word):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and word in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_a_rejected_call_leaves_the_parser_usable(self, tmp_path, scene_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["phantom", "--scene", scene_file, "--nx", "sixteen", "--extent", "4",
                   "--out", str(tmp_path / "bad.urdn")])
-        assert exc.value.code == 2 and "--nx" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "--nx" in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
         assert main(["phantom", "--scene", scene_file, "--nx", "16", "--extent", "4",
                      "--out", str(tmp_path / "good.urdn")]) == 0
         assert ur.read_container(tmp_path / "good.urdn").geometry.nx == 16

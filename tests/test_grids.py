@@ -148,7 +148,7 @@ class TestAngularRange:
         assert angles.d_phi == pytest.approx(np.pi / 4)
 
     def test_normalization_constant(self):
-        assert ur.AngularRange.full(4).normalization == pytest.approx(1.0 / (4 * np.pi**2))
+        assert ur.ANGULAR_MEASURE_NORM == pytest.approx(1.0 / (4 * np.pi**2))
 
     def test_index_of_nearest_and_wrap(self):
         angles = ur.AngularRange.full(8)
@@ -239,6 +239,16 @@ def test_tau_grid_classmethods_check_d_tau_first(make, d_tau):
     # computed from first, a bad step raised ZeroDivisionError or blamed tau_min or n_tau
     with pytest.raises(ValueError, match="d_tau"):
         make(d_tau)
+
+
+@pytest.mark.parametrize("args, name", [((0, 4, 1.0, 1.0), "nx"), ((4, 0, 1.0, 1.0), "ny"),
+                                        ((4, 4, np.nan, 1.0), "extent_x"),
+                                        ((4, 4, 1.0, -1.0), "extent_y")],
+                         ids=["nx 0", "ny 0", "extent_x nan", "extent_y negative"])
+def test_centered_geometry_checks_its_arguments_first(args, name):
+    # computed from first, a zero size raised ZeroDivisionError and a bad extent blamed x_min
+    with pytest.raises(ValueError, match=name):
+        ur.GridGeometry.centered(*args)
 
 
 @pytest.mark.parametrize("n_tau", [0, 3.5, "5"])

@@ -48,16 +48,6 @@ class TestProbeAndPath:
         with pytest.warns(UserWarning):
             ur.Probe(ur.TauGrid(0.1, 0.1, 5), ur.AngularRange(np.pi, 1.5 * np.pi, 3))
 
-    def test_path_validation(self):
-        with pytest.raises(ValueError):
-            ur.ShiftPath((np.pi / 2, np.pi / 2))      # steps must be pi or 2 pi
-        with pytest.raises(ValueError):
-            ur.ShiftPath((np.pi,))                     # total must be a full turn
-        with pytest.raises(ValueError):
-            ur.ShiftPath(())
-        assert ur.ShiftPath.full_turn().half_turn_counts() == [2]
-        assert ur.ShiftPath.two_half_turns().half_turn_counts() == [1, 2]
-
 
 class TestRadonMasked:
     def test_third_quadrant_term_is_dark_at_positive_tau(self, geom):
@@ -82,10 +72,10 @@ class TestRadonMasked:
         assert ur.radon_point(ur.rasterize(scene, geom), 1.0, 0.3) == 0.0
 
 
-class TestEvaluatePath:
+class TestPathWalks:
     def test_full_turn_reproduces_defect_column(self, geom, probe):
         scene = masked_pair_scene()
-        ev = ur.evaluate_path(scene, ur.ShiftPath.full_turn(), probe, geom)
+        ev = ur.check_holonomy(scene, probe, geom).full_turn
         only_defect = ur.CompositeScene((scene.terms[0],))
         direct = probe_columns(only_defect, probe, geom)
         # symbolic full-turn shift makes the columns bitwise equal
@@ -94,20 +84,20 @@ class TestEvaluatePath:
 
     def test_two_half_turns_collapse(self, geom, probe):
         scene = masked_pair_scene()
-        ev = ur.evaluate_path(scene, ur.ShiftPath.two_half_turns(), probe, geom)
+        ev = ur.check_holonomy(scene, probe, geom).two_half_turns
         assert ev.records[0].survivors == (1,)      # only the third-quadrant term
         assert ev.records[1].survivors == ()
         assert np.max(np.abs(ev.final_sinogram_column)) <= ev.leak_tol
 
     def test_unmasked_scene_is_path_independent(self, geom, probe):
         scene = ur.CompositeScene.of(ur.GaussianBlob(0.5, 0.3, 0.5, 1.0))
-        one = ur.evaluate_path(scene, ur.ShiftPath.full_turn(), probe, geom)
-        two = ur.evaluate_path(scene, ur.ShiftPath.two_half_turns(), probe, geom)
+        report = ur.check_holonomy(scene, probe, geom)
+        one, two = report.full_turn, report.two_half_turns
         assert np.array_equal(one.final_sinogram_column, two.final_sinogram_column)
 
     def test_survivors_shrink_monotonically(self, geom, probe):
         scene = masked_pair_scene()
-        ev = ur.evaluate_path(scene, ur.ShiftPath.two_half_turns(), probe, geom)
+        ev = ur.check_holonomy(scene, probe, geom).two_half_turns
         sets = [set(range(len(scene.terms)))] + [set(r.survivors) for r in ev.records]
         for before, after in zip(sets, sets[1:]):
             assert after <= before
@@ -128,8 +118,6 @@ class TestCheckHolonomy:
             for name in ("leak_tol", "threshold"):
                 with pytest.raises(ValueError, match=name):
                     ur.check_holonomy(scene, probe, geom, **{name: bad})
-            with pytest.raises(ValueError, match="leak_tol"):
-                ur.evaluate_path(scene, ur.ShiftPath.full_turn(), probe, geom, leak_tol=bad)
 
     def test_unmasked_scene_not_detected(self, geom, probe):
         scene = ur.CompositeScene.of(ur.GaussianBlob(0.5, 0.3, 0.5, 1.0))
@@ -163,22 +151,9 @@ class TestColumnReuse:
             return project(geometry, arrays, taus, directions, *args)
 
         monkeypatch.setattr(hol, "_project", counting)
-        report = ur.check_holonomy(scene, probe, geom)
+        ur.check_holonomy(scene, probe, geom)
         # the 6 terms at the probe angles and after a half turn, in one call
-        both = (6, 2 * probe.angles.n_phi)
-        assert projected == [both]
-        projected.clear()
-        alone = [ur.evaluate_path(scene, path, probe, geom)
-                 for path in (ur.ShiftPath.full_turn(), ur.ShiftPath.two_half_turns())]
-        assert projected == [both, both]
-        for shared, own in zip((report.full_turn, report.two_half_turns), alone):
-            assert len(shared.records) == len(own.records)
-            for a, b in zip(shared.records, own.records):
-                assert a.cumulative_shift == b.cumulative_shift
-                assert a.term_norms == b.term_norms and a.survivors == b.survivors
-                assert np.array_equal(a.column, b.column)
-            assert np.array_equal(shared.final_sinogram_column, own.final_sinogram_column)
-
+        assert projected == [(6, 2 * probe.angles.n_phi)]
 
     def test_each_term_is_rasterized_once(self, monkeypatch, probe):
         geom = ur.GridGeometry.centered(48, 48, 8.0, 8.0)
@@ -201,12 +176,13 @@ class TestColumnReuse:
         assert got.discrepancy_norm == want.discrepancy_norm
 
 
-def reference_walk(scene, path, probe, geom, leak_tol):
-    """The path walked step by step: each step projects its survivors at sign * direction."""
+def reference_walk(scene, counts, probe, geom, leak_tol):
+    """A path walked step by step, counts being the half turns done after each step:
+    each step projects its survivors at sign * direction."""
     taus = probe.taus.taus()
     trig = [forward.direction(phi) for phi in probe.angles.phis()]
     survivors, records = list(range(len(scene.terms))), []
-    for count in path.half_turn_counts():
+    for count in counts:
         sign = -1.0 if count % 2 else 1.0
         images = [ur.rasterize(ur.CompositeScene((scene.terms[i],)), geom).values
                   for i in survivors]
@@ -229,9 +205,9 @@ class TestReferenceWalk:
                                   + ((ur.GaussianBlob(0.5, -0.3, 0.5, 0.7 + 0.2j),
                                       ur.RegionMask.NONE),))
         leak_tol = ur.leak_tolerance(scene, geom)
-        for path in (ur.ShiftPath.full_turn(), ur.ShiftPath.two_half_turns()):
-            ev = ur.evaluate_path(scene, path, probe, geom)
-            want = reference_walk(scene, path, probe, geom, leak_tol)
+        report = ur.check_holonomy(scene, probe, geom)
+        for ev, counts in ((report.full_turn, (2,)), (report.two_half_turns, (1, 2))):
+            want = reference_walk(scene, counts, probe, geom, leak_tol)
             assert len(ev.records) == len(want)
             for got, (shift, norms, survivors, column) in zip(ev.records, want):
                 assert got.cumulative_shift == shift
