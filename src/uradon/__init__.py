@@ -12,10 +12,8 @@ from .phantoms import (CompositeScene, GaussianBlob, RegionMask, SceneFormatErro
 from .forward import default_ray_step, direction, radon_point, radon_transform
 from .slice_theorem import FstReport, SpectralSlice, fst_check, fst_lhs, fst_passed, fst_rhs
 from .inversion import (Backend, Reconstruction, RegParams, delta_plus,
-                        epsilon_lambda_reconstruct, finite_part_filtered,
-                        invert_universal, l2_norm, lambda_kernel,
-                        lambda_kernel_filtered, ramp_filtered,
-                        reconstruction_metrics, tau_derivative)
+                        epsilon_lambda_reconstruct, invert_universal, l2_norm,
+                        lambda_kernel, reconstruction_metrics)
 from .holonomy import (HolonomyReport, PathEvaluation, Probe, StepRecord,
                        UnsupportedSceneError, boundary_jump, check_holonomy,
                        classify_defect_scene, extract_defect, leak_tolerance)
@@ -30,18 +28,16 @@ __all__ = [
     "ContainerError", "FstReport", "GaussianBlob", "GridGeometry", "HolonomyReport",
     "HybridField", "ImageGrid2D", "MagicMismatchError", "MalformedHeaderError",
     "PathEvaluation", "Probe", "Provenance", "Reconstruction", "RegParams",
-    "RegionMask", "SceneFormatError", "SeparableScene3D", "Sinogram",
-    "SpectralSlice", "StepRecord", "TauGrid", "TruncatedPayloadError",
-    "UnsupportedOracleError", "UnsupportedSceneError", "VolumeReconstruction",
-    "VolumeStack", "analytic_fourier", "analytic_radon", "bilinear_sample",
-    "boundary_jump", "check_holonomy", "classify_defect_scene", "default_ray_step",
-    "delta_plus", "direction", "dual_k_grid", "epsilon_lambda_reconstruct",
-    "extract_defect", "finite_part_filtered", "fst_check",
-    "fst_lhs", "fst_passed", "fst_rhs", "hybrid_forward", "hybrid_from_scene", "hybrid_inverse_series",
-    "hybrid_radon", "invert_universal", "l2_norm",
-    "lambda_kernel", "lambda_kernel_filtered", "leak_tolerance", "load_scene",
-    "make_slices", "radon_point", "radon_transform",
-    "ramp_filtered", "rasterize", "read_container", "reconstruct_volume",
+    "RegionMask", "SceneFormatError", "SeparableScene3D", "Sinogram", "SpectralSlice",
+    "StepRecord", "TauGrid", "TruncatedPayloadError", "UnsupportedOracleError",
+    "UnsupportedSceneError", "VolumeReconstruction", "VolumeStack", "analytic_fourier",
+    "analytic_radon", "bilinear_sample", "boundary_jump", "check_holonomy",
+    "classify_defect_scene", "default_ray_step", "delta_plus", "direction",
+    "dual_k_grid", "epsilon_lambda_reconstruct", "extract_defect", "fst_check",
+    "fst_lhs", "fst_passed", "fst_rhs", "hybrid_forward", "hybrid_from_scene",
+    "hybrid_inverse_series", "hybrid_radon", "invert_universal", "l2_norm",
+    "lambda_kernel", "leak_tolerance", "load_scene", "make_slices", "radon_point",
+    "radon_transform", "rasterize", "read_container", "reconstruct_volume",
     "reconstruction_metrics", "save_scene", "scene_from_text", "scene_to_text",
-    "tau_derivative", "write_container",
+    "write_container",
 ]

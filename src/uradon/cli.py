@@ -174,7 +174,9 @@ def _cmd_fst_check(args, argv) -> int:
     _finite("tolerance", args.tolerance, positive=True)
     lambdas = None
     if args.lambdas is not None:
-        lambdas = _check_lambdas(np.linspace(*_fields(args.lambdas, "lambdas", float, float, int)))
+        start, stop, count = _fields(args.lambdas, "lambdas", float, float, int)
+        with np.errstate(invalid="ignore"):   # an infinite end gives NaNs, which the check refuses
+            lambdas = _check_lambdas(np.linspace(start, stop, count))
     img = _read(args.image, ImageGrid2D)
     sino = _read(args.sinogram, Sinogram)
     reports = fst_check(img, sino, lambdas=lambdas)
@@ -209,6 +211,7 @@ def _cmd_invert(args, argv) -> int:
     window = _fields(args.range, "range", float, float) if args.range is not None else None
     geometry = _geometry(args)
     sino = _read(args.sinogram, Sinogram)
+    reference = _read(args.reference, ImageGrid2D) if args.reference else None
     if window is not None:
         sino = _restrict_angles(sino, window)
     params = RegParams.defaults(sino.d_tau, Backend(args.backend))
@@ -218,7 +221,6 @@ def _cmd_invert(args, argv) -> int:
         (recon,), (alt,) = _invert_all([sino], geometry, params, (args.epsilon, None))
     else:
         recon = invert_universal(sino, geometry, params)
-    reference = _read(args.reference, ImageGrid2D) if args.reference else None
     metrics = reconstruction_metrics(recon, reference)
     if args.with_epsilon_lambda:
         metrics["epsilon_lambda_rel_diff"] = _rel_diff(alt.values, recon.f_total.values)

@@ -3,7 +3,7 @@
 Layout: one UTF-8 JSON header line (newline terminated) followed by the raw
 payload -- little-endian float64 pairs (re, im), written with the radial
 (or x) index fastest.  The roundtrip write -> read is the identity for all
-five grid types.
+four grid types: image, sinogram, volume and hybrid.
 A sinogram's payload is its angle-major rows, Sinogram.values' layout: they
 are written as they are and read straight into the array the Sinogram keeps.
 """
@@ -85,11 +85,6 @@ def _header_and_arrays(obj) -> tuple[dict, list[np.ndarray]]:
                 "phi_min": obj.angles.phi_min, "phi_max": obj.angles.phi_max,
                 "real_valued": obj.real_valued}
         return head, [obj.values]
-    if isinstance(obj, AngularRange):
-        head = {"type": "angles", "shape": [0, 0],
-                "phi_min": obj.phi_min, "phi_max": obj.phi_max, "n_phi": obj.n_phi,
-                "real_valued": True}
-        return head, []
     if isinstance(obj, VolumeStack):
         head = {"type": "volume", **_geometry_head(obj.geometry, obj.n_slices),
                 "x3_positions": list(obj.x3_positions), "real_valued": obj.real_valued}
@@ -103,7 +98,7 @@ def _header_and_arrays(obj) -> tuple[dict, list[np.ndarray]]:
 
 
 def write_container(path, obj) -> None:
-    """Write one of the five grid types to ``path`` in URDN1 format.
+    """Write one of the four grid types to ``path`` in URDN1 format.
 
     Each block is written from rows along its last axis, the first index
     fastest: a sinogram's own angle-major rows, an image's transposed copy.
@@ -170,11 +165,6 @@ def _decode(kind: str, head: dict, fh, real_valued: bool):
         (values,) = _blocks(fh, (n_tau, n_phi), 1, real_valued)
         return Sinogram(_require(head, "tau_min", (int, float)),
                         _require(head, "d_tau", (int, float)), n_tau, angles, values)
-    if kind == "angles":
-        _blocks(fh, (0, 0), 0, real_valued)   # checks that no payload follows
-        return AngularRange(_require(head, "phi_min", (int, float)),
-                            _require(head, "phi_max", (int, float)),
-                            _require(head, "n_phi", int))
     if kind == "volume":
         positions = _require(head, "x3_positions", list)
         return VolumeStack(tuple(positions), tuple(_images(head, fh, 3, real_valued)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (AngularRange, GridGeometry, HybridField, ImageGrid2D, Provenance,
-                    Sinogram, TauGrid, VolumeStack)
+                    Sinogram, TauGrid, VolumeStack, _finite)
 from .forward import _radon_values
 from .inversion import RegParams, _fa_fs_ratio, _invert_all, l2_norm
 from .phantoms import SeparableScene3D, rasterize
@@ -64,10 +64,13 @@ def hybrid_forward(stack: VolumeStack, k_values) -> HybridField:
 def dual_k_grid(x3_positions) -> tuple[np.ndarray, float]:
     """Momentum grid k_m = 2 pi m / (N * spacing) dual to a uniform slice grid.
 
-    Returns (k values, spacing); raises if the positions are not uniformly
-    spaced.
+    Returns (k values, spacing); raises if a position is not finite or the
+    positions are not uniformly spaced.
     """
-    x3 = np.asarray([float(p) for p in x3_positions])
+    positions = list(x3_positions)
+    for p in positions:
+        _finite("x3 position", p)
+    x3 = np.asarray([float(p) for p in positions])
     n = len(x3)
     if n == 1:
         return np.zeros(1), 1.0

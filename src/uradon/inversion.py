@@ -41,10 +41,7 @@ in place on it.  The correlation copies blocks of rows into its FFT buffer,
 each block's spectra filling at most its budget of entries in one reused
 buffer, and writes each block's result back over its rows; each row is
 transformed on its own, so the blocks carry the bits of one transform of all
-rows.  The tau derivative gathers along blocks of the same rows and reads
-their zero ends.  The public filters run on a padded copy of a sinogram's
-rows, with all of _SPECTRUM_BLOCK (2 MiB) as budget, and return the
-(n_tau, n_phi) view of its interior.
+rows.  The tau derivative gathers blocks of the same rows, zero ends included.
 
 Every inverse is one pass (_invert_all): each term's buffer, the
 epsilon-lambda oracle's included, is filled and filtered as one task of
@@ -219,22 +216,16 @@ def _correlate_rows(rows: np.ndarray, kernel: np.ndarray, budget: int,
             np.add(out[:k], out[k:, ::-1], out=inner)
 
 
-def _check_fa_step(fa_step: float, d_tau: float) -> None:
-    """The tau derivative's step must not be finer than the stored grid."""
-    if fa_step < d_tau:
-        raise ValueError(f"fa_step {fa_step} must be at least d_tau {d_tau}")
-
-
 def _differentiate_rows(rows: np.ndarray, d_tau: float, fa_step: float, budget: int) -> None:
     """Central difference (g(tau + h) - g(tau - h)) / (2h) of each padded row, in place.
 
     Off-grid values are linear interpolation on the padded row
     (grids._linear_index), whose zero ends give the field past either end
-    node; h = fa_step may be any value >= d_tau (_check_fa_step, which the
-    callers run before any buffer is made).  Both sides are formed a block
-    of rows at a time, in gathers of a sixteenth of budget entries (128 KiB
-    for all of _SPECTRUM_BLOCK) each, small enough to stay in cache, and
-    written back over the block's inner entries.
+    node; h = fa_step may be any value >= d_tau (_invert_all checks it before
+    any buffer is made).  Both sides are formed a block of rows at a time, in
+    gathers of a sixteenth of budget entries (128 KiB for all of
+    _SPECTRUM_BLOCK) each, small enough to stay in cache, and written back
+    over the block's inner entries.
     """
     n = rows.shape[1] - 2
     shift = fa_step / d_tau
@@ -257,20 +248,13 @@ def _differentiate_rows(rows: np.ndarray, d_tau: float, fa_step: float, budget: 
         inner /= 2.0 * fa_step
 
 
-def _filtered(sino: Sinogram, filter_rows, *args) -> np.ndarray:
-    """filter_rows run on a padded copy of sino's rows, with all of _SPECTRUM_BLOCK: the
-    (n_tau, n_phi) view of the result."""
-    rows = _padded_rows(sino.values)
-    filter_rows(rows, *args, _SPECTRUM_BLOCK)
-    return rows[:, 1:-1].T
-
-
 def _ramp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
     """2 pi d times the sampled band-limited ramp of Kak & Slaney (1988, ch. 3).
 
     pi / (2d) at offset 0, -2 / (pi j^2 d) at odd offsets j and 0 at even
     ones.  Sampled in tau rather than as |lambda| on the DFT grid, it has no
-    DC bias.
+    DC bias.  A column correlated with it approximates
+    (1/2pi) * integral |lam| R^(lam) exp(i lam tau) dlam on the stored tau nodes.
     """
     j = np.arange(1 - n_tau, n_tau)
     kernel = np.zeros(j.size)
@@ -278,15 +262,6 @@ def _ramp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
     kernel[odd] = -2.0 / (np.pi * d_tau * j[odd] ** 2)
     kernel[n_tau - 1] = np.pi / (2.0 * d_tau)
     return kernel
-
-
-def ramp_filtered(sino: Sinogram) -> np.ndarray:
-    """Band-limited |lambda| filter of every column, as a correlation kernel.
-
-    The result approximates (1/2pi) * integral |lam| R^(lam) exp(i lam tau) dlam
-    on the stored tau nodes (kernel: _ramp_kernel).
-    """
-    return _filtered(sino, _correlate_rows, _ramp_kernel(sino.n_tau, sino.d_tau))
 
 
 def _fp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
@@ -320,11 +295,6 @@ def _fp_kernel(n_tau: int, d_tau: float) -> np.ndarray:
     return kernel
 
 
-def finite_part_filtered(sino: Sinogram) -> np.ndarray:
-    """Hadamard finite-part transform of every column on its own tau grid."""
-    return _filtered(sino, _correlate_rows, _fp_kernel(sino.n_tau, sino.d_tau))
-
-
 def _lambda_correlation_kernel(n_tau: int, d_tau: float, epsilon: float,
                                lambda_max: float) -> np.ndarray:
     """Trapezoid-weighted lambda_kernel at every signed tau offset.
@@ -334,23 +304,6 @@ def _lambda_correlation_kernel(n_tau: int, d_tau: float, epsilon: float,
     m_half = n_tau - 1
     eta = d_tau * np.arange(-m_half, m_half + 1)
     return _trapezoid_weights(eta.size, d_tau) * lambda_kernel(eta, epsilon, lambda_max)
-
-
-def lambda_kernel_filtered(sino: Sinogram, epsilon: float, lambda_max: float) -> np.ndarray:
-    """Correlate every column with the closed-form regularized kernel."""
-    return _filtered(sino, _correlate_rows,
-                     _lambda_correlation_kernel(sino.n_tau, sino.d_tau, epsilon, lambda_max))
-
-
-def tau_derivative(sino: Sinogram, fa_step: float) -> np.ndarray:
-    """Central difference along tau: (g(tau + h) - g(tau - h)) / (2h).
-
-    Off-grid values come from linear interpolation of the column between a
-    zero node at each end (grids._linear_index); h = fa_step may be any
-    value >= d_tau.
-    """
-    _check_fa_step(fa_step, sino.d_tau)
-    return _filtered(sino, _differentiate_rows, sino.d_tau, fa_step)
 
 
 # --- backprojection ----------------------------------------------------------
@@ -495,7 +448,8 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
             first.n_tau, first.d_tau, 2.0 * first.d_tau if epsilon is None else epsilon,
             np.pi / first.d_tau if lambda_max is None else lambda_max)))
     if params is not None:
-        _check_fa_step(params.fa_step, first.d_tau)
+        if params.fa_step < first.d_tau:   # the tau derivative's step may not be finer
+            raise ValueError(f"fa_step {params.fa_step} must be at least d_tau {first.d_tau}")
         terms += [(_fs_rows, params), (_fa_rows, params)]
     fold = _fold_plan(geometry, first.tau_grid, first.angles).mirrored
     jobs = [(term, s, arg) for s in sinos for term, arg in terms]

@@ -17,6 +17,21 @@ from .grids import ImageGrid2D, Sinogram, _finite, _trapezoid_weights
 from .forward import direction
 
 
+def _check_lambdas(lambdas) -> np.ndarray:
+    """The radial frequencies as floats: 1D, nonempty, finite, nonnegative and strictly
+    increasing, the one rule for every lambda set (FST sides, reports, SpectralSlice)."""
+    lams = np.asarray(lambdas, dtype=np.float64)
+    if lams.ndim != 1 or lams.size == 0:
+        raise ValueError("need a 1D, nonempty array of radial frequencies")
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("radial frequencies must be finite")
+    if np.any(lams < 0.0):
+        raise ValueError("radial frequencies must be nonnegative")
+    if np.any(np.diff(lams) <= 0.0):
+        raise ValueError("radial frequencies must be strictly increasing")
+    return lams
+
+
 @dataclass(frozen=True)
 class SpectralSlice:
     """1D spectral data F(lam, phi) along a fixed direction."""
@@ -26,14 +41,10 @@ class SpectralSlice:
     values: np.ndarray
 
     def __post_init__(self):
-        lams = np.array(self.lambda_values, dtype=np.float64, copy=True)
+        lams = np.array(_check_lambdas(self.lambda_values), copy=True)
         vals = np.array(self.values, dtype=np.complex128, copy=True)
-        if lams.ndim != 1 or vals.shape != lams.shape:
+        if vals.shape != lams.shape:
             raise ValueError("lambda_values and values must be matching 1D arrays")
-        if lams.size and lams[0] < 0.0:
-            raise ValueError("radial frequencies must be nonnegative")
-        if np.any(np.diff(lams) <= 0.0):
-            raise ValueError("lambda_values must be strictly increasing")
         lams.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "lambda_values", lams)
@@ -59,15 +70,6 @@ class FstReport:
     @property
     def max_rel_residual(self) -> float:
         return float(self.rel_residuals.max())
-
-
-def _check_lambdas(lambdas) -> np.ndarray:
-    lams = np.asarray(lambdas, dtype=np.float64)
-    if lams.ndim != 1 or lams.size == 0:
-        raise ValueError("need a 1D, nonempty array of radial frequencies")
-    if np.any(lams < 0.0):
-        raise ValueError("radial frequencies must be nonnegative")
-    return lams
 
 
 def fst_lhs(img: ImageGrid2D, phi: float, lambdas) -> SpectralSlice:

@@ -103,6 +103,13 @@ def correlate(values, kernel):
     return rows[:, 1:-1].T
 
 
+def differentiate(values, d_tau, fa_step):
+    """inversion._differentiate_rows on the columns of values: their (n, n_cols) tau derivative."""
+    rows = inv._padded_rows(values)
+    inv._differentiate_rows(rows, d_tau, fa_step, inv._SPECTRUM_BLOCK)
+    return rows[:, 1:-1].T
+
+
 def term_columns(sino, params):
     """The inverse's filtered f_s and f_a columns at every stored angle, unfolded."""
     return [term(sino, False, params, inv._SPECTRUM_BLOCK)[:, 1:-1].T

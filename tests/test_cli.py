@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import uradon as ur
+import uradon.cli as cli
+import uradon.inversion as inv
 from uradon.cli import build_parser, main
 
 SCENE = "cx=0.0 cy=0.0 sigma=1.0 amp_re=1.0 amp_im=0.0 mask=none\n"
@@ -204,10 +206,17 @@ class TestOutputs:
           "--x3", "0:1", "--ray-step", "-1", "--out-prefix", "y"], "ray_step"),
         (["fst-check", "--image", "missing.urdn", "--sinogram", "missing.urdn",
           "--lambdas=-1:2:3"], "nonnegative"),
+        (["fst-check", "--image", "missing.urdn", "--sinogram", "missing.urdn",
+          "--lambdas", "0:nan:3"], "finite"),
+        (["fst-check", "--image", "missing.urdn", "--sinogram", "missing.urdn",
+          "--lambdas", "0:inf:3"], "finite"),
+        (["fst-check", "--image", "missing.urdn", "--sinogram", "missing.urdn",
+          "--lambdas", "6:0:13"], "increasing"),
     ], ids=["fst-check lambdas", "invert range", "radon range", "radon d-tau", "radon n-phi",
             "radon n-tau", "radon ray-step", "invert nx", "invert extent", "phantom nx",
             "phantom slices", "holonomy extent", "hybrid n-phi", "hybrid x3", "phantom x3 step",
-            "hybrid ray-step", "fst-check negative lambdas"])
+            "hybrid ray-step", "fst-check negative lambdas", "fst-check nan lambdas",
+            "fst-check inf lambdas", "fst-check decreasing lambdas"])
     def test_bad_values_are_refused_before_reading(self, tmp_path, monkeypatch, capsys,
                                                    argv, word):
         # a missing input would be a file error (3): every window and number is checked first
@@ -322,6 +331,21 @@ class TestInvert:
         metrics = dict(line.split(",") for line
                        in (tmp_path / "half_metrics.csv").read_text().splitlines()[1:])
         assert float(metrics["fa_fs_ratio"]) > 1e-2
+
+    @pytest.mark.parametrize("extra", [[], ["--with-epsilon-lambda"]], ids=["two-term", "both"])
+    def test_missing_reference_is_refused_before_inverting(self, tmp_path, sino_file,
+                                                           monkeypatch, capsys, extra):
+        # a missing --reference is a file error (3), found before any inverse runs
+        calls = []
+        for module in (cli, inv):
+            monkeypatch.setattr(module, "_invert_all", lambda *args: calls.append(args))
+        assert main(["invert", "--sinogram", sino_file, "--nx", "32", "--extent", "8", *extra,
+                     "--reference", str(tmp_path / "missing.urdn"),
+                     "--out-prefix", str(tmp_path / "ref")]) == 3
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.urdn" in err
+        assert not list(tmp_path.glob("ref*"))
 
     def test_empty_angle_window_rejected(self, tmp_path, sino_file):
         assert main(["invert", "--sinogram", sino_file, "--nx", "16", "--extent", "8",

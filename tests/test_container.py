@@ -66,9 +66,7 @@ class TestRoundtrip:
 
     def test_roundtrip_identity_all_types(self, tmp_path, rng):
         # property: write/read is the identity on every domain type
-        builders = [random_image, random_sinogram, random_volume, random_hybrid,
-                    lambda r: ur.AngularRange(float(r.uniform(0, 1)),
-                                              float(r.uniform(2, 6)), int(r.integers(1, 9)))]
+        builders = [random_image, random_sinogram, random_volume, random_hybrid]
         for trial in range(25):
             obj = builders[trial % len(builders)](rng)
             path = tmp_path / f"obj{trial}.urdn"
@@ -248,8 +246,20 @@ class TestErrors:
         with pytest.raises(TypeError):
             ur.write_container(tmp_path / "x.urdn", {"not": "a grid"})
 
+    def test_payload_less_angles_type_is_refused(self, tmp_path):
+        # the four grid types all carry a payload: a bare angular range is no container
+        path = tmp_path / "angles.urdn"
+        head = {"magic": "URDN1", "dtype": "c128", "type": "angles", "shape": [0, 0],
+                "phi_min": 0.0, "phi_max": 6.283185307179586, "n_phi": 8, "real_valued": True}
+        path.write_bytes(json.dumps(head).encode() + b"\n")
+        with pytest.raises(ur.MalformedHeaderError) as err:
+            ur.read_container(path)
+        assert err.value.field == "type"
+        with pytest.raises(TypeError):
+            ur.write_container(path, ur.AngularRange.full(8))
 
-# --- properties over all five types: drawn shapes, geometries, positions and k values ---
+
+# --- properties over all four types: drawn shapes, geometries, positions and k values ---
 
 coordinates = st.floats(-50.0, 50.0, allow_nan=False)
 spacings = st.floats(1e-3, 5.0)
@@ -296,8 +306,7 @@ def stacks(draw, kind):
     return ur.HybridField(tuple(draw(numbers)), blocks, draw(st.sampled_from(ur.Provenance)))
 
 
-with_payload = st.one_of(images(), sinograms(), stacks(ur.VolumeStack), stacks(ur.HybridField))
-any_grid = st.one_of(with_payload, angle_ranges())
+any_grid = st.one_of(images(), sinograms(), stacks(ur.VolumeStack), stacks(ur.HybridField))
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +331,7 @@ class TestProperties:
         assert scratch.read_bytes() == raw
 
     @SETTINGS
-    @given(with_payload)
+    @given(any_grid)
     def test_every_strict_prefix_is_rejected(self, scratch, obj):
         ur.write_container(scratch, obj)
         raw = scratch.read_bytes()
@@ -342,5 +351,5 @@ class TestProperties:
                 back = read_bytes_back(scratch, bytes(flipped))
             except ur.ContainerError:
                 continue
-            assert isinstance(back, (ur.ImageGrid2D, ur.Sinogram, ur.AngularRange,
-                                     ur.VolumeStack, ur.HybridField))
+            assert isinstance(back, (ur.ImageGrid2D, ur.Sinogram, ur.VolumeStack,
+                                     ur.HybridField))

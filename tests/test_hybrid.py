@@ -121,6 +121,13 @@ class TestHybridInverseSeries:
         with pytest.raises(ValueError):
             ur.dual_k_grid(stack.x3_positions)
 
+    @pytest.mark.parametrize("positions", [[0.0, 1.0, np.nan], [0.0, np.inf], [np.nan]],
+                             ids=["nan", "inf", "lone nan"])
+    def test_non_finite_positions_rejected(self, positions):
+        # a NaN spacing compares False and an inf one gives k = 0: both were accepted
+        with pytest.raises(ValueError, match="x3 position"):
+            ur.dual_k_grid(positions)
+
 
 class TestHybridRadon:
     def test_zero_momentum_entry_is_slice_sum_sinogram(self, rng):

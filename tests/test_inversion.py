@@ -8,7 +8,8 @@ import uradon.forward as fwd
 import uradon.inversion as inv
 from uradon.forward import direction
 from uradon.grids import _fold_plan, _linear_index
-from conftest import analytic_sinogram, backproject, correlate, rel_l2, same_bits, traced_peak
+from conftest import (analytic_sinogram, backproject, correlate, differentiate, rel_l2, same_bits,
+                      traced_peak)
 
 SQRT_2PI = 2.5066282746310002
 
@@ -119,7 +120,8 @@ class TestColumnFilters:
         ramp = np.zeros(j.size)
         ramp[j % 2 == 1] = -2.0 / (np.pi * 0.1 * j[j % 2 == 1] ** 2)
         ramp[26] = np.pi / (2.0 * 0.1)
-        assert np.array_equal(inv.ramp_filtered(sino), out_of_place_correlation(values, ramp, 64))
+        assert np.array_equal(correlate(sino.values, inv._ramp_kernel(sino.n_tau, sino.d_tau)),
+                              out_of_place_correlation(values, ramp, 64))
         kernel = rng.normal(size=11) + 1j * rng.normal(size=11)
         assert np.array_equal(correlate(values, kernel),
                               out_of_place_correlation(values, kernel, 32))
@@ -155,7 +157,7 @@ class TestColumnFilters:
         tg = ur.TauGrid.symmetric(d_tau, 2 * int(np.ceil(12.0 / d_tau)) + 1)
         col = np.exp(-tg.taus() ** 2 / 2.0)
         sino = ur.Sinogram(tg.tau_min, d_tau, tg.n_tau, ur.AngularRange.full(1), col[:, None])
-        got = inv.finite_part_filtered(sino)[:, 0]
+        got = correlate(sino.values, inv._fp_kernel(sino.n_tau, d_tau))[:, 0]
         center = np.argmin(np.abs(tg.taus()))
         assert got[center].real == pytest.approx(-SQRT_2PI, abs=1e-3)
 
@@ -166,7 +168,7 @@ class TestColumnFilters:
         taus = tg.taus()
         col = ur.analytic_radon(scene, taus, 0.0)
         sino = ur.Sinogram(tg.tau_min, d_tau, tg.n_tau, ur.AngularRange.full(1), col[:, None])
-        filtered = inv.finite_part_filtered(sino)[:, 0]
+        filtered = correlate(sino.values, inv._fp_kernel(sino.n_tau, d_tau))[:, 0]
 
         def oracle(s, window=30.0, step=1e-4):
             n = int(window / step)
@@ -192,9 +194,10 @@ class TestColumnFilters:
         tg = ur.TauGrid.symmetric(d_tau, 2 * int(np.ceil(12.0 / d_tau)) + 1)
         col = ur.analytic_radon(scene, tg.taus(), 0.0)
         sino = ur.Sinogram(tg.tau_min, d_tau, tg.n_tau, ur.AngularRange.full(1), col[:, None])
-        kcol = inv.lambda_kernel_filtered(sino, eps, 40.0 / eps)[:, 0]
-        combo = (-inv.finite_part_filtered(sino)[:, 0]
-                 - 1j * np.pi * inv.tau_derivative(sino, d_tau)[:, 0])
+        kcol = correlate(sino.values, inv._lambda_correlation_kernel(
+            sino.n_tau, d_tau, eps, 40.0 / eps))[:, 0]
+        combo = (-correlate(sino.values, inv._fp_kernel(sino.n_tau, d_tau))[:, 0]
+                 - 1j * np.pi * differentiate(sino.values, d_tau, d_tau)[:, 0])
         assert np.max(np.abs(kcol - combo)) / np.max(np.abs(combo)) <= 1e-2
 
     def test_tau_derivative_fractional_step_on_linear_columns(self):
@@ -206,7 +209,7 @@ class TestColumnFilters:
         col = (0.7 + 0.2j) + tg.taus()[:, None] * slopes[None, :]
         sino = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, ur.AngularRange.full(2), col)
         h = 1.5 * tg.d_tau
-        got = inv.tau_derivative(sino, h)
+        got = differentiate(sino.values, sino.d_tau, h)
         np.testing.assert_allclose(got[2:-2], np.broadcast_to(slopes, got[2:-2].shape),
                                    rtol=0, atol=1e-12)
         taus = tg.taus()
@@ -229,16 +232,17 @@ class TestColumnFilters:
         frac = frac[..., None]
         padded = np.pad(values, ((1, 1), (0, 0)))
         shifted = (1.0 - frac) * padded[i0] + frac * padded[i0 + 1]
-        assert np.array_equal(inv.tau_derivative(sino, h), (shifted[0] - shifted[1]) / (2.0 * h))
+        assert np.array_equal(differentiate(sino.values, sino.d_tau, h),
+                              (shifted[0] - shifted[1]) / (2.0 * h))
 
     @pytest.mark.parametrize("rows", [1, 2, 5])
     def test_tau_derivative_row_blocks_keep_their_bits(self, rng, monkeypatch, rows):
         # blocks of 1, 2 and 5 of the 27 tau rows against one block of all rows
         values = rng.normal(size=(27, 6)) + 1j * rng.normal(size=(27, 6))
         sino = ur.Sinogram(-1.3, 0.1, 27, ur.AngularRange.full(6), values)
-        whole = inv.tau_derivative(sino, 0.237)
+        whole = differentiate(sino.values, sino.d_tau, 0.237)
         monkeypatch.setattr(inv, "_SPECTRUM_BLOCK", 16 * 6 * rows)
-        assert np.array_equal(inv.tau_derivative(sino, 0.237), whole)
+        assert np.array_equal(differentiate(sino.values, sino.d_tau, 0.237), whole)
 
     @pytest.mark.parametrize("steps", [1.0, 1.5, 2.37])
     def test_tau_derivative_matches_np_interp_on_the_zero_padded_axis(self, rng, steps):
@@ -252,13 +256,8 @@ class TestColumnFilters:
             col = np.pad(values[:, m], 1)
             want[:, m] = (np.interp(t + steps, nodes, col, left=0.0, right=0.0)
                           - np.interp(t - steps, nodes, col, left=0.0, right=0.0)) / (2.0 * h)
-        got = inv.tau_derivative(sino, h)
+        got = differentiate(sino.values, sino.d_tau, h)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_tau_derivative_step_validation(self):
-        sino = ur.Sinogram(-1.0, 0.5, 5, ur.AngularRange.full(1), np.zeros((5, 1)))
-        with pytest.raises(ValueError):
-            inv.tau_derivative(sino, 0.1)
 
 
 class TestRegParams:
@@ -650,9 +649,9 @@ class TestOnePass:
         tg, angles = ur.TauGrid.covering(geom, geom.dx), ur.AngularRange.full(36)
         params = ur.RegParams.defaults(tg.d_tau)
         calls = []
-        differentiate = inv._differentiate_rows
+        differentiate_rows = inv._differentiate_rows
         monkeypatch.setattr(inv, "_differentiate_rows",
-                            lambda *args: calls.append(1) or differentiate(*args))
+                            lambda *args: calls.append(1) or differentiate_rows(*args))
         for sino, n_calls in ((ur.radon_transform(ur.rasterize(scene, geom), tg, angles), 0),
                               (analytic_sinogram(scene, tg, angles), 1)):
             calls.clear()
@@ -660,7 +659,7 @@ class TestOnePass:
             assert len(calls) == n_calls
             # the full path: fold, differentiate, backproject
             rows = inv._padded_rows(sino.values, -1.0)
-            differentiate(rows, sino.d_tau, params.fa_step, inv._SPECTRUM_BLOCK)
+            differentiate_rows(rows, sino.d_tau, params.fa_step, inv._SPECTRUM_BLOCK)
             rows[:, 1:-1] *= -1j * np.pi
             (fa,), _ = inv._backproject([rows], sino, geom)
             assert same_bits(got.f_a.values, fa)

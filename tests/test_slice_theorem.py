@@ -118,6 +118,21 @@ class TestCheck:
         reports = ur.fst_check(img, sino, lambdas=[0.0])
         assert all(np.isfinite(r.max_rel_residual) for r in reports)
 
+    @pytest.mark.parametrize("lambdas, word", [
+        ([np.nan], "finite"), ([0.0, np.inf], "finite"), ([], "nonempty"),
+    ], ids=["nan", "inf", "empty"])
+    def test_bad_lambdas_are_refused(self, lambdas, word):
+        # one rule for the check, both sides and SpectralSlice: NaN and inf gave NaN
+        # reports, and a SpectralSlice took an empty set
+        geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
+        img = ur.ImageGrid2D.from_geometry(geom, np.ones((16, 16)))
+        sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(4), np.ones((13, 4)))
+        for call in (lambda: ur.fst_check(img, sino, lambdas=lambdas),
+                     lambda: ur.fst_lhs(img, 0.0, lambdas), lambda: ur.fst_rhs(sino, 0.0, lambdas),
+                     lambda: ur.SpectralSlice(0.0, lambdas, np.zeros(len(lambdas)))):
+            with pytest.raises(ValueError, match=word):
+                call()
+
 
 class TestSpectralSlice:
     def test_validation(self):
