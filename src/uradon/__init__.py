@@ -7,8 +7,7 @@ from .container import (ContainerError, MagicMismatchError, MalformedHeaderError
                         TruncatedPayloadError, read_container, write_container)
 from .phantoms import (CompositeScene, GaussianBlob, RegionMask, SceneFormatError,
                        SeparableScene3D, UnsupportedOracleError, analytic_fourier,
-                       analytic_radon, load_scene, rasterize, save_scene,
-                       scene_from_text, scene_to_text)
+                       analytic_radon, load_scene, rasterize, scene_from_text)
 from .forward import default_ray_step, direction, radon_point, radon_transform
 from .slice_theorem import FstReport, SpectralSlice, fst_check, fst_lhs, fst_passed, fst_rhs
 from .inversion import (Backend, Reconstruction, RegParams, delta_plus,
@@ -38,6 +37,5 @@ __all__ = [
     "hybrid_inverse_series", "hybrid_radon", "invert_universal", "l2_norm",
     "lambda_kernel", "leak_tolerance", "load_scene", "make_slices", "radon_point",
     "radon_transform", "rasterize", "read_container", "reconstruct_volume",
-    "reconstruction_metrics", "save_scene", "scene_from_text", "scene_to_text",
-    "write_container",
+    "reconstruction_metrics", "scene_from_text", "write_container",
 ]

@@ -209,6 +209,11 @@ def _cmd_invert(args, argv) -> int:
             raise CliError("--epsilon requires --with-epsilon-lambda", EXIT_BAD_ARGS)
     _check_steps(args, "epsilon", "fa_step")
     window = _fields(args.range, "range", float, float) if args.range is not None else None
+    if window is not None:   # finite ends, as radon's; one wider than the scan keeps it all
+        _finite("range start", window[0])
+        _finite("range end", window[1])
+        if window[0] >= window[1]:
+            raise CliError(f"--range needs a < b, got '{args.range}'", EXIT_BAD_ARGS)
     geometry = _geometry(args)
     sino = _read(args.sinogram, Sinogram)
     reference = _read(args.reference, ImageGrid2D) if args.reference else None

@@ -3,7 +3,7 @@
 Layout: one UTF-8 JSON header line (newline terminated) followed by the raw
 payload -- little-endian float64 pairs (re, im), written with the radial
 (or x) index fastest.  The roundtrip write -> read is the identity for all
-four grid types: image, sinogram, volume and hybrid.
+three grid types: image, sinogram and volume.
 A sinogram's payload is its angle-major rows, Sinogram.values' layout: they
 are written as they are and read straight into the array the Sinogram keeps.
 """
@@ -15,8 +15,7 @@ import os
 
 import numpy as np
 
-from .grids import (AngularRange, GridGeometry, HybridField, ImageGrid2D, Provenance, Sinogram,
-                    VolumeStack, _Handover)
+from .grids import AngularRange, GridGeometry, ImageGrid2D, Sinogram, VolumeStack, _Handover
 
 MAGIC = "URDN1"
 DTYPE_TAG = "c128"
@@ -89,16 +88,12 @@ def _header_and_arrays(obj) -> tuple[dict, list[np.ndarray]]:
         head = {"type": "volume", **_geometry_head(obj.geometry, obj.n_slices),
                 "x3_positions": list(obj.x3_positions), "real_valued": obj.real_valued}
         return head, [s.values for s in obj.slices]
-    if isinstance(obj, HybridField):
-        head = {"type": "hybrid", **_geometry_head(obj.geometry, obj.n_k),
-                "k_values": list(obj.k_values), "provenance": obj.provenance.value,
-                "real_valued": all(f.real_valued for f in obj.fields)}
-        return head, [f.values for f in obj.fields]
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def write_container(path, obj) -> None:
-    """Write one of the four grid types to ``path`` in URDN1 format.
+    """Write an image, sinogram or volume to ``path`` in URDN1 format; any other
+    object, a HybridField included, raises TypeError.
 
     Each block is written from rows along its last axis, the first index
     fastest: a sinogram's own angle-major rows, an image's transposed copy.
@@ -168,15 +163,6 @@ def _decode(kind: str, head: dict, fh, real_valued: bool):
     if kind == "volume":
         positions = _require(head, "x3_positions", list)
         return VolumeStack(tuple(positions), tuple(_images(head, fh, 3, real_valued)))
-    if kind == "hybrid":
-        ks = _require(head, "k_values", list)
-        provenance = _require(head, "provenance", str)
-        try:
-            provenance = Provenance(provenance)
-        except ValueError as exc:
-            raise MalformedHeaderError(f"provenance: unknown value '{provenance}'",
-                                       field="provenance") from exc
-        return HybridField(tuple(ks), tuple(_images(head, fh, 3, real_valued)), provenance)
     raise MalformedHeaderError(f"type: unknown container type '{kind}'", field="type")
 
 

@@ -236,8 +236,8 @@ class ImageGrid2D:
         object.__setattr__(self, "values", _freeze(self.values, (g.nx, g.ny), "ImageGrid2D.values"))
 
     @classmethod
-    def from_geometry(cls, geometry: GridGeometry, values, meta: dict | None = None) -> "ImageGrid2D":
-        return cls(geometry, values, meta or {})
+    def from_geometry(cls, geometry: GridGeometry, values) -> "ImageGrid2D":
+        return cls(geometry, values)
 
     @property
     def real_valued(self) -> bool:
@@ -487,7 +487,3 @@ class HybridField:
     @property
     def geometry(self) -> GridGeometry:
         return self.fields[0].geometry
-
-    @property
-    def n_k(self) -> int:
-        return len(self.k_values)

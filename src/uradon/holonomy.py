@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import AngularRange, GridGeometry, Sinogram, TauGrid, _finite
+from .grids import AngularRange, GridGeometry, Sinogram, TauGrid
 from .forward import _project, direction
 from .inversion import l2_norm
 from .phantoms import CompositeScene, GaussianBlob, RegionMask, rasterize
@@ -97,22 +97,11 @@ def leak_tolerance(scene: CompositeScene, geometry: GridGeometry) -> float:
     return 1e-6 * scene.peak * geometry.diameter
 
 
-def _tolerance(name: str, value: float | None, default: float) -> float:
-    """value, or default where it is None, once it is a finite number >= 0 (zero is
-    legal: masked columns outside their quadrant are exactly zero)."""
-    value = default if value is None else value
-    _finite(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
-    return value
-
-
-def _half_turns(geometry: GridGeometry, arrays, probe: Probe, ray_step: float | None) -> tuple:
+def _half_turns(geometry: GridGeometry, arrays, probe: Probe) -> tuple:
     """Each array's (n_arrays, n_tau, n_phi) columns on the probe window and after a half
-    turn, which is the exactly flipped direction, from one _project call."""
+    turn, the exactly flipped direction, from one _project call at the default ray step."""
     trig = [direction(phi) for phi in probe.angles.phis()]
-    both = _project(geometry, arrays, probe.taus.taus(), trig + [(-c, -s) for c, s in trig],
-                    ray_step)
+    both = _project(geometry, arrays, probe.taus.taus(), trig + [(-c, -s) for c, s in trig], None)
     return both[..., :len(trig)], both[..., len(trig):]
 
 
@@ -133,17 +122,16 @@ def _walk(counts: tuple, columns: tuple, leak_tol: float) -> PathEvaluation:
                           final_sinogram_column=final.column, leak_tol=leak_tol)
 
 
-def check_holonomy(scene: CompositeScene, probe: Probe, geometry: GridGeometry,
-                   ray_step: float | None = None, leak_tol: float | None = None,
-                   threshold: float | None = None) -> HolonomyReport:
+def check_holonomy(scene: CompositeScene, probe: Probe,
+                   geometry: GridGeometry) -> HolonomyReport:
     """Compare the full-turn and two-half-turn protocols on the probe window.
 
-    Each term is rasterized alone, and both paths walk its _half_turns columns.
-    leak_tol (default leak_tolerance) and threshold (default 10 * leak_tol): finite, >= 0."""
-    leak_tol = _tolerance("leak_tol", leak_tol, leak_tolerance(scene, geometry))
-    threshold = _tolerance("threshold", threshold, 10.0 * leak_tol)
+    Each term is rasterized alone, and both paths walk its _half_turns columns,
+    dropping terms within leak_tolerance; the threshold is 10 times that."""
+    leak_tol = leak_tolerance(scene, geometry)
+    threshold = 10.0 * leak_tol
     images = [rasterize(CompositeScene((term,)), geometry).values for term in scene.terms]
-    columns = _half_turns(geometry, images, probe, ray_step)
+    columns = _half_turns(geometry, images, probe)
     one = _walk((2,), columns, leak_tol)
     two = _walk((1, 2), columns, leak_tol)
     discrepancy = l2_norm(one.final_sinogram_column - two.final_sinogram_column)
@@ -205,8 +193,7 @@ def classify_defect_scene(scene: CompositeScene) -> tuple[tuple, tuple]:
     return defect_terms, background_terms
 
 
-def extract_defect(scene_tilde: CompositeScene, probe: Probe, geometry: GridGeometry,
-                   ray_step: float | None = None) -> Sinogram:
+def extract_defect(scene_tilde: CompositeScene, probe: Probe, geometry: GridGeometry) -> Sinogram:
     """Isolate the defect's projection by subtracting the opposite-angle view.
 
     For a centrally symmetric background the third-quadrant view at phi + pi
@@ -215,8 +202,7 @@ def extract_defect(scene_tilde: CompositeScene, probe: Probe, geometry: GridGeom
     projection.
     """
     classify_defect_scene(scene_tilde)  # validates the scene shape
-    plus, minus = _half_turns(geometry, [rasterize(scene_tilde, geometry).values], probe,
-                              ray_step)
+    plus, minus = _half_turns(geometry, [rasterize(scene_tilde, geometry).values], probe)
     return Sinogram(probe.taus.tau_min, probe.taus.d_tau, probe.taus.n_tau,
                     probe.angles, plus[0] - minus[0])
 

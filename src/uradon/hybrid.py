@@ -64,10 +64,12 @@ def hybrid_forward(stack: VolumeStack, k_values) -> HybridField:
 def dual_k_grid(x3_positions) -> tuple[np.ndarray, float]:
     """Momentum grid k_m = 2 pi m / (N * spacing) dual to a uniform slice grid.
 
-    Returns (k values, spacing); raises if a position is not finite or the
-    positions are not uniformly spaced.
+    Returns (k values, spacing); raises if there are no positions, one is not
+    finite or they are not uniformly spaced.
     """
     positions = list(x3_positions)
+    if not positions:
+        raise ValueError("need at least one slice position")
     for p in positions:
         _finite("x3 position", p)
     x3 = np.asarray([float(p) for p in positions])

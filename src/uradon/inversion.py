@@ -331,8 +331,6 @@ def _backproject(rows_seq, sino, geometry: GridGeometry) -> tuple[list[np.ndarra
     result deterministic.
     """
     n = sino.n_tau
-    if n < 2:
-        raise ValueError("backprojection needs at least 2 tau samples")
     plan = _fold_plan(geometry, sino.tau_grid, sino.angles)
     x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
     shape = (geometry.nx, geometry.ny)
@@ -441,6 +439,8 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
     first = sinos[0]
     if any(s.tau_grid != first.tau_grid or s.angles != first.angles for s in sinos):
         raise ValueError("sinograms inverted together must share one tau grid and angular range")
+    if first.n_tau < 2:   # checked before any buffer is filtered
+        raise ValueError("backprojection needs at least 2 tau samples")
     terms = []
     if oracle is not None:   # the longest filter first, so the others fill in around it
         epsilon, lambda_max = oracle

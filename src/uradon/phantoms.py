@@ -148,17 +148,6 @@ def _require_unmasked(scene: CompositeScene, op: str) -> None:
 # Optional third-axis profile (volume mode):  profile center=<f> sigma=<f>
 # '#' starts a comment.
 
-def scene_to_text(scene: CompositeScene, profile: "SeparableScene3D | None" = None) -> str:
-    lines = []
-    if profile is not None:
-        lines.append(f"profile center={profile.x3_center!r} sigma={profile.x3_sigma!r}")
-    for blob, mask in scene.terms:
-        lines.append(
-            f"cx={blob.cx!r} cy={blob.cy!r} sigma={blob.sigma!r} "
-            f"amp_re={blob.amplitude.real!r} amp_im={blob.amplitude.imag!r} mask={mask.value}")
-    return "\n".join(lines) + "\n"
-
-
 class SceneFormatError(ValueError):
     """Unparseable scene description text."""
 
@@ -204,11 +193,6 @@ def scene_from_text(text: str) -> tuple[CompositeScene, "SeparableScene3D | None
 def load_scene(path) -> tuple[CompositeScene, "SeparableScene3D | None"]:
     with open(path, "r", encoding="utf-8") as fh:
         return scene_from_text(fh.read())
-
-
-def save_scene(path, scene: CompositeScene, profile: "SeparableScene3D | None" = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scene_to_text(scene, profile))
 
 
 @dataclass(frozen=True)

@@ -212,11 +212,18 @@ class TestOutputs:
           "--lambdas", "0:inf:3"], "finite"),
         (["fst-check", "--image", "missing.urdn", "--sinogram", "missing.urdn",
           "--lambdas", "6:0:13"], "increasing"),
+        (["invert", "--sinogram", "missing.urdn", "--nx", "16", "--extent", "8",
+          "--range", "nan:1", "--out-prefix", "x"], "range start"),
+        (["invert", "--sinogram", "missing.urdn", "--nx", "16", "--extent", "8",
+          "--range", "0:inf", "--out-prefix", "x"], "range end"),
+        (["invert", "--sinogram", "missing.urdn", "--nx", "16", "--extent", "8",
+          "--range", "1:0", "--out-prefix", "x"], "--range"),
     ], ids=["fst-check lambdas", "invert range", "radon range", "radon d-tau", "radon n-phi",
             "radon n-tau", "radon ray-step", "invert nx", "invert extent", "phantom nx",
             "phantom slices", "holonomy extent", "hybrid n-phi", "hybrid x3", "phantom x3 step",
             "hybrid ray-step", "fst-check negative lambdas", "fst-check nan lambdas",
-            "fst-check inf lambdas", "fst-check decreasing lambdas"])
+            "fst-check inf lambdas", "fst-check decreasing lambdas", "invert nan range",
+            "invert infinite range", "invert reversed range"])
     def test_bad_values_are_refused_before_reading(self, tmp_path, monkeypatch, capsys,
                                                    argv, word):
         # a missing input would be a file error (3): every window and number is checked first

@@ -38,16 +38,6 @@ def random_volume(rng):
     return ur.VolumeStack(tuple(np.sort(rng.normal(size=n) + np.arange(n) * 10)), slices)
 
 
-def random_hybrid(rng):
-    nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-    n = int(rng.integers(1, 4))
-    geom = ur.GridGeometry.centered(nx, ny, 2.0, 2.0)
-    fields = tuple(ur.ImageGrid2D.from_geometry(
-        geom, rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))) for _ in range(n))
-    prov = ur.Provenance.SERIES if rng.integers(2) else ur.Provenance.CONTINUOUS
-    return ur.HybridField(tuple(rng.normal(size=n)), fields, prov)
-
-
 class TestRoundtrip:
     def test_tiny_real_image(self, tmp_path):
         geom = ur.GridGeometry(2, 2, 0.0, 0.0, 1.0, 1.0)
@@ -66,7 +56,7 @@ class TestRoundtrip:
 
     def test_roundtrip_identity_all_types(self, tmp_path, rng):
         # property: write/read is the identity on every domain type
-        builders = [random_image, random_sinogram, random_volume, random_hybrid]
+        builders = [random_image, random_sinogram, random_volume]
         for trial in range(25):
             obj = builders[trial % len(builders)](rng)
             path = tmp_path / f"obj{trial}.urdn"
@@ -205,7 +195,7 @@ class TestErrors:
             ur.read_container(path)
         assert err.value.field == "real_valued"
 
-    @pytest.mark.parametrize("make", [random_image, random_sinogram, random_volume, random_hybrid])
+    @pytest.mark.parametrize("make", [random_image, random_sinogram, random_volume])
     def test_non_finite_payload_rejected(self, tmp_path, rng, make):
         path = tmp_path / "nan.urdn"
         ur.write_container(path, make(rng))
@@ -246,20 +236,30 @@ class TestErrors:
         with pytest.raises(TypeError):
             ur.write_container(tmp_path / "x.urdn", {"not": "a grid"})
 
-    def test_payload_less_angles_type_is_refused(self, tmp_path):
-        # the four grid types all carry a payload: a bare angular range is no container
-        path = tmp_path / "angles.urdn"
-        head = {"magic": "URDN1", "dtype": "c128", "type": "angles", "shape": [0, 0],
-                "phi_min": 0.0, "phi_max": 6.283185307179586, "n_phi": 8, "real_valued": True}
-        path.write_bytes(json.dumps(head).encode() + b"\n")
+    @pytest.mark.parametrize("kind", ["angles", "hybrid"])
+    def test_payload_less_angles_type_is_refused(self, tmp_path, kind):
+        # the three grid types all carry a payload; a bare angular range is no container,
+        # and neither is a hybrid field, which no command writes
+        path = tmp_path / f"{kind}.urdn"
+        if kind == "angles":
+            head = {"shape": [0, 0], "phi_min": 0.0, "phi_max": 6.283185307179586, "n_phi": 8}
+            obj, payload = ur.AngularRange.full(8), b""
+        else:
+            geom = ur.GridGeometry(2, 2, 0.0, 0.0, 1.0, 1.0)
+            head = {"shape": [1, 2, 2], "x_min": 0.0, "y_min": 0.0, "dx": 1.0, "dy": 1.0,
+                    "k_values": [0.0], "provenance": "series"}
+            obj = ur.HybridField((0.0,), (ur.ImageGrid2D(geom, np.ones((2, 2))),), "series")
+            payload = np.ones(4, dtype="<c16").tobytes()
+        head.update(magic="URDN1", dtype="c128", type=kind, real_valued=True)
+        path.write_bytes(json.dumps(head).encode() + b"\n" + payload)
         with pytest.raises(ur.MalformedHeaderError) as err:
             ur.read_container(path)
         assert err.value.field == "type"
         with pytest.raises(TypeError):
-            ur.write_container(path, ur.AngularRange.full(8))
+            ur.write_container(path, obj)
 
 
-# --- properties over all four types: drawn shapes, geometries, positions and k values ---
+# --- properties over all three types: drawn shapes, geometries and positions ---
 
 coordinates = st.floats(-50.0, 50.0, allow_nan=False)
 spacings = st.floats(1e-3, 5.0)
@@ -296,17 +296,15 @@ def sinograms(draw):
 
 
 @st.composite
-def stacks(draw, kind):
+def stacks(draw):
     n = draw(st.integers(1, 3))
     first = draw(images())
     blocks = (first,) + tuple(draw(images(first.geometry)) for _ in range(n - 1))
     numbers = st.lists(coordinates, min_size=n, max_size=n, unique=True)
-    if kind is ur.VolumeStack:
-        return ur.VolumeStack(tuple(sorted(draw(numbers))), blocks)
-    return ur.HybridField(tuple(draw(numbers)), blocks, draw(st.sampled_from(ur.Provenance)))
+    return ur.VolumeStack(tuple(sorted(draw(numbers))), blocks)
 
 
-any_grid = st.one_of(images(), sinograms(), stacks(ur.VolumeStack), stacks(ur.HybridField))
+any_grid = st.one_of(images(), sinograms(), stacks())
 
 
 @pytest.fixture(scope="module")
@@ -351,5 +349,4 @@ class TestProperties:
                 back = read_bytes_back(scratch, bytes(flipped))
             except ur.ContainerError:
                 continue
-            assert isinstance(back, (ur.ImageGrid2D, ur.Sinogram, ur.VolumeStack,
-                                     ur.HybridField))
+            assert isinstance(back, (ur.ImageGrid2D, ur.Sinogram, ur.VolumeStack))

@@ -128,6 +128,16 @@ class TestHybridInverseSeries:
         with pytest.raises(ValueError, match="x3 position"):
             ur.dual_k_grid(positions)
 
+    def test_empty_positions_rejected(self, rng):
+        # a k grid needs a slice; each entry refuses none with a ValueError, not an IndexError
+        field = ur.hybrid_forward(random_stack(rng, n=2), [0.0])
+        geom = ur.GridGeometry.centered(6, 6, 2.0, 2.0)
+        for call in (lambda: ur.dual_k_grid([]),
+                     lambda: ur.hybrid_inverse_series(field, []),
+                     lambda: ur.reconstruct_volume([], geom, ur.RegParams(0.2), [])):
+            with pytest.raises(ValueError, match="need at least one slice position"):
+                call()
+
 
 class TestHybridRadon:
     def test_zero_momentum_entry_is_slice_sum_sinogram(self, rng):

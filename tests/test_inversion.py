@@ -456,6 +456,21 @@ class TestInvertFa:
         assert filtered == []   # refused before the f_s filter ran
 
 
+def test_two_tau_samples_are_required_before_filtering(monkeypatch):
+    # the backprojection interpolates between two tau samples: one is refused up front
+    geom = ur.GridGeometry.centered(12, 12, 4.0, 4.0)
+    sino = ur.Sinogram(0.0, 0.5, 1, ur.AngularRange.full(8), np.ones((1, 8)))
+    filtered = []
+    correlate_rows = inv._correlate_rows
+    monkeypatch.setattr(inv, "_correlate_rows",
+                        lambda *args: filtered.append(1) or correlate_rows(*args))
+    with pytest.raises(ValueError, match="at least 2 tau samples"):
+        ur.invert_universal(sino, geom, ur.RegParams.defaults(sino.d_tau))
+    with pytest.raises(ValueError, match="at least 2 tau samples"):
+        ur.epsilon_lambda_reconstruct(sino, geom)
+    assert filtered == []
+
+
 class TestInvertUniversal:
     def test_roundtrip_rmse(self):
         scene = ur.CompositeScene.of(ur.GaussianBlob(0.6, 0.4, 1.0, 1.0))
