@@ -13,9 +13,8 @@ worker per further CPU.  A task lays its samples out offset-major, so
 consecutive samples add into different tau rows, and every row still sums
 its own samples in ray order: results are bitwise identical at any thread
 count.  The projector takes a GridGeometry and plain sample arrays on it, so
-the symmetry views of grids._fold_plan (f, f.T, rot90(f, -1) and
-flipud(f)) are projected as array views, from the plan's representative
-angles only.
+the symmetry views of grids._fold_plan (rotations and mirrors of f) are
+projected as array views, from the plan's representative angles only.
 
 The projector skips the ray samples whose contribution is exactly +0 or
 -0.  The arrays of a call are grouped by the box of their nonzero nodes,
@@ -274,14 +273,14 @@ def _radon_values(geometry: GridGeometry, arrays, tau_grid: TauGrid, angles: Ang
 
     Only the representative angles of grids._fold_plan are projected, each
     for every view of every array (array views, no copy, view-major), and
-    each column is gathered from its view at its representative angle.  On
-    a pi-mirrored scan the plan covers [phi_min, phi_min + pi):
-    R(tau, phi + pi) = R(-tau, phi), and the symmetric ray offsets make both
-    sides the same sample set, so the second half is the first with tau
-    reversed.  A view reads the same node values with the same weights in
-    the same order as f at the folded angle, so projected columns keep the
-    bits of direct projection and the folded ones agree to rounding.  The
-    result is a transposed view of angle-major rows, Sinogram.values' layout.
+    each row is gathered from its view at its representative angle.  The
+    plan's paired angles follow its rows: R(tau, phi + pi) = R(-tau, phi),
+    and the symmetric ray offsets make both sides the same sample set, so
+    they are their first rows with tau reversed.  A view reads the same node
+    values with the same weights in the same order as f at the mapped angle,
+    so projected columns keep the bits of direct projection and the others
+    agree to rounding.  The result is a transposed view of angle-major rows,
+    Sinogram.values' layout.
     """
     plan = _fold_plan(geometry, tau_grid, angles)
     taus = tau_grid.taus()
@@ -289,9 +288,7 @@ def _radon_values(geometry: GridGeometry, arrays, tau_grid: TauGrid, angles: Ang
     values = _project(geometry, views, taus, [direction(phi) for phi in plan.phis], ray_step)
     rows = values.transpose(0, 2, 1).reshape(len(plan.views), len(arrays), len(plan.phis), -1)
     rows = np.moveaxis(rows[plan.view, :, plan.rep], 0, 1)
-    if plan.mirrored:
-        rows = np.concatenate([rows, rows[:, :, ::-1]], axis=1)
-    return rows.transpose(0, 2, 1)
+    return np.concatenate([rows, rows[:, :plan.pairs, ::-1]], axis=1).transpose(0, 2, 1)
 
 
 def radon_point(img: ImageGrid2D, tau: float, phi: float, ray_step: float | None = None) -> complex:

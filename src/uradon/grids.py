@@ -62,69 +62,78 @@ def _positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _spans_exactly(angles: AngularRange, span: float) -> bool:
-    """True iff the angles span `span` to within a few ulps.
+def _symmetric(lo: float, hi: float) -> bool:
+    """True iff lo = -hi up to the rounding of the endpoints."""
+    return bool(abs(lo + hi) <= 4.0 * np.finfo(float).eps * abs(lo))
 
-    The symmetry folds map sampled angles onto sampled angles, so they need
-    the sample step exact to rounding: within is_full's 1e-12 tolerance a
-    folded column could stand for an angle up to about 1e-12 rad off.
+
+def _whole_steps(angle: float, angles: AngularRange) -> int | None:
+    """angle as a whole number of angular steps, or None where it is not one to a few ulps.
+
+    The folds map sampled angles onto sampled angles, so they need the steps
+    exact to rounding: within is_full's 1e-12 tolerance a folded column could
+    stand for an angle up to about 1e-12 rad off.
     """
-    return abs(angles.span - span) <= 4.0 * np.spacing(span)
+    steps = round(angle / angles.d_phi)
+    exact = abs(angle - steps * angles.d_phi) <= 4 * np.spacing(TWO_PI + 2.0 * abs(angles.phi_min))
+    return steps if exact else None
 
 
-def _centred_square(geometry: GridGeometry) -> bool:
-    """True iff a quarter turn and a transpose map the grid's nodes onto its nodes:
-    nx == ny, dx == dy, x_min == y_min and x_min + x_max == 0 to rounding."""
-    g = geometry
-    return (g.nx == g.ny and g.dx == g.dy and g.x_min == g.y_min
-            and abs(g.x_min + g.x_max) <= 4.0 * np.finfo(float).eps * abs(g.x_min))
+# The grid symmetries as angle maps phi -> sigma * phi + q * pi / 2, in the order a row picks
+# its view, each with what it needs of the grid: x_min = -x_max (x), y_min = -y_max (y), a
+# square (s).  Their array views (_views) read as f at the mapped angle: f, f.T, rot90(f, -1),
+# flipud(f), fliplr(f), rot90(f, 2), rot90(f) and the transpose of rot90(f, 2).
+_MAPS = ((1, 0, ""), (-1, 1, "xys"), (1, 1, "xys"), (-1, 2, "x"), (-1, 0, "y"), (1, 2, "xy"),
+         (1, 3, "xys"), (-1, 3, "xys"))
 
 
-def _pi_mirrored(tau_grid: TauGrid, angles: AngularRange) -> bool:
-    """True iff angle m + n_phi/2 is angle m + pi, read at -tau: full, even, symmetric."""
-    return _spans_exactly(angles, TWO_PI) and angles.n_phi % 2 == 0 and tau_grid.is_symmetric
-
-
-# (view, inverse) array maps of the square's symmetries: view q of f at angle
-# phi reads as f at angle phi, pi/2 - phi, phi + pi/2 or pi - phi
-_D4_VIEWS = ((lambda f: f, lambda f: f), (np.transpose, np.transpose),
-             (lambda f: np.rot90(f, -1), np.rot90), (np.flipud, np.flipud))
+def _views(sigma: int, q: int) -> tuple:
+    """(view, inverse) of the angle map (sigma, q): a turn, or a mirror that is its own inverse."""
+    if sigma > 0:
+        return lambda f: np.rot90(f, -q), lambda f: np.rot90(f, q)
+    return (lambda f: np.rot90(np.flipud(f), q - 2),) * 2
 
 
 class _FoldPlan(NamedTuple):
-    """Which angles a scan computes, and where each of its columns comes from."""
+    """Which angles a scan computes, and where each of its rows comes from."""
 
-    mirrored: bool     # the scan is _pi_mirrored; the fields below cover its first half turn
+    pairs: int         # rows 0..pairs - 1 also hold angle m + n_phi - pairs, which is m + pi
     phis: np.ndarray   # representative angles, the only ones projected or given an index field
     views: tuple       # (view, inverse) pairs of array maps, the identity first
-    view: np.ndarray   # per column, the view it reads
-    rep: np.ndarray    # per column, the index in phis of its representative angle
+    view: np.ndarray   # per row, the view it reads
+    rep: np.ndarray    # per row, the index in phis of its representative angle
 
 
 def _fold_plan(geometry: GridGeometry, tau_grid: TauGrid, angles: AngularRange) -> _FoldPlan:
     """The symmetry plan that the projector and the backprojection both follow.
 
-    A pi-mirrored scan is folded onto its first half turn.  When the angles
-    left are [0, pi) in an even count N (phi_min = 0, span exactly pi or 2 pi
-    folded) on a centred square grid, column k <= N/2 is angle k (view f) up
-    to N/4 and the transposed view of angle N/2 - k beyond; column N/2 + k'
-    repeats this with the quarter-turned views.  Angles 0..N/4 then give
-    every column, and each representative reads f itself.  Every other scan
-    computes each of its angles through f.
+    On a symmetric tau grid where pi is a whole number H of angular steps
+    below n_phi, angle m + H is angle m read at -tau: the two share row m,
+    and the n_phi - pairs rows are the angles of [phi_min, phi_min + pi).
+    The rows then fall into orbits under the maps of _MAPS that the image
+    grid admits and that shift angle indices by whole steps (mod a whole
+    turn where 2 pi is whole steps too).  Each orbit's least row is its
+    representative; every other row reads the first view that maps the
+    representative onto it.
     """
-    mirrored = _pi_mirrored(tau_grid, angles)
-    n = angles.n_phi // 2 if mirrored else angles.n_phi
-    phis = angles.phis()
-    if (angles.phi_min == 0.0 and n % 2 == 0 and _centred_square(geometry)
-            and (mirrored or _spans_exactly(angles, np.pi))):
-        quarter = n // 2
-        k = np.arange(n)
-        turned = k > quarter
-        k = k - quarter * turned
-        folded = 4 * k > n
-        return _FoldPlan(mirrored, phis[:n // 4 + 1], _D4_VIEWS, 2 * turned + folded,
-                         np.where(folded, quarter - k, k))
-    return _FoldPlan(mirrored, phis[:n], _D4_VIEWS[:1], np.zeros(n, dtype=np.intp), np.arange(n))
+    g, n = geometry, angles.n_phi
+    half = _whole_steps(np.pi, angles)
+    pairs = n - half if tau_grid.is_symmetric and half is not None and half < n else 0
+    has = ("x" * _symmetric(g.x_min, g.x_max) + "y" * _symmetric(g.y_min, g.y_max)
+           + "s" * (g.nx == g.ny and g.dx == g.dy and g.x_min == g.y_min))
+    maps = [(sigma, q, steps) for sigma, q, needs in _MAPS if set(needs) <= set(has)
+            and (steps := _whole_steps((sigma - 1) * angles.phi_min + q * np.pi / 2,
+                                       angles)) is not None]
+    sigma, q, shift = (np.array(column) for column in zip(*maps))
+    rows = np.arange(n - pairs)
+    turn = _whole_steps(TWO_PI, angles) or np.iinfo(np.intp).max   # no wrap-around without one
+    # (rows, maps): the row each map takes each row to, len(rows) where it leaves the rows
+    at = np.minimum((sigma * rows[:, None] + shift) % turn, len(rows))
+    rep = at.min(axis=1)
+    used, view = np.unique((at[rep] == rows[:, None]).argmax(axis=1), return_inverse=True)
+    reps, rep = np.unique(rep, return_inverse=True)
+    return _FoldPlan(pairs, angles.phis()[reps], tuple(_views(sigma[k], q[k]) for k in used),
+                     view, rep)
 
 
 class _Handover(np.ndarray):
@@ -373,7 +382,7 @@ class TauGrid:
     @property
     def is_symmetric(self) -> bool:
         """True iff tau_min = -tau_max up to the rounding of the endpoints."""
-        return abs(self.tau_min + self.tau_max) <= 4.0 * np.finfo(float).eps * abs(self.tau_min)
+        return _symmetric(self.tau_min, self.tau_max)
 
     def taus(self) -> np.ndarray:
         return self.tau_min + self.d_tau * np.arange(self.n_tau)

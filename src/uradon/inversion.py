@@ -16,21 +16,20 @@ interpolation under the angular measure d_phi / (4 pi^2).
 Two symmetry folds cut the work, each to rounding of the unfolded sum.
 Both follow grids._fold_plan, the plan the projector follows too:
 
-* Half turns.  On a mirrored plan (a full even scan with a symmetric tau
-  grid), angle phi + pi is angle phi read at -tau.  The two-term inverse
-  fills each term's buffer already folded onto [phi_min, phi_min + pi):
-  row m plus row m + N/2 read at -tau for the ramp and finite-part filters,
-  whose kernels are even, and minus it for the tau derivative, which is
-  odd.  The filters then run on N/2 rows.  The lambda kernel is not even
-  (K(-eta) = conj K(eta)), so epsilon_lambda_reconstruct folds rows m and
-  m + N/2 after filtering them, as each block is written back.  A projected
-  scan, whose second half turn is exactly its first reversed, folds to an
-  all-zero f_a buffer: it is neither differentiated nor backprojected, and
-  its image is the +0 that both would give.
-* The square's symmetries (D4).  When the angles backprojected are [0, pi)
-  in an even count N' on a centred square grid, angles phi, pi/2 - phi,
-  phi + pi/2 and pi - phi read a transposed or turned view of the index
-  field of phi, so only the plan's N'/4 + 1 index fields are computed.
+* Pairs.  Where the plan pairs angle phi + pi with phi (a symmetric tau
+  grid, pi a whole number of steps), the two-term inverse fills each term's
+  buffer already folded: row m plus its pair read at -tau for the ramp and
+  finite-part filters, whose kernels are even, and minus it for the tau
+  derivative, which is odd.  The filters then run on the plan's rows only.
+  The lambda kernel is not even (K(-eta) = conj K(eta)), so
+  epsilon_lambda_reconstruct folds each pair after filtering it, as each
+  block is written back.  A projected scan, whose paired angles are exactly
+  their rows reversed, folds to an all-zero f_a buffer when every row is
+  paired: it is neither differentiated nor backprojected, and its image is
+  the +0 that both would give.
+* Orbits.  Rows whose angles a symmetry of the image grid maps onto each
+  other read a rotated or mirrored view of one index field, so only the
+  plan's representative angles get one.
 
 Sinogram values have shape (n_tau, n_phi) and are stored angle-major (F
 order), as the container file holds them: values.T is one contiguous tau row
@@ -59,8 +58,8 @@ whatever the row holds.  A frame starts at +0 and so is never -0, and
 adding +0 to it changes no bit.  f is monotone in x and in y, so its four
 corner values tell whether a field has such pixels; only then is the band
 -1 < f < n_tau gathered and added at its flat indices.  Coverage flags are
-still computed on every pixel.  No layout changes the arithmetic:
-outside the two folds, every output is bit-identical to the column-major
+still computed on every pixel.  No layout changes the arithmetic: where
+the plan folds nothing, every output is bit-identical to the column-major
 form.
 """
 
@@ -160,25 +159,22 @@ def lambda_kernel(eta, epsilon: float, lambda_max: float):
 _SPECTRUM_BLOCK = 2**17
 
 
-def _padded_rows(values: np.ndarray, parity: float = 0.0) -> np.ndarray:
-    """The (n_phi, n_tau + 2) angle-major tau rows of values between two zeros.
+def _padded_rows(values: np.ndarray, pairs: int = 0, parity: float = 1.0) -> np.ndarray:
+    """The (n_phi - pairs, n_tau + 2) angle-major tau rows of values between two zeros.
 
-    With parity +1 or -1 the rows are folded (a mirrored plan, grids._fold_plan):
-    the N/2 rows hold row m plus parity times row m + N/2 read at -tau, which is
-    angle phi_m + pi.
+    The first pairs rows are folded (grids._fold_plan): row m plus parity
+    times row m + n_phi - pairs, which is angle phi_m + pi, read at -tau.
     """
     v = values.T
-    half = v.shape[0] // 2
-    rows = np.zeros((half if parity else v.shape[0], v.shape[1] + 2), dtype=np.complex128)
-    if parity:
-        (np.add if parity > 0 else np.subtract)(v[:half], v[half:, ::-1], out=rows[:, 1:-1])
-    else:
-        rows[:, 1:-1] = v
+    n_rows = v.shape[0] - pairs
+    rows = np.zeros((n_rows, v.shape[1] + 2), dtype=np.complex128)
+    rows[pairs:, 1:-1] = v[pairs:n_rows]
+    (np.add if parity > 0 else np.subtract)(v[:pairs], v[n_rows:, ::-1], out=rows[:pairs, 1:-1])
     return rows
 
 
 def _correlate_rows(rows: np.ndarray, kernel: np.ndarray, budget: int,
-                    halves: np.ndarray | None = None) -> None:
+                    source: np.ndarray | None = None, pairs: int = 0) -> None:
     """Correlate each padded row with kernel in place, zero outside the grid.
 
     On the n inner entries g of a row: g[t] <- sum_j kernel[j + M] * g[t + j].
@@ -188,32 +184,32 @@ def _correlate_rows(rows: np.ndarray, kernel: np.ndarray, budget: int,
     budget entries of one reused buffer.  Each row is transformed on its own,
     so a block's rows carry the same bits as one transform of all rows.
 
-    With halves, the (N, n) angle-major rows of a mirrored scan, row m of rows
-    gets the correlation of halves[m] plus that of halves[m + N/2] read at
-    -tau, both transformed in one block: the bits of filtering, then folding.
+    With source, the (n_phi, n) angle-major rows of a scan, row m of rows
+    gets the correlation of source[m], plus for m < pairs that of its pair
+    source[m + n_rows] read at -tau, transformed in the same block: the bits
+    of filtering, then folding.
     """
     n_rows, n = rows.shape[0], rows.shape[1] - 2
     m_half = (len(kernel) - 1) // 2
     p = 1 << (n + m_half - 1).bit_length()   # next power of two >= n + M
     kernel_spec = np.fft.fft(kernel[::-1], n=p)
-    sources = [rows[:, 1:-1]] if halves is None else [halves[:n_rows], halves[n_rows:]]
-    block = max(1, min(n_rows, budget // (len(sources) * p)))
-    spec = np.empty((len(sources) * block, p), dtype=np.complex128)
+    source = rows[:, 1:-1] if source is None else source
+    block = max(1, min(n_rows, budget // (2 * p if pairs else p)))
+    spec = np.empty((block + min(pairs, block), p), dtype=np.complex128)
     for start in range(0, n_rows, block):
         inner = rows[start:start + block, 1:-1]
         k = inner.shape[0]
-        part = spec[:len(sources) * k]
-        for j, source in enumerate(sources):
-            part[j * k:(j + 1) * k, :n] = source[start:start + k]
+        j = min(max(pairs - start, 0), k)   # the block's paired rows
+        part = spec[:k + j]
+        part[:k, :n] = source[start:start + k]
+        part[k:, :n] = source[n_rows + start:n_rows + start + j]
         part[:, n:] = 0.0
         np.fft.fft(part, out=part)
         part *= kernel_spec
         np.fft.ifft(part, out=part)
         out = part[:, m_half:m_half + n]
-        if halves is None:
-            inner[...] = out
-        else:
-            np.add(out[:k], out[k:, ::-1], out=inner)
+        inner[...] = out[:k]
+        inner[:j] += out[k:, ::-1]
 
 
 def _differentiate_rows(rows: np.ndarray, d_tau: float, fa_step: float, budget: int) -> None:
@@ -308,16 +304,16 @@ def _lambda_correlation_kernel(n_tau: int, d_tau: float, epsilon: float,
 
 # --- backprojection ----------------------------------------------------------
 
-def _backproject(rows_seq, sino, geometry: GridGeometry) -> tuple[list[np.ndarray], np.ndarray]:
+def _backproject(rows_seq, sino, geometry, plan) -> tuple[list[np.ndarray], np.ndarray]:
     """Angular quadrature of padded rows at tau = <n_phi, x>.
 
     rows_seq holds one or more buffers of padded rows on the sinogram's grid
     (_padded_rows: one angle per row, its tau samples between two zeros); each
     angle's interpolation indices are computed once and shared by all of them,
     and each result is bit-identical to backprojecting its buffer alone.  The
-    angles follow grids._fold_plan: on a mirrored plan the buffers hold (at
-    least) N/2 rows already folded onto the first half turn, and only those
-    are read.  The buffers are read as they are, neither copied nor checked.
+    rows are those of plan, the sinogram's grids._fold_plan on geometry: the
+    buffers hold its rows, their pairs already folded in, and only those are
+    read.  The buffers are read as they are, neither copied nor checked.
 
     Only the plan's representative angles get an index field; each row is
     gathered through its representative's field into the frame of its view,
@@ -331,7 +327,6 @@ def _backproject(rows_seq, sino, geometry: GridGeometry) -> tuple[list[np.ndarra
     result deterministic.
     """
     n = sino.n_tau
-    plan = _fold_plan(geometry, sino.tau_grid, sino.angles)
     x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
     shape = (geometry.nx, geometry.ny)
     accs = [[np.zeros(shape, dtype=np.complex128) for _ in plan.views] for _ in rows_seq]
@@ -380,10 +375,10 @@ def _flag_meta(out_of_range: np.ndarray) -> dict:
     return {"coverage_flags": flags, "coverage_flag_count": int(flags.shape[0])}
 
 
-# Each term fills one buffer of padded rows, folded when fold is set (a mirrored plan),
+# Each term fills one buffer of padded rows, its first pairs rows folded (grids._fold_plan),
 # and filters it in place; None stands for a buffer whose image is all +0.
-def _fs_rows(sino: Sinogram, fold: bool, params: RegParams, budget: int) -> np.ndarray:
-    rows = _padded_rows(sino.values, 1.0 if fold else 0.0)   # both kernels are even
+def _fs_rows(sino: Sinogram, pairs: int, params: RegParams, budget: int) -> np.ndarray:
+    rows = _padded_rows(sino.values, pairs, 1.0)   # both kernels are even
     inner = rows[:, 1:-1]
     if params.backend is Backend.RAMP_FILTER:
         _correlate_rows(rows, _ramp_kernel(sino.n_tau, sino.d_tau), budget)
@@ -394,20 +389,19 @@ def _fs_rows(sino: Sinogram, fold: bool, params: RegParams, budget: int) -> np.n
     return rows
 
 
-def _fa_rows(sino: Sinogram, fold: bool, params: RegParams, budget: int) -> np.ndarray | None:
-    rows = _padded_rows(sino.values, -1.0 if fold else 0.0)   # the tau derivative is odd
-    if fold and not rows.any():   # an exactly mirrored scan, as the projector makes
+def _fa_rows(sino: Sinogram, pairs: int, params: RegParams, budget: int) -> np.ndarray | None:
+    rows = _padded_rows(sino.values, pairs, -1.0)   # the tau derivative is odd
+    if pairs and not rows.any():   # every row paired with its exact mirror, as projected
         return None
     _differentiate_rows(rows, sino.d_tau, params.fa_step, budget)
     rows[:, 1:-1] *= -1j * np.pi
     return rows
 
 
-def _lambda_rows(sino: Sinogram, fold: bool, kernel: np.ndarray, budget: int) -> np.ndarray:
-    # the kernel is not even: a mirrored scan's rows are folded as they are filtered
-    rows = (np.zeros((sino.angles.n_phi // 2, sino.n_tau + 2), dtype=np.complex128) if fold
-            else _padded_rows(sino.values))
-    _correlate_rows(rows, kernel, budget, sino.values.T if fold else None)
+def _lambda_rows(sino: Sinogram, pairs: int, kernel: np.ndarray, budget: int) -> np.ndarray:
+    # the kernel is not even: pairs are folded as they are filtered
+    rows = np.zeros((sino.angles.n_phi - pairs, sino.n_tau + 2), dtype=np.complex128)
+    _correlate_rows(rows, kernel, budget, sino.values.T, pairs)
     return rows
 
 
@@ -430,7 +424,7 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
 
     The sinograms must share one tau grid and angular range; each result is
     bit-identical to its path alone on its sinogram alone, at any CPU count
-    (module docstring).  On a mirrored plan, the f_s and f_a rows are folded
+    (module docstring).  The f_s and f_a rows of the plan's pairs are folded
     with the term's parity before they are filtered: a filter of that parity
     commutes with tau reversal, so this equals folding the filtered rows, to
     rounding.  Returns the Reconstruction of each sinogram (none without
@@ -451,18 +445,18 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
         if params.fa_step < first.d_tau:   # the tau derivative's step may not be finer
             raise ValueError(f"fa_step {params.fa_step} must be at least d_tau {first.d_tau}")
         terms += [(_fs_rows, params), (_fa_rows, params)]
-    fold = _fold_plan(geometry, first.tau_grid, first.angles).mirrored
+    plan = _fold_plan(geometry, first.tau_grid, first.angles)
     jobs = [(term, s, arg) for s in sinos for term, arg in terms]
     buffers = [None] * len(jobs)
     budget = _SPECTRUM_BLOCK // _thread_count(len(jobs))
 
     def fill(k):
         term, s, arg = jobs[k]
-        buffers[k] = term(s, fold, arg, budget)
+        buffers[k] = term(s, plan.pairs, arg, budget)
 
     _run_tasks(fill, list(range(len(jobs))))
     skipped = [rows is None for rows in buffers]
-    values, oob = _backproject([rows for rows in buffers if rows is not None], first, geometry)
+    values, oob = _backproject([b for b in buffers if b is not None], first, geometry, plan)
     del buffers   # freed before the images are made
     meta, values = _flag_meta(oob), iter(values)
     images = [ImageGrid2D(geometry, np.zeros((geometry.nx, geometry.ny), dtype=np.complex128)
@@ -483,8 +477,8 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
     regulator below the grid scale only adds noise; lambda_max = pi/d_tau
     (radial Nyquist of the tau grid).  Serves as a third oracle for
     invert_universal, sharing none of its RegParams.  The kernel is not even,
-    so on a mirrored plan the rows are folded after filtering, pair by pair
-    as they leave the transforms (_correlate_rows).
+    so the plan's pairs are folded after filtering, pair by pair as they
+    leave the transforms (_correlate_rows).
     """
     return _invert_all([sino], geometry, None, (epsilon, lambda_max))[1][0]
 

@@ -89,11 +89,12 @@ def analytic_sinogram(scene, tau_grid, angles):
 def backproject(columns_seq, sino, geometry):
     """inversion._backproject of (n_tau, n_phi) arrays, each handed over as padded rows.
 
-    Where the plan is mirrored the rows are folded onto the first half turn:
-    row m plus row m + N/2 read at -tau.
+    The rows are those of the plan: its paired rows hold row m plus its pair
+    (angle phi_m + pi) read at -tau.
     """
-    parity = 1.0 if _fold_plan(geometry, sino.tau_grid, sino.angles).mirrored else 0.0
-    return inv._backproject([inv._padded_rows(c, parity) for c in columns_seq], sino, geometry)
+    plan = _fold_plan(geometry, sino.tau_grid, sino.angles)
+    return inv._backproject([inv._padded_rows(c, plan.pairs) for c in columns_seq], sino,
+                            geometry, plan)
 
 
 def correlate(values, kernel):
@@ -112,7 +113,7 @@ def differentiate(values, d_tau, fa_step):
 
 def term_columns(sino, params):
     """The inverse's filtered f_s and f_a columns at every stored angle, unfolded."""
-    return [term(sino, False, params, inv._SPECTRUM_BLOCK)[:, 1:-1].T
+    return [term(sino, 0, params, inv._SPECTRUM_BLOCK)[:, 1:-1].T
             for term in (inv._fs_rows, inv._fa_rows)]
 
 

@@ -9,6 +9,9 @@ import uradon as ur
 import uradon.cli as cli
 import uradon.inversion as inv
 from uradon.cli import build_parser, main
+from uradon.grids import _fold_plan
+from conftest import correlate, term_columns
+from test_inversion import direct_backproject
 
 SCENE = "cx=0.0 cy=0.0 sigma=1.0 amp_re=1.0 amp_im=0.0 mask=none\n"
 
@@ -338,6 +341,31 @@ class TestInvert:
         metrics = dict(line.split(",") for line
                        in (tmp_path / "half_metrics.csv").read_text().splitlines()[1:])
         assert float(metrics["fa_fs_ratio"]) > 1e-2
+
+    @pytest.mark.parametrize("end, pairs", [(1.5 * np.pi, 6), (1.25 * np.pi, 3)],
+                             ids=["3pi/2", "5pi/4"])
+    def test_window_wider_than_pi_matches_the_unfolded_loop(self, tmp_path, sino_file, end, pairs):
+        # [0, end) of the 24-angle scan: the angles past pi fold onto their pairs, and the
+        # 12 rows of [0, pi) fold further by the square's symmetries
+        prefix = str(tmp_path / "w")
+        assert main(["invert", "--sinogram", sino_file, "--nx", "48", "--extent", "8",
+                     "--range", f"0:{end}", "--with-epsilon-lambda", "--out-prefix", prefix]) == 0
+        sino = cli._restrict_angles(ur.read_container(sino_file), (0.0, end))
+        geom = ur.GridGeometry.centered(48, 48, 8.0, 8.0)
+        plan = _fold_plan(geom, sino.tau_grid, sino.angles)
+        assert (plan.pairs, len(plan.rep), len(plan.views)) == (pairs, 12, 4)
+        (fs, fa), _ = direct_backproject(term_columns(sino, ur.RegParams.defaults(sino.d_tau)),
+                                         sino, geom)
+        for part, want in (("fs", fs), ("fa", fa), ("total", fs + fa)):
+            got = ur.read_container(f"{prefix}_{part}.urdn").values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        kernel = inv._lambda_correlation_kernel(sino.n_tau, sino.d_tau, 2.0 * sino.d_tau,
+                                                np.pi / sino.d_tau)
+        (alt,), _ = direct_backproject([correlate(sino.values, kernel)], sino, geom)
+        metrics = dict(line.split(",") for line
+                       in (tmp_path / "w_metrics.csv").read_text().splitlines()[1:])
+        assert float(metrics["epsilon_lambda_rel_diff"]) == pytest.approx(
+            ur.l2_norm(alt - fs - fa) / ur.l2_norm(fs + fa), rel=1e-9)
 
     @pytest.mark.parametrize("extra", [[], ["--with-epsilon-lambda"]], ids=["two-term", "both"])
     def test_missing_reference_is_refused_before_inverting(self, tmp_path, sino_file,

@@ -252,7 +252,8 @@ class TestClippedKernel:
         fields = tuple(noise_image(rng, geom) for _ in range(5))
         field = ur.HybridField(tuple(range(5)), fields, ur.Provenance.SERIES)
         tg = ur.TauGrid.covering(geom, 0.3)
-        # full(16) is D4-folded, full(10) only pi-mirrored
+        # full(16) folds by the square's quarter turns and mirrors, full(10) by pi - phi,
+        # both with pi-pairs, and [0, pi)/7 by pi - phi alone
         for angles in (ur.AngularRange.full(16), ur.AngularRange.full(10),
                        ur.AngularRange(0.0, np.pi, 7)):
             sinos = ur.hybrid_radon(field, tg, angles)
@@ -272,12 +273,14 @@ class TestPiMirror:
         tg = ur.TauGrid.covering(geom, 0.2)
         for phi_min in (0.0, 0.4):
             angles = ur.AngularRange(phi_min, phi_min + 2.0 * np.pi, 10)
+            plan = _fold_plan(geom, tg, angles)
+            assert plan.pairs == 5
             img = blob_image(rng, geom)
             sino = ur.radon_transform(img, tg, angles, 0.037).values
             direct = _project(geom, [img.values], tg.taus(), directions(angles), 0.037)[0]
-            half = angles.n_phi // 2
-            assert np.array_equal(sino[:, :half], direct[:, :half])
-            assert np.max(np.abs(sino[:, half:] - direct[:, half:])) <= 1e-14 * np.max(np.abs(direct))
+            projected = np.flatnonzero(plan.view == 0)   # each representative, read through f
+            assert np.array_equal(sino[:, projected], direct[:, projected])
+            assert np.max(np.abs(sino - direct)) <= 1e-14 * np.max(np.abs(direct))
 
     def test_first_half_equals_radon_point_bitwise(self, rng):
         img = blob_image(rng, OFF_CENTRE)
@@ -295,9 +298,12 @@ class TestPiMirror:
         (ur.TauGrid.covering(CENTRED, 0.2), ur.AngularRange(0.3, 0.3 + np.pi, 8)),
     ], ids=["odd n_phi", "asymmetric tau", "half range, odd n_phi", "half range, phi_min != 0"])
     def test_other_grids_take_the_direct_path(self, rng, tau_grid, angles):
-        img = blob_image(rng, CENTRED)
+        # the off-centre grid admits no symmetry: these scans pair and fold nothing
+        plan = _fold_plan(OFF_CENTRE, tau_grid, angles)
+        assert plan.pairs == 0 and len(plan.phis) == angles.n_phi
+        img = blob_image(rng, OFF_CENTRE)
         sino = ur.radon_transform(img, tau_grid, angles)
-        direct = _project(CENTRED, [img.values], tau_grid.taus(), directions(angles), None)[0]
+        direct = _project(OFF_CENTRE, [img.values], tau_grid.taus(), directions(angles), None)[0]
         assert np.array_equal(sino.values, direct)
 
 
@@ -353,7 +359,7 @@ class TestD4Fold:
     def test_folded_transform_matches_direct_projection(self, scan):
         geom, tau_grid, angles, ray_step, seed = scan
         plan = _fold_plan(geom, tau_grid, angles)
-        assert len(plan.views) == 4
+        assert len(plan.phis) == len(plan.rep) // 4 + 1
         img = blob_image(np.random.default_rng(seed), geom)
         sino = ur.radon_transform(img, tau_grid, angles, ray_step).values
         direct = _project(geom, [img.values], tau_grid.taus(), directions(angles), ray_step)[0]
@@ -375,8 +381,8 @@ class TestD4Fold:
     @D4_SETTINGS
     @given(square_scans())
     def test_remapped_channels_equal_projected_copies_bitwise(self, scan):
-        # every column of [0, pi) is its channel's copy projected at its
-        # representative angle; a second half turn is the first reversed
+        # every row is its view of the image projected at its representative
+        # angle; the paired angles are the first rows reversed
         geom, tau_grid, angles, ray_step, seed = scan
         rng = np.random.default_rng(seed)
         images = [noise_image(rng, geom) for _ in range(2)]
@@ -384,27 +390,35 @@ class TestD4Fold:
         taus, dirs = tau_grid.taus(), directions(angles)[:len(plan.phis)]
         folded = _radon_values(geom, [img.values for img in images], tau_grid, angles, ray_step)
         for img, values in zip(images, folded):
-            copies = _project(geom, d4_copies(img), taus, dirs, ray_step)
+            copies = _project(geom, [view(img.values) for view, _ in plan.views], taus, dirs,
+                              ray_step)
             want = copies[plan.view, :, plan.rep].T
-            if plan.mirrored:
-                want = np.concatenate([want, want[::-1]], axis=1)
-            assert np.array_equal(values, want)
+            assert np.array_equal(values, np.concatenate([want, want[::-1, :plan.pairs]], axis=1))
 
-    @pytest.mark.parametrize("geom, angles", [
-        (ur.GridGeometry.centered(24, 20, 4.8, 4.0), ur.AngularRange.full(8)),
-        (ur.GridGeometry.centered(24, 24, 4.8, 4.2), ur.AngularRange.full(8)),
-        (ur.GridGeometry(24, 24, -2.2, -2.2, 0.2, 0.2), ur.AngularRange.full(8)),
-        (ur.GridGeometry.centered(24, 24, 4.8, 4.8), ur.AngularRange(0.3, 0.3 + 2 * np.pi, 8)),
-        (ur.GridGeometry.centered(24, 24, 4.8, 4.8), ur.AngularRange.full(10)),
+    @pytest.mark.parametrize("geom, angles, n_fields", [
+        (ur.GridGeometry.centered(24, 20, 4.8, 4.0), ur.AngularRange.full(8), 3),
+        (ur.GridGeometry.centered(24, 24, 4.8, 4.2), ur.AngularRange.full(8), 3),
+        (ur.GridGeometry(24, 24, -2.2, -2.2, 0.2, 0.2), ur.AngularRange.full(8), 4),
+        (ur.GridGeometry.centered(24, 24, 4.8, 4.8), ur.AngularRange(0.3, 0.3 + 2 * np.pi, 8), 2),
+        (ur.GridGeometry.centered(24, 24, 4.8, 4.8), ur.AngularRange.full(10), 3),
     ], ids=["nx != ny", "dx != dy", "off-centre", "phi_min != 0", "n_phi % 4 != 0"])
-    def test_other_grids_take_the_pi_mirrored_path(self, rng, geom, angles):
+    def test_other_grids_fold_by_the_symmetries_they_admit(self, rng, geom, angles, n_fields):
+        # a centred rectangle has the two mirrors, a shifted window the quarter turns,
+        # an off-centre grid none: its rows are direct and its pairs their reversal, bit for bit
         tau_grid = ur.TauGrid.covering(geom, 0.2)
-        assert len(_fold_plan(geom, tau_grid, angles).views) == 1
+        plan = _fold_plan(geom, tau_grid, angles)
+        assert plan.pairs == angles.n_phi // 2 and len(plan.phis) == n_fields
         img = blob_image(rng, geom)
         sino = ur.radon_transform(img, tau_grid, angles).values
-        half = angles.n_phi // 2
-        direct = _project(geom, [img.values], tau_grid.taus(), directions(angles)[:half], None)[0]
-        assert np.array_equal(sino, np.concatenate([direct, direct[::-1]], axis=1))
+        dirs = directions(angles)
+        direct = _project(geom, [img.values], tau_grid.taus(), dirs, None)[0]
+        assert np.array_equal(sino[:, plan.pairs:], sino[::-1, :plan.pairs])
+        projected = np.flatnonzero(plan.view == 0)
+        assert np.array_equal(sino[:, projected], direct[:, projected])
+        assert np.max(np.abs(sino - direct)) <= 1e-14 * abs_peak(geom, img, tau_grid.taus(), dirs,
+                                                                 None)
+        if len(plan.views) == 1:
+            assert np.array_equal(sino[:, :plan.pairs], direct[:, :plan.pairs])
 
 
 # --- images far from zero on their outermost nodes ---
@@ -527,7 +541,7 @@ def block_rows(geom, ray_step):
 
 SCAN_KINDS = {
     "d4": (ur.GridGeometry.centered(20, 20, 3.0, 3.0), ur.AngularRange.full(16)),
-    "pi-mirrored": (ur.GridGeometry.centered(20, 20, 3.0, 3.0), ur.AngularRange.full(10)),
+    "pi-paired": (ur.GridGeometry.centered(20, 20, 3.0, 3.0), ur.AngularRange.full(10)),
     "general": (ur.GridGeometry.centered(20, 20, 3.0, 3.0), ur.AngularRange(0.3, 5.9, 7)),
     "off-centre": (ur.GridGeometry(23, 17, -1.3, -0.4, 0.11, 0.13), ur.AngularRange.full(8)),
 }
@@ -577,16 +591,14 @@ class TestRowBlocksAndThreads:
         img = blob_image(np.random.default_rng(seed), geom)
         plan = _fold_plan(geom, tau_grid, angles)
         assert (len(plan.views) == 4) == (kind == "d4")
-        assert plan.mirrored == (kind != "general")
+        assert (plan.pairs > 0) == (kind != "general")
         sinos = [with_cpus(n, ur.radon_transform, img, tau_grid, angles, ray_step).values
                  for n in (1, 2, 3)]
         assert np.array_equal(sinos[0], sinos[1]) and np.array_equal(sinos[0], sinos[2])
         # the projected columns are those of the unblocked loop
-        n_projected = {"d4": angles.n_phi // 8 + 1, "general": angles.n_phi}.get(
-            kind, angles.n_phi // 2)
-        want = unblocked_projection([img], tau_grid.taus(), directions(angles)[:n_projected],
-                                    ray_step)[0]
-        assert np.array_equal(sinos[1][:, :n_projected], want)
+        want = unblocked_projection([img], tau_grid.taus(),
+                                    [ur.direction(phi) for phi in plan.phis], ray_step)[0]
+        assert np.array_equal(sinos[1][:, np.flatnonzero(plan.view == 0)], want)
 
     def test_radon_point_equals_transform_entries_across_block_edges(self, rng):
         geom, angles = SCAN_KINDS["d4"]

@@ -44,8 +44,9 @@ def blob_scenes(draw):
 def scans(draw):
     """A centred square grid of spacing 0.05 or 0.1, its covering tau grid and an angle range.
 
-    Full scans with n_phi % 4 == 0 take the D4-folded path, other even
-    ones the pi-mirrored path, odd ones and partial windows the general one.
+    Full scans pair their angles pi apart when n_phi is even and fold the
+    rest by the square's mirrors (and its quarter turns when n_phi % 4 == 0);
+    partial windows mostly take the general path.
     """
     spacing = draw(st.sampled_from([0.05, 0.1]))
     n = int(round(EXTENT / spacing))

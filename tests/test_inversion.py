@@ -304,7 +304,9 @@ class TestPiFold:
         calls = []
         monkeypatch.setattr(inv, "direction", lambda phi: calls.append(phi) or direction(phi))
         got, oob = backproject(columns, sino, geom)
-        assert len(calls) == 8
+        # the centred grid's mirrors fold the 8 rows further, onto 5 fields
+        n_fields = 5 if geom == self.GEOMETRIES[0] else 8
+        assert len(calls) == len(_fold_plan(geom, tg, sino.angles).phis) == n_fields
         want, want_oob = direct_backproject(columns, sino, geom)
         assert 0 < np.count_nonzero(oob) < oob.size
         assert np.array_equal(oob, want_oob)
@@ -318,6 +320,10 @@ class TestPiFold:
         (ur.TauGrid(-2.0, 0.13, 31), ur.AngularRange.full(16)),
     ], ids=["odd_n_phi", "partial_range", "asymmetric_tau"])
     def test_unpaired_angles_take_the_direct_loop(self, rng, geom, tau_grid, angles):
+        # bit for bit on the off-centre grid, which admits no symmetry; the centred
+        # one folds by its mirrors, to rounding
+        plan = _fold_plan(geom, tau_grid, angles)
+        assert plan.pairs == 0 and (len(plan.views) == 1) == (geom == self.GEOMETRIES[1])
         sino = ur.Sinogram(tau_grid.tau_min, tau_grid.d_tau, tau_grid.n_tau, angles,
                            np.zeros((tau_grid.n_tau, angles.n_phi)))
         columns = self.random_columns(rng, sino, 2)
@@ -325,7 +331,10 @@ class TestPiFold:
         want, want_oob = direct_backproject(columns, sino, geom)
         assert np.array_equal(oob, want_oob)
         for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+            if len(plan.views) == 1:
+                assert np.array_equal(g, w)
+            else:
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_backprojected_column_matches_np_interp_on_the_zero_padded_axis(rng):
@@ -573,7 +582,8 @@ class TestEpsilonLambdaPath:
 
 
 
-# mirrored without D4 (a non-square grid), mirrored with D4, and an unmirrored window
+# pi-paired on a rectangle (its two mirrors), pi-paired on a square (its eight symmetries),
+# and a window that pairs and folds nothing
 ONE_PASS_SCANS = {
     "mirrored": (ur.GridGeometry.centered(16, 12, 4.0, 3.0), ur.AngularRange.full(24)),
     "d4": (ur.GridGeometry.centered(16, 16, 4.0, 4.0), ur.AngularRange.full(24)),
@@ -615,28 +625,30 @@ class TestOnePass:
         kernel = inv._lambda_correlation_kernel(sino.n_tau, sino.d_tau, 2.0 * sino.d_tau,
                                                 np.pi / sino.d_tau)
         inv._correlate_rows(rows, kernel, inv._SPECTRUM_BLOCK)
-        if _fold_plan(geom, sino.tau_grid, sino.angles).mirrored:
-            inner, half = rows[:, 1:-1], sino.angles.n_phi // 2
-            inner[:half] += inner[half:, ::-1]
-        (want,), oob = inv._backproject([rows], sino, geom)
+        plan = _fold_plan(geom, sino.tau_grid, sino.angles)
+        n_rows = len(plan.rep)
+        rows[:plan.pairs, 1:-1] += rows[n_rows:, -2:0:-1]
+        (want,), oob = inv._backproject([rows[:n_rows]], sino, geom, plan)
         got = ur.epsilon_lambda_reconstruct(sino, geom)
         assert same_bits(got.values, want)
         assert np.array_equal(got.meta["coverage_flags"], np.argwhere(oob))
 
-    @pytest.mark.parametrize("pairs", [1, 2, 5, 12])
-    def test_paired_rows_fold_as_filter_then_fold(self, rng, pairs):
-        # blocks of 1, 2 and 5 of the 12 row pairs (a short last block) and one block of all
-        n, n_rows = 29, 24
-        halves = rng.normal(size=(n_rows, n)) + 1j * rng.normal(size=(n_rows, n))
+    @pytest.mark.parametrize("block", [1, 2, 5, 12])
+    @pytest.mark.parametrize("pairs", [12, 4], ids=["full", "3pi/2"])
+    def test_paired_rows_fold_as_filter_then_fold(self, rng, block, pairs):
+        # blocks of 1, 2 and 5 rows (a short last block) and one block of all, of a full
+        # scan of 24 angles (12 pairs) and of [0, 3 pi/2) on its step (12 rows, 4 paired)
+        n, n_phi = 29, 12 + pairs
+        source = rng.normal(size=(n_phi, n)) + 1j * rng.normal(size=(n_phi, n))
         kernel = rng.normal(size=2 * n - 1) + 1j * rng.normal(size=2 * n - 1)   # not even
-        want = inv._padded_rows(halves.T)
+        want = inv._padded_rows(source.T)
         inv._correlate_rows(want, kernel, inv._SPECTRUM_BLOCK)
-        want[:n_rows // 2, 1:-1] += want[n_rows // 2:, -2:0:-1]
+        want[:pairs, 1:-1] += want[12:, -2:0:-1]
         p = 1 << (n + n - 2).bit_length()
-        got = np.full((n_rows // 2, n + 2), np.nan + 0j)
+        got = np.full((12, n + 2), np.nan + 0j)
         got[:, [0, -1]] = 0.0
-        inv._correlate_rows(got, kernel, 2 * pairs * p, halves)
-        assert same_bits(got, want[:n_rows // 2])
+        inv._correlate_rows(got, kernel, 2 * block * p, source, pairs)
+        assert same_bits(got, want[:12])
 
     @pytest.mark.parametrize("scan", list(ONE_PASS_SCANS))
     def test_every_inverse_keeps_its_bits_at_one_and_two_cpus(self, rng, monkeypatch, scan):
@@ -673,10 +685,11 @@ class TestOnePass:
             got = ur.invert_universal(sino, geom, params)
             assert len(calls) == n_calls
             # the full path: fold, differentiate, backproject
-            rows = inv._padded_rows(sino.values, -1.0)
+            plan = _fold_plan(geom, tg, angles)
+            rows = inv._padded_rows(sino.values, plan.pairs, -1.0)
             differentiate_rows(rows, sino.d_tau, params.fa_step, inv._SPECTRUM_BLOCK)
             rows[:, 1:-1] *= -1j * np.pi
-            (fa,), _ = inv._backproject([rows], sino, geom)
+            (fa,), _ = inv._backproject([rows], sino, geom, plan)
             assert same_bits(got.f_a.values, fa)
             assert same_bits(got.f_total.values, got.f_s.values + fa)
             assert np.any(fa) == bool(n_calls)
@@ -685,7 +698,7 @@ class TestOnePass:
 # CPU and on two, where the f_s and f_a buffers are alive at once while their filters run:
 # - a 401 tau x 360 angle full scan into a 64^2 image: epsilon-lambda 1.65 / 1.59 (its buffer
 #   holds the folded N/2 rows), invert_universal 1.48 / 1.68 with either backend;
-# - the unmirrored [0, pi) step of the reconstruct benchmark, 1685 tau x 180 angles into 128^2,
+# - the unpaired [0, pi) step of the reconstruct benchmark, 1685 tau x 180 angles into 128^2,
 #   where the backprojection's frames set the peak: epsilon-lambda 1.64, invert_universal 2.85.
 # The bounds were set about 10% above the values measured with a 4 MiB spectrum block, one
 # CPU and a full-height epsilon-lambda buffer (2.95, 1.85, 1.92 and 2.85).

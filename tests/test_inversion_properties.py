@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import uradon as ur
 import uradon.inversion as inv
 from uradon.forward import direction
-from uradon.grids import _linear_index, _pi_mirrored
+from uradon.grids import _fold_plan, _linear_index
 from conftest import backproject, correlate
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -21,11 +21,11 @@ CASES = ("full_even", "full_odd", "partial", "asymmetric_tau")
 
 
 def column_major_backproject(columns_seq, sino, geometry):
-    phis = sino.angles.phis()
-    if _pi_mirrored(sino.tau_grid, sino.angles):
-        half = sino.angles.n_phi // 2
-        phis = phis[:half]
-        columns_seq = [columns[:, :half] + columns[::-1, half:] for columns in columns_seq]
+    pairs = _fold_plan(geometry, sino.tau_grid, sino.angles).pairs
+    n_rows = sino.angles.n_phi - pairs
+    phis = sino.angles.phis()[:n_rows]
+    columns_seq = [np.concatenate([columns[:, :pairs] + columns[::-1, n_rows:],
+                                   columns[:, pairs:n_rows]], axis=1) for columns in columns_seq]
     X, Y = geometry.node_mesh()
     accs = [np.zeros((geometry.nx, geometry.ny), dtype=np.complex128) for _ in columns_seq]
     out_of_range = np.zeros((geometry.nx, geometry.ny), dtype=bool)
@@ -84,7 +84,8 @@ def backprojection_inputs(draw):
     # the filters hand over tau-contiguous (transposed) columns
     if draw(st.booleans()):
         columns = [np.asfortranarray(c) for c in columns]
-    assert _pi_mirrored(tau_grid, angles) == (case == "full_even")
+    plan = _fold_plan(geometry, tau_grid, angles)
+    assert (plan.pairs > 0) == (case == "full_even") and len(plan.views) == 1
     return sino, geometry, columns
 
 
