@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import uradon as ur
+import uradon.slice_theorem as st
 
 TWO_PI = 2 * np.pi
 
@@ -65,6 +66,53 @@ class TestRhs:
             ur.fst_rhs(sino, 5.0, [1.0])
 
 
+def trapezoid(n, d):
+    w = np.full(n, float(d))
+    w[0] /= 2
+    w[-1] /= 2
+    return w
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestDirectSum:
+    """Both sides against the unseparated, unfactored sum: np.exp of the whole phase at
+    every node, times the trapezoid weights.  The odd sizes (33, 27, 2, 3, 41) leave a
+    partial last block in the phase tables, and the off-centre starts test their offsets."""
+
+    @pytest.mark.parametrize("geom", [
+        ur.GridGeometry(33, 27, -1.3, -0.4, 0.11, 0.13),
+        ur.GridGeometry(2, 3, 0.7, -0.2, 0.3, 0.25),
+        ur.GridGeometry(3, 2, -0.4, 1.1, 0.2, 0.35),
+    ], ids=["33x27", "2x3", "3x2"])
+    @pytest.mark.parametrize("phi", [0.0, 0.37, 2.0, 4.9])
+    def test_lhs(self, rng, geom, phi):
+        img = ur.ImageGrid2D.from_geometry(geom, random_complex(rng, (geom.nx, geom.ny)))
+        lams = np.linspace(0.0, np.pi / min(geom.dx, geom.dy), 9)
+        x, y = geom.node_mesh()
+        weighted = img.values * np.outer(trapezoid(geom.nx, geom.dx), trapezoid(geom.ny, geom.dy))
+        want = np.array([np.sum(np.exp(-1j * lam * (np.cos(phi) * x + np.sin(phi) * y))
+                                * weighted) for lam in lams])
+        got = ur.fst_lhs(img, phi, lams).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("tau_min, d_tau, n_tau", [
+        (-0.7, 0.09, 41), (0.3, 0.2, 2), (-2.1, 0.45, 3),
+    ], ids=["41", "2", "3"])
+    def test_rhs(self, rng, tau_min, d_tau, n_tau):
+        angles = ur.AngularRange.full(5)
+        sino = ur.Sinogram(tau_min, d_tau, n_tau, angles, random_complex(rng, (n_tau, 5)))
+        lams = np.linspace(0.0, np.pi / d_tau, 9)
+        taus = tau_min + d_tau * np.arange(n_tau)
+        for col, phi in enumerate(angles.phis()):
+            weighted = sino.values[:, col] * trapezoid(n_tau, d_tau)
+            want = np.array([np.sum(np.exp(-1j * lam * taus) * weighted) for lam in lams])
+            got = ur.fst_rhs(sino, phi, lams).values
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestCheck:
     def test_gaussian_phantom_passes(self, unit_blob_scene):
         img = raster(unit_blob_scene, nx=128, extent=8.0)
@@ -74,6 +122,20 @@ class TestCheck:
         assert len(reports) == 16
         assert ur.fst_passed(reports, 1e-3)
         assert all(np.all(np.isfinite(r.residuals)) for r in reports)
+
+    def test_one_call_of_each_side_per_stored_angle(self, monkeypatch):
+        # the benchmark's tracer times and counts the sides at these module names
+        calls = {"fst_lhs": 0, "fst_rhs": 0}
+        for name in calls:
+            def counted(*args, _side=getattr(st, name), _name=name):
+                calls[_name] += 1
+                return _side(*args)
+            monkeypatch.setattr(st, name, counted)
+        geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
+        img = ur.ImageGrid2D.from_geometry(geom, np.ones((16, 16)))
+        sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(7), np.ones((13, 7)))
+        assert len(ur.fst_check(img, sino, lambdas=[0.0, 1.0])) == 7
+        assert calls == {"fst_lhs": 7, "fst_rhs": 7}
 
     def test_zero_image_zero_residuals(self):
         geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
