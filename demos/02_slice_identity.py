@@ -31,6 +31,6 @@ print(f"\nworst relative residual over {len(reports)} angles: {worst:.3e}")
 print("pass at 1e-3:", ur.fst_passed(reports, 1e-3))
 
 print("\nat zero frequency, both sides equal the image mass:")
-print("  lhs(0)  =", ur.fst_lhs(img, 0.0, [0.0]).values[0])
-print("  rhs(0)  =", ur.fst_rhs(sino, 0.0, [0.0]).values[0])
+print("  lhs(0)  =", ur.fst_lhs(img, 0.0, [0.0])[0])
+print("  rhs(0)  =", ur.fst_rhs(sino, 0.0, [0.0])[0])
 print("  integral=", img.total_integral())

@@ -9,7 +9,7 @@ from .phantoms import (CompositeScene, GaussianBlob, RegionMask, SceneFormatErro
                        SeparableScene3D, UnsupportedOracleError, analytic_fourier,
                        analytic_radon, load_scene, rasterize, scene_from_text)
 from .forward import default_ray_step, direction, radon_point, radon_transform
-from .slice_theorem import FstReport, SpectralSlice, fst_check, fst_lhs, fst_passed, fst_rhs
+from .slice_theorem import FstReport, fst_check, fst_lhs, fst_passed, fst_rhs
 from .inversion import (Backend, Reconstruction, RegParams, delta_plus,
                         epsilon_lambda_reconstruct, invert_universal, l2_norm,
                         lambda_kernel, reconstruction_metrics)
@@ -27,8 +27,8 @@ __all__ = [
     "ContainerError", "FstReport", "GaussianBlob", "GridGeometry", "HolonomyReport",
     "HybridField", "ImageGrid2D", "MagicMismatchError", "MalformedHeaderError",
     "PathEvaluation", "Probe", "Provenance", "Reconstruction", "RegParams",
-    "RegionMask", "SceneFormatError", "SeparableScene3D", "Sinogram", "SpectralSlice",
-    "StepRecord", "TauGrid", "TruncatedPayloadError", "UnsupportedOracleError",
+    "RegionMask", "SceneFormatError", "SeparableScene3D", "Sinogram", "StepRecord",
+    "TauGrid", "TruncatedPayloadError", "UnsupportedOracleError",
     "UnsupportedSceneError", "VolumeReconstruction", "VolumeStack", "analytic_fourier",
     "analytic_radon", "bilinear_sample", "boundary_jump", "check_holonomy",
     "classify_defect_scene", "default_ray_step", "delta_plus", "direction",

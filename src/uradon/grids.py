@@ -230,13 +230,10 @@ class ImageGrid2D:
     ``values[i, j]`` is the sample at node (i, j) of ``geometry``; between
     and beyond the nodes the field is bilinear_sample's, which falls to zero
     one node step outside the extent.
-    ``meta`` carries run diagnostics (e.g. coverage flags) and is excluded
-    from equality and from the on-disk format.
     """
 
     geometry: GridGeometry
     values: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         g = self.geometry

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grids import AngularRange, GridGeometry, Sinogram, TauGrid
 from .forward import _project, direction
 from .inversion import l2_norm
-from .phantoms import CompositeScene, GaussianBlob, RegionMask, rasterize
+from .phantoms import CompositeScene, RegionMask, rasterize
 
 HALF_TURN = float(np.pi)
 
@@ -115,6 +115,7 @@ def _walk(counts: tuple, columns: tuple, leak_tol: float) -> PathEvaluation:
         norms = tuple((i, float(np.max(np.abs(shifted[i])))) for i in survivors)
         survivors = [i for i, norm in norms if norm > leak_tol]
         total = sum((shifted[i] for i in survivors), np.zeros(shifted.shape[1:], np.complex128))
+        total.setflags(write=False)   # the final step's column is also the path's
         records.append(StepRecord(cumulative_shift=count * HALF_TURN, term_norms=norms,
                                   survivors=tuple(survivors), column=total))
     final = records[-1]
@@ -140,10 +141,6 @@ def check_holonomy(scene: CompositeScene, probe: Probe,
                           two_half_turns=two)
 
 
-def _blob_key(blob: GaussianBlob) -> tuple:
-    return (blob.cx, blob.cy, blob.sigma, blob.amplitude)
-
-
 def classify_defect_scene(scene: CompositeScene) -> tuple[tuple, tuple]:
     """Split a defect scene into (defect terms, background terms).
 
@@ -155,42 +152,33 @@ def classify_defect_scene(scene: CompositeScene) -> tuple[tuple, tuple]:
     """
     q1 = Counter()
     q3 = Counter()
-    blob_by_key = {}
     for blob, mask in scene.terms:
-        key = _blob_key(blob)
-        blob_by_key[key] = blob
         if mask is RegionMask.QUADRANT_I:
-            q1[key] += 1
+            q1[blob] += 1
         elif mask is RegionMask.QUADRANT_III:
-            q3[key] += 1
+            q3[blob] += 1
         else:
             raise UnsupportedSceneError("defect scenes may not contain unmasked terms")
     defect = q1 - q3
     leftover = q3 - q1
     if leftover:
-        centers = ", ".join(f"({cx}, {cy})" for cx, cy, _, _ in leftover)
+        centers = ", ".join(f"({blob.cx}, {blob.cy})" for blob in leftover)
         raise UnsupportedSceneError(
             "third-quadrant terms must all belong to the background: "
             f"unmatched blob(s) at {centers}")
     background = q3
-    for key, count in background.items():
-        cx, cy, sigma, amp = key
-        mirror = (-cx, -cy, sigma, amp)
-        if background.get(mirror, 0) != count:
+    for blob, count in background.items():
+        if background[replace(blob, cx=-blob.cx, cy=-blob.cy)] != count:
             raise UnsupportedSceneError(
-                f"background is not centrally symmetric: blob at ({cx}, {cy}) "
-                f"has no mirror partner at ({-cx}, {-cy})")
-    def order(item):  # complex amplitudes are not orderable directly
-        (cx, cy, sigma, amp), _ = item
-        return (cx, cy, sigma, amp.real, amp.imag)
+                f"background is not centrally symmetric: blob at ({blob.cx}, {blob.cy}) "
+                f"has no mirror partner at ({-blob.cx}, {-blob.cy})")
 
-    defect_terms = tuple((blob_by_key[key], RegionMask.QUADRANT_I)
-                         for key, count in sorted(defect.items(), key=order)
-                         for _ in range(count))
-    background_terms = tuple((blob_by_key[key], RegionMask.QUADRANT_III)
-                             for key, count in sorted(background.items(), key=order)
-                             for _ in range(count))
-    return defect_terms, background_terms
+    def order(blob):  # complex amplitudes are not orderable directly
+        return (blob.cx, blob.cy, blob.sigma, blob.amplitude.real, blob.amplitude.imag)
+
+    return (tuple((blob, RegionMask.QUADRANT_I) for blob in sorted(defect.elements(), key=order)),
+            tuple((blob, RegionMask.QUADRANT_III)
+                  for blob in sorted(background.elements(), key=order)))
 
 
 def extract_defect(scene_tilde: CompositeScene, probe: Probe, geometry: GridGeometry) -> Sinogram:

@@ -57,8 +57,8 @@ p[n_tau] * 0 + p[n_tau + 1] * 1 on its padded row p, which is +0 + 0j
 whatever the row holds.  A frame starts at +0 and so is never -0, and
 adding +0 to it changes no bit.  f is monotone in x and in y, so its four
 corner values tell whether a field has such pixels; only then is the band
--1 < f < n_tau gathered and added at its flat indices.  Coverage flags are
-still computed on every pixel.  No layout changes the arithmetic: where
+-1 < f < n_tau gathered and added at its flat indices.  The coverage mask
+is still computed on every pixel.  No layout changes the arithmetic: where
 the plan folds nothing, every output is bit-identical to the column-major
 form.
 """
@@ -66,7 +66,7 @@ form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,17 +108,29 @@ class RegParams:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Two-term reconstruction; f_total = f_s + f_a pointwise."""
+    """Two-term reconstruction; f_total = f_s + f_a pointwise.
+
+    out_of_coverage is a read-only (nx, ny) boolean copy of the mask it is
+    given: True where the offset <n_phi, x> fell outside [tau_min, tau_max]
+    for at least one angle.  It is a diagnostic, excluded from equality.
+    """
 
     f_s: ImageGrid2D
     f_a: ImageGrid2D
     f_total: ImageGrid2D
+    out_of_coverage: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        if not (self.f_s.geometry == self.f_a.geometry == self.f_total.geometry):
+        g = self.f_total.geometry
+        if not (self.f_s.geometry == self.f_a.geometry == g):
             raise ValueError("reconstruction parts must share one geometry")
         if not np.array_equal(self.f_total.values, self.f_s.values + self.f_a.values):
             raise ValueError("f_total must equal f_s + f_a exactly")
+        mask = np.array(self.out_of_coverage, dtype=bool)
+        if mask.shape != (g.nx, g.ny):
+            raise ValueError(f"out_of_coverage: expected shape {(g.nx, g.ny)}, got {mask.shape}")
+        mask.setflags(write=False)
+        object.__setattr__(self, "out_of_coverage", mask)
 
 
 def delta_plus(eta, epsilon: float):
@@ -370,11 +382,6 @@ def _backproject(rows_seq, sino, geometry, plan) -> tuple[list[np.ndarray], np.n
     return accs, out_of_range[0]
 
 
-def _flag_meta(out_of_range: np.ndarray) -> dict:
-    flags = np.argwhere(out_of_range)
-    return {"coverage_flags": flags, "coverage_flag_count": int(flags.shape[0])}
-
-
 # Each term fills one buffer of padded rows, its first pairs rows folded (grids._fold_plan),
 # and filters it in place; None stands for a buffer whose image is all +0.
 def _fs_rows(sino: Sinogram, pairs: int, params: RegParams, budget: int) -> np.ndarray:
@@ -458,12 +465,12 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
     skipped = [rows is None for rows in buffers]
     values, oob = _backproject([b for b in buffers if b is not None], first, geometry, plan)
     del buffers   # freed before the images are made
-    meta, values = _flag_meta(oob), iter(values)
+    values = iter(values)
     images = [ImageGrid2D(geometry, np.zeros((geometry.nx, geometry.ny), dtype=np.complex128)
-                          if skip else next(values), dict(meta)) for skip in skipped]
+                          if skip else next(values)) for skip in skipped]
     n = len(terms)
     recons = [] if params is None else [
-        Reconstruction(fs, fa, ImageGrid2D(geometry, fs.values + fa.values, dict(meta)))
+        Reconstruction(fs, fa, ImageGrid2D(geometry, fs.values + fa.values), oob)
         for fs, fa in zip(images[n - 2::n], images[n - 1::n])]
     return recons, images[::n] if oracle is not None else []
 
@@ -512,7 +519,7 @@ def reconstruction_metrics(recon: Reconstruction,
         "fs_norm": fs_norm,
         "fa_norm": fa_norm,
         "fa_fs_ratio": _fa_fs_ratio(fa_norm, fs_norm),
-        "flagged_pixels": recon.f_total.meta.get("coverage_flag_count", 0),
+        "flagged_pixels": np.count_nonzero(recon.out_of_coverage),
     }
     if reference is not None:
         if reference.geometry != recon.f_total.geometry:

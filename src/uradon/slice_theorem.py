@@ -22,9 +22,9 @@ from .forward import direction
 
 
 def _check_lambdas(lambdas) -> np.ndarray:
-    """The radial frequencies as floats: 1D, nonempty, finite, nonnegative and strictly
-    increasing, the one rule for every lambda set (FST sides, reports, SpectralSlice)."""
-    lams = np.asarray(lambdas, dtype=np.float64)
+    """The radial frequencies as a read-only float64 copy: 1D, nonempty, finite, nonnegative
+    and strictly increasing, the one rule for every lambda set (FST sides and reports)."""
+    lams = np.array(lambdas, dtype=np.float64)
     if lams.ndim != 1 or lams.size == 0:
         raise ValueError("need a 1D, nonempty array of radial frequencies")
     if not np.all(np.isfinite(lams)):
@@ -33,26 +33,8 @@ def _check_lambdas(lambdas) -> np.ndarray:
         raise ValueError("radial frequencies must be nonnegative")
     if np.any(np.diff(lams) <= 0.0):
         raise ValueError("radial frequencies must be strictly increasing")
+    lams.setflags(write=False)
     return lams
-
-
-@dataclass(frozen=True)
-class SpectralSlice:
-    """1D spectral data F(lam, phi) along a fixed direction."""
-
-    phi: float
-    lambda_values: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        lams = np.array(_check_lambdas(self.lambda_values), copy=True)
-        vals = np.array(self.values, dtype=np.complex128, copy=True)
-        if vals.shape != lams.shape:
-            raise ValueError("lambda_values and values must be matching 1D arrays")
-        lams.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "lambda_values", lams)
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -89,8 +71,8 @@ def _phases(k: np.ndarray, start: float, step: float, n: int) -> np.ndarray:
     return (heads[:, :, None] * offsets[:, None, :]).reshape(len(k), -1)[:, :n]
 
 
-def fst_lhs(img: ImageGrid2D, phi: float, lambdas) -> SpectralSlice:
-    """2D trapezoid quadrature of exp(-i lam <n_phi, x>) f(x) over the grid.
+def fst_lhs(img: ImageGrid2D, phi: float, lambdas) -> np.ndarray:
+    """2D trapezoid quadrature of exp(-i lam <n_phi, x>) f(x) over the grid, per lambda.
 
     The phase separates, exp(-i lam c x) exp(-i lam s y); each factor carries its axis's
     trapezoid weights, so the sum is one matrix product with f and a row-wise dot.
@@ -100,12 +82,11 @@ def fst_lhs(img: ImageGrid2D, phi: float, lambdas) -> SpectralSlice:
     geom = img.geometry
     px = _phases(lams * c, geom.x_min, geom.dx, geom.nx) * _trapezoid_weights(geom.nx, geom.dx)
     py = _phases(lams * s, geom.y_min, geom.dy, geom.ny) * _trapezoid_weights(geom.ny, geom.dy)
-    values = ((px @ img.values) * py).sum(axis=1)
-    return SpectralSlice(phi, lams, values)
+    return ((px @ img.values) * py).sum(axis=1)
 
 
-def fst_rhs(sino: Sinogram, phi: float, lambdas) -> SpectralSlice:
-    """1D trapezoid transform of the projection column nearest to phi.
+def fst_rhs(sino: Sinogram, phi: float, lambdas) -> np.ndarray:
+    """1D trapezoid transform of the projection column nearest to phi, per lambda.
 
     The weights sit on the phase table, which is then one matrix-vector product.
     """
@@ -113,7 +94,7 @@ def fst_rhs(sino: Sinogram, phi: float, lambdas) -> SpectralSlice:
     column = sino.values[:, sino.angles.index_of(phi)]
     phase = (_phases(lams, sino.tau_min, sino.d_tau, sino.n_tau)
              * _trapezoid_weights(sino.n_tau, sino.d_tau))
-    return SpectralSlice(phi, lams, phase @ column)
+    return phase @ column
 
 
 def fst_check(img: ImageGrid2D, sino: Sinogram, lambdas=None) -> list[FstReport]:
@@ -127,8 +108,8 @@ def fst_check(img: ImageGrid2D, sino: Sinogram, lambdas=None) -> list[FstReport]
     lams = _check_lambdas(lambdas)
     reports = []
     for phi in sino.angles.phis():
-        lhs = fst_lhs(img, phi, lams).values
-        rhs = fst_rhs(sino, phi, lams).values
+        lhs = fst_lhs(img, phi, lams)
+        rhs = fst_rhs(sino, phi, lams)
         reports.append(FstReport(float(phi), lams, np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs)))
     return reports
 

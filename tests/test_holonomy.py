@@ -73,6 +73,17 @@ class TestRadonMasked:
 
 
 class TestPathWalks:
+    def test_step_columns_refuse_writes(self, probe):
+        # the final column is one array under two names, so neither name may write it
+        geom = ur.GridGeometry.centered(32, 32, 8.0, 8.0)
+        report = ur.check_holonomy(masked_pair_scene(), probe, geom)
+        for ev in (report.full_turn, report.two_half_turns):
+            assert ev.final_sinogram_column is ev.records[-1].column
+            for column in [ev.final_sinogram_column] + [r.column for r in ev.records]:
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0, 0] = 1.0
+
     def test_full_turn_reproduces_defect_column(self, geom, probe):
         scene = masked_pair_scene()
         ev = ur.check_holonomy(scene, probe, geom).full_turn

@@ -396,10 +396,10 @@ class TestInvertFs:
         # tau window too narrow for the grid corners
         tg = ur.TauGrid.symmetric(0.1, 41)
         sino = analytic_sinogram(unit_blob_scene, tg, ur.AngularRange.full(16))
-        out = ur.invert_universal(sino, geom, ur.RegParams.defaults(0.1)).f_s
-        assert out.meta["coverage_flag_count"] > 0
-        flags = out.meta["coverage_flags"]
-        assert flags.shape[1] == 2
+        recon = ur.invert_universal(sino, geom, ur.RegParams.defaults(0.1))
+        _, oob = backproject([sino.values], sino, geom)
+        assert np.count_nonzero(oob) > 0
+        assert np.array_equal(recon.out_of_coverage, oob)
 
 
 class TestInvertFa:
@@ -522,12 +522,12 @@ class TestInvertUniversal:
     @pytest.mark.parametrize("backend", list(ur.Backend))
     @pytest.mark.parametrize("angles", [ur.AngularRange.full(30), ur.AngularRange(0.0, np.pi, 15)],
                              ids=["full", "half"])
-    def test_parts_share_one_coverage_flags_array(self, unit_blob_scene, backend, angles):
+    def test_out_of_coverage_is_the_backprojection_mask(self, unit_blob_scene, backend, angles):
         geom = ur.GridGeometry.centered(32, 32, 8.0, 8.0)
         sino = make_sino(unit_blob_scene, geom, 0.2, angles)
         r = ur.invert_universal(sino, geom, ur.RegParams(0.3, backend))
-        for part in (r.f_a, r.f_total):
-            assert np.array_equal(part.meta["coverage_flags"], r.f_s.meta["coverage_flags"])
+        _, oob = backproject([sino.values], sino, geom)
+        assert np.array_equal(r.out_of_coverage, oob)
 
     def test_determinism(self, unit_blob_scene):
         geom = ur.GridGeometry.centered(32, 32, 8.0, 8.0)
@@ -598,11 +598,6 @@ def one_pass_sino(rng, scan):
     return geom, ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, angles, values)
 
 
-def assert_same_image(got, want):
-    assert same_bits(got.values, want.values)
-    assert np.array_equal(got.meta["coverage_flags"], want.meta["coverage_flags"])
-
-
 class TestOnePass:
     """_invert_all runs the two-term inverse and the epsilon-lambda oracle as one pass."""
 
@@ -614,8 +609,11 @@ class TestOnePass:
         (recon,), (alt,) = inv._invert_all([sino], geom, params, (0.5, None))
         alone = ur.invert_universal(sino, geom, params)
         for part in ("f_s", "f_a", "f_total"):
-            assert_same_image(getattr(recon, part), getattr(alone, part))
-        assert_same_image(alt, ur.epsilon_lambda_reconstruct(sino, geom, 0.5))
+            assert same_bits(getattr(recon, part).values, getattr(alone, part).values)
+        assert same_bits(alt.values, ur.epsilon_lambda_reconstruct(sino, geom, 0.5).values)
+        _, oob = backproject([sino.values], sino, geom)
+        assert np.array_equal(recon.out_of_coverage, oob)
+        assert np.array_equal(alone.out_of_coverage, oob)
 
     @pytest.mark.parametrize("scan", list(ONE_PASS_SCANS))
     def test_epsilon_lambda_is_filter_then_fold_then_backproject(self, rng, scan):
@@ -631,7 +629,9 @@ class TestOnePass:
         (want,), oob = inv._backproject([rows[:n_rows]], sino, geom, plan)
         got = ur.epsilon_lambda_reconstruct(sino, geom)
         assert same_bits(got.values, want)
-        assert np.array_equal(got.meta["coverage_flags"], np.argwhere(oob))
+        # the oracle's image carries no mask: it is the two-term inverse's
+        recon = ur.invert_universal(sino, geom, ur.RegParams.defaults(sino.d_tau))
+        assert np.array_equal(recon.out_of_coverage, oob)
 
     @pytest.mark.parametrize("block", [1, 2, 5, 12])
     @pytest.mark.parametrize("pairs", [12, 4], ids=["full", "3pi/2"])
@@ -741,9 +741,35 @@ def test_reconstruction_type_validation(unit_blob_scene):
     geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
     zero = ur.ImageGrid2D.from_geometry(geom, np.zeros((16, 16)))
     one = ur.ImageGrid2D.from_geometry(geom, np.ones((16, 16)))
+    covered = np.zeros((16, 16), dtype=bool)
     with pytest.raises(ValueError):
-        ur.Reconstruction(zero, zero, one)   # total != sum
+        ur.Reconstruction(zero, zero, one, covered)   # total != sum
     other = ur.ImageGrid2D.from_geometry(ur.GridGeometry.centered(8, 8, 4.0, 4.0),
                                          np.zeros((8, 8)))
     with pytest.raises(ValueError):
-        ur.Reconstruction(zero, other, zero)
+        ur.Reconstruction(zero, other, zero, covered)
+    with pytest.raises(ValueError, match="out_of_coverage"):
+        ur.Reconstruction(zero, zero, zero, covered.T[:8])
+
+
+def test_coverage_is_a_read_only_field_of_the_reconstruction(unit_blob_scene):
+    # images are their geometry and values; the mask lives once, on the result
+    assert [f.name for f in dataclasses.fields(ur.ImageGrid2D)] == ["geometry", "values"]
+    geom = ur.GridGeometry.centered(24, 24, 8.0, 8.0)
+    sino = analytic_sinogram(unit_blob_scene, ur.TauGrid.symmetric(0.1, 41),
+                             ur.AngularRange.full(16))
+    recon = ur.invert_universal(sino, geom, ur.RegParams.defaults(0.1))
+    mask = recon.out_of_coverage
+    assert mask.dtype == bool and mask.shape == (24, 24)
+    with pytest.raises(ValueError):
+        mask[0, 0] = not mask[0, 0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        recon.out_of_coverage = np.zeros((24, 24), dtype=bool)
+    assert ur.reconstruction_metrics(recon)["flagged_pixels"] == np.count_nonzero(mask) > 0
+    # the given mask is copied, and equality ignores it
+    given = np.ones((24, 24), dtype=bool)
+    other = ur.Reconstruction(recon.f_s, recon.f_a, recon.f_total, given)
+    given[:] = False
+    assert np.all(other.out_of_coverage) and not other.out_of_coverage.flags.writeable
+    assert other == recon
+    assert ur.reconstruction_metrics(other)["flagged_pixels"] == 24 * 24

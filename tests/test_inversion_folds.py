@@ -456,7 +456,7 @@ class TestFoldBeforeFilter:
         (fs, fa), oob = backproject(term_columns(sino, params), sino, geom)
         assert_near(got.f_s.values, fs)
         assert_near(got.f_a.values, fa)
-        assert np.array_equal(got.f_s.meta["coverage_flags"], np.argwhere(oob))
+        assert np.array_equal(got.out_of_coverage, oob)
 
     @pytest.mark.parametrize("backend", list(ur.Backend))
     @pytest.mark.parametrize("angles", [
@@ -532,7 +532,7 @@ class TestExactAngles:
         (fs, fa), oob = pi_folded_backproject(term_columns(sino, params), sino, geom)
         assert np.array_equal(got.f_s.values, fs)
         assert np.array_equal(got.f_a.values, fa)
-        assert np.array_equal(got.f_s.meta["coverage_flags"], np.argwhere(oob))
+        assert np.array_equal(got.out_of_coverage, oob)
 
 
 # --- the tau band: pixels a node or more past either end of the tau grid add +0 ---

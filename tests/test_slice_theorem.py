@@ -14,13 +14,13 @@ def raster(scene, nx=280, extent=14.0):
 class TestLhs:
     def test_zero_frequency_is_total_integral(self, unit_blob_scene):
         img = raster(unit_blob_scene)
-        got = ur.fst_lhs(img, 0.3, [0.0]).values[0]
+        got = ur.fst_lhs(img, 0.3, [0.0])[0]
         assert got == pytest.approx(img.total_integral(), abs=1e-10)
         assert got == pytest.approx(TWO_PI, abs=1e-6)
 
     def test_gaussian_value_matches_oracle(self, unit_blob_scene):
         img = raster(unit_blob_scene)
-        got = ur.fst_lhs(img, 1.1, [1.0]).values[0]
+        got = ur.fst_lhs(img, 1.1, [1.0])[0]
         want = ur.analytic_fourier(unit_blob_scene, 1.0, 1.1)
         assert got == pytest.approx(want, abs=1e-4)
 
@@ -28,8 +28,8 @@ class TestLhs:
         scene = ur.CompositeScene.of(ur.GaussianBlob(0.8, -0.5, 1.0, 1.0))
         img = raster(scene)
         lams = [0.5, 1.5, 2.5]
-        fwd = ur.fst_lhs(img, 0.4, lams).values
-        bwd = ur.fst_lhs(img, 0.4 + np.pi, lams).values
+        fwd = ur.fst_lhs(img, 0.4, lams)
+        bwd = ur.fst_lhs(img, 0.4 + np.pi, lams)
         assert np.max(np.abs(bwd - np.conj(fwd))) < 1e-10
 
     def test_negative_lambda_rejected(self, unit_blob_scene):
@@ -48,14 +48,14 @@ class TestRhs:
     def test_zero_column(self):
         angles = ur.AngularRange.full(4)
         sino = ur.Sinogram(-1.0, 0.5, 5, angles, np.zeros((5, 4)))
-        assert np.all(ur.fst_rhs(sino, 0.0, [0.0, 1.0]).values == 0.0)
+        assert np.all(ur.fst_rhs(sino, 0.0, [0.0, 1.0]) == 0.0)
 
     def test_zero_frequency_is_projection_mass(self, gaussian_sino):
-        got = ur.fst_rhs(gaussian_sino, 0.0, [0.0]).values[0]
+        got = ur.fst_rhs(gaussian_sino, 0.0, [0.0])[0]
         assert got == pytest.approx(TWO_PI, abs=1e-3)
 
     def test_gaussian_transform_value(self, gaussian_sino):
-        got = ur.fst_rhs(gaussian_sino, 0.0, [1.0]).values[0]
+        got = ur.fst_rhs(gaussian_sino, 0.0, [1.0])[0]
         assert got == pytest.approx(TWO_PI * np.exp(-0.5), abs=1e-3)
 
     def test_angle_outside_range_rejected(self, unit_blob_scene):
@@ -95,7 +95,7 @@ class TestDirectSum:
         weighted = img.values * np.outer(trapezoid(geom.nx, geom.dx), trapezoid(geom.ny, geom.dy))
         want = np.array([np.sum(np.exp(-1j * lam * (np.cos(phi) * x + np.sin(phi) * y))
                                 * weighted) for lam in lams])
-        got = ur.fst_lhs(img, phi, lams).values
+        got = ur.fst_lhs(img, phi, lams)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("tau_min, d_tau, n_tau", [
@@ -109,7 +109,7 @@ class TestDirectSum:
         for col, phi in enumerate(angles.phis()):
             weighted = sino.values[:, col] * trapezoid(n_tau, d_tau)
             want = np.array([np.sum(np.exp(-1j * lam * taus) * weighted) for lam in lams])
-            got = ur.fst_rhs(sino, phi, lams).values
+            got = ur.fst_rhs(sino, phi, lams)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -168,8 +168,8 @@ class TestCheck:
         img = raster(unit_blob_scene, nx=96, extent=8.0)
         scaled = ur.ImageGrid2D.from_geometry(img.geometry, 3.0 * img.values)
         lams = [0.0, 1.0, 2.0]
-        a = ur.fst_lhs(img, 0.5, lams).values
-        b = ur.fst_lhs(scaled, 0.5, lams).values
+        a = ur.fst_lhs(img, 0.5, lams)
+        b = ur.fst_lhs(scaled, 0.5, lams)
         assert np.max(np.abs(b - 3.0 * a)) < 1e-12 * np.max(np.abs(b))
 
     def test_finite_at_zero_frequency(self, unit_blob_scene):
@@ -182,27 +182,36 @@ class TestCheck:
 
     @pytest.mark.parametrize("lambdas, word", [
         ([np.nan], "finite"), ([0.0, np.inf], "finite"), ([], "nonempty"),
-    ], ids=["nan", "inf", "empty"])
+        ([-1.0, 0.0], "nonnegative"), ([0.0, 0.0], "strictly increasing"),
+    ], ids=["nan", "inf", "empty", "negative", "repeated"])
     def test_bad_lambdas_are_refused(self, lambdas, word):
-        # one rule for the check, both sides and SpectralSlice: NaN and inf gave NaN
-        # reports, and a SpectralSlice took an empty set
+        # one rule for the check and both sides: NaN and inf gave NaN reports
         geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
         img = ur.ImageGrid2D.from_geometry(geom, np.ones((16, 16)))
         sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(4), np.ones((13, 4)))
         for call in (lambda: ur.fst_check(img, sino, lambdas=lambdas),
-                     lambda: ur.fst_lhs(img, 0.0, lambdas), lambda: ur.fst_rhs(sino, 0.0, lambdas),
-                     lambda: ur.SpectralSlice(0.0, lambdas, np.zeros(len(lambdas)))):
+                     lambda: ur.fst_lhs(img, 0.0, lambdas), lambda: ur.fst_rhs(sino, 0.0, lambdas)):
             with pytest.raises(ValueError, match=word):
                 call()
 
+    def test_sides_are_complex_arrays_per_lambda(self):
+        geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
+        img = ur.ImageGrid2D.from_geometry(geom, np.ones((16, 16)))
+        sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(4), np.ones((13, 4)))
+        for side in (ur.fst_lhs(img, 0.0, [0.0, 1.0, 2.0]), ur.fst_rhs(sino, 0.0, [0.0, 1.0, 2.0])):
+            assert isinstance(side, np.ndarray)
+            assert side.shape == (3,) and side.dtype == np.complex128
 
-class TestSpectralSlice:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ur.SpectralSlice(0.0, [-1.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            ur.SpectralSlice(0.0, [0.0, 0.0], [0.0, 0.0])     # not strictly increasing
-        with pytest.raises(ValueError):
-            ur.SpectralSlice(0.0, [0.0, 1.0], [0.0])          # length mismatch
-        s = ur.SpectralSlice(0.0, [0.0, 1.0], [1.0, 2.0])
-        assert s.values.dtype == np.complex128
+    def test_reports_keep_their_own_lambdas(self):
+        # each report keeps a read-only copy: writing the caller's array afterwards changes none
+        geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
+        img = ur.ImageGrid2D.from_geometry(geom, np.ones((16, 16)))
+        sino = ur.Sinogram(-3.0, 0.5, 13, ur.AngularRange.full(4), np.ones((13, 4)))
+        lams = np.array([0.0, 1.0, 2.0])
+        reports = ur.fst_check(img, sino, lambdas=lams)
+        lams[:] = 7.0
+        for report in reports:
+            assert report.lambda_values is not lams
+            assert report.lambda_values.dtype == np.float64
+            assert np.array_equal(report.lambda_values, [0.0, 1.0, 2.0])
+            assert not report.lambda_values.flags.writeable
