@@ -16,9 +16,8 @@ from .inversion import (Backend, Reconstruction, RegParams, delta_plus,
 from .holonomy import (HolonomyReport, PathEvaluation, Probe, StepRecord,
                        UnsupportedSceneError, boundary_jump, check_holonomy,
                        classify_defect_scene, extract_defect, leak_tolerance)
-from .hybrid import (VolumeReconstruction, dual_k_grid, hybrid_forward,
-                     hybrid_from_scene, hybrid_inverse_series, hybrid_radon,
-                     make_slices, reconstruct_volume)
+from .hybrid import (dual_k_grid, hybrid_forward, hybrid_from_scene, hybrid_inverse_series,
+                     hybrid_radon, make_slices, reconstruct_volume)
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,7 @@ __all__ = [
     "PathEvaluation", "Probe", "Provenance", "Reconstruction", "RegParams",
     "RegionMask", "SceneFormatError", "SeparableScene3D", "Sinogram", "StepRecord",
     "TauGrid", "TruncatedPayloadError", "UnsupportedOracleError",
-    "UnsupportedSceneError", "VolumeReconstruction", "VolumeStack", "analytic_fourier",
+    "UnsupportedSceneError", "VolumeStack", "analytic_fourier",
     "analytic_radon", "bilinear_sample", "boundary_jump", "check_holonomy",
     "classify_defect_scene", "default_ray_step", "delta_plus", "direction",
     "dual_k_grid", "epsilon_lambda_reconstruct", "extract_defect", "fst_check",

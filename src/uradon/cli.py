@@ -217,13 +217,15 @@ def _cmd_invert(args, argv) -> int:
     geometry = _geometry(args)
     sino = _read(args.sinogram, Sinogram)
     reference = _read(args.reference, ImageGrid2D) if args.reference else None
+    if reference is not None and reference.geometry != geometry:   # before any inverse runs
+        raise CliError("reference geometry differs from reconstruction", EXIT_BAD_ARGS)
     if window is not None:
         sino = _restrict_angles(sino, window)
     params = RegParams.defaults(sino.d_tau, Backend(args.backend))
     if args.fa_step is not None:
         params = replace(params, fa_step=args.fa_step)
     if args.with_epsilon_lambda:   # both inverses in one pass
-        (recon,), (alt,) = _invert_all([sino], geometry, params, (args.epsilon, None))
+        (recon,), (alt,) = _invert_all([sino], geometry, params, (args.epsilon,))
     else:
         recon = invert_universal(sino, geometry, params)
     metrics = reconstruction_metrics(recon, reference)
@@ -302,15 +304,16 @@ def _cmd_hybrid(args, argv) -> int:
     field = hybrid_forward(stack, ks)
     sinos = hybrid_radon(field, tau_grid, angles, args.ray_step)
     params = RegParams.defaults(d_tau, Backend(args.backend))
-    result = reconstruct_volume(sinos, geometry, params, positions)
+    volume, recons = reconstruct_volume(sinos, geometry, params, positions)
     rows = [("k", "fa_norm", "fs_norm", "fa_ratio", "slice_rmse_over_peak")]
     print("hybrid: k, fa_norm/fs_norm, slice rmse/peak")
-    for m, (k, ratio) in enumerate(zip(ks, result.fa_ratios().tolist())):
-        _, rel = _rmse_over_peak(result.stack.slices[m].values, stack.slices[m].values)
-        rows.append((k, result.fa_norms[m], result.fs_norms[m], ratio, rel))
-        print(f"  {k:9.4f}  {ratio:10.3e}  {rel:10.3e}")
+    for k, recon, got, want in zip(ks, recons, volume.slices, stack.slices):
+        m = reconstruction_metrics(recon)
+        _, rel = _rmse_over_peak(got.values, want.values)
+        rows.append((k, m["fa_norm"], m["fs_norm"], m["fa_fs_ratio"], rel))
+        print(f"  {k:9.4f}  {m['fa_fs_ratio']:10.3e}  {rel:10.3e}")
     prefix = args.out_prefix
-    _emit(prefix, argv, {f"{prefix}_volume.urdn": result.stack, f"{prefix}_metrics.csv": rows})
+    _emit(prefix, argv, {f"{prefix}_volume.urdn": volume, f"{prefix}_metrics.csv": rows})
     return EXIT_OK
 
 

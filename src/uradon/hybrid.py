@@ -10,14 +10,12 @@ exact, so the whole pipeline's error is the 2D reconstruction error alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grids import (AngularRange, GridGeometry, HybridField, ImageGrid2D, Provenance,
                     Sinogram, TauGrid, VolumeStack, _finite)
 from .forward import _radon_values
-from .inversion import RegParams, _fa_fs_ratio, _invert_all, l2_norm
+from .inversion import Reconstruction, RegParams, _invert_all
 from .phantoms import SeparableScene3D, rasterize
 
 
@@ -114,26 +112,16 @@ def hybrid_radon(field: HybridField, tau_grid: TauGrid, angles: AngularRange,
     return [Sinogram(tau_grid.tau_min, tau_grid.d_tau, tau_grid.n_tau, angles, v) for v in values]
 
 
-@dataclass(frozen=True)
-class VolumeReconstruction:
-    """Reassembled stack plus per-k norms of the two reconstruction terms."""
-
-    stack: VolumeStack
-    fa_norms: tuple
-    fs_norms: tuple
-
-    def fa_ratios(self) -> np.ndarray:
-        """Per-k fa_norm / fs_norm, by the rule of reconstruction_metrics' fa_fs_ratio."""
-        return np.array([_fa_fs_ratio(a, s) for a, s in zip(self.fa_norms, self.fs_norms)])
-
-
 def reconstruct_volume(sinos, geometry: GridGeometry, params: RegParams,
-                       x3_positions) -> VolumeReconstruction:
-    """Invert one sinogram per k, reassemble the stack, record per-k norms.
+                       x3_positions) -> tuple[VolumeStack, tuple[Reconstruction, ...]]:
+    """Invert one sinogram per k and reassemble the stack.
 
-    The sinogram list must be ordered along dual_k_grid(x3_positions).
-    All sinograms must share one tau grid and angular range: the f_s and f_a
-    columns of every k field are backprojected in one pass.
+    Returns (stack, recons): the reassembled VolumeStack and each k field's
+    Reconstruction, in the order of dual_k_grid(x3_positions), which the
+    sinogram list must follow too.  All sinograms must share one tau grid and
+    angular range: the f_s and f_a columns of every k field are backprojected
+    in one pass, and each Reconstruction is bit-identical to invert_universal
+    of its field, coverage mask included.
     """
     positions = [float(p) for p in x3_positions]
     required, _ = dual_k_grid(positions)
@@ -141,10 +129,5 @@ def reconstruct_volume(sinos, geometry: GridGeometry, params: RegParams,
         raise ValueError(f"need one sinogram per dual k value "
                          f"({len(required)}), got {len(sinos)}")
     recons, _ = _invert_all(sinos, geometry, params)
-    fields = tuple(r.f_total for r in recons)
-    hybrid = HybridField(tuple(required), fields, Provenance.SERIES)
-    stack = hybrid_inverse_series(hybrid, positions)
-    return VolumeReconstruction(
-        stack=stack,
-        fa_norms=tuple(l2_norm(r.f_a.values) for r in recons),
-        fs_norms=tuple(l2_norm(r.f_s.values) for r in recons))
+    hybrid = HybridField(tuple(required), tuple(r.f_total for r in recons), Provenance.SERIES)
+    return hybrid_inverse_series(hybrid, positions), tuple(recons)

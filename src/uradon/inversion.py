@@ -108,7 +108,7 @@ class RegParams:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Two-term reconstruction; f_total = f_s + f_a pointwise.
+    """Two-term reconstruction of one sinogram; f_total = f_s + f_a is derived.
 
     out_of_coverage is a read-only (nx, ny) boolean copy of the mask it is
     given: True where the offset <n_phi, x> fell outside [tau_min, tau_max]
@@ -117,20 +117,19 @@ class Reconstruction:
 
     f_s: ImageGrid2D
     f_a: ImageGrid2D
-    f_total: ImageGrid2D
     out_of_coverage: np.ndarray = field(compare=False)
+    f_total: ImageGrid2D = field(init=False)
 
     def __post_init__(self):
-        g = self.f_total.geometry
-        if not (self.f_s.geometry == self.f_a.geometry == g):
+        g = self.f_s.geometry
+        if self.f_a.geometry != g:
             raise ValueError("reconstruction parts must share one geometry")
-        if not np.array_equal(self.f_total.values, self.f_s.values + self.f_a.values):
-            raise ValueError("f_total must equal f_s + f_a exactly")
         mask = np.array(self.out_of_coverage, dtype=bool)
         if mask.shape != (g.nx, g.ny):
             raise ValueError(f"out_of_coverage: expected shape {(g.nx, g.ny)}, got {mask.shape}")
         mask.setflags(write=False)
         object.__setattr__(self, "out_of_coverage", mask)
+        object.__setattr__(self, "f_total", ImageGrid2D(g, self.f_s.values + self.f_a.values))
 
 
 def delta_plus(eta, epsilon: float):
@@ -427,7 +426,10 @@ def invert_universal(sino: Sinogram, geometry: GridGeometry, params: RegParams) 
 def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
                 oracle: tuple | None = None) -> tuple[list[Reconstruction], list[ImageGrid2D]]:
     """invert_universal (given params) and epsilon_lambda_reconstruct (given oracle =
-    (epsilon, lambda_max), None for a default) of every sinogram, in one pass.
+    (epsilon,), epsilon None for 2 d_tau) of every sinogram, in one pass.
+
+    The epsilon-lambda kernel is cut off at lambda_max = pi / d_tau, the radial
+    Nyquist of the tau grid.
 
     The sinograms must share one tau grid and angular range; each result is
     bit-identical to its path alone on its sinogram alone, at any CPU count
@@ -444,10 +446,10 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
         raise ValueError("backprojection needs at least 2 tau samples")
     terms = []
     if oracle is not None:   # the longest filter first, so the others fill in around it
-        epsilon, lambda_max = oracle
+        epsilon, = oracle
         terms.append((_lambda_rows, _lambda_correlation_kernel(
             first.n_tau, first.d_tau, 2.0 * first.d_tau if epsilon is None else epsilon,
-            np.pi / first.d_tau if lambda_max is None else lambda_max)))
+            np.pi / first.d_tau)))
     if params is not None:
         if params.fa_step < first.d_tau:   # the tau derivative's step may not be finer
             raise ValueError(f"fa_step {params.fa_step} must be at least d_tau {first.d_tau}")
@@ -470,24 +472,23 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
                           if skip else next(values)) for skip in skipped]
     n = len(terms)
     recons = [] if params is None else [
-        Reconstruction(fs, fa, ImageGrid2D(geometry, fs.values + fa.values), oob)
+        Reconstruction(fs, fa, oob)
         for fs, fa in zip(images[n - 2::n], images[n - 1::n])]
     return recons, images[::n] if oracle is not None else []
 
 
 def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
-                               epsilon: float | None = None,
-                               lambda_max: float | None = None) -> ImageGrid2D:
+                               epsilon: float | None = None) -> ImageGrid2D:
     """Independent reconstruction through the closed-form regularized kernel.
 
-    Defaults: pole regulator (offset - i*epsilon) epsilon = 2*d_tau, as a
-    regulator below the grid scale only adds noise; lambda_max = pi/d_tau
-    (radial Nyquist of the tau grid).  Serves as a third oracle for
+    The pole regulator (offset - i*epsilon) defaults to epsilon = 2*d_tau, as
+    a regulator below the grid scale only adds noise; the band limit is
+    lambda_max = pi/d_tau (_invert_all).  Serves as a third oracle for
     invert_universal, sharing none of its RegParams.  The kernel is not even,
     so the plan's pairs are folded after filtering, pair by pair as they
     leave the transforms (_correlate_rows).
     """
-    return _invert_all([sino], geometry, None, (epsilon, lambda_max))[1][0]
+    return _invert_all([sino], geometry, None, (epsilon,))[1][0]
 
 
 # --- metrics -----------------------------------------------------------------
@@ -495,11 +496,6 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
 def l2_norm(values: np.ndarray) -> float:
     """Euclidean norm, summed in C order whatever the layout, so an F-order copy keeps its bits."""
     return float(np.sqrt(np.sum(np.abs(values, order="C") ** 2)))
-
-
-def _fa_fs_ratio(fa_norm: float, fs_norm: float) -> float:
-    """Boundary over principal norm: 0 when both are 0, inf when only fs_norm is."""
-    return fa_norm / fs_norm if fs_norm > 0 else float("inf") if fa_norm else 0.0
 
 
 def _rmse_over_peak(values: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
@@ -512,13 +508,14 @@ def _rmse_over_peak(values: np.ndarray, reference: np.ndarray) -> tuple[float, f
 
 def reconstruction_metrics(recon: Reconstruction,
                            reference: ImageGrid2D | None = None) -> dict:
-    """Scalar quality metrics: boundary/principal ratio, coverage, optional RMSE."""
+    """Scalar quality metrics: boundary/principal ratio (0 when both norms are 0, inf
+    when only fs_norm is), coverage, optional RMSE."""
     fs_norm = l2_norm(recon.f_s.values)
     fa_norm = l2_norm(recon.f_a.values)
     out = {
         "fs_norm": fs_norm,
         "fa_norm": fa_norm,
-        "fa_fs_ratio": _fa_fs_ratio(fa_norm, fs_norm),
+        "fa_fs_ratio": fa_norm / fs_norm if fs_norm > 0 else float("inf") if fa_norm else 0.0,
         "flagged_pixels": np.count_nonzero(recon.out_of_coverage),
     }
     if reference is not None:

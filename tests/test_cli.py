@@ -382,6 +382,21 @@ class TestInvert:
         assert err.startswith("error:") and "missing.urdn" in err
         assert not list(tmp_path.glob("ref*"))
 
+    @pytest.mark.parametrize("extra", [[], ["--with-epsilon-lambda"]], ids=["two-term", "both"])
+    def test_reference_on_another_geometry_is_refused_before_inverting(
+            self, tmp_path, image_file, sino_file, monkeypatch, capsys, extra):
+        # the 96^2 reference cannot be compared with a 32^2 inverse: refused (2), nothing run
+        calls = []
+        backproject = inv._backproject
+        monkeypatch.setattr(inv, "_backproject",
+                            lambda *args: calls.append(args) or backproject(*args))
+        assert main(["invert", "--sinogram", sino_file, "--nx", "32", "--extent", "8", *extra,
+                     "--reference", image_file, "--out-prefix", str(tmp_path / "ref")]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err == "error: reference geometry differs from reconstruction\n"
+        assert not list(tmp_path.glob("ref*"))
+
     def test_empty_angle_window_rejected(self, tmp_path, sino_file):
         assert main(["invert", "--sinogram", sino_file, "--nx", "16", "--extent", "8",
                      "--range", "9.0:9.1", "--out-prefix", str(tmp_path / "x")]) == 2

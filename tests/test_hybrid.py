@@ -193,30 +193,48 @@ class TestReconstructVolume:
         angles = ur.AngularRange.full(8)
         zeros = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, angles,
                             np.zeros((tg.n_tau, angles.n_phi)))
-        out = ur.reconstruct_volume([zeros, zeros], geom, ur.RegParams.defaults(tg.d_tau),
-                                    positions)
-        assert all(np.all(s.values == 0) for s in out.stack.slices)
-        assert np.array_equal(out.fa_ratios(), [0.0, 0.0])
+        volume, recons = ur.reconstruct_volume([zeros, zeros], geom,
+                                               ur.RegParams.defaults(tg.d_tau), positions)
+        assert all(np.all(s.values == 0) for s in volume.slices)
+        assert [ur.reconstruction_metrics(r)["fa_fs_ratio"] for r in recons] == [0.0, 0.0]
+
+    @staticmethod
+    def check_one_pass(rng, geom, tg, angles):
+        """Each returned Reconstruction, mask included, is invert_universal of its field,
+        and the stack is the series inverse of their totals; returns the masks."""
+        positions = (-1.0, 0.0, 1.0)
+        params = ur.RegParams(0.3)
+        shape = (tg.n_tau, angles.n_phi)
+        sinos = [ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, angles,
+                             rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                 for _ in positions]
+        volume, recons = ur.reconstruct_volume(sinos, geom, params, positions)
+        want = [ur.invert_universal(s, geom, params) for s in sinos]
+        assert isinstance(recons, tuple) and len(recons) == len(want)
+        for got, ref in zip(recons, want):
+            assert got == ref
+            assert np.array_equal(got.out_of_coverage, ref.out_of_coverage)
+        field = ur.HybridField(tuple(ur.dual_k_grid(positions)[0]),
+                               tuple(r.f_total for r in want), ur.Provenance.SERIES)
+        for got, ref in zip(volume.slices, ur.hybrid_inverse_series(field, positions).slices,
+                            strict=True):
+            assert np.array_equal(got.values, ref.values)
+        return [r.out_of_coverage for r in recons]
 
     def test_one_pass_matches_inverting_each_field(self, rng):
         geom = ur.GridGeometry(14, 11, -2.1, -1.6, 0.3, 0.27)
         tg = ur.TauGrid.covering(geom, 0.2)
-        positions = (-1.0, 0.0, 1.0)
-        params = ur.RegParams(0.3)
         for angles in (ur.AngularRange.full(10), ur.AngularRange(0.0, np.pi, 9)):
-            shape = (tg.n_tau, angles.n_phi)
-            sinos = [ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, angles,
-                                 rng.normal(size=shape) + 1j * rng.normal(size=shape))
-                     for _ in positions]
-            out = ur.reconstruct_volume(sinos, geom, params, positions)
-            recons = [ur.invert_universal(s, geom, params) for s in sinos]
-            assert out.fs_norms == tuple(ur.l2_norm(r.f_s.values) for r in recons)
-            assert out.fa_norms == tuple(ur.l2_norm(r.f_a.values) for r in recons)
-            field = ur.HybridField(tuple(ur.dual_k_grid(positions)[0]),
-                                   tuple(r.f_total for r in recons), ur.Provenance.SERIES)
-            want = ur.hybrid_inverse_series(field, positions)
-            for got, ref in zip(out.stack.slices, want.slices, strict=True):
-                assert np.array_equal(got.values, ref.values)
+            masks = self.check_one_pass(rng, geom, tg, angles)
+            assert not any(m.any() for m in masks)
+
+    def test_uncovered_slices_keep_each_fields_mask(self, rng):
+        # |tau| <= 1 leaves the outer nodes of [-2.1, 1.8] x [-1.6, 1.1] outside for some angles
+        geom = ur.GridGeometry(14, 11, -2.1, -1.6, 0.3, 0.27)
+        tg = ur.TauGrid.symmetric(0.2, 11)
+        for angles in (ur.AngularRange.full(10), ur.AngularRange(0.0, np.pi, 9)):
+            masks = self.check_one_pass(rng, geom, tg, angles)
+            assert all(m.any() and not m.all() for m in masks)
 
     @pytest.mark.parametrize("other", [
         ur.Sinogram(-1.2, 0.2, 11, ur.AngularRange.full(8), np.zeros((11, 8))),
@@ -247,15 +265,16 @@ class TestReconstructVolume:
         field = ur.hybrid_forward(stack, ks)
         tg = ur.TauGrid.covering(geom, geom.dx)
         sinos = ur.hybrid_radon(field, tg, ur.AngularRange.full(90))
-        out = ur.reconstruct_volume(sinos, geom, ur.RegParams.defaults(tg.d_tau), positions)
-        for ref, rec in zip(stack.slices, out.stack.slices):
+        volume, recons = ur.reconstruct_volume(sinos, geom, ur.RegParams.defaults(tg.d_tau),
+                                               positions)
+        for ref, rec in zip(stack.slices, volume.slices):
             peak = float(np.max(np.abs(ref.values)))
             rmse = float(np.sqrt(np.mean(np.abs(rec.values - ref.values) ** 2)))
             assert rmse <= 0.05 * peak
-        assert np.max(out.fa_ratios()) <= 1e-3
+        assert max(ur.reconstruction_metrics(r)["fa_fs_ratio"] for r in recons) <= 1e-3
         # a real input volume reconstructs with negligible imaginary part
-        im = ur.l2_norm(np.stack([s.values.imag for s in out.stack.slices]))
-        re = ur.l2_norm(np.stack([s.values.real for s in out.stack.slices]))
+        im = ur.l2_norm(np.stack([s.values.imag for s in volume.slices]))
+        re = ur.l2_norm(np.stack([s.values.real for s in volume.slices]))
         assert im <= 1e-3 * re
 
 

@@ -606,7 +606,7 @@ class TestOnePass:
     def test_oracle_in_the_pass_is_each_inverse_alone(self, rng, scan, backend):
         geom, sino = one_pass_sino(rng, scan)
         params = ur.RegParams.defaults(sino.d_tau, backend)
-        (recon,), (alt,) = inv._invert_all([sino], geom, params, (0.5, None))
+        (recon,), (alt,) = inv._invert_all([sino], geom, params, (0.5,))
         alone = ur.invert_universal(sino, geom, params)
         for part in ("f_s", "f_a", "f_total"):
             assert same_bits(getattr(recon, part).values, getattr(alone, part).values)
@@ -659,7 +659,7 @@ class TestOnePass:
             out = []
             for backend in ur.Backend:
                 params = ur.RegParams.defaults(sino.d_tau, backend)
-                recons, alts = inv._invert_all([sino, other], geom, params, (None, None))
+                recons, alts = inv._invert_all([sino, other], geom, params, (None,))
                 out += [ur.invert_universal(sino, geom, params).f_total,
                         *(r.f_s for r in recons), *(r.f_a for r in recons), *alts]
             return out + [ur.epsilon_lambda_reconstruct(sino, geom)]
@@ -742,14 +742,19 @@ def test_reconstruction_type_validation(unit_blob_scene):
     zero = ur.ImageGrid2D.from_geometry(geom, np.zeros((16, 16)))
     one = ur.ImageGrid2D.from_geometry(geom, np.ones((16, 16)))
     covered = np.zeros((16, 16), dtype=bool)
-    with pytest.raises(ValueError):
-        ur.Reconstruction(zero, zero, one, covered)   # total != sum
+    # f_total is derived, never given: the sum's own bits
+    init = [f.name for f in dataclasses.fields(ur.Reconstruction) if f.init]
+    assert init == ["f_s", "f_a", "out_of_coverage"]
+    half = ur.ImageGrid2D.from_geometry(geom, np.full((16, 16), 0.5 - 0.25j))
+    recon = ur.Reconstruction(one, half, covered)
+    assert same_bits(recon.f_total.values, one.values + half.values)
+    assert recon.f_total.geometry == geom
     other = ur.ImageGrid2D.from_geometry(ur.GridGeometry.centered(8, 8, 4.0, 4.0),
                                          np.zeros((8, 8)))
     with pytest.raises(ValueError):
-        ur.Reconstruction(zero, other, zero, covered)
+        ur.Reconstruction(zero, other, covered)
     with pytest.raises(ValueError, match="out_of_coverage"):
-        ur.Reconstruction(zero, zero, zero, covered.T[:8])
+        ur.Reconstruction(zero, zero, covered.T[:8])
 
 
 def test_coverage_is_a_read_only_field_of_the_reconstruction(unit_blob_scene):
@@ -768,7 +773,7 @@ def test_coverage_is_a_read_only_field_of_the_reconstruction(unit_blob_scene):
     assert ur.reconstruction_metrics(recon)["flagged_pixels"] == np.count_nonzero(mask) > 0
     # the given mask is copied, and equality ignores it
     given = np.ones((24, 24), dtype=bool)
-    other = ur.Reconstruction(recon.f_s, recon.f_a, recon.f_total, given)
+    other = ur.Reconstruction(recon.f_s, recon.f_a, given)
     given[:] = False
     assert np.all(other.out_of_coverage) and not other.out_of_coverage.flags.writeable
     assert other == recon
