@@ -6,15 +6,18 @@ composite-midpoint quadrature with bilinear sampling of the grid.  The
 quadrature step is an explicit parameter so convergence order can be
 measured directly.
 
-The projector splits its work into tasks of one direction and one block of
-consecutive tau rows (at most _BLOCK_SAMPLES ray samples each) and spreads
-them over the CPUs the process may run on: the calling thread and one pool
-worker per further CPU.  A task lays its samples out offset-major, so
-consecutive samples add into different tau rows, and every row still sums
-its own samples in ray order: results are bitwise identical at any thread
-count.  The projector takes a GridGeometry and plain sample arrays on it, so
-the symmetry views of grids._fold_plan (rotations and mirrors of f) are
-projected as array views, from the plan's representative angles only.
+The projector cuts the (direction, tau row) grid into tasks of at most
+_BLOCK_SAMPLES ray samples: as many whole directions as fit, or one block of
+consecutive tau rows of a direction too large for one task.  The tasks run
+on the CPUs the process may run on: the calling thread and one pool worker
+per further CPU.  A task lays its samples out offset-major, so consecutive
+samples add into different (direction, tau row) bins, and every bin still
+sums its own samples in ray order: results are bitwise identical however
+the tasks are cut and at any thread count.  The projector takes a
+GridGeometry and plain sample arrays on it, so the symmetry views of
+grids._fold_plan (rotations and mirrors of f) are projected as array views,
+from the plan's representative angles only, and only for the views some row
+reads there.
 
 The projector skips the ray samples whose contribution is exactly +0 or
 -0.  The arrays of a call are grouped by the box of their nonzero nodes,
@@ -168,77 +171,91 @@ def _support_box(a: np.ndarray) -> tuple[int, int, int, int] | None:
 
 
 def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
-             ray_step: float | None) -> np.ndarray:
+             ray_step: float | None, needed: np.ndarray | None = None) -> np.ndarray:
     """Line integrals of each array along <(c, s), x> = tau, shape (n_arrays, n_tau, n_dir).
 
     Every ray-driven caller goes through here.  Each array holds the
     (nx, ny) samples of one image on ``geometry`` and may be any array
     view; it is projected as two real planes (its real and imaginary part).
-    The work is split into tasks of one direction and one block of
-    consecutive tau rows holding at most _BLOCK_SAMPLES ray samples, run by
-    _run_tasks over the available CPUs.  Each plane is read inside a ring of
-    zero nodes (grids._linear_index).  The arrays are grouped by the box of
-    their nonzero nodes (_support_box); per task and group, only the ray
-    samples strictly inside the box are kept, and their corner indices and
-    bilinear weights are computed once and applied to every plane of the
-    group; all-zero arrays are not sampled, and their rows stay +0.  The
-    samples are laid out offset-major (one ray offset across all rows of the
-    block, then the next), so np.bincount adds consecutive samples into
-    different rows instead of waiting on one row's running sum; each row
-    still receives its own samples in increasing offset order, which gives
-    the bits of a row-by-row sum.
+    needed, a boolean (n_arrays, n_dir) table, names the columns the caller
+    reads (all of them when None); the others are +0.
+
+    The (direction, tau row) grid is cut into tasks of at most
+    _BLOCK_SAMPLES ray samples, run by _run_tasks over the available CPUs:
+    a task takes as many whole directions as fit, all tau rows of each, or,
+    where one direction does not fit, one direction and a block of
+    consecutive tau rows.  Each plane is read inside a ring of zero nodes
+    (grids._linear_index).  The arrays are grouped by the box of their
+    nonzero nodes (_support_box); per task and group, only the ray samples
+    strictly inside the box are kept, and their corner indices and bilinear
+    weights are computed once and applied to every plane of the group that
+    one of the task's directions needs; all-zero arrays are not sampled,
+    and their rows stay +0.  A task lays its samples out as one (offset,
+    direction, row) block, so np.bincount over the bins direction * n_rows
+    + row adds consecutive samples into different bins instead of waiting
+    on one running sum; each bin still receives its own samples in
+    increasing offset order, which gives the bits of a row-by-row sum.
 
     A dropped sample would add exactly +0 or -0 (module docstring), so the
     kept ones give every bit of the full sum.  A row never straddles two
     tasks, and an array's box is its own, so an entry depends on its own
     array, tau and direction only: it has the same bits whatever else the
-    call projects, whatever the thread count, and repeated calls are bitwise
-    identical.  Each task writes its sums contiguously: the result is a
-    transposed angle-major view.
+    call projects, however the tasks are cut, whatever the thread count,
+    and repeated calls are bitwise identical.  Each task writes its sums
+    contiguously: the result is a transposed direction-major view.
     """
     if ray_step is None:
         ray_step = default_ray_step(geometry)
     _finite("ray_step", ray_step, positive=True)
     offsets, h = _ray_offsets(geometry, ray_step)
     nx, ny = geometry.nx, geometry.ny
+    n_tau, n_dir = len(taus), len(directions)
+    if needed is None:
+        needed = np.ones((len(arrays), n_dir), dtype=bool)
     # plane 2k is the real part of array k, plane 2k + 1 its imaginary part, each
     # inside a ring of zeros: node (i, j) at padded (i + 1, j + 1)
     planes = np.zeros((2 * len(arrays), nx + 2, ny + 2))
     for plane, part in zip(planes, [p for a in arrays for p in (a.real, a.imag)]):
         plane[1:-1, 1:-1] = part
     planes = planes.reshape(len(planes), -1)
-    groups: dict = {}   # support box -> the planes of the arrays that have it
+    groups: dict = {}   # support box -> the arrays that have it
     for k, a in enumerate(arrays):
         box = _support_box(a)
         if box is not None:
-            groups.setdefault(box, []).extend((2 * k, 2 * k + 1))
-    sums = np.zeros((len(planes), len(directions), len(taus)))
-    block = max(1, _BLOCK_SAMPLES // len(offsets))
+            groups.setdefault(box, []).append(k)
+    sums = np.zeros((len(planes), n_dir, n_tau))
+    trig = np.array(directions, dtype=float).reshape(n_dir, 2)
+    block = max(1, _BLOCK_SAMPLES // len(offsets))   # tau rows per task
+    pack = max(1, block // n_tau)                    # whole directions per task
 
-    def project_rows(task):
-        m, r0 = task
-        c, s = directions[m]
+    def project_block(task):
+        m0, r0 = task
+        c, s = trig[m0:m0 + pack, :1], trig[m0:m0 + pack, 1:]
+        wanted = needed[:, m0:m0 + pack].any(axis=1)
         block_taus = taus[r0:r0 + block]
-        n_rows = len(block_taus)
+        n_bins = len(c) * len(block_taus)
         # padded indices as grids._linear_index forms them, in place: numpy elides
-        # temporaries only from 256 KiB up, which block arrays stay below
-        fx = block_taus[None, :] * c - offsets[:, None] * s
+        # temporaries only from 256 KiB up, which task arrays stay below
+        fx = block_taus * c - offsets[:, None, None] * s
         fx -= geometry.x_min
         fx /= geometry.dx
         fx += 1.0
-        fy = block_taus[None, :] * s + offsets[:, None] * c
+        fy = block_taus * s + offsets[:, None, None] * c
         fy -= geometry.y_min
         fy /= geometry.dy
         fy += 1.0
         kept = []
-        for (i_lo, i_hi, j_lo, j_hi), members in groups.items():
+        for (i_lo, i_hi, j_lo, j_hi), group in groups.items():
+            members = [k for k in group if wanted[k]]
+            if not members:
+                continue
             keep = np.flatnonzero((fx > i_lo) & (fx < i_hi) & (fy > j_lo) & (fy < j_hi))
             if keep.size:   # else the group's rows keep their +0
-                kept.append((members, fx.ravel()[keep], fy.ravel()[keep], keep % n_rows))
+                kept.append((members, fx.ravel()[keep], fy.ravel()[keep], keep % n_bins))
         del fx, fy  # before the gathers allocate theirs: keeps peak memory down
         while kept:
             # kept samples lie in (0, n + 1): _linear_index's clip and min are no-ops
-            members, tx, ty, rows = kept.pop()
+            members, tx, ty, bins = kept.pop()
             i0, j0 = tx.astype(np.intp), ty.astype(np.intp)
             tx -= i0
             ty -= j0
@@ -249,21 +266,24 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
             del i0, j0
             corners = (corner, corner + (ny + 2), corner + 1, corner + (ny + 3))
             for k in members:
-                plane = planes[k]
-                samples = plane.take(corners[0])
-                samples *= weights[0]
-                for w, idx in zip(weights[1:], corners[1:]):
-                    term = plane.take(idx)
-                    term *= w
-                    samples += term
-                sums[k, m, r0:r0 + n_rows] = np.bincount(rows, weights=samples,
-                                                         minlength=n_rows)
+                for q in (2 * k, 2 * k + 1):
+                    plane = planes[q]
+                    samples = plane.take(corners[0])
+                    samples *= weights[0]
+                    for w, idx in zip(weights[1:], corners[1:]):
+                        term = plane.take(idx)
+                        term *= w
+                        samples += term
+                    sums[q, m0:m0 + len(c), r0:r0 + len(block_taus)] = np.bincount(
+                        bins, weights=samples, minlength=n_bins).reshape(len(c), -1)
 
-    _run_tasks(project_rows, [(m, r0) for m in range(len(directions))
-                              for r0 in range(0, len(taus), block)])
-    out = np.empty((len(arrays), len(directions), len(taus)), dtype=np.complex128)
+    _run_tasks(project_block, [(m0, r0) for m0 in range(0, n_dir, pack)
+                               if needed[:, m0:m0 + pack].any()
+                               for r0 in range(0, n_tau, block)])
+    out = np.empty((len(arrays), n_dir, n_tau), dtype=np.complex128)
     out.real = sums[0::2] * h
     out.imag = sums[1::2] * h
+    out[~needed] = 0.0   # a task also sums the unread columns of the arrays it gathers
     return out.transpose(0, 2, 1)
 
 
@@ -272,20 +292,23 @@ def _radon_values(geometry: GridGeometry, arrays, tau_grid: TauGrid, angles: Ang
     """Sinogram values of each sample array on geometry, shape (n_arrays, n_tau, n_phi).
 
     Only the representative angles of grids._fold_plan are projected, each
-    for every view of every array (array views, no copy, view-major), and
-    each row is gathered from its view at its representative angle.  The
-    plan's paired angles follow its rows: R(tau, phi + pi) = R(-tau, phi),
-    and the symmetric ray offsets make both sides the same sample set, so
-    they are their first rows with tau reversed.  A view reads the same node
-    values with the same weights in the same order as f at the mapped angle,
-    so projected columns keep the bits of direct projection and the others
-    agree to rounding.  The result is a transposed view of angle-major rows,
-    Sinogram.values' layout.
+    for the views of every array (array views, no copy, view-major) that
+    some row reads there, and each row is gathered from its view at its
+    representative angle.  The plan's paired angles follow its rows:
+    R(tau, phi + pi) = R(-tau, phi), and the symmetric ray offsets make both
+    sides the same sample set, so they are their first rows with tau
+    reversed.  A view reads the same node values with the same weights in
+    the same order as f at the mapped angle, so projected columns keep the
+    bits of direct projection and the others agree to rounding.  The result
+    is a transposed view of angle-major rows, Sinogram.values' layout.
     """
     plan = _fold_plan(geometry, tau_grid, angles)
     taus = tau_grid.taus()
     views = [view(a) for view, _ in plan.views for a in arrays]
-    values = _project(geometry, views, taus, [direction(phi) for phi in plan.phis], ray_step)
+    needed = np.zeros((len(plan.views), len(arrays), len(plan.phis)), dtype=bool)
+    needed[plan.view, :, plan.rep] = True
+    values = _project(geometry, views, taus, [direction(phi) for phi in plan.phis], ray_step,
+                      needed.reshape(len(views), -1))
     rows = values.transpose(0, 2, 1).reshape(len(plan.views), len(arrays), len(plan.phis), -1)
     rows = np.moveaxis(rows[plan.view, :, plan.rep], 0, 1)
     return np.concatenate([rows, rows[:, :plan.pairs, ::-1]], axis=1).transpose(0, 2, 1)

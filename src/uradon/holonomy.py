@@ -24,7 +24,7 @@ import numpy as np
 from .grids import AngularRange, GridGeometry, Sinogram, TauGrid
 from .forward import _project, direction
 from .inversion import l2_norm
-from .phantoms import CompositeScene, RegionMask, rasterize
+from .phantoms import CompositeScene, RegionMask, _mask_block, rasterize
 
 HALF_TURN = float(np.pi)
 
@@ -188,11 +188,26 @@ def extract_defect(scene_tilde: CompositeScene, probe: Probe, geometry: GridGeom
     reproduces the first-quadrant background at phi, so the difference
     column(phi) - column(phi + pi) over the probe window is the defect's own
     projection.
+
+    The scene is rasterized once and its first- and third-quadrant node
+    blocks (phantoms._mask_block) are projected as two arrays, so each
+    keeps its own support box; each column is the sum of the two arrays'
+    columns.  On the normative window, with every probe tau more than a
+    cell diagonal above 0, a line misses the other quadrant's support box:
+    those columns are +0, and every column has the bits of projecting the
+    whole image.  Where the probe reaches within a cell diagonal of tau = 0
+    (or leaves [0, pi/2]) the two agree only to rounding.
     """
     classify_defect_scene(scene_tilde)  # validates the scene shape
-    plus, minus = _half_turns(geometry, [rasterize(scene_tilde, geometry).values], probe)
+    values = rasterize(scene_tilde, geometry).values
+    x, y = geometry.x_nodes(), geometry.y_nodes()
+    quadrants = np.zeros((2,) + values.shape, dtype=np.complex128)
+    for quadrant, mask in zip(quadrants, (RegionMask.QUADRANT_I, RegionMask.QUADRANT_III)):
+        block = _mask_block(mask, x, y)
+        quadrant[block] = values[block]
+    plus, minus = _half_turns(geometry, quadrants, probe)
     return Sinogram(probe.taus.tau_min, probe.taus.d_tau, probe.taus.n_tau,
-                    probe.angles, plus[0] - minus[0])
+                    probe.angles, (plus[0] + plus[1]) - (minus[0] + minus[1]))
 
 
 def _one_sided_limit(taus: np.ndarray, vals: np.ndarray) -> complex:

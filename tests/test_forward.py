@@ -612,6 +612,74 @@ class TestRowBlocksAndThreads:
                 assert with_cpus(2, ur.radon_point, img, taus[t], phi) == sino[t, m]
 
 
+# --- whole directions packed into one task, and only the columns a caller reads ---
+
+@st.composite
+def packed_scans(draw):
+    """Directions that fit the sample budget several at a time, a pack size that does not
+    divide their count, and arrays with different boxes next to an all-zero one."""
+    geom = draw(st.sampled_from([SCAN_KINDS["d4"][0], SCAN_KINDS["off-centre"][0]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["corner", "block", "quadrant", "full"]),
+                          min_size=1, max_size=3)) + ["zero"]
+    arrays = [zero_margin_array(rng, geom, kind) for kind in kinds]
+    taus = np.sort(rng.uniform(-1.2, 1.2, size=draw(st.integers(3, 12)))) * geom.bounding_radius
+    pack = draw(st.integers(2, 4))
+    n_dir = pack * draw(st.integers(1, 3)) + draw(st.integers(1, pack - 1))
+    dirs = [ur.direction(phi) for phi in rng.uniform(0.0, 2.0 * np.pi, size=n_dir)]
+    per_direction = len(fwd._ray_offsets(geom, ur.default_ray_step(geom))[0]) * len(taus)
+    budget = pack * per_direction + draw(st.integers(0, per_direction - 1))
+    return geom, arrays, taus, dirs, pack, budget, rng
+
+
+class TestPackedDirections:
+    @D4_SETTINGS
+    @given(packed_scans())
+    def test_packed_tasks_are_the_unblocked_loop_at_any_thread_count(self, scan):
+        geom, arrays, taus, dirs, pack, budget, _ = scan
+        want = unblocked_projection([ur.ImageGrid2D(geom, a) for a in arrays], taus, dirs, None)
+        assert not want[-1].any()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fwd, "_BLOCK_SAMPLES", budget)
+            tasks = []
+            run_tasks = fwd._run_tasks
+            mp.setattr(fwd, "_run_tasks", lambda task, items: tasks.append(items)
+                       or run_tasks(task, items))
+            for n_cpus in (1, 2, 3):
+                assert same_bits(with_cpus(n_cpus, _project, geom, arrays, taus, dirs, None), want)
+        assert tasks[0] == [(m, 0) for m in range(0, len(dirs), pack)]
+        assert len(dirs) % pack
+
+    @D4_SETTINGS
+    @given(packed_scans())
+    def test_unread_columns_are_zero_and_read_ones_keep_their_bits(self, scan):
+        geom, arrays, taus, dirs, _, budget, rng = scan
+        needed = rng.random((len(arrays), len(dirs))) < 0.4
+        want = unblocked_projection([ur.ImageGrid2D(geom, a) for a in arrays], taus, dirs, None)
+        for block_samples in (budget, fwd._BLOCK_SAMPLES, 600):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fwd, "_BLOCK_SAMPLES", block_samples)
+                got = with_cpus(2, _project, geom, arrays, taus, dirs, None, needed)
+            for k, m in np.ndindex(needed.shape):
+                column = want[k, :, m] if needed[k, m] else np.zeros(len(taus), complex)
+                assert same_bits(got[k, :, m], column)
+
+    def test_a_d4_scan_projects_only_the_columns_its_rows_read(self, monkeypatch, rng):
+        # 16 angles on a centred square: 8 rows after the pi-pairs, 3 representatives, 4 views
+        geom, angles = SCAN_KINDS["d4"]
+        tau_grid = ur.TauGrid.covering(geom, geom.dx)
+        img = blob_image(rng, geom)
+        calls = []
+        monkeypatch.setattr(fwd, "_project", lambda *args: calls.append(args) or _project(*args))
+        sino = ur.radon_transform(img, tau_grid, angles)
+        (_, views, _, dirs, _, needed), = calls
+        assert needed.shape == (len(views), len(dirs)) == (4, 3)
+        assert np.count_nonzero(needed) == 8
+        want = unblocked_projection([img], tau_grid.taus(), directions(angles), None)[0]
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(sino.values - want)) <= 1e-14 * scale
+
+
 # --- support boxes: ray samples that can read only zero nodes are dropped, bit for bit ---
 
 # the first grid has nodes on x = 0 and y = 0, so quadrant masks cut along a node line

@@ -249,6 +249,22 @@ class TestExtractDefect:
         two = ur.extract_defect(tilde_scene(1.0), probe, geom)
         assert rel_l2(two.values, 2.0 * one.values) < 1e-12
 
+    @pytest.mark.parametrize("defect_amp", [0.8, 0.0])
+    def test_quadrant_arrays_match_the_whole_image_projection(self, geom, probe, defect_amp):
+        scene = tilde_scene(defect_amp)
+
+        def whole_image(probe):   # the difference, and the peak of the columns
+            plus, minus = hol._half_turns(geom, [ur.rasterize(scene, geom).values], probe)
+            return plus[0] - minus[0], max(np.max(np.abs(plus)), np.max(np.abs(minus)))
+
+        # every probe line lies more than a cell diagonal from tau = 0: the bits are kept
+        assert probe.taus.tau_min > np.hypot(geom.dx, geom.dy)
+        assert same_bits(ur.extract_defect(scene, probe, geom).values, whole_image(probe)[0])
+        # from half a cell on, lines pass between both quadrants' nodes: rounding only
+        near = ur.Probe(ur.TauGrid(geom.dx / 2.0, geom.dx / 2.0, 16), probe.angles)
+        want, peak = whole_image(near)
+        assert np.max(np.abs(ur.extract_defect(scene, near, geom).values - want)) <= 1e-14 * peak
+
     def test_asymmetric_background_rejected(self, geom, probe):
         background = [ur.GaussianBlob(1.0, 1.0, 0.5, 1.0),
                       ur.GaussianBlob(-1.0, -0.7, 0.5, 1.0)]    # no mirror partner
