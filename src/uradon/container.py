@@ -126,7 +126,10 @@ def _shape(head: dict, rank: int) -> tuple[int, ...]:
 
 
 def read_container(path):
-    """Read a URDN1 file back into its grid type (inverse of write_container)."""
+    """Read a URDN1 file back into its grid type (inverse of write_container).
+
+    Any type but image, sinogram and volume is refused.
+    """
     with open(path, "rb") as fh:
         try:
             head = json.loads(fh.readline().decode("utf-8"))

@@ -10,22 +10,25 @@ The projector cuts the (direction, tau row) grid into tasks of at most
 _BLOCK_SAMPLES ray samples: as many whole directions as fit, or one block of
 consecutive tau rows of a direction too large for one task.  The tasks run
 on the CPUs the process may run on: the calling thread and one pool worker
-per further CPU.  A task lays its samples out offset-major, so consecutive
-samples add into different (direction, tau row) bins, and every bin still
-sums its own samples in ray order: results are bitwise identical however
-the tasks are cut and at any thread count.  The projector takes a
-GridGeometry and plain sample arrays on it, so the symmetry views of
-grids._fold_plan (rotations and mirrors of f) are projected as array views,
-from the plan's representative angles only, and only for the views some row
-reads there.
+per further CPU of its affinity mask; no setting chooses the thread count.
+A task lays its samples out offset-major, so consecutive samples add into
+different (direction, tau row) bins, and every bin still sums its own
+samples in ray order: results are bitwise identical however the tasks are
+cut and at any thread count.  The projector takes a GridGeometry and plain
+sample arrays on it, so the symmetry views of grids._fold_plan (rotations
+and mirrors of f) are projected as array views, from the plan's
+representative angles only, and only for the views some row reads there.
 
 The projector skips the ray samples whose contribution is exactly +0 or
 -0.  The arrays of a call are grouped by the box of their nonzero nodes,
 and a task keeps only the samples strictly inside its group's box; a
 dropped sample reads four zero corners, or a nonzero corner at weight zero.
 A row's sum starts at +0, so it is never -0, and adding +0 or -0 to it
-changes no bit.  All-zero arrays are not sampled at all.  An image of full
-support has the whole padded grid as its box, so it is sampled as before.
+changes no bit.  All-zero arrays are not sampled at all, nor is a
+quadrant-masked term on a probe window whose lines miss its quadrant.  An
+image of full support has the whole padded grid as its box, found from its
+four border lines alone: only the samples outside the padded grid are
+dropped.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from .grids import (TWO_PI, AngularRange, GridGeometry, ImageGrid2D, Sinogram, T
 
 # Ray samples per projector task.  Blocks this size keep each thread's
 # temporaries small (a whole 256^2 direction holds about 20 MB) while each
-# numpy call stays long enough that the interpreter lock is no bottleneck.
+# numpy call stays long enough that the interpreter lock is no bottleneck.  A 64^2
+# scan with 91 tau rows (179 x 91 samples per direction) packs two directions per task.
 _BLOCK_SAMPLES = 2**15
 
 _pool: ThreadPoolExecutor | None = None

@@ -4,6 +4,12 @@ All sample arrays are stored as complex128; real data is data with zero
 imaginary part.  Every type is immutable after construction (frozen
 dataclasses over read-only arrays), so instances are safe to share across
 threads.
+
+The rules every stage shares live here once: the edge rule of linear
+interpolation (_linear_index), which the projector, bilinear_sample, the tau
+derivative and the backprojection all follow; the trapezoid weights
+(_trapezoid_weights); and the fold plan (_fold_plan), which decides the
+angles that the projector and the backprojection compute.
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ def _linear_index(f, n: int):
     each end, p = [0, v[0], ..., v[n - 1], 0], so the field falls linearly to
     zero one step past either end node.  Returns (i0, frac) on the padded
     axis: the value is (1 - frac) * p[i0] + frac * p[i0 + 1].
+
+    The field is continuous across the grid box: the linear-interpolation
+    model of Joseph (1982) and ASTRA (van Aarle et al. 2016).  R(tau, phi + pi)
+    = R(-tau, phi) then holds to rounding for any image, one that is nonzero
+    on its outermost nodes included.
     """
     f = np.clip(f + 1.0, 0.0, n + 1)
     i0 = np.minimum(f.astype(np.intp), n)
@@ -81,8 +92,9 @@ def _whole_steps(angle: float, angles: AngularRange) -> int | None:
 
 # The grid symmetries as angle maps phi -> sigma * phi + q * pi / 2, in the order a row picks
 # its view, each with what it needs of the grid: x_min = -x_max (x), y_min = -y_max (y), a
-# square (s).  Their array views (_views) read as f at the mapped angle: f, f.T, rot90(f, -1),
-# flipud(f), fliplr(f), rot90(f, 2), rot90(f) and the transpose of rot90(f, 2).
+# centred square (s: nx == ny, dx == dy, x_min == y_min).  Their array views (_views) read
+# as f at the mapped angle: f, f.T, rot90(f, -1), flipud(f), fliplr(f), rot90(f, 2),
+# rot90(f) and the transpose of rot90(f, 2).
 _MAPS = ((1, 0, ""), (-1, 1, "xys"), (1, 1, "xys"), (-1, 2, "x"), (-1, 0, "y"), (1, 2, "xy"),
          (1, 3, "xys"), (-1, 3, "xys"))
 
@@ -114,7 +126,10 @@ def _fold_plan(geometry: GridGeometry, tau_grid: TauGrid, angles: AngularRange) 
     grid admits and that shift angle indices by whole steps (mod a whole
     turn where 2 pi is whole steps too).  Each orbit's least row is its
     representative; every other row reads the first view that maps the
-    representative onto it.
+    representative onto it.  A scan that admits neither a pair nor a map
+    (an off-centre grid scanned at an odd angle count or on an asymmetric
+    tau grid, say) keeps every angle as its own representative and is
+    computed angle by angle.
     """
     g, n = geometry, angles.n_phi
     half = _whole_steps(np.pi, angles)
@@ -229,7 +244,10 @@ class ImageGrid2D:
 
     ``values[i, j]`` is the sample at node (i, j) of ``geometry``; between
     and beyond the nodes the field is bilinear_sample's, which falls to zero
-    one node step outside the extent.
+    one node step outside the extent.  An image is its geometry and its
+    values and nothing else: every grid field is read through geometry
+    (img.geometry.dx), and diagnostics live on the results that compute
+    them (Reconstruction.out_of_coverage).
     """
 
     geometry: GridGeometry
@@ -243,6 +261,11 @@ class ImageGrid2D:
 
     @classmethod
     def from_geometry(cls, geometry: GridGeometry, values) -> "ImageGrid2D":
+        """The constructor under another name, ImageGrid2D(geometry, values).
+
+        Kept only because perfbench/workloads.py calls it; the benchmark
+        revision that moves those callers to the constructor deletes it.
+        """
         return cls(geometry, values)
 
     @property
@@ -477,7 +500,10 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class HybridField:
-    """Complex 2D fields indexed by conjugate momentum k along the third axis."""
+    """Complex 2D fields indexed by conjugate momentum k along the third axis.
+
+    A HybridField lives in memory only: no container type holds it.
+    """
 
     k_values: tuple
     fields: tuple

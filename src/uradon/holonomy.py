@@ -83,7 +83,10 @@ class PathEvaluation:
 
 @dataclass(frozen=True)
 class HolonomyReport:
-    """detected is the check's verdict: discrepancy_norm above threshold."""
+    """detected is the check's verdict: discrepancy_norm above threshold.
+
+    full_turn and two_half_turns keep each protocol's step records.
+    """
 
     discrepancy_norm: float
     threshold: float

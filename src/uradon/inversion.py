@@ -57,10 +57,11 @@ p[n_tau] * 0 + p[n_tau + 1] * 1 on its padded row p, which is +0 + 0j
 whatever the row holds.  A frame starts at +0 and so is never -0, and
 adding +0 to it changes no bit.  f is monotone in x and in y, so its four
 corner values tell whether a field has such pixels; only then is the band
--1 < f < n_tau gathered and added at its flat indices.  The coverage mask
-is still computed on every pixel.  No layout changes the arithmetic: where
-the plan folds nothing, every output is bit-identical to the column-major
-form.
+-1 < f < n_tau gathered and added at its flat indices.  Tau grids that
+cover the image, as TauGrid.covering makes, have no such pixels and take
+the whole-field loop.  The coverage mask is still computed on every pixel.
+No layout changes the arithmetic: where the plan folds nothing, every
+output is bit-identical to the column-major form.
 """
 
 from __future__ import annotations
@@ -486,7 +487,8 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
     lambda_max = pi/d_tau (_invert_all).  Serves as a third oracle for
     invert_universal, sharing none of its RegParams.  The kernel is not even,
     so the plan's pairs are folded after filtering, pair by pair as they
-    leave the transforms (_correlate_rows).
+    leave the transforms (_correlate_rows).  The result is a plain image:
+    its coverage is that of invert_universal on the same sinogram.
     """
     return _invert_all([sino], geometry, None, (epsilon,))[1][0]
 
@@ -509,14 +511,18 @@ def _rmse_over_peak(values: np.ndarray, reference: np.ndarray) -> tuple[float, f
 def reconstruction_metrics(recon: Reconstruction,
                            reference: ImageGrid2D | None = None) -> dict:
     """Scalar quality metrics: boundary/principal ratio (0 when both norms are 0, inf
-    when only fs_norm is), coverage, optional RMSE."""
+    when only fs_norm is), coverage, optional RMSE.
+
+    Every value is a Python float but flagged_pixels, the int count of the
+    pixels that recon.out_of_coverage marks.
+    """
     fs_norm = l2_norm(recon.f_s.values)
     fa_norm = l2_norm(recon.f_a.values)
     out = {
         "fs_norm": fs_norm,
         "fa_norm": fa_norm,
         "fa_fs_ratio": fa_norm / fs_norm if fs_norm > 0 else float("inf") if fa_norm else 0.0,
-        "flagged_pixels": np.count_nonzero(recon.out_of_coverage),
+        "flagged_pixels": int(np.count_nonzero(recon.out_of_coverage)),
     }
     if reference is not None:
         if reference.geometry != recon.f_total.geometry:

@@ -39,7 +39,11 @@ def _check_lambdas(lambdas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FstReport:
-    """Per-angle residual between the two sides of the slice identity."""
+    """Per-angle residual between the two sides of the slice identity.
+
+    lambda_values is _check_lambdas' read-only copy, independent of the
+    caller's array.
+    """
 
     phi: float
     lambda_values: np.ndarray
