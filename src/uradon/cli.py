@@ -320,7 +320,14 @@ def _cmd_hybrid(args, argv) -> int:
 # --- parser ------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses a call with one error line and exit code 2, like every other refusal."""
+    """Refuses a call with one error line and exit code 2, like every other refusal.
+
+    A flag is its full name alone: no prefix of it is accepted, so renaming a flag
+    cannot leave its old name parsing.  Subcommand parsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_BAD_ARGS, f"error: {message}\n")

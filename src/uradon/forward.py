@@ -6,9 +6,13 @@ composite-midpoint quadrature with bilinear sampling of the grid.  The
 quadrature step is an explicit parameter so convergence order can be
 measured directly.
 
-The projector cuts the (direction, tau row) grid into tasks of at most
-_BLOCK_SAMPLES ray samples: as many whole directions as fit, or one block of
-consecutive tau rows of a direction too large for one task.  The tasks run
+The arrays of a call are grouped by the box of their nonzero nodes, and the
+projector samples each group only where a line can reach its box: per
+direction, the tau rows and ray offsets inside the span of the box corners'
+tau and offset, widened by a rounding margin (the direction's band).  Each
+group's work is cut into tasks of at most _BLOCK_SAMPLES band samples:
+consecutive directions packed while their joint band fits, or one direction
+whose band does not, in even blocks of consecutive tau rows.  The tasks run
 on the CPUs the process may run on: the calling thread and one pool worker
 per further CPU of its affinity mask; no setting chooses the thread count.
 A task lays its samples out offset-major, so consecutive samples add into
@@ -20,11 +24,13 @@ and mirrors of f) are projected as array views, from the plan's
 representative angles only, and only for the views some row reads there.
 
 The projector skips the ray samples whose contribution is exactly +0 or
--0.  The arrays of a call are grouped by the box of their nonzero nodes,
-and a task keeps only the samples strictly inside its group's box; a
-dropped sample reads four zero corners, or a nonzero corner at weight zero.
+-0.  A task keeps only the samples strictly inside its group's box; a
+dropped sample reads four zero corners, or a nonzero corner at weight zero,
+and so does every sample outside the band, where no position is computed.
 A row's sum starts at +0, so it is never -0, and adding +0 or -0 to it
-changes no bit.  All-zero arrays are not sampled at all, nor is a
+changes no bit.  A direction whose band is empty, or whose columns no array
+of the group is asked for, gets no task: its rows stay +0 and no box test
+runs for it.  So all-zero arrays are not sampled at all, nor is a
 quadrant-masked term on a probe window whose lines miss its quadrant.  An
 image of full support has the whole padded grid as its box, found from its
 four border lines alone: only the samples outside the padded grid are
@@ -42,10 +48,14 @@ import numpy as np
 from .grids import (TWO_PI, AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid,
                     _finite, _fold_plan)
 
-# Ray samples per projector task.  Blocks this size keep each thread's
-# temporaries small (a whole 256^2 direction holds about 20 MB) while each
-# numpy call stays long enough that the interpreter lock is no bottleneck.  A 64^2
-# scan with 91 tau rows (179 x 91 samples per direction) packs two directions per task.
+# Band samples per projector task: the (offset, direction, tau row) positions one
+# task computes for its group.  Blocks this size keep each thread's temporaries
+# small (a whole 256^2 direction holds about 20 MB) while each numpy call stays
+# long enough that the interpreter lock is no bottleneck.  A 64^2 image of full
+# support scanned on 91 tau rows and 179 offsets has a band of 69 x 139 samples
+# at phi = 0 and of 85 x 173 near the diagonal: two or three directions share a
+# task.  Directions whose band misses the box, or that no array is read at, are
+# not counted.
 _BLOCK_SAMPLES = 2**15
 
 _pool: ThreadPoolExecutor | None = None
@@ -184,29 +194,37 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     needed, a boolean (n_arrays, n_dir) table, names the columns the caller
     reads (all of them when None); the others are +0.
 
-    The (direction, tau row) grid is cut into tasks of at most
-    _BLOCK_SAMPLES ray samples, run by _run_tasks over the available CPUs:
-    a task takes as many whole directions as fit, all tau rows of each, or,
-    where one direction does not fit, one direction and a block of
-    consecutive tau rows.  Each plane is read inside a ring of zero nodes
-    (grids._linear_index).  The arrays are grouped by the box of their
-    nonzero nodes (_support_box); per task and group, only the ray samples
-    strictly inside the box are kept, and their corner indices and bilinear
-    weights are computed once and applied to every plane of the group that
-    one of the task's directions needs; all-zero arrays are not sampled,
-    and their rows stay +0.  A task lays its samples out as one (offset,
-    direction, row) block, so np.bincount over the bins direction * n_rows
-    + row adds consecutive samples into different bins instead of waiting
-    on one running sum; each bin still receives its own samples in
-    increasing offset order, which gives the bits of a row-by-row sum.
+    taus must be ascending.  The arrays are grouped by the box of their
+    nonzero nodes (_support_box).  Per group and direction, np.searchsorted
+    on taus and on the ray offsets turns the span of the box corners' tau
+    and offset, widened by a rounding margin, into a band of tau rows and
+    offsets; a sample strictly inside the box lies inside the band.  A
+    group's tasks hold at most _BLOCK_SAMPLES band samples each, run by
+    _run_tasks over the available CPUs: consecutive directions as long as
+    their joint band (the union of their row bands by that of their offset
+    bands) fits, or, where one direction does not fit, that direction in the
+    fewest even blocks of consecutive rows that do.  A direction whose band
+    is empty, or that none of the group's arrays is needed at, ends a pack
+    and gets no task.  A task computes positions on its band alone, keeps
+    the samples strictly inside the box, and computes their corner index and
+    bilinear weights once for every plane of the group that one of its
+    directions needs.  Each array's planes are read inside a ring of zero
+    nodes (grids._linear_index), and the three other corners are read at the
+    same index in the plane shifted by a row, a node or both.  A task lays
+    its samples out as one (offset, direction, row) block, so np.bincount
+    over the bins direction * n_rows + row adds consecutive samples into
+    different bins instead of waiting on one running sum; each bin still
+    receives its own samples in increasing offset order, which gives the
+    bits of a row-by-row sum.
 
-    A dropped sample would add exactly +0 or -0 (module docstring), so the
-    kept ones give every bit of the full sum.  A row never straddles two
-    tasks, and an array's box is its own, so an entry depends on its own
-    array, tau and direction only: it has the same bits whatever else the
-    call projects, however the tasks are cut, whatever the thread count,
-    and repeated calls are bitwise identical.  Each task writes its sums
-    contiguously: the result is a transposed direction-major view.
+    A dropped sample, inside the band or outside it, would add exactly +0 or
+    -0 (module docstring), so the kept ones give every bit of the full sum.
+    A row never straddles two tasks, and an array's box is its own, so an
+    entry depends on its own array, tau and direction only: it has the same
+    bits whatever else the call projects, however the tasks are cut,
+    whatever the thread count, and repeated calls are bitwise identical.
+    Each task writes its sums contiguously: the result is a transposed
+    direction-major view.
     """
     if ray_step is None:
         ray_step = default_ray_step(geometry)
@@ -229,61 +247,93 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
             groups.setdefault(box, []).append(k)
     sums = np.zeros((len(planes), n_dir, n_tau))
     trig = np.array(directions, dtype=float).reshape(n_dir, 2)
-    block = max(1, _BLOCK_SAMPLES // len(offsets))   # tau rows per task
-    pack = max(1, block // n_tau)                    # whole directions per task
+    # a sample inside a box lies inside its corners' tau and offset spans up to rounding,
+    # which is below 1e-9 of any coordinate of the padded grid
+    margin = 1e-9 * (geometry.bounding_radius + geometry.dx + geometry.dy)
+    tasks = []
+    for box, group in groups.items():
+        i_lo, i_hi, j_lo, j_hi = box
+        xs = geometry.x_min + (np.array([i_lo, i_hi, i_lo, i_hi]) - 1.0) * geometry.dx
+        ys = geometry.y_min + (np.array([j_lo, j_lo, j_hi, j_hi]) - 1.0) * geometry.dy
+        along = trig[:, :1] * xs + trig[:, 1:] * ys   # (n_dir, 4): tau and offset of each corner
+        across = trig[:, :1] * ys - trig[:, 1:] * xs
+        r_lo = np.searchsorted(taus, along.min(axis=1) - margin)
+        r_hi = np.searchsorted(taus, along.max(axis=1) + margin, side="right")
+        o_lo = np.searchsorted(offsets, across.min(axis=1) - margin)
+        o_hi = np.searchsorted(offsets, across.max(axis=1) + margin, side="right")
+        live = (needed[group].any(axis=0) & (r_lo < r_hi) & (o_lo < o_hi)).tolist()
+        r_lo, r_hi, o_lo, o_hi = r_lo.tolist(), r_hi.tolist(), o_lo.tolist(), o_hi.tolist()
+        m0 = 0
+        while m0 < n_dir:
+            if not live[m0]:   # its rows keep their +0
+                m0 += 1
+                continue
+            # pack the following live directions while their union band fits the budget
+            m1, r0, r1, o0, o1 = m0 + 1, r_lo[m0], r_hi[m0], o_lo[m0], o_hi[m0]
+            while m1 < n_dir and live[m1]:
+                rows = min(r0, r_lo[m1]), max(r1, r_hi[m1])
+                offs = min(o0, o_lo[m1]), max(o1, o_hi[m1])
+                if (m1 + 1 - m0) * (rows[1] - rows[0]) * (offs[1] - offs[0]) > _BLOCK_SAMPLES:
+                    break
+                (r0, r1), (o0, o1), m1 = rows, offs, m1 + 1
+            # a lone direction over the budget: the fewest row blocks within it, sized evenly
+            n_blocks = -(-(r1 - r0) // max(1, _BLOCK_SAMPLES // ((m1 - m0) * (o1 - o0))))
+            members = [k for k in group if needed[k, m0:m1].any()]
+            tasks += [(box, members, m0, m1, r0 + (r1 - r0) * b // n_blocks,
+                       r0 + (r1 - r0) * (b + 1) // n_blocks, o0, o1) for b in range(n_blocks)]
+            m0 = m1
 
     def project_block(task):
-        m0, r0 = task
-        c, s = trig[m0:m0 + pack, :1], trig[m0:m0 + pack, 1:]
-        wanted = needed[:, m0:m0 + pack].any(axis=1)
-        block_taus = taus[r0:r0 + block]
-        n_bins = len(c) * len(block_taus)
+        (i_lo, i_hi, j_lo, j_hi), members, m0, m1, r0, r1, o0, o1 = task
+        c, s = trig[m0:m1, :1], trig[m0:m1, 1:]
+        block_taus, block_offsets = taus[r0:r1], offsets[o0:o1, None, None]
+        n_bins = (m1 - m0) * (r1 - r0)
         # padded indices as grids._linear_index forms them, in place: numpy elides
         # temporaries only from 256 KiB up, which task arrays stay below
-        fx = block_taus * c - offsets[:, None, None] * s
+        fx = block_taus * c - block_offsets * s
         fx -= geometry.x_min
         fx /= geometry.dx
         fx += 1.0
-        fy = block_taus * s + offsets[:, None, None] * c
+        fy = block_taus * s + block_offsets * c
         fy -= geometry.y_min
         fy /= geometry.dy
         fy += 1.0
-        kept = []
-        for (i_lo, i_hi, j_lo, j_hi), group in groups.items():
-            members = [k for k in group if wanted[k]]
-            if not members:
-                continue
-            keep = np.flatnonzero((fx > i_lo) & (fx < i_hi) & (fy > j_lo) & (fy < j_hi))
-            if keep.size:   # else the group's rows keep their +0
-                kept.append((members, fx.ravel()[keep], fy.ravel()[keep], keep % n_bins))
-        del fx, fy  # before the gathers allocate theirs: keeps peak memory down
-        while kept:
-            # kept samples lie in (0, n + 1): _linear_index's clip and min are no-ops
-            members, tx, ty, bins = kept.pop()
-            i0, j0 = tx.astype(np.intp), ty.astype(np.intp)
-            tx -= i0
-            ty -= j0
-            sx, sy = 1.0 - tx, 1.0 - ty
-            weights = (sx * sy, tx * sy, sx * ty, tx * ty)
-            del tx, ty, sx, sy
-            corner = i0 * (ny + 2) + j0
-            del i0, j0
-            corners = (corner, corner + (ny + 2), corner + 1, corner + (ny + 3))
-            for k in members:
-                for q in (2 * k, 2 * k + 1):
-                    plane = planes[q]
-                    samples = plane.take(corners[0])
-                    samples *= weights[0]
-                    for w, idx in zip(weights[1:], corners[1:]):
-                        term = plane.take(idx)
-                        term *= w
-                        samples += term
-                    sums[q, m0:m0 + len(c), r0:r0 + len(block_taus)] = np.bincount(
-                        bins, weights=samples, minlength=n_bins).reshape(len(c), -1)
+        keep = np.flatnonzero((fx > i_lo) & (fx < i_hi) & (fy > j_lo) & (fy < j_hi))
+        if not keep.size:   # the rows keep their +0
+            return
+        # kept samples lie in (0, n + 1): _linear_index's clip and min are no-ops; each
+        # temporary is freed or reused as soon as it is spent, which keeps peak memory down
+        tx = fx.ravel()[keep]
+        del fx
+        ty = fy.ravel()[keep]
+        del fy
+        bins = np.remainder(keep, n_bins, out=keep)
+        i0, j0 = tx.astype(np.intp), ty.astype(np.intp)
+        tx -= i0
+        ty -= j0
+        corner = np.multiply(i0, ny + 2, out=i0)
+        corner += j0
+        del j0
+        sx, sy = 1.0 - tx, 1.0 - ty
+        w00, w10 = sx * sy, np.multiply(tx, sy, out=sy)
+        w01 = np.multiply(sx, ty, out=sx)
+        weights = (w00, w10, w01, np.multiply(tx, ty, out=tx))
+        del ty
+        for k in members:
+            for q in (2 * k, 2 * k + 1):
+                # the corners (i0 + 1, j0), (i0, j0 + 1) and (i0 + 1, j0 + 1) are the
+                # same index into the plane shifted by a row, a node and both
+                plane = planes[q]
+                samples = plane.take(corner)
+                samples *= weights[0]
+                for w, shift in zip(weights[1:], (ny + 2, 1, ny + 3)):
+                    term = plane[shift:].take(corner)
+                    term *= w
+                    samples += term
+                sums[q, m0:m1, r0:r1] = np.bincount(
+                    bins, weights=samples, minlength=n_bins).reshape(m1 - m0, -1)
 
-    _run_tasks(project_block, [(m0, r0) for m0 in range(0, n_dir, pack)
-                               if needed[:, m0:m0 + pack].any()
-                               for r0 in range(0, n_tau, block)])
+    _run_tasks(project_block, tasks)
     out = np.empty((len(arrays), n_dir, n_tau), dtype=np.complex128)
     out.real = sums[0::2] * h
     out.imag = sums[1::2] * h

@@ -541,7 +541,10 @@ class TestParser:
         (["invert", "--sinogram", "s.urdn", "--nx", "16", "--extent", "8", "--backend", "x",
           "--out-prefix", "r"], "--backend"),
         (["transform"], "transform"),
-    ], ids=["missing required", "bad choice", "unknown command"])
+        (["radon", "--im", "img.urdn", "--n-p", "12", "--o", "s.urdn"], "--image"),
+        (["radon", "--image", "img.urdn", "--n-p", "12", "--out", "s.urdn"], "--n-p"),
+    ], ids=["missing required", "bad choice", "unknown command", "flag prefixes",
+            "optional flag prefix"])
     def test_argparse_refusals_are_one_error_line(self, capsys, argv, word):
         with pytest.raises(SystemExit) as exc:
             main(argv)

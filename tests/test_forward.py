@@ -583,6 +583,10 @@ class TestRowBlocksAndThreads:
         for n_cpus in (1, 2, 3):
             got = with_cpus(n_cpus, _project, geom, views, taus, dirs, ray_step)
             assert np.array_equal(got, want)
+        if ray_step is None:   # the tasks: each direction's band cut into even row blocks
+            _, tasks = projected_tasks(fwd._BLOCK_SAMPLES, 2, geom, views, taus, dirs)
+            check_tasks(geom, views, taus, dirs, np.ones((len(views), len(dirs)), bool),
+                        fwd._BLOCK_SAMPLES, tasks)
 
     @D4_SETTINGS
     @given(long_tau_scans())
@@ -632,6 +636,71 @@ def packed_scans(draw):
     return geom, arrays, taus, dirs, pack, budget, rng
 
 
+def projected_tasks(budget, n_cpus, geom, arrays, taus, dirs, needed=None):
+    """_project's result with _BLOCK_SAMPLES = budget on n_cpus CPUs, and its task list."""
+    tasks = []
+    run_tasks = fwd._run_tasks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fwd, "_BLOCK_SAMPLES", budget)
+        mp.setattr(fwd, "_run_tasks", lambda task, items: tasks.append(items)
+                   or run_tasks(task, items))
+        values = with_cpus(n_cpus, _project, geom, arrays, taus, dirs, None, needed)
+    (items,) = tasks
+    return values, items
+
+
+def check_tasks(geom, arrays, taus, dirs, needed, budget, tasks):
+    """Check a _project task list (box, members, m0, m1, r0, r1, o0, o1) against brute force.
+
+    Every direction of a task is read from one of its members, the group of arrays that
+    share the box, and the task's tau and offset bands meet the box's spans there, so no
+    box test runs in vain.  Every sample strictly inside a box, at a direction read from
+    the box's group, lies in the bands of the one task that holds its row.  A task holds at
+    most budget samples or a single row, and a direction cut into row blocks is cut evenly.
+    """
+    offsets = fwd._ray_offsets(geom, ur.default_ray_step(geom))[0]
+    boxes = [fwd._support_box(a) for a in arrays]
+    tol = 1e-6 * geom.bounding_radius
+    bands = {}   # (box, m, r) -> the offset band of the task that holds the row
+    blocks = {}  # (box, m0, m1) -> the row blocks of a pack
+    for box, members, m0, m1, r0, r1, o0, o1 in tasks:
+        assert members == [k for k, b in enumerate(boxes) if b == box and needed[k, m0:m1].any()]
+        assert (m1 - m0) * (r1 - r0) * (o1 - o0) <= budget or (m1 - m0, r1 - r0) == (1, 1)
+        blocks.setdefault((box, m0, m1), []).append((r0, r1))
+        i_lo, i_hi, j_lo, j_hi = box
+        xs = geom.x_min + (np.array([i_lo, i_hi, i_lo, i_hi]) - 1.0) * geom.dx
+        ys = geom.y_min + (np.array([j_lo, j_lo, j_hi, j_hi]) - 1.0) * geom.dy
+        for m in range(m0, m1):
+            c, s = dirs[m]
+            along, across = xs * c + ys * s, ys * c - xs * s
+            assert needed[members, m].any()
+            assert np.any((taus[r0:r1] > along.min() - tol) & (taus[r0:r1] < along.max() + tol))
+            assert np.any((offsets[o0:o1] > across.min() - tol)
+                          & (offsets[o0:o1] < across.max() + tol))
+            for r in range(r0, r1):
+                assert (box, m, r) not in bands
+                bands[box, m, r] = (o0, o1)
+    for (_, m0, m1), rows in blocks.items():
+        if len(rows) > 1:   # one direction, its band cut into even consecutive blocks
+            rows.sort()
+            sizes = [r1 - r0 for r0, r1 in rows]
+            assert m1 - m0 == 1 and max(sizes) - min(sizes) <= 1
+            assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+    for k, box in enumerate(boxes):
+        if box is None:
+            continue
+        i_lo, i_hi, j_lo, j_hi = box
+        for m, (c, s) in enumerate(dirs):
+            if not needed[k, m]:
+                continue
+            fx = (taus[:, None] * c - offsets[None, :] * s - geom.x_min) / geom.dx + 1.0
+            fy = (taus[:, None] * s + offsets[None, :] * c - geom.y_min) / geom.dy + 1.0
+            inside = (fx > i_lo) & (fx < i_hi) & (fy > j_lo) & (fy < j_hi)
+            band = np.array([bands.get((box, m, r), (0, 0)) for r in range(len(taus))])
+            o = np.arange(len(offsets))
+            assert not np.any(inside & ((o < band[:, :1]) | (o >= band[:, 1:])))
+
+
 class TestPackedDirections:
     @D4_SETTINGS
     @given(packed_scans())
@@ -639,15 +708,21 @@ class TestPackedDirections:
         geom, arrays, taus, dirs, pack, budget, _ = scan
         want = unblocked_projection([ur.ImageGrid2D(geom, a) for a in arrays], taus, dirs, None)
         assert not want[-1].any()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fwd, "_BLOCK_SAMPLES", budget)
-            tasks = []
-            run_tasks = fwd._run_tasks
-            mp.setattr(fwd, "_run_tasks", lambda task, items: tasks.append(items)
-                       or run_tasks(task, items))
-            for n_cpus in (1, 2, 3):
-                assert same_bits(with_cpus(n_cpus, _project, geom, arrays, taus, dirs, None), want)
-        assert tasks[0] == [(m, 0) for m in range(0, len(dirs), pack)]
+        lists = []
+        for n_cpus in (1, 2, 3):
+            got, tasks = projected_tasks(budget, n_cpus, geom, arrays, taus, dirs)
+            assert same_bits(got, want)
+            lists.append(tasks)
+        assert lists[0] == lists[1] == lists[2]
+        check_tasks(geom, arrays, taus, dirs, np.ones((len(arrays), len(dirs)), bool), budget,
+                    tasks)
+        # pack whole directions fit the budget, and a band is never wider than its
+        # direction: each direction is one task's, and a task holds fewer than pack of
+        # them only where its group's run of reachable directions ends
+        starts = {(box, m0) for box, _, m0, *_ in tasks}
+        for box, _, m0, m1, *_ in tasks:
+            assert m1 - m0 >= pack or (box, m1) not in starts
+        assert len(tasks) == len({(box, m0) for box, _, m0, *_ in tasks})
         assert len(dirs) % pack
 
     @D4_SETTINGS
@@ -786,6 +861,84 @@ class TestSupportBoxes:
         _, n_q3 = counted([q3], minus)
         _, n_full = counted([q1 + q3], plus)
         assert 0 < n_q1 < n_full and 0 < n_q3 < n_full
+
+
+# --- probe windows: each support box projects only the tau rows and offsets it can reach ---
+
+@st.composite
+def probe_windows(draw):
+    """Quadrant-masked arrays next to an all-zero one, probe directions in [0, pi/2] and
+    their half turns, and an ascending tau grid that is not symmetric about 0."""
+    geom = draw(st.sampled_from(SUPPORT_GRIDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = draw(st.lists(st.sampled_from([ur.RegionMask.QUADRANT_I, ur.RegionMask.QUADRANT_III]),
+                          min_size=1, max_size=4))
+    arrays = [np.zeros((geom.nx, geom.ny), dtype=complex)]
+    for mask in masks:   # a blob in its own quadrant, as holonomy and defect scenes hold them
+        sign = 1.0 if mask is ur.RegionMask.QUADRANT_I else -1.0
+        blob = ur.GaussianBlob(sign * rng.uniform(0.1, 1.0), sign * rng.uniform(0.1, 1.0),
+                               rng.uniform(0.2, 0.6), complex(rng.normal(), rng.normal()))
+        arrays.append(ur.rasterize(ur.CompositeScene(((blob, mask),)), geom).values)
+    radius = geom.bounding_radius
+    n_tau = draw(st.integers(2, 40))
+    tau_min = radius * draw(st.floats(-0.3, 0.5))
+    taus = ur.TauGrid(tau_min, (radius - tau_min) / n_tau * draw(st.floats(0.3, 1.2)), n_tau).taus()
+    plus = [ur.direction(phi) for phi in np.sort(rng.uniform(0.0, np.pi / 2.0,
+                                                             draw(st.integers(1, 12))))]
+    return geom, arrays, taus, plus + [(-c, -s) for c, s in plus]
+
+
+class TestProbeWindows:
+    @D4_SETTINGS
+    @given(probe_windows())
+    def test_banded_tasks_are_the_unblocked_loop_at_any_budget_and_thread_count(self, window):
+        geom, arrays, taus, dirs = window
+        want = unblocked_projection([ur.ImageGrid2D(geom, a) for a in arrays], taus, dirs, None)
+        needed = np.ones((len(arrays), len(dirs)), bool)
+        for budget in (600, fwd._BLOCK_SAMPLES, 10**9):
+            lists = []
+            for n_cpus in (1, 2, 3):
+                got, tasks = projected_tasks(budget, n_cpus, geom, arrays, taus, dirs)
+                assert same_bits(got, want)
+                lists.append(tasks)
+            assert lists[0] == lists[1] == lists[2]
+            check_tasks(geom, arrays, taus, dirs, needed, budget, tasks)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_through_the_box_corners_keep_their_bits(self, seed):
+        # a row whose tau is a box corner's, or one ulp off it, can hold a sample that the
+        # rounding of its position puts inside the box: the band's margin keeps that row
+        rng = np.random.default_rng(seed)
+        geom = SUPPORT_GRIDS[seed % 3]
+        a = zero_margin_array(rng, geom, ["corner", "edge", "block", "quadrant"][seed % 4])
+        i_lo, i_hi, j_lo, j_hi = fwd._support_box(a)
+        xs = geom.x_min + (np.array([i_lo, i_hi, i_lo, i_hi]) - 1.0) * geom.dx
+        ys = geom.y_min + (np.array([j_lo, j_lo, j_hi, j_hi]) - 1.0) * geom.dy
+        for phi in (0.0, np.pi / 2.0, np.pi, 1.5 * np.pi, *rng.uniform(0.0, 2.0 * np.pi, 4)):
+            dirs = [ur.direction(phi)]
+            corners = xs * dirs[0][0] + ys * dirs[0][1]
+            taus = np.unique(np.concatenate([np.nextafter(corners, -np.inf), corners,
+                                             np.nextafter(corners, np.inf)]))
+            want = unblocked_projection([ur.ImageGrid2D(geom, a)], taus, dirs, None)
+            assert same_bits(_project(geom, [a], taus, dirs, None), want)
+
+    def test_the_probes_holonomy_call_skips_the_unreachable_half(self):
+        # probes' three mirror pairs at 256^2: each quadrant's group reaches one half of the
+        # 24 directions, two or three per task, and no task tests a box its lines miss
+        geom = ur.GridGeometry.centered(256, 256, 8.0, 8.0)
+        arrays = []
+        for cx, cy in ((1.5, 1.5), (0.8, 2.0), (2.2, 0.6)):
+            for sign, mask in ((1.0, ur.RegionMask.QUADRANT_I), (-1.0, ur.RegionMask.QUADRANT_III)):
+                blob = ur.GaussianBlob(sign * cx, sign * cy, 0.5, 1.0 + 0.3j)
+                arrays.append(ur.rasterize(ur.CompositeScene(((blob, mask),)), geom).values)
+        taus = ur.TauGrid(0.2 + 2.8 / 64, 2.8 / 32, 32).taus()
+        plus = [ur.direction(phi) for phi in np.linspace(0.0, np.pi / 2.0, 12)]
+        dirs = plus + [(-c, -s) for c, s in plus]
+        _, tasks = projected_tasks(fwd._BLOCK_SAMPLES, 2, geom, arrays, taus, dirs)
+        assert len(tasks) == 10
+        for _, members, m0, m1, *_ in tasks:
+            assert (members == [0, 2, 4] and m1 <= 12) or (members == [1, 3, 5] and m0 >= 12)
+        check_tasks(geom, arrays, taus, dirs, np.ones((6, 24), bool), fwd._BLOCK_SAMPLES, tasks)
 
 
 @pytest.fixture
