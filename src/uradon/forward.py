@@ -22,6 +22,11 @@ cut and at any thread count.  The projector takes a GridGeometry and plain
 sample arrays on it, so the symmetry views of grids._fold_plan (rotations
 and mirrors of f) are projected as array views, from the plan's
 representative angles only, and only for the views some row reads there.
+An array may also be a block of nodes placed at an origin on the grid, as
+the quadrant blocks of masked terms are: it projects as the full-grid
+array that is zero outside the block.  Each group's samples are read from
+one stack of planes that spans its box alone, so a quadrant-sized term
+never occupies a full-grid buffer.
 
 The projector skips the ray samples whose contribution is exactly +0 or
 -0.  A task keeps only the samples strictly inside its group's box; a
@@ -174,7 +179,7 @@ def _support_box(a: np.ndarray) -> tuple[int, int, int, int] | None:
     zero.  When every border line of a holds a nonzero node the box is the
     whole padded grid, (0, nx + 1, 0, ny + 1), found without a full scan.
     """
-    if a[0].any() and a[-1].any() and a[:, 0].any() and a[:, -1].any():
+    if a.size and a[0].any() and a[-1].any() and a[:, 0].any() and a[:, -1].any():
         return 0, a.shape[0] + 1, 0, a.shape[1] + 1
     nonzero = a != 0
     rows = np.flatnonzero(nonzero.any(axis=1))
@@ -185,17 +190,22 @@ def _support_box(a: np.ndarray) -> tuple[int, int, int, int] | None:
 
 
 def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
-             ray_step: float | None, needed: np.ndarray | None = None) -> np.ndarray:
+             ray_step: float | None, needed: np.ndarray | None = None,
+             origins=None) -> np.ndarray:
     """Line integrals of each array along <(c, s), x> = tau, shape (n_arrays, n_tau, n_dir).
 
-    Every ray-driven caller goes through here.  Each array holds the
-    (nx, ny) samples of one image on ``geometry`` and may be any array
-    view; it is projected as two real planes (its real and imaginary part).
-    needed, a boolean (n_arrays, n_dir) table, names the columns the caller
-    reads (all of them when None); the others are +0.
+    Every ray-driven caller goes through here.  Each array is a block of
+    node samples of one image on ``geometry``, zero outside the block, and
+    may be any array view: origins[k], a pair of ints, is the grid node of
+    array k's node (0, 0), and the block must lie on the grid.  When origins
+    is None every array is a full (nx, ny) grid at (0, 0).  needed, a
+    boolean (n_arrays, n_dir) table, names the columns the caller reads (all
+    of them when None); the others are +0.  origins follows needed as the
+    last positional parameter, so a wrapper that forwards *args passes it on.
 
     taus must be ascending.  The arrays are grouped by the box of their
-    nonzero nodes (_support_box).  Per group and direction, np.searchsorted
+    nonzero nodes (_support_box) on the grid, so a block has the box of its
+    zero-embedded full-grid array.  Per group and direction, np.searchsorted
     on taus and on the ray offsets turns the span of the box corners' tau
     and offset, widened by a rounding margin, into a band of tau rows and
     offsets; a sample strictly inside the box lies inside the band.  A
@@ -208,20 +218,27 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     and gets no task.  A task computes positions on its band alone, keeps
     the samples strictly inside the box, and computes their corner index and
     bilinear weights once for every plane of the group that one of its
-    directions needs.  Each array's planes are read inside a ring of zero
-    nodes (grids._linear_index), and the three other corners are read at the
-    same index in the plane shifted by a row, a node or both.  A task lays
-    its samples out as one (offset, direction, row) block, so np.bincount
-    over the bins direction * n_rows + row adds consecutive samples into
-    different bins instead of waiting on one running sum; each bin still
-    receives its own samples in increasing offset order, which gives the
-    bits of a row-by-row sum.
+    directions needs.  Each group's arrays are copied into one stack of real
+    and imaginary planes that spans the padded box [i_lo, i_hi] x [j_lo,
+    j_hi] alone: its border is the grid's ring of zero nodes
+    (grids._linear_index) where the box reaches the grid edge, and zero
+    nodes of the arrays elsewhere; an image of full support gets the whole
+    padded grid.  A task indexes its group's stack with the stack's row
+    width, and the three other corners are read at the same index in the
+    plane shifted by a row, a node or both.  A task lays its samples out as
+    one (offset, direction, row) block, so np.bincount over the bins
+    direction * n_rows + row adds consecutive samples into different bins
+    instead of waiting on one running sum; each bin still receives its own
+    samples in increasing offset order, which gives the bits of a row-by-row
+    sum.
 
     A dropped sample, inside the band or outside it, would add exactly +0 or
     -0 (module docstring), so the kept ones give every bit of the full sum.
-    A row never straddles two tasks, and an array's box is its own, so an
-    entry depends on its own array, tau and direction only: it has the same
-    bits whatever else the call projects, however the tasks are cut,
+    A block reads the node values of its zero-embedded array at every kept
+    sample, with the same weights in the same order, so it has that array's
+    bits.  A row never straddles two tasks, and an array's box is its own,
+    so an entry depends on its own array, tau and direction only: it has the
+    same bits whatever else the call projects, however the tasks are cut,
     whatever the thread count, and repeated calls are bitwise identical.
     Each task writes its sums contiguously: the result is a transposed
     direction-major view.
@@ -230,21 +247,18 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
         ray_step = default_ray_step(geometry)
     _finite("ray_step", ray_step, positive=True)
     offsets, h = _ray_offsets(geometry, ray_step)
-    nx, ny = geometry.nx, geometry.ny
     n_tau, n_dir = len(taus), len(directions)
     if needed is None:
         needed = np.ones((len(arrays), n_dir), dtype=bool)
-    # plane 2k is the real part of array k, plane 2k + 1 its imaginary part, each
-    # inside a ring of zeros: node (i, j) at padded (i + 1, j + 1)
-    planes = np.zeros((2 * len(arrays), nx + 2, ny + 2))
-    for plane, part in zip(planes, [p for a in arrays for p in (a.real, a.imag)]):
-        plane[1:-1, 1:-1] = part
-    planes = planes.reshape(len(planes), -1)
-    groups: dict = {}   # support box -> the arrays that have it
-    for k, a in enumerate(arrays):
+    if origins is None:
+        origins = [(0, 0)] * len(arrays)
+    groups: dict = {}   # support box on the geometry's padded grid -> the arrays that have it
+    for k, (a, (oi, oj)) in enumerate(zip(arrays, origins)):
         box = _support_box(a)
         if box is not None:
-            groups.setdefault(box, []).append(k)
+            i_lo, i_hi, j_lo, j_hi = box
+            groups.setdefault((i_lo + oi, i_hi + oi, j_lo + oj, j_hi + oj), []).append(k)
+    planes = [None] * (2 * len(arrays))
     sums = np.zeros((len(planes), n_dir, n_tau))
     trig = np.array(directions, dtype=float).reshape(n_dir, 2)
     # a sample inside a box lies inside its corners' tau and offset spans up to rounding,
@@ -253,6 +267,15 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     tasks = []
     for box, group in groups.items():
         i_lo, i_hi, j_lo, j_hi = box
+        # plane 2k is the real part of array k, plane 2k + 1 its imaginary part, in its
+        # group's stack over the padded box: grid node (i, j) at (i + 1 - i_lo, j + 1 - j_lo),
+        # the stack's border all zero
+        stack = np.zeros((len(group), 2, i_hi - i_lo + 1, j_hi - j_lo + 1))
+        for k, (real, imag) in zip(group, stack):
+            oi, oj = origins[k]
+            nodes = arrays[k][i_lo - oi:i_hi - oi - 1, j_lo - oj:j_hi - oj - 1]
+            real[1:-1, 1:-1], imag[1:-1, 1:-1] = nodes.real, nodes.imag
+            planes[2 * k], planes[2 * k + 1] = real.ravel(), imag.ravel()
         xs = geometry.x_min + (np.array([i_lo, i_hi, i_lo, i_hi]) - 1.0) * geometry.dx
         ys = geometry.y_min + (np.array([j_lo, j_lo, j_hi, j_hi]) - 1.0) * geometry.dy
         along = trig[:, :1] * xs + trig[:, 1:] * ys   # (n_dir, 4): tau and offset of each corner
@@ -311,9 +334,12 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
         i0, j0 = tx.astype(np.intp), ty.astype(np.intp)
         tx -= i0
         ty -= j0
-        corner = np.multiply(i0, ny + 2, out=i0)
+        # the index in the group's stack, whose rows are width nodes long
+        width = j_hi - j_lo + 1
+        corner = np.multiply(i0, width, out=i0)
         corner += j0
         del j0
+        corner -= i_lo * width + j_lo
         sx, sy = 1.0 - tx, 1.0 - ty
         w00, w10 = sx * sy, np.multiply(tx, sy, out=sy)
         w01 = np.multiply(sx, ty, out=sx)
@@ -326,7 +352,7 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
                 plane = planes[q]
                 samples = plane.take(corner)
                 samples *= weights[0]
-                for w, shift in zip(weights[1:], (ny + 2, 1, ny + 3)):
+                for w, shift in zip(weights[1:], (width, 1, width + 1)):
                     term = plane[shift:].take(corner)
                     term *= w
                     samples += term

@@ -152,7 +152,8 @@ def _fold_plan(geometry: GridGeometry, tau_grid: TauGrid, angles: AngularRange) 
 
 
 class _Handover(np.ndarray):
-    """A fresh array that _freeze adopts instead of copying (the container reader's blocks)."""
+    """A fresh array that _freeze adopts instead of copying: the container reader's blocks,
+    rasterized scenes and the inverse's images, which nothing else holds for writing."""
 
 
 def _freeze(values, shape, name: str, order: str = "C") -> np.ndarray:

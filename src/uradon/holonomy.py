@@ -100,12 +100,19 @@ def leak_tolerance(scene: CompositeScene, geometry: GridGeometry) -> float:
     return 1e-6 * scene.peak * geometry.diameter
 
 
-def _half_turns(geometry: GridGeometry, arrays, probe: Probe) -> tuple:
+def _half_turns(geometry: GridGeometry, arrays, probe: Probe, origins=None) -> tuple:
     """Each array's (n_arrays, n_tau, n_phi) columns on the probe window and after a half
-    turn, the exactly flipped direction, from one _project call at the default ray step."""
+    turn, the exactly flipped direction, from one _project call at the default ray step;
+    the arrays are node blocks at origins on geometry (full-grid ones when None)."""
     trig = [direction(phi) for phi in probe.angles.phis()]
-    both = _project(geometry, arrays, probe.taus.taus(), trig + [(-c, -s) for c, s in trig], None)
+    both = _project(geometry, arrays, probe.taus.taus(), trig + [(-c, -s) for c, s in trig], None,
+                    None, origins)
     return both[..., :len(trig)], both[..., len(trig):]
+
+
+def _origin(block: tuple[slice, slice]) -> tuple[int, int]:
+    """The node at which a phantoms._mask_block block starts."""
+    return tuple(int(s.start or 0) for s in block)
 
 
 def _walk(counts: tuple, columns: tuple, leak_tol: float) -> PathEvaluation:
@@ -131,11 +138,17 @@ def check_holonomy(scene: CompositeScene, probe: Probe,
     """Compare the full-turn and two-half-turn protocols on the probe window.
 
     Each term is rasterized alone, and both paths walk its _half_turns columns,
-    dropping terms within leak_tolerance; the threshold is 10 times that."""
+    dropping terms within leak_tolerance; the threshold is 10 times that.  A term
+    is +0 outside its mask's node block (phantoms._mask_block), so only a copy
+    of that block is kept, and each full image is freed before the next term is
+    rasterized; the blocks project with the bits of the full images."""
     leak_tol = leak_tolerance(scene, geometry)
     threshold = 10.0 * leak_tol
-    images = [rasterize(CompositeScene((term,)), geometry).values for term in scene.terms]
-    columns = _half_turns(geometry, images, probe)
+    x, y = geometry.x_nodes(), geometry.y_nodes()
+    blocks = [_mask_block(mask, x, y) for _, mask in scene.terms]
+    terms = [rasterize(CompositeScene((term,)), geometry).values[block].copy()
+             for term, block in zip(scene.terms, blocks)]
+    columns = _half_turns(geometry, terms, probe, [_origin(block) for block in blocks])
     one = _walk((2,), columns, leak_tol)
     two = _walk((1, 2), columns, leak_tol)
     discrepancy = l2_norm(one.final_sinogram_column - two.final_sinogram_column)
@@ -193,22 +206,21 @@ def extract_defect(scene_tilde: CompositeScene, probe: Probe, geometry: GridGeom
     projection.
 
     The scene is rasterized once and its first- and third-quadrant node
-    blocks (phantoms._mask_block) are projected as two arrays, so each
-    keeps its own support box; each column is the sum of the two arrays'
-    columns.  On the normative window, with every probe tau more than a
-    cell diagonal above 0, a line misses the other quadrant's support box:
-    those columns are +0, and every column has the bits of projecting the
-    whole image.  Where the probe reaches within a cell diagonal of tau = 0
-    (or leaves [0, pi/2]) the two agree only to rounding.
+    blocks (phantoms._mask_block) are projected as two views of that one
+    image, placed at their origins, with no zero-filled copy: each keeps its
+    own support box, and each column is the sum of the two blocks' columns.
+    On the normative window, with every probe tau more than a cell diagonal
+    above 0, a line misses the other quadrant's support box: those columns
+    are +0, and every column has the bits of projecting the whole image.
+    Where the probe reaches within a cell diagonal of tau = 0 (or leaves
+    [0, pi/2]) the two agree only to rounding.
     """
     classify_defect_scene(scene_tilde)  # validates the scene shape
     values = rasterize(scene_tilde, geometry).values
     x, y = geometry.x_nodes(), geometry.y_nodes()
-    quadrants = np.zeros((2,) + values.shape, dtype=np.complex128)
-    for quadrant, mask in zip(quadrants, (RegionMask.QUADRANT_I, RegionMask.QUADRANT_III)):
-        block = _mask_block(mask, x, y)
-        quadrant[block] = values[block]
-    plus, minus = _half_turns(geometry, quadrants, probe)
+    blocks = [_mask_block(mask, x, y) for mask in (RegionMask.QUADRANT_I, RegionMask.QUADRANT_III)]
+    plus, minus = _half_turns(geometry, [values[block] for block in blocks], probe,
+                              [_origin(block) for block in blocks])
     return Sinogram(probe.taus.tau_min, probe.taus.d_tau, probe.taus.n_tau,
                     probe.angles, (plus[0] + plus[1]) - (minus[0] + minus[1]))
 

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import (ANGULAR_MEASURE_NORM, GridGeometry, ImageGrid2D, Sinogram, _finite,
-                    _fold_plan, _linear_index, _trapezoid_weights)
+                    _fold_plan, _Handover, _linear_index, _trapezoid_weights)
 from .forward import _run_tasks, _thread_count, direction
 
 
@@ -130,7 +130,8 @@ class Reconstruction:
             raise ValueError(f"out_of_coverage: expected shape {(g.nx, g.ny)}, got {mask.shape}")
         mask.setflags(write=False)
         object.__setattr__(self, "out_of_coverage", mask)
-        object.__setattr__(self, "f_total", ImageGrid2D(g, self.f_s.values + self.f_a.values))
+        object.__setattr__(self, "f_total",
+                           ImageGrid2D(g, (self.f_s.values + self.f_a.values).view(_Handover)))
 
 
 def delta_plus(eta, epsilon: float):
@@ -469,8 +470,9 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
     values, oob = _backproject([b for b in buffers if b is not None], first, geometry, plan)
     del buffers   # freed before the images are made
     values = iter(values)
-    images = [ImageGrid2D(geometry, np.zeros((geometry.nx, geometry.ny), dtype=np.complex128)
-                          if skip else next(values)) for skip in skipped]
+    images = [ImageGrid2D(geometry, (np.zeros((geometry.nx, geometry.ny), dtype=np.complex128)
+                                     if skip else next(values)).view(_Handover))
+              for skip in skipped]
     n = len(terms)
     recons = [] if params is None else [
         Reconstruction(fs, fa, oob)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridGeometry, ImageGrid2D, _finite
+from .grids import GridGeometry, ImageGrid2D, _finite, _Handover
 
 
 class RegionMask(enum.Enum):
@@ -94,7 +94,7 @@ def rasterize(scene: CompositeScene, geometry: GridGeometry) -> ImageGrid2D:
         bx, by = _mask_block(mask, x, y)
         r2 = (x[bx, None] - blob.cx) ** 2 + (y[by] - blob.cy) ** 2
         values[bx, by] += blob.amplitude * np.exp(-r2 / (2.0 * blob.sigma**2))
-    return ImageGrid2D(geometry, values)
+    return ImageGrid2D(geometry, values.view(_Handover))
 
 
 def analytic_radon(scene: CompositeScene, tau, phi: float):

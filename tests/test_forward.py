@@ -12,6 +12,7 @@ import uradon.forward as fwd
 from conftest import analytic_sinogram, rel_l2, same_bits
 from uradon.forward import _project, _radon_values
 from uradon.grids import _fold_plan
+from uradon.phantoms import _mask_block
 
 SQRT_2PI = 2.5066282746310002
 
@@ -636,7 +637,7 @@ def packed_scans(draw):
     return geom, arrays, taus, dirs, pack, budget, rng
 
 
-def projected_tasks(budget, n_cpus, geom, arrays, taus, dirs, needed=None):
+def projected_tasks(budget, n_cpus, geom, arrays, taus, dirs, needed=None, origins=None):
     """_project's result with _BLOCK_SAMPLES = budget on n_cpus CPUs, and its task list."""
     tasks = []
     run_tasks = fwd._run_tasks
@@ -644,7 +645,7 @@ def projected_tasks(budget, n_cpus, geom, arrays, taus, dirs, needed=None):
         mp.setattr(fwd, "_BLOCK_SAMPLES", budget)
         mp.setattr(fwd, "_run_tasks", lambda task, items: tasks.append(items)
                    or run_tasks(task, items))
-        values = with_cpus(n_cpus, _project, geom, arrays, taus, dirs, None, needed)
+        values = with_cpus(n_cpus, _project, geom, arrays, taus, dirs, None, needed, origins)
     (items,) = tasks
     return values, items
 
@@ -939,6 +940,97 @@ class TestProbeWindows:
         for _, members, m0, m1, *_ in tasks:
             assert (members == [0, 2, 4] and m1 <= 12) or (members == [1, 3, 5] and m0 >= 12)
         check_tasks(geom, arrays, taus, dirs, np.ones((6, 24), bool), fwd._BLOCK_SAMPLES, tasks)
+
+
+# --- node blocks: an array given as a block of nodes at an origin projects as its zero-embedded
+# full-grid array, bit for bit ---
+
+def span(rng, n, edge):
+    """A nonempty run [lo, hi) of n nodes: reaching the first or the last node if edge,
+    else clear of both."""
+    if not edge:
+        lo = rng.integers(1, n - 1)
+        return lo, rng.integers(lo + 1, n)
+    lo = rng.integers(n)
+    hi = rng.integers(lo + 1, n + 1)
+    return (0, hi) if rng.integers(2) else (lo, n)
+
+
+@st.composite
+def node_blocks(draw):
+    """Node blocks at their origins on a grid, and each one's zero-embedded full-grid array.
+
+    The blocks are quadrant blocks of masked blobs (phantoms._mask_block), rectangles that
+    touch the grid edge or stay clear of it, with or without zero margins inside, and
+    all-zero or empty ones; a full-support image may join them.  With them come a needed
+    table, probe directions and their half turns, and an ascending tau grid that is not
+    symmetric about 0.
+    """
+    geom = draw(st.sampled_from(SUPPORT_GRIDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nx, ny = geom.nx, geom.ny
+    x, y = geom.x_nodes(), geom.y_nodes()
+    blocks, origins = [], []
+    if draw(st.booleans()):
+        blocks.append(noise_image(rng, geom).values)
+        origins.append((0, 0))
+    for kind in draw(st.lists(st.sampled_from(["quadrant", "edge", "inner", "zero"]),
+                              min_size=1, max_size=5)):
+        if kind == "quadrant":
+            sign, mask = ((1.0, ur.RegionMask.QUADRANT_I), (-1.0, ur.RegionMask.QUADRANT_III))[
+                rng.integers(2)]
+            blob = ur.GaussianBlob(sign * rng.uniform(0.1, 1.0), sign * rng.uniform(0.1, 1.0),
+                                   rng.uniform(0.2, 0.6), complex(rng.normal(), rng.normal()))
+            rows, cols = _mask_block(mask, x, y)
+            blocks.append(ur.rasterize(ur.CompositeScene(((blob, mask),)), geom).values[rows, cols])
+            origins.append((int(rows.start or 0), int(cols.start or 0)))
+            continue
+        if kind == "zero":   # all zero, with no row or no column at times, as an empty quadrant
+            i0, i1 = np.sort(rng.integers(0, nx + 1, 2))
+            j0, j1 = np.sort(rng.integers(0, ny + 1, 2))
+            i1, j1 = [(i1, j1), (i0, j1), (i1, j0)][rng.integers(3)]
+        else:   # an inner block stays a node or more clear of every edge
+            i0, i1 = span(rng, nx, kind == "edge")
+            j0, j1 = span(rng, ny, kind == "edge" and rng.integers(2))
+        shape = (int(i1 - i0), int(j1 - j0))
+        block = np.zeros(shape, complex)
+        if kind != "zero" and block.size:
+            block += rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            if rng.integers(2):   # a zero margin inside the block: its box is smaller
+                block[:rng.integers(shape[0]), :rng.integers(shape[1])] = 0.0
+        blocks.append(block)
+        origins.append((int(i0), int(j0)))
+    embedded = []
+    for block, (oi, oj) in zip(blocks, origins):
+        full = np.zeros((nx, ny), complex)
+        full[oi:oi + block.shape[0], oj:oj + block.shape[1]] = block
+        embedded.append(full)
+    radius = geom.bounding_radius
+    n_tau = draw(st.integers(2, 40))
+    tau_min = radius * draw(st.floats(-1.0, 0.5))
+    taus = ur.TauGrid(tau_min, (radius - tau_min) / n_tau * draw(st.floats(0.3, 1.2)), n_tau).taus()
+    plus = [ur.direction(phi) for phi in rng.uniform(0.0, 2.0 * np.pi, draw(st.integers(1, 8)))]
+    dirs = plus + [(-c, -s) for c, s in plus]
+    needed = rng.random((len(blocks), len(dirs))) < 0.7
+    return geom, blocks, origins, embedded, taus, dirs, needed
+
+
+class TestNodeBlocks:
+    @D4_SETTINGS
+    @given(node_blocks())
+    def test_blocks_project_as_their_zero_embedded_arrays(self, case):
+        # same boxes, bands and tasks as the full-grid arrays: only the planes shrink
+        geom, blocks, origins, embedded, taus, dirs, needed = case
+        want = unblocked_projection([ur.ImageGrid2D(geom, a) for a in embedded], taus, dirs, None)
+        want = np.where(needed[:, None, :], want, 0.0)
+        for budget in (600, fwd._BLOCK_SAMPLES, 10**9):
+            got, embedded_tasks = projected_tasks(budget, 1, geom, embedded, taus, dirs, needed)
+            assert same_bits(got, want)
+            for n_cpus in (1, 2, 3):
+                got, tasks = projected_tasks(budget, n_cpus, geom, blocks, taus, dirs, needed,
+                                             origins)
+                assert same_bits(got, want)
+                assert tasks == embedded_tasks
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@ import pytest
 
 import uradon as ur
 import uradon.holonomy as hol
-from conftest import rel_l2, same_bits
+from conftest import rel_l2, same_bits, traced_peak
 from uradon import forward
+from uradon.phantoms import _mask_block
 
 Q1 = ur.RegionMask.QUADRANT_I
 Q3 = ur.RegionMask.QUADRANT_III
@@ -322,3 +323,46 @@ class TestBoundaryJump:
         sino = ur.Sinogram(-0.5, 0.25, 5, ur.AngularRange.full(4), np.zeros((5, 4)))
         with pytest.raises(ValueError):
             ur.boundary_jump(sino, 0.0)
+
+
+class TestWorkingSet:
+    """The tracemalloc peak of the masked analyses at 256^2 on a 32 tau x 12 angle window,
+    with two projector threads, against a bound in bytes derived from the node blocks:
+
+        16 * nx * ny                        one rasterized full image (a term, or the scene)
+      + 16 * sum(block nodes)               the term blocks check_holonomy keeps
+      + 16 * sum((rows + 2) * (cols + 2))   each array's real and imaginary float64 planes,
+                                            over its box padded by a node on every side
+      + 2 * 72 * _BLOCK_SAMPLES             per thread, one task's positions, kept indices,
+                                            weights and gathered samples, at most 72 B for
+                                            each of its band samples
+      + 32 * n_arrays * n_tau * n_dir       the complex result and its real sums
+
+    Each array held as a full-grid image with full zero-ringed planes, 32 B per grid node,
+    breaks the bound.
+    """
+
+    GEOM = ur.GridGeometry.centered(256, 256, 8.0, 8.0)
+    PROBE = ur.Probe(ur.TauGrid(0.2 + 2.8 / 64, 2.8 / 32, 32), ur.AngularRange(0.0, np.pi / 2, 12))
+
+    def bound(self, masks, kept):
+        g = self.GEOM
+        x, y = g.x_nodes(), g.y_nodes()
+        sizes = [[len(range(n)[s]) for n, s in zip((g.nx, g.ny), _mask_block(mask, x, y))]
+                 for mask in masks]
+        n_dir = 2 * self.PROBE.angles.n_phi
+        return (16 * g.nx * g.ny + 16 * kept * sum(r * c for r, c in sizes)
+                + 16 * sum((r + 2) * (c + 2) for r, c in sizes)
+                + 2 * 72 * forward._BLOCK_SAMPLES
+                + 32 * len(masks) * self.PROBE.taus.n_tau * n_dir)
+
+    def test_check_holonomy_holds_box_sized_terms(self, monkeypatch):
+        monkeypatch.setattr(forward, "_cpu_count", lambda: 2)
+        scene = TestColumnReuse.three_pair_scene()
+        _, peak = traced_peak(lambda: ur.check_holonomy(scene, self.PROBE, self.GEOM))
+        assert peak <= self.bound([mask for _, mask in scene.terms], kept=True)
+
+    def test_extract_defect_projects_views_of_its_image(self, monkeypatch):
+        monkeypatch.setattr(forward, "_cpu_count", lambda: 2)
+        _, peak = traced_peak(lambda: ur.extract_defect(tilde_scene(), self.PROBE, self.GEOM))
+        assert peak <= self.bound([Q1, Q3], kept=False)

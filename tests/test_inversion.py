@@ -730,6 +730,22 @@ def test_working_set_stays_within_a_multiple_of_the_payload(rng, scan, path):
     assert peak <= WORKING_SET_BOUNDS[scan, path] * sino.values.nbytes
 
 
+def test_images_adopt_the_backprojected_frames_and_the_sum(monkeypatch, unit_blob_scene):
+    frames = []
+    backproject = inv._backproject
+    monkeypatch.setattr(inv, "_backproject",
+                        lambda *args: frames.append(backproject(*args)) or frames[-1])
+    geom = ur.GridGeometry.centered(48, 48, 8.0, 8.0)
+    sino = analytic_sinogram(unit_blob_scene, ur.TauGrid.symmetric(0.1, 81),
+                             ur.AngularRange.full(32))
+    recon = ur.invert_universal(sino, geom, ur.RegParams.defaults(0.1))
+    ((fs, fa), _), = frames
+    assert np.shares_memory(recon.f_s.values, fs) and np.shares_memory(recon.f_a.values, fa)
+    # f_total adopts the sum: one image and the mask's copy (1 B per pixel), not two images
+    _, peak = traced_peak(lambda: ur.Reconstruction(recon.f_s, recon.f_a, recon.out_of_coverage))
+    assert peak <= 1.5 * recon.f_s.values.nbytes
+
+
 def test_l2_norm_keeps_its_bits_in_either_memory_order(rng):
     for shape in [(7, 5), (128, 96), (1685, 3)]:
         a = rng.normal(size=shape) + 1j * rng.normal(size=shape)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uradon as ur
-from conftest import fourier_quad_1d, fourier_quad_2d, line_integral_quad, same_bits
+from conftest import fourier_quad_1d, fourier_quad_2d, line_integral_quad, same_bits, traced_peak
 
 SQRT_2PI = 2.5066282746310002  # independent quadrature of exp(-s^2/2): see conftest oracles
 TWO_PI = 2 * np.pi
@@ -83,6 +83,18 @@ class TestQuadrantBlocks:
         q3 = ur.rasterize(ur.CompositeScene(((blob, ur.RegionMask.QUADRANT_III),)), geom).values
         assert np.all(q1[3:, 4:] != 0.0) and not q1[:3].any() and not q1[:, :4].any()
         assert np.all(q3[:3, :4] != 0.0) and not q3[3:].any() and not q3[:, 4:].any()
+
+    def test_the_image_adopts_its_samples_and_still_checks_them(self):
+        # peak: the 256^2 complex image, 16 B per node, and the term's temporaries on its
+        # 128^2 quadrant block, at most 48 B per block node; a copy would add 16 B per node
+        geom = ur.GridGeometry.centered(256, 256, 8.0, 8.0)
+        blob = ur.GaussianBlob(1.0, 1.5, 0.5, 1.0 - 0.5j)
+        scene = ur.CompositeScene(((blob, ur.RegionMask.QUADRANT_I),))
+        _, peak = traced_peak(lambda: ur.rasterize(scene, geom))
+        assert peak <= 16 * 256 * 256 + 48 * 128 * 128
+        huge = ur.CompositeScene.of(*[ur.GaussianBlob(0.0, 0.0, 1.0, 1e308)] * 2)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            ur.rasterize(huge, geom)
 
 
 class TestAnalyticRadon:
