@@ -1,8 +1,7 @@
 """Complex-valued parallel-beam Radon transforms and their regularized inversion."""
 
 from .grids import (ANGULAR_MEASURE_NORM, AngularRange, GridGeometry, HybridField,
-                    ImageGrid2D, Provenance, Sinogram, TauGrid, VolumeStack,
-                    bilinear_sample)
+                    ImageGrid2D, Sinogram, TauGrid, VolumeStack, bilinear_sample)
 from .container import (ContainerError, MagicMismatchError, MalformedHeaderError,
                         TruncatedPayloadError, read_container, write_container)
 from .phantoms import (CompositeScene, GaussianBlob, RegionMask, SceneFormatError,
@@ -25,8 +24,8 @@ __all__ = [
     "ANGULAR_MEASURE_NORM", "AngularRange", "Backend", "CompositeScene",
     "ContainerError", "FstReport", "GaussianBlob", "GridGeometry", "HolonomyReport",
     "HybridField", "ImageGrid2D", "MagicMismatchError", "MalformedHeaderError",
-    "PathEvaluation", "Probe", "Provenance", "Reconstruction", "RegParams",
-    "RegionMask", "SceneFormatError", "SeparableScene3D", "Sinogram", "StepRecord",
+    "PathEvaluation", "Probe", "Reconstruction", "RegParams", "RegionMask",
+    "SceneFormatError", "SeparableScene3D", "Sinogram", "StepRecord",
     "TauGrid", "TruncatedPayloadError", "UnsupportedOracleError",
     "UnsupportedSceneError", "VolumeStack", "analytic_fourier",
     "analytic_radon", "bilinear_sample", "boundary_jump", "check_holonomy",

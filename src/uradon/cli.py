@@ -26,10 +26,8 @@ from .grids import (AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid, 
 from .holonomy import (Probe, check_holonomy, classify_defect_scene,
                        extract_defect, UnsupportedSceneError)
 from .hybrid import dual_k_grid, hybrid_forward, hybrid_radon, make_slices, reconstruct_volume
-# epsilon_lambda_reconstruct is not called here, but perfbench/tracing.py patches this name
-from .inversion import (Backend, RegParams, _invert_all, _rmse_over_peak,
-                        epsilon_lambda_reconstruct, invert_universal, l2_norm,
-                        reconstruction_metrics)
+from .inversion import (Backend, RegParams, _invert_all, _rmse_over_peak, invert_universal,
+                        l2_norm, reconstruction_metrics)
 from .phantoms import (CompositeScene, SceneFormatError, SeparableScene3D, load_scene,
                        rasterize)
 from .slice_theorem import _check_lambdas, fst_check, fst_passed

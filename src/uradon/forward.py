@@ -190,7 +190,7 @@ def _support_box(a: np.ndarray) -> tuple[int, int, int, int] | None:
 
 
 def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
-             ray_step: float | None, needed: np.ndarray | None = None,
+             ray_step: float | None, *, needed: np.ndarray | None = None,
              origins=None) -> np.ndarray:
     """Line integrals of each array along <(c, s), x> = tau, shape (n_arrays, n_tau, n_dir).
 
@@ -200,8 +200,7 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     array k's node (0, 0), and the block must lie on the grid.  When origins
     is None every array is a full (nx, ny) grid at (0, 0).  needed, a
     boolean (n_arrays, n_dir) table, names the columns the caller reads (all
-    of them when None); the others are +0.  origins follows needed as the
-    last positional parameter, so a wrapper that forwards *args passes it on.
+    of them when None); the others are +0.
 
     taus must be ascending.  The arrays are grouped by the box of their
     nonzero nodes (_support_box) on the grid, so a block has the box of its
@@ -388,7 +387,7 @@ def _radon_values(geometry: GridGeometry, arrays, tau_grid: TauGrid, angles: Ang
     needed = np.zeros((len(plan.views), len(arrays), len(plan.phis)), dtype=bool)
     needed[plan.view, :, plan.rep] = True
     values = _project(geometry, views, taus, [direction(phi) for phi in plan.phis], ray_step,
-                      needed.reshape(len(views), -1))
+                      needed=needed.reshape(len(views), -1))
     rows = values.transpose(0, 2, 1).reshape(len(plan.views), len(arrays), len(plan.phis), -1)
     rows = np.moveaxis(rows[plan.view, :, plan.rep], 0, 1)
     return np.concatenate([rows, rows[:, :plan.pairs, ::-1]], axis=1).transpose(0, 2, 1)

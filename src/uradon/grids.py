@@ -14,7 +14,6 @@ angles that the projector and the backprojection compute.
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -492,28 +491,20 @@ class VolumeStack:
         return all(s.real_valued for s in self.slices)
 
 
-class Provenance(enum.Enum):
-    """How a set of conjugate-momentum fields was produced."""
-
-    CONTINUOUS = "continuous"   # integral transform along the third axis
-    SERIES = "series"           # discrete sum over stored slices
-
-
 @dataclass(frozen=True)
 class HybridField:
     """Complex 2D fields indexed by conjugate momentum k along the third axis.
 
-    A HybridField lives in memory only: no container type holds it.
+    Each field is a series sum over a slice stack (hybrid_forward), which
+    hybrid_inverse_series inverts; the closed-form oracle hybrid_from_scene
+    returns plain images.  It lives in memory only: no container type holds it.
     """
 
     k_values: tuple
     fields: tuple
-    provenance: Provenance
 
     def __post_init__(self):
         ks, fields = _slice_axis(self.k_values, self.fields, "k value", "field")
-        if not isinstance(self.provenance, Provenance):
-            object.__setattr__(self, "provenance", Provenance(self.provenance))
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "fields", fields)
 

@@ -100,13 +100,13 @@ def leak_tolerance(scene: CompositeScene, geometry: GridGeometry) -> float:
     return 1e-6 * scene.peak * geometry.diameter
 
 
-def _half_turns(geometry: GridGeometry, arrays, probe: Probe, origins=None) -> tuple:
+def _half_turns(geometry: GridGeometry, arrays, probe: Probe, origins) -> tuple:
     """Each array's (n_arrays, n_tau, n_phi) columns on the probe window and after a half
     turn, the exactly flipped direction, from one _project call at the default ray step;
-    the arrays are node blocks at origins on geometry (full-grid ones when None)."""
+    the arrays are node blocks at origins on geometry."""
     trig = [direction(phi) for phi in probe.angles.phis()]
     both = _project(geometry, arrays, probe.taus.taus(), trig + [(-c, -s) for c, s in trig], None,
-                    None, origins)
+                    origins=origins)
     return both[..., :len(trig)], both[..., len(trig):]
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import (AngularRange, GridGeometry, HybridField, ImageGrid2D, Provenance,
-                    Sinogram, TauGrid, VolumeStack, _finite)
+from .grids import (AngularRange, GridGeometry, HybridField, ImageGrid2D, Sinogram, TauGrid,
+                    VolumeStack, _finite)
 from .forward import _radon_values
 from .inversion import Reconstruction, RegParams, _invert_all
 from .phantoms import SeparableScene3D, rasterize
@@ -30,18 +30,21 @@ def make_slices(scene3d: SeparableScene3D, x3_positions, geometry: GridGeometry)
 
 
 def hybrid_from_scene(scene3d: SeparableScene3D, k_values,
-                      geometry: GridGeometry) -> HybridField:
-    """Continuous-transform fields of a separable scene (closed form).
+                      geometry: GridGeometry) -> tuple[ImageGrid2D, ...]:
+    """Continuous-transform fields of a separable scene (closed form), one image per k.
 
     For a separable object base(x1, x2) * profile(x3) the integral transform
     along the third axis factorizes, so the k field is the rasterized base
     scaled by the profile's closed-form 1D transform.  This is the oracle
     for the series sum: a dense slice stack's Riemann sum converges to it.
+    The images are plain, not a HybridField, because the series inverse does
+    not apply to them.  A k that is not finite is refused.
     """
     ks = [float(k) for k in k_values]
+    for k in ks:
+        _finite("k value", k)
     base = rasterize(scene3d.base, geometry)
-    fields = tuple(ImageGrid2D(geometry, scene3d.profile_transform(k) * base.values) for k in ks)
-    return HybridField(tuple(ks), fields, Provenance.CONTINUOUS)
+    return tuple(ImageGrid2D(geometry, scene3d.profile_transform(k) * base.values) for k in ks)
 
 
 def _phase_sums(phases, grids) -> tuple:
@@ -56,7 +59,7 @@ def hybrid_forward(stack: VolumeStack, k_values) -> HybridField:
     ks = [float(k) for k in k_values]
     x3 = np.asarray(stack.x3_positions)
     fields = _phase_sums([np.exp(-1j * k * x3) for k in ks], stack.slices)
-    return HybridField(tuple(ks), fields, Provenance.SERIES)
+    return HybridField(tuple(ks), fields)
 
 
 def dual_k_grid(x3_positions) -> tuple[np.ndarray, float]:
@@ -86,8 +89,6 @@ def hybrid_inverse_series(field: HybridField, x3_positions) -> VolumeStack:
     Exact inverse of hybrid_forward when the k grid is the dual of a uniform
     slice grid (discrete orthogonality).
     """
-    if field.provenance is not Provenance.SERIES:
-        raise ValueError("series inverse applies to series-provenance fields only")
     positions = [float(p) for p in x3_positions]
     required, _ = dual_k_grid(positions)
     ks = np.asarray(field.k_values)
@@ -129,5 +130,5 @@ def reconstruct_volume(sinos, geometry: GridGeometry, params: RegParams,
         raise ValueError(f"need one sinogram per dual k value "
                          f"({len(required)}), got {len(sinos)}")
     recons, _ = _invert_all(sinos, geometry, params)
-    hybrid = HybridField(tuple(required), tuple(r.f_total for r in recons), Provenance.SERIES)
+    hybrid = HybridField(tuple(required), tuple(r.f_total for r in recons))
     return hybrid_inverse_series(hybrid, positions), tuple(recons)

@@ -62,10 +62,6 @@ class CompositeScene:
         return cls(tuple((b, RegionMask.NONE) for b in blobs))
 
     @property
-    def unmasked(self) -> bool:
-        return all(mask is RegionMask.NONE for _, mask in self.terms)
-
-    @property
     def peak(self) -> float:
         """Largest term amplitude magnitude (scale yardstick for tolerances)."""
         return max(abs(blob.amplitude) for blob, _ in self.terms)
@@ -145,8 +141,12 @@ def _require_unmasked(scene: CompositeScene, op: str) -> None:
 # --- scene description files -------------------------------------------------
 #
 # One blob per line:  cx=<f> cy=<f> sigma=<f> amp_re=<f> amp_im=<f> mask=<name>
-# Optional third-axis profile (volume mode):  profile center=<f> sigma=<f>
-# '#' starts a comment.
+# Optional third-axis profile (volume mode), at most one line:  profile center=<f> sigma=<f>
+# '#' starts a comment.  A key a line does not take, or takes twice, is refused.
+
+_SCENE_KEYS = {False: ("cx", "cy", "sigma", "amp_re", "amp_im", "mask"),
+               True: ("center", "sigma")}
+
 
 class SceneFormatError(ValueError):
     """Unparseable scene description text."""
@@ -157,16 +157,22 @@ def scene_from_text(text: str) -> tuple[CompositeScene, "SeparableScene3D | None
     terms = []
     profile_kv = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        is_profile = line.startswith("profile")
-        body = line[len("profile"):] if is_profile else line
+        is_profile = tokens[0] == "profile"
+        if is_profile and profile_kv is not None:
+            raise SceneFormatError(f"line {lineno}: a second profile line "
+                                   f"(the first is line {profile_kv['line']})")
+        keys = _SCENE_KEYS[is_profile]
         kv = {}
-        for token in body.split():
+        for token in (tokens[1:] if is_profile else tokens):
             if "=" not in token:
                 raise SceneFormatError(f"line {lineno}: expected key=value, got '{token}'")
             key, _, value = token.partition("=")
+            if key not in keys or key in kv:
+                raise SceneFormatError(f"line {lineno}: unknown or repeated key '{key}'; this "
+                                       f"line takes each of {', '.join(keys)} at most once")
             kv[key] = value
         try:
             if is_profile:

@@ -73,6 +73,16 @@ class TestPhantom:
         err = capsys.readouterr().err
         assert "line 2" in err and "x3_sigma" in err
 
+    @pytest.mark.parametrize("text, line", [(SCENE.replace("amp_im", "amp_imag"), 1),
+                                            ("profile sigma=2\n" + SCENE + "profile sigma=3\n", 3)])
+    def test_unknown_key_or_second_profile_is_format_error(self, tmp_path, capsys, text, line):
+        scene = tmp_path / "bad.scene"
+        scene.write_text(text)
+        assert main(["phantom", "--scene", str(scene), "--nx", "16", "--extent", "4",
+                     "--out", str(tmp_path / "x.urdn")]) == 3
+        assert f"line {line}:" in capsys.readouterr().err
+        assert not (tmp_path / "x.urdn").exists()
+
     def test_missing_scene_is_format_error(self, tmp_path):
         assert main(["phantom", "--scene", str(tmp_path / "nope.scene"), "--nx", "16",
                      "--extent", "4", "--out", str(tmp_path / "x.urdn")]) == 3

@@ -248,7 +248,7 @@ class TestErrors:
             geom = ur.GridGeometry(2, 2, 0.0, 0.0, 1.0, 1.0)
             head = {"shape": [1, 2, 2], "x_min": 0.0, "y_min": 0.0, "dx": 1.0, "dy": 1.0,
                     "k_values": [0.0], "provenance": "series"}
-            obj = ur.HybridField((0.0,), (ur.ImageGrid2D(geom, np.ones((2, 2))),), "series")
+            obj = ur.HybridField((0.0,), (ur.ImageGrid2D(geom, np.ones((2, 2))),))
             payload = np.ones(4, dtype="<c16").tobytes()
         head.update(magic="URDN1", dtype="c128", type=kind, real_valued=True)
         path.write_bytes(json.dumps(head).encode() + b"\n" + payload)

@@ -251,7 +251,7 @@ class TestClippedKernel:
     def test_hybrid_radon_is_bit_identical_to_per_field_transforms(self, rng):
         geom = ur.GridGeometry.centered(24, 24, 6.0, 6.0)
         fields = tuple(noise_image(rng, geom) for _ in range(5))
-        field = ur.HybridField(tuple(range(5)), fields, ur.Provenance.SERIES)
+        field = ur.HybridField(tuple(range(5)), fields)
         tg = ur.TauGrid.covering(geom, 0.3)
         # full(16) folds by the square's quarter turns and mirrors, full(10) by pi - phi,
         # both with pi-pairs, and [0, pi)/7 by pi - phi alone
@@ -560,10 +560,10 @@ def long_tau_scans(draw):
     return kind, geom, tau_grid, angles, ray_step, draw(st.integers(0, 2**32 - 1))
 
 
-def with_cpus(n, fn, *args):
+def with_cpus(n, fn, *args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fwd, "_cpu_count", lambda: n)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
 
 class TestRowBlocksAndThreads:
@@ -645,7 +645,8 @@ def projected_tasks(budget, n_cpus, geom, arrays, taus, dirs, needed=None, origi
         mp.setattr(fwd, "_BLOCK_SAMPLES", budget)
         mp.setattr(fwd, "_run_tasks", lambda task, items: tasks.append(items)
                    or run_tasks(task, items))
-        values = with_cpus(n_cpus, _project, geom, arrays, taus, dirs, None, needed, origins)
+        values = with_cpus(n_cpus, _project, geom, arrays, taus, dirs, None, needed=needed,
+                           origins=origins)
     (items,) = tasks
     return values, items
 
@@ -735,7 +736,7 @@ class TestPackedDirections:
         for block_samples in (budget, fwd._BLOCK_SAMPLES, 600):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fwd, "_BLOCK_SAMPLES", block_samples)
-                got = with_cpus(2, _project, geom, arrays, taus, dirs, None, needed)
+                got = with_cpus(2, _project, geom, arrays, taus, dirs, None, needed=needed)
             for k, m in np.ndindex(needed.shape):
                 column = want[k, :, m] if needed[k, m] else np.zeros(len(taus), complex)
                 assert same_bits(got[k, :, m], column)
@@ -746,9 +747,11 @@ class TestPackedDirections:
         tau_grid = ur.TauGrid.covering(geom, geom.dx)
         img = blob_image(rng, geom)
         calls = []
-        monkeypatch.setattr(fwd, "_project", lambda *args: calls.append(args) or _project(*args))
+        monkeypatch.setattr(fwd, "_project", lambda *args, **kwargs: calls.append((args, kwargs))
+                            or _project(*args, **kwargs))
         sino = ur.radon_transform(img, tau_grid, angles)
-        (_, views, _, dirs, _, needed), = calls
+        ((_, views, _, dirs, _), kwargs), = calls
+        needed = kwargs["needed"]
         assert needed.shape == (len(views), len(dirs)) == (4, 3)
         assert np.count_nonzero(needed) == 8
         want = unblocked_projection([img], tau_grid.taus(), directions(angles), None)[0]

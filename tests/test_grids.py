@@ -219,8 +219,8 @@ TINY_IMAGE = ur.ImageGrid2D(TINY, np.zeros((2, 2)))
     lambda: ur.VolumeStack((np.nan, 1.0), (TINY_IMAGE, TINY_IMAGE)),
     lambda: ur.VolumeStack((None, 1.0), (TINY_IMAGE, TINY_IMAGE)),
     lambda: ur.VolumeStack(("0.5", 1.0), (TINY_IMAGE, TINY_IMAGE)),
-    lambda: ur.HybridField((np.inf,), (TINY_IMAGE,), ur.Provenance.SERIES),
-    lambda: ur.HybridField((True,), (TINY_IMAGE,), ur.Provenance.SERIES),
+    lambda: ur.HybridField((np.inf,), (TINY_IMAGE,)),
+    lambda: ur.HybridField((True,), (TINY_IMAGE,)),
 ], ids=["dx nan", "dy inf", "dx bool", "nx 4.5", "ny 4.0", "nx bool", "x_min nan",
         "y_min -inf", "dx str", "d_tau inf", "d_tau nan", "n_tau 3.5", "n_tau 3.0",
         "tau_min nan", "n_phi 4.5", "n_phi bool", "phi_min nan", "phi_max inf",
@@ -286,11 +286,9 @@ class TestStacksAndFields:
     def test_hybrid_field_validation(self, rng):
         img = make_image(rng)
         with pytest.raises(ValueError):
-            ur.HybridField((), (), ur.Provenance.SERIES)
+            ur.HybridField((), ())
         with pytest.raises(ValueError):
-            ur.HybridField((0.0,), (img, img), ur.Provenance.SERIES)
-        field = ur.HybridField((0.0,), (img,), "series")
-        assert field.provenance is ur.Provenance.SERIES
+            ur.HybridField((0.0,), (img, img))
 
     def test_real_valued_stack(self, rng):
         geom = ur.GridGeometry.centered(4, 4, 1.0, 1.0)
@@ -317,7 +315,7 @@ def _radon(angles):
 
 def _hybrid(angles):
     img = _layout_image()
-    field = ur.HybridField((0.0, 1.0, 2.0), (img, img, img), ur.Provenance.SERIES)
+    field = ur.HybridField((0.0, 1.0, 2.0), (img, img, img))
     return ur.hybrid_radon(field, _tau_grid(img), angles)[1]
 
 

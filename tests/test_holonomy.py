@@ -152,9 +152,9 @@ class TestColumnReuse:
         projected = []
         project = hol._project
 
-        def counting(geometry, arrays, taus, directions, *args):
+        def counting(geometry, arrays, taus, directions, *args, **kwargs):
             projected.append((len(arrays), len(directions)))
-            return project(geometry, arrays, taus, directions, *args)
+            return project(geometry, arrays, taus, directions, *args, **kwargs)
 
         monkeypatch.setattr(hol, "_project", counting)
         ur.check_holonomy(scene, probe, geom)
@@ -255,7 +255,7 @@ class TestExtractDefect:
         scene = tilde_scene(defect_amp)
 
         def whole_image(probe):   # the difference, and the peak of the columns
-            plus, minus = hol._half_turns(geom, [ur.rasterize(scene, geom).values], probe)
+            plus, minus = hol._half_turns(geom, [ur.rasterize(scene, geom).values], probe, [(0, 0)])
             return plus[0] - minus[0], max(np.max(np.abs(plus)), np.max(np.abs(minus)))
 
         # every probe line lies more than a cell diagonal from tau = 0: the bits are kept

@@ -52,7 +52,6 @@ class TestHybridForward:
         field = ur.hybrid_forward(stack, [0.0])
         want = sum(s.values for s in stack.slices)
         assert np.max(np.abs(field.fields[0].values - want)) < 1e-12
-        assert field.provenance is ur.Provenance.SERIES
 
     def test_single_slice_at_origin_is_k_independent(self, rng):
         geom = ur.GridGeometry.centered(8, 8, 4.0, 4.0)
@@ -105,14 +104,6 @@ class TestHybridInverseSeries:
         field = ur.hybrid_forward(stack, [0.0, 1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="required k_m"):
             ur.hybrid_inverse_series(field, stack.x3_positions)
-
-    def test_continuous_provenance_rejected(self, rng):
-        stack = random_stack(rng, n=2)
-        ks, _ = ur.dual_k_grid(stack.x3_positions)
-        field = ur.hybrid_forward(stack, ks)
-        cont = ur.HybridField(field.k_values, field.fields, ur.Provenance.CONTINUOUS)
-        with pytest.raises(ValueError):
-            ur.hybrid_inverse_series(cont, stack.x3_positions)
 
     def test_nonuniform_positions_rejected(self, rng):
         geom = ur.GridGeometry.centered(6, 6, 2.0, 2.0)
@@ -215,7 +206,7 @@ class TestReconstructVolume:
             assert got == ref
             assert np.array_equal(got.out_of_coverage, ref.out_of_coverage)
         field = ur.HybridField(tuple(ur.dual_k_grid(positions)[0]),
-                               tuple(r.f_total for r in want), ur.Provenance.SERIES)
+                               tuple(r.f_total for r in want))
         for got, ref in zip(volume.slices, ur.hybrid_inverse_series(field, positions).slices,
                             strict=True):
             assert np.array_equal(got.values, ref.values)
@@ -285,19 +276,28 @@ class TestContinuousVariant:
         geom = ur.GridGeometry.centered(24, 24, 8.0, 8.0)
         ks = [0.0, 0.8, 1.7]
         continuous = ur.hybrid_from_scene(scene3d, ks, geom)
-        assert continuous.provenance is ur.Provenance.CONTINUOUS
         spacing = 0.02
         positions = np.arange(-12.0, 12.0 + spacing / 2, spacing)
         stack = ur.make_slices(scene3d, positions, geom)
         series = ur.hybrid_forward(stack, ks)
-        for cont, disc in zip(continuous.fields, series.fields):
+        for cont, disc in zip(continuous, series.fields, strict=True):
             approx = spacing * disc.values
             scale = np.max(np.abs(cont.values))
             assert np.max(np.abs(approx - cont.values)) < 1e-4 * scale
 
     def test_continuous_field_values(self, scene3d):
         geom = ur.GridGeometry.centered(16, 16, 6.0, 6.0)
-        field = ur.hybrid_from_scene(scene3d, [1.1], geom)
+        (field,) = ur.hybrid_from_scene(scene3d, [1.1], geom)
         base = ur.rasterize(scene3d.base, geom)
         want = scene3d.profile_transform(1.1) * base.values
-        assert np.array_equal(field.fields[0].values, want)
+        assert np.array_equal(field.values, want)
+
+    def test_oracle_fields_are_plain_images(self, scene3d):
+        # the closed-form fields are no series sum, so they never reach the series inverse
+        geom = ur.GridGeometry.centered(8, 8, 4.0, 4.0)
+        fields = ur.hybrid_from_scene(scene3d, [0.0, 0.5], geom)
+        assert type(fields) is tuple and len(fields) == 2
+        assert all(type(f) is ur.ImageGrid2D for f in fields)
+        for k in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="k value"):
+                ur.hybrid_from_scene(scene3d, [0.0, k], geom)

@@ -235,8 +235,8 @@ class TestOnePlan:
         tau_grid = tau_grid or ur.TauGrid.covering(geom, 0.2)
         projected, fields = [], []
         project = fwd._project
-        monkeypatch.setattr(fwd, "_project", lambda g, a, t, dirs, *rest: projected.append(
-            len(dirs)) or project(g, a, t, dirs, *rest))
+        monkeypatch.setattr(fwd, "_project", lambda g, a, t, dirs, *rest, **kw: projected.append(
+            len(dirs)) or project(g, a, t, dirs, *rest, **kw))
         monkeypatch.setattr(inv, "direction", lambda phi: fields.append(phi) or direction(phi))
         img = ur.ImageGrid2D(geom, complex_normal(rng, (geom.nx, geom.ny)))
         ur.radon_transform(img, tau_grid, angles)

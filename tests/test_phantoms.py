@@ -205,9 +205,29 @@ class TestSceneFiles:
 
     @pytest.mark.parametrize("text", ["", "cx=1 cy=2", "cx=a cy=0 sigma=1",
                                       "cx=0 cy=0 sigma=1 mask=quadrant7", "justnoise",
-                                      "cx=0 cy=0 sigma=nan", "cx=inf cy=0 sigma=1"])
+                                      "cx=0 cy=0 sigma=nan", "cx=inf cy=0 sigma=1",
+                                      "cx=0 cy=0 sigma=1 amp_imag=5\n",
+                                      "cx=0 cy=0 sigma=1 cx=2",
+                                      "profile center=1 sigma=2\nprofile center=5 wdith=9\n"
+                                      "cx=0 cy=0 sigma=1"])
     def test_bad_text_rejected(self, text):
         with pytest.raises(ur.SceneFormatError):
+            ur.scene_from_text(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("# blobs\ncx=0 cy=0 sigma=1 amp_imag=5\n", 2),         # misspelled amp_im
+        ("cx=0 cy=0 sigma=1 mask=none\ncx=0 cy=0 sigma=1 cx=2", 2),
+        ("cx=0 cy=0 sigma=1\nprofile center=1 wdith=9", 2),      # misspelled sigma
+        ("profile center=1 cx=0\ncx=0 cy=0 sigma=1", 1),         # a blob key on the profile
+        ("cx=0 cy=0 sigma=1 center=1", 1),                        # a profile key on a blob
+        ("profile sigma=2 sigma=3\ncx=0 cy=0 sigma=1", 1),
+        ("profilecenter=1 sigma=2\ncx=0 cy=0 sigma=1", 1),      # a blob line, not a profile
+        ("profile center=1 sigma=2\ncx=0 cy=0 sigma=1\nprofile center=5 sigma=1", 3),
+    ])
+    def test_unknown_or_repeated_keys_name_the_line(self, text, line):
+        # a misspelled key used to fall back to its default, a repeated key or profile
+        # line to overwrite the first one, silently
+        with pytest.raises(ur.SceneFormatError, match=f"^line {line}: "):
             ur.scene_from_text(text)
 
     def test_file_roundtrip(self, tmp_path):
