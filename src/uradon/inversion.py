@@ -48,7 +48,13 @@ forward._run_tasks, and the filters that run at once split _SPECTRUM_BLOCK
 between them.  One _backproject call then reads every buffer, so the index
 fields are built once.  A buffer is filtered on its own and its share of a
 pass equals its own pass, so no output depends on the CPU count or on what
-else the pass inverts.
+else the pass inverts.  The backprojection takes the plan's representative
+angles in blocks of at most _FIELD_BLOCK bytes of index fields: the pool
+builds a block's fields, one task each, and then gathers the block with one
+task per buffer, which owns all of that buffer's frames and adds its rows in
+the fixed order, so each field is built once and no frame has two writers.
+A pass of one buffer, or on an image below _SHARED_PIXELS pixels, builds one
+field at a time and gathers it on the calling thread.
 
 The backprojection skips the pixels whose contribution is exactly +0.  A
 pixel a node or more past either end of the tau grid (fractional index
@@ -59,7 +65,9 @@ adding +0 to it changes no bit.  f is monotone in x and in y, so its four
 corner values tell whether a field has such pixels; only then is the band
 -1 < f < n_tau gathered and added at its flat indices.  Tau grids that
 cover the image, as TauGrid.covering makes, have no such pixels and take
-the whole-field loop.  The coverage mask is still computed on every pixel.
+the whole-field loop.  A field whose four corners lie within the tau grid
+has no pixel outside it: it skips the coverage compare, and the clip and
+bound of grids._linear_index, which would change nothing.
 No layout changes the arithmetic: where the plan folds nothing, every
 output is bit-identical to the column-major form.
 """
@@ -317,6 +325,55 @@ def _lambda_correlation_kernel(n_tau: int, d_tau: float, epsilon: float,
 
 # --- backprojection ----------------------------------------------------------
 
+# bytes of index fields that one block of representative angles holds (2 MiB), counted
+# at _FIELD_BYTES per pixel of the image: an intp index and two complex weights
+_FIELD_BLOCK = 2**21
+_FIELD_BYTES = 40
+# pixels of an image below which a pass builds one field at a time and gathers on the
+# calling thread: on fields this small the tasks' synchronisation costs more than it saves
+_SHARED_PIXELS = 2**13
+
+
+def _index_field(phi: float, x, y, sino) -> tuple:
+    """(band, i0, w0, w1, outside): the interpolation field of angle phi on the image.
+
+    A pixel at fractional index f of the unpadded tau row reads
+    w0 * p[i0] + w1 * p[i0 + 1] of a padded row p (grids._linear_index).
+    band is None where every pixel is gathered, else the flat indices of the
+    band -1 < f < n_tau; outside marks the pixels with f < 0 or f > n_tau - 1,
+    and is None where there are none (module docstring).
+    """
+    n = sino.n_tau
+    c, s = direction(phi)
+    f = (c * x + s * y - sino.tau_min) / sino.d_tau
+    # f is monotone in x and in y, so its corners bound it
+    corners = f[[0, 0, -1, -1], [0, -1, 0, -1]]
+    band = outside = None
+    if corners.min() >= 0.0 and corners.max() <= n - 1:
+        # covered: 1 <= f + 1 <= n, so _linear_index's clip and bound change nothing
+        f += 1.0
+        i0 = f.astype(np.intp)
+        w = np.subtract(f, i0, out=f)
+    else:
+        outside = (f < 0.0) | (f > n - 1)
+        if corners.min() <= -1.0 or corners.max() >= n:
+            band = np.flatnonzero((f > -1.0) & (f < n))
+            f = f.reshape(-1)[band]
+        i0, w = _linear_index(f, n)
+    # complex weights, cast once per field rather than once per row and buffer
+    return band, i0, (1.0 - w).astype(np.complex128), w.astype(np.complex128), outside
+
+
+def _interpolated(row: np.ndarray, i0: np.ndarray, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """w0 * p[i0] + w1 * p[i0 + 1] on the padded row p, in two gathers."""
+    lo = row[i0]
+    lo *= w0
+    hi = row[1:][i0]
+    hi *= w1
+    lo += hi
+    return lo
+
+
 def _backproject(rows_seq, sino, geometry, plan) -> tuple[list[np.ndarray], np.ndarray]:
     """Angular quadrature of padded rows at tau = <n_phi, x>.
 
@@ -328,59 +385,73 @@ def _backproject(rows_seq, sino, geometry, plan) -> tuple[list[np.ndarray], np.n
     buffers hold its rows, their pairs already folded in, and only those are
     read.  The buffers are read as they are, neither copied nor checked.
 
-    Only the plan's representative angles get an index field; each row is
-    gathered through its representative's field into the frame of its view,
-    and each frame is mapped back through the view's inverse at the end.
-    This agrees with the direct loop to rounding; with the identity view
-    alone it is the direct loop, bit for bit.
+    Only the plan's representative angles get an index field (_index_field);
+    each row is gathered through its representative's field into the frame
+    of its view, and each frame is mapped back through the view's inverse at
+    the end.  This agrees with the direct loop to rounding; with the identity
+    view alone it is the direct loop, bit for bit.
+
+    The representatives are taken in blocks whose fields fill at most
+    _FIELD_BLOCK bytes.  forward._run_tasks builds a block's fields, one task
+    each, and then gathers it with one task per buffer, which owns all of
+    that buffer's frames and adds its rows in the fixed order (grouped by
+    representative), and one more that marks the coverage.  So no frame is
+    written by two threads and every result keeps its bits at any CPU count.
+    A pass with one buffer, on one CPU or on an image below _SHARED_PIXELS
+    pixels takes blocks of one field, all on the calling thread.  The view 0
+    frames of all buffers are one allocation, which the results are views
+    of, and the other views' frames a second one, freed whole: no kept frame
+    sits between freed ones.
 
     Returns (values per buffer, out_of_coverage) where the boolean mask marks
     pixels whose offset fell outside [tau_min, tau_max] for at least one
-    angle.  Linear interpolation along tau; the fixed angle order keeps the
-    result deterministic.
+    angle.
     """
-    n = sino.n_tau
     x, y = geometry.x_nodes()[:, None], geometry.y_nodes()
-    shape = (geometry.nx, geometry.ny)
-    accs = [[np.zeros(shape, dtype=np.complex128) for _ in plan.views] for _ in rows_seq]
-    out_of_range = [np.zeros(shape, dtype=bool) for _ in plan.views]
-    current = -1
-    for k in np.argsort(plan.rep, kind="stable"):   # rows grouped by the field they read
-        if plan.rep[k] != current:
-            current = plan.rep[k]
-            c, s = direction(plan.phis[current])
-            f = (c * x + s * y - sino.tau_min) / sino.d_tau
-            outside = (f < 0.0) | (f > n - 1)
-            # f is monotone in x and in y, so its corners bound it (module docstring)
-            corners, band = f[[0, 0, -1, -1], [0, -1, 0, -1]], None
-            if corners.min() <= -1.0 or corners.max() >= n:
-                band = np.flatnonzero((f > -1.0) & (f < n))
-                f = f.reshape(-1)[band]
-            i0, w = _linear_index(f, n)
-            i1 = i0 + 1
-            # complex weights, cast once per field rather than once per row and buffer
-            w0 = (1.0 - w).astype(np.complex128)
-            w = w.astype(np.complex128)
-        q = plan.view[k]
-        for frames, rows in zip(accs, rows_seq):
-            row = rows[k]
-            lo = row[i0]
-            lo *= w0
-            hi = row[i1]
-            hi *= w
-            lo += hi
-            if band is None:
-                frames[q] += lo
-            else:
-                frames[q].reshape(-1)[band] += lo
-        out_of_range[q] |= outside
-    for frames in [*accs, out_of_range]:   # on booleans += is a logical or
-        for frame, (_, inverse) in zip(frames[1:], plan.views[1:]):
-            frames[0] += inverse(frame)
-    accs = [frames[0] for frames in accs]
-    for acc in accs:
-        acc *= sino.angles.d_phi * ANGULAR_MEASURE_NORM
-    return accs, out_of_range[0]
+    n_px = geometry.nx * geometry.ny
+    n_bufs, n_views = len(rows_seq), len(plan.views)
+    kept = np.zeros((n_bufs, geometry.nx, geometry.ny), dtype=np.complex128)
+    others = np.zeros((n_bufs, n_views - 1, geometry.nx, geometry.ny), dtype=np.complex128)
+    out_of_range = np.zeros((n_views, geometry.nx, geometry.ny), dtype=bool)
+    shared = n_bufs > 1 and n_px >= _SHARED_PIXELS and _thread_count(n_bufs) > 1
+    run = _run_tasks if shared else lambda task, items: [task(item) for item in items]
+    per_block = max(1, _FIELD_BLOCK // (_FIELD_BYTES * n_px)) if shared else 1
+    order = np.argsort(plan.rep, kind="stable")   # rows grouped by the field they read
+    bounds = np.searchsorted(plan.rep[order], np.arange(0, len(plan.phis) + per_block,
+                                                        per_block))
+    frames = [[kept[b], *others[b]] for b in range(n_bufs)]
+
+    def build(j):
+        fields[j] = _index_field(plan.phis[first + j], x, y, sino)
+
+    def gather(b):   # buffer b's rows of the block, or the coverage for b = n_bufs
+        for k in rows:
+            band, i0, w0, w1, outside = fields[plan.rep[k] - first]
+            q = plan.view[k]
+            if b == n_bufs:
+                if outside is not None:   # on booleans |= is exact in any order
+                    out_of_range[q] |= outside
+            elif band is None:
+                frames[b][q] += _interpolated(rows_seq[b][k], i0, w0, w1)
+            else:   # gathered before the band's copy of the frame is taken
+                values = _interpolated(rows_seq[b][k], i0, w0, w1)
+                frames[b][q].reshape(-1)[band] += values
+
+    def finish(b):
+        for frame, (_, inverse) in zip(others[b], plan.views[1:]):
+            kept[b] += inverse(frame)
+        kept[b] *= sino.angles.d_phi * ANGULAR_MEASURE_NORM
+
+    for first, a, z in zip(range(0, len(plan.phis), per_block), bounds[:-1], bounds[1:]):
+        rows = order[a:z]
+        fields = [None] * min(per_block, len(plan.phis) - first)   # the last block's freed first
+        run(build, list(range(len(fields))))
+        run(gather, list(range(n_bufs + 1)))
+    del fields
+    run(finish, list(range(n_bufs)))
+    for frame, (_, inverse) in zip(out_of_range[1:], plan.views[1:]):
+        out_of_range[0] |= inverse(frame)
+    return list(kept), out_of_range[0]
 
 
 # Each term fills one buffer of padded rows, its first pairs rows folded (grids._fold_plan),

@@ -730,6 +730,38 @@ def test_working_set_stays_within_a_multiple_of_the_payload(rng, scan, path):
     assert peak <= WORKING_SET_BOUNDS[scan, path] * sino.values.nbytes
 
 
+def test_banded_probe_window_stays_within_its_frames_fields_and_gathers(monkeypatch):
+    # a probe window of the probes benchmark: 32 tau in (0.2, 3] and 12 angles over
+    # [0, pi/2] into 256^2, where every field is banded.  The backprojection holds the most:
+    # B buffers times V views of image frames and V bytes a pixel of coverage frames, one
+    # banded field (an intp index, two complex weights and the band's flat index: 48 B a
+    # band pixel, and its 1 B a pixel coverage mask) and two threads' two complex gathers
+    # (64 B a band pixel).  One image more covers the field's whole-image offsets, the
+    # rows and the small arrays.  Measured 6.8 to 7.1 images, and 7.1 at the parent.
+    monkeypatch.setattr(fwd, "_cpu_count", lambda: 2)
+    geom = ur.GridGeometry.centered(256, 256, 8.0, 8.0)
+    tg = ur.TauGrid(0.2 + 2.8 / 64, 2.8 / 32, 32)
+    angles = ur.AngularRange(0.0, np.pi / 2, 12)
+    plan = _fold_plan(geom, tg, angles)
+    x, y = geom.x_nodes()[:, None], geom.y_nodes()
+    bands = []
+    for phi in plan.phis:
+        c, s = direction(phi)
+        f = (c * x + s * y - tg.tau_min) / tg.d_tau
+        assert f.min() <= -1.0 or f.max() >= tg.n_tau   # banded
+        bands.append(np.count_nonzero((f > -1.0) & (f < tg.n_tau)))
+    n_px, n_band, n_bufs, n_views = geom.nx * geom.ny, max(bands), 2, len(plan.views)
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(32, 12)) + 1j * rng.normal(size=(32, 12))
+    sino = ur.Sinogram(tg.tau_min, tg.d_tau, tg.n_tau, angles, values)
+    params = ur.RegParams.defaults(tg.d_tau)
+    recon, peak = traced_peak(lambda: ur.invert_universal(sino, geom, params))
+    assert recon.f_a.values.any()   # both buffers are backprojected
+    image = 16 * n_px
+    assert peak <= (n_bufs * n_views * image + n_views * n_px + 48 * n_band + n_px
+                    + 2 * 32 * n_band + image)
+
+
 def test_images_adopt_the_backprojected_frames_and_the_sum(monkeypatch, unit_blob_scene):
     frames = []
     backproject = inv._backproject

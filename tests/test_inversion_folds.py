@@ -648,3 +648,75 @@ class TestTauBand:
             assert np.array_equal(oob, direct_oob)
         for g, w in zip(got, want, strict=True):
             assert same_bits(g, w)
+
+
+# --- blocks of shared index fields, each buffer's frames gathered by one task ---
+
+def field_kinds(geom, tau_grid, plan):
+    """Per representative field: "covered" (every pixel within the tau grid), "whole" (some
+    pixels outside it, none a node or more past either end) or "banded"."""
+    x, y = geom.x_nodes()[:, None], geom.y_nodes()
+    kinds = []
+    for phi in plan.phis:
+        c, s = direction(phi)
+        f = (c * x + s * y - tau_grid.tau_min) / tau_grid.d_tau
+        n = tau_grid.n_tau
+        kinds.append("covered" if f.min() >= 0.0 and f.max() <= n - 1
+                     else "banded" if f.min() <= -1.0 or f.max() >= n else "whole")
+    return kinds
+
+
+# a covering tau grid, and a narrower one whose fields are covered, whole or banded
+SHARED_TAU_GRIDS = {"covering": lambda geom: ur.TauGrid.covering(geom, 0.2),
+                    "narrow": lambda geom: ur.TauGrid.symmetric(0.2, 13 if geom.nx == 14 else 19)}
+
+
+class TestSharedFields:
+    """_backproject's blocks of index fields and its one task per buffer keep every bit."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("per_block", ["one", "partial", "all"])
+    @pytest.mark.parametrize("taus", sorted(SHARED_TAU_GRIDS))
+    @pytest.mark.parametrize("kind", sorted(BAND_SCANS))
+    def test_equals_the_serial_loops_bitwise(self, rng, monkeypatch, kind, taus, per_block,
+                                             count):
+        geom, angles = BAND_SCANS[kind]
+        tau_grid = SHARED_TAU_GRIDS[taus](geom)
+        plan = _fold_plan(geom, tau_grid, angles)
+        n_reps, n_px = len(plan.phis), geom.nx * geom.ny
+        assert n_reps >= 3 and n_reps % 2 == 1   # two fields a block leave a partial last one
+        fields = {"one": 1, "partial": 2, "all": n_reps}[per_block]
+        monkeypatch.setattr(inv, "_FIELD_BLOCK", fields * inv._FIELD_BYTES * n_px)
+        sino = empty_sino(tau_grid, angles)
+        columns = [complex_normal(rng, (tau_grid.n_tau, angles.n_phi)) for _ in range(count)]
+        want, want_oob = whole_field_backproject(columns, sino, geom)
+        folded, folded_oob = pi_folded_backproject(columns, sino, geom)
+        run_tasks, calls = inv._run_tasks, []
+        monkeypatch.setattr(inv, "_run_tasks",
+                            lambda task, items: calls.append(len(items)) or run_tasks(task, items))
+        for n_cpus in (1, 2):
+            monkeypatch.setattr(fwd, "_cpu_count", lambda: n_cpus)
+            for threshold in (n_px, n_px + 1):   # at the pixel threshold, and one pixel below it
+                monkeypatch.setattr(inv, "_SHARED_PIXELS", threshold)
+                calls.clear()
+                got, oob = backproject(columns, sino, geom)
+                shared = count > 1 and n_cpus > 1 and threshold == n_px
+                # per block: its fields, then a gather per buffer and the coverage; then the ends
+                assert calls == (sum(([min(fields, n_reps - a), count + 1]
+                                      for a in range(0, n_reps, fields)), []) + [count]
+                                 if shared else [])
+                assert same_bits(oob, want_oob) and same_bits(oob, folded_oob)
+                for g, w, v in zip(got, want, folded, strict=True):
+                    assert same_bits(g, w)
+                    if len(plan.views) == 1:   # the orbits alone change the rounding
+                        assert same_bits(g, v)
+
+    def test_the_cases_cover_every_kind_of_field_and_plan(self):
+        kinds, folds = set(), set()
+        for geom, angles in BAND_SCANS.values():
+            for make in SHARED_TAU_GRIDS.values():
+                plan = _fold_plan(geom, make(geom), angles)
+                kinds.update(field_kinds(geom, make(geom), plan))
+                folds.add((plan.pairs > 0, len(plan.views)))
+        assert kinds == {"covered", "whole", "banded"}
+        assert folds == {(False, 1), (True, 2), (True, 4), (False, 4)}
