@@ -102,24 +102,23 @@ def _thread_count(n_items: int) -> int:
     return 1 if getattr(_worker, "busy", False) else min(_cpu_count(), n_items)
 
 
-def _run_tasks(task, items: list) -> None:
-    """Call task(item) for every item, on this thread and one pool worker per further CPU.
+def _run_tasks(task, items: list) -> list:
+    """[task(item) for item in items], run on this thread and one pool worker per further CPU.
 
-    All threads take items (never None) from one shared iterator.  The
-    tasks must write disjoint outputs, so which thread runs an item cannot
-    change a result.  With one item or one CPU, or from a pool worker
-    (_thread_count), everything runs inline.  Every worker has stopped
-    before this returns or raises; after a task fails no further item is
-    started, and the calling thread's failure, or else the first failed
-    worker's, is raised.
+    All threads take (index, item) pairs from one shared iterator, so the
+    list is in item order whichever thread ran an item.  Tasks that write
+    outputs must write disjoint ones, so no result depends on the thread.
+    With one item or one CPU, or from a pool worker (_thread_count),
+    everything runs inline.  Every worker has stopped before this returns or
+    raises; after a task fails no further item is started, and the calling
+    thread's failure, or else the first failed worker's, is raised.
     """
     n_threads = _thread_count(len(items))
     if n_threads <= 1:
-        for item in items:
-            task(item)
-        return
+        return [task(item) for item in items]
     pool = _executor()
-    pending = iter(items)
+    pending = enumerate(items)
+    results = [None] * len(items)
     lock = threading.Lock()
     failed = False
 
@@ -127,11 +126,11 @@ def _run_tasks(task, items: list) -> None:
         nonlocal failed
         while True:
             with lock:
-                item = None if failed else next(pending, None)
-            if item is None:
+                job = None if failed else next(pending, None)
+            if job is None:
                 return
             try:
-                task(item)
+                results[job[0]] = task(job[1])
             except BaseException:
                 failed = True
                 raise
@@ -143,6 +142,7 @@ def _run_tasks(task, items: list) -> None:
         wait(futures)
     for future in futures:
         future.result()
+    return results
 
 
 def direction(phi: float) -> tuple[float, float]:

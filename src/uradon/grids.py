@@ -84,7 +84,10 @@ def _whole_steps(angle: float, angles: AngularRange) -> int | None:
     exact to rounding: within is_full's 1e-12 tolerance a folded column could
     stand for an angle up to about 1e-12 rad off.
     """
-    steps = round(angle / angles.d_phi)
+    steps = angle / angles.d_phi
+    if not abs(steps) < 2**53:   # no count this large (or inf) is exact: nothing folds
+        return None
+    steps = round(steps)
     exact = abs(angle - steps * angles.d_phi) <= 4 * np.spacing(TWO_PI + 2.0 * abs(angles.phi_min))
     return steps if exact else None
 

@@ -44,17 +44,18 @@ rows.  The tau derivative gathers blocks of the same rows, zero ends included.
 
 Every inverse is one pass (_invert_all): each term's buffer, the
 epsilon-lambda oracle's included, is filled and filtered as one task of
-forward._run_tasks, and the filters that run at once split _SPECTRUM_BLOCK
-between them.  One _backproject call then reads every buffer, so the index
-fields are built once.  A buffer is filtered on its own and its share of a
-pass equals its own pass, so no output depends on the CPU count or on what
-else the pass inverts.  The backprojection takes the plan's representative
-angles in blocks of at most _FIELD_BLOCK bytes of index fields: the pool
-builds a block's fields, one task each, and then gathers the block with one
-task per buffer, which owns all of that buffer's frames and adds its rows in
-the fixed order, so each field is built once and no frame has two writers.
-A pass of one buffer, or on an image below _SHARED_PIXELS pixels, builds one
-field at a time and gathers it on the calling thread.
+forward._run_tasks, which returns the buffers in term order; the filters
+that run at once split _SPECTRUM_BLOCK between them.  One _backproject call
+then reads every buffer, so the index fields are built once.  A buffer is
+filtered on its own and its share of a pass equals its own pass, so no
+output depends on the CPU count or on what else the pass inverts.  The
+backprojection takes the plan's representative angles in blocks of at most
+_FIELD_BLOCK bytes of index fields: the pool returns a block's fields, one
+task each, and then gathers the block with one task per buffer, which owns
+all of that buffer's frames and adds its rows in the fixed order, and one
+that marks the one coverage mask, so each field is built once and no array
+has two writers.  A pass of one buffer, or on an image below _SHARED_PIXELS
+pixels, builds one field at a time and gathers it on the calling thread.
 
 The backprojection skips the pixels whose contribution is exactly +0.  A
 pixel a node or more past either end of the tau grid (fractional index
@@ -389,14 +390,16 @@ def _backproject(rows_seq, sino, geometry, plan) -> tuple[list[np.ndarray], np.n
     each row is gathered through its representative's field into the frame
     of its view, and each frame is mapped back through the view's inverse at
     the end.  This agrees with the direct loop to rounding; with the identity
-    view alone it is the direct loop, bit for bit.
+    view alone it is the direct loop, bit for bit.  A row's outside mask goes
+    through its view's inverse straight into the one coverage mask.
 
     The representatives are taken in blocks whose fields fill at most
-    _FIELD_BLOCK bytes.  forward._run_tasks builds a block's fields, one task
-    each, and then gathers it with one task per buffer, which owns all of
-    that buffer's frames and adds its rows in the fixed order (grouped by
-    representative), and one more that marks the coverage.  So no frame is
-    written by two threads and every result keeps its bits at any CPU count.
+    _FIELD_BLOCK bytes.  forward._run_tasks returns a block's fields, one
+    task each, and then gathers it with one task per buffer, which owns all
+    of that buffer's frames and adds its rows in the fixed order (grouped by
+    representative), and one more that ORs the coverage, exact in any order.
+    So no array is written by two threads and every result keeps its bits at
+    any CPU count; a block's fields are dropped before the next are built.
     A pass with one buffer, on one CPU or on an image below _SHARED_PIXELS
     pixels takes blocks of one field, all on the calling thread.  The view 0
     frames of all buffers are one allocation, which the results are views
@@ -412,7 +415,7 @@ def _backproject(rows_seq, sino, geometry, plan) -> tuple[list[np.ndarray], np.n
     n_bufs, n_views = len(rows_seq), len(plan.views)
     kept = np.zeros((n_bufs, geometry.nx, geometry.ny), dtype=np.complex128)
     others = np.zeros((n_bufs, n_views - 1, geometry.nx, geometry.ny), dtype=np.complex128)
-    out_of_range = np.zeros((n_views, geometry.nx, geometry.ny), dtype=bool)
+    out_of_range = np.zeros((geometry.nx, geometry.ny), dtype=bool)
     shared = n_bufs > 1 and n_px >= _SHARED_PIXELS and _thread_count(n_bufs) > 1
     run = _run_tasks if shared else lambda task, items: [task(item) for item in items]
     per_block = max(1, _FIELD_BLOCK // (_FIELD_BYTES * n_px)) if shared else 1
@@ -421,16 +424,13 @@ def _backproject(rows_seq, sino, geometry, plan) -> tuple[list[np.ndarray], np.n
                                                         per_block))
     frames = [[kept[b], *others[b]] for b in range(n_bufs)]
 
-    def build(j):
-        fields[j] = _index_field(plan.phis[first + j], x, y, sino)
-
     def gather(b):   # buffer b's rows of the block, or the coverage for b = n_bufs
         for k in rows:
             band, i0, w0, w1, outside = fields[plan.rep[k] - first]
             q = plan.view[k]
             if b == n_bufs:
                 if outside is not None:   # on booleans |= is exact in any order
-                    out_of_range[q] |= outside
+                    out_of_range[...] |= plan.views[q][1](outside)
             elif band is None:
                 frames[b][q] += _interpolated(rows_seq[b][k], i0, w0, w1)
             else:   # gathered before the band's copy of the frame is taken
@@ -444,14 +444,12 @@ def _backproject(rows_seq, sino, geometry, plan) -> tuple[list[np.ndarray], np.n
 
     for first, a, z in zip(range(0, len(plan.phis), per_block), bounds[:-1], bounds[1:]):
         rows = order[a:z]
-        fields = [None] * min(per_block, len(plan.phis) - first)   # the last block's freed first
-        run(build, list(range(len(fields))))
+        fields = run(lambda phi: _index_field(phi, x, y, sino),
+                     list(plan.phis[first:first + per_block]))
         run(gather, list(range(n_bufs + 1)))
-    del fields
+        del fields   # freed before the next block's are built
     run(finish, list(range(n_bufs)))
-    for frame, (_, inverse) in zip(out_of_range[1:], plan.views[1:]):
-        out_of_range[0] |= inverse(frame)
-    return list(kept), out_of_range[0]
+    return list(kept), out_of_range
 
 
 # Each term fills one buffer of padded rows, its first pairs rows folded (grids._fold_plan),
@@ -529,14 +527,8 @@ def _invert_all(sinos, geometry: GridGeometry, params: RegParams | None,
         terms += [(_fs_rows, params), (_fa_rows, params)]
     plan = _fold_plan(geometry, first.tau_grid, first.angles)
     jobs = [(term, s, arg) for s in sinos for term, arg in terms]
-    buffers = [None] * len(jobs)
     budget = _SPECTRUM_BLOCK // _thread_count(len(jobs))
-
-    def fill(k):
-        term, s, arg = jobs[k]
-        buffers[k] = term(s, plan.pairs, arg, budget)
-
-    _run_tasks(fill, list(range(len(jobs))))
+    buffers = _run_tasks(lambda job: job[0](job[1], plan.pairs, job[2], budget), jobs)
     skipped = [rows is None for rows in buffers]
     values, oob = _backproject([b for b in buffers if b is not None], first, geometry, plan)
     del buffers   # freed before the images are made

@@ -1049,10 +1049,15 @@ def three_cpus(monkeypatch):
 class TestRunTasks:
     def test_one_cpu_or_one_task_runs_inline(self, monkeypatch):
         threads = []
+
+        def task(item):
+            threads.append(threading.get_ident())
+            return 2 * item
+
         monkeypatch.setattr(fwd, "_cpu_count", lambda: 1)
-        fwd._run_tasks(lambda item: threads.append(threading.get_ident()), list(range(5)))
+        assert fwd._run_tasks(task, list(range(5))) == [0, 2, 4, 6, 8]
         monkeypatch.setattr(fwd, "_cpu_count", lambda: 4)
-        fwd._run_tasks(lambda item: threads.append(threading.get_ident()), [0])
+        assert fwd._run_tasks(task, [3]) == [6]
         assert threads == [threading.get_ident()] * 6
 
     def test_every_item_runs_once_under_contention(self, three_cpus):
@@ -1061,8 +1066,9 @@ class TestRunTasks:
         try:
             for _ in range(20):
                 done = []
-                fwd._run_tasks(done.append, list(range(500)))
+                got = fwd._run_tasks(lambda item: done.append(item) or -item, list(range(500)))
                 assert sorted(done) == list(range(500))
+                assert got == [-item for item in range(500)]
         finally:
             sys.setswitchinterval(interval)
 

@@ -534,6 +534,20 @@ class TestExactAngles:
         assert np.array_equal(got.f_a.values, fa)
         assert np.array_equal(got.out_of_coverage, oob)
 
+    @pytest.mark.parametrize("span", [1e-310, 1e-300, 1e-20, 1e-12])
+    def test_a_tiny_span_takes_the_identity_plan(self, rng, span):
+        # pi is about 1e300 steps of a 1e-300 span: no count that large is exact
+        geom = ur.GridGeometry.centered(24, 24, 4.8, 4.8)
+        tau_grid = ur.TauGrid.covering(geom, 0.2)
+        angles = ur.AngularRange(0.0, span, 3)
+        plan = _fold_plan(geom, tau_grid, angles)
+        assert plan.pairs == 0 and len(plan.views) == 1 and list(plan.rep) == [0, 1, 2]
+        img = ur.ImageGrid2D.from_geometry(geom, complex_normal(rng, (24, 24)))
+        sino = ur.radon_transform(img, tau_grid, angles)
+        for m, phi in enumerate(angles.phis()):
+            for t, tau in enumerate(tau_grid.taus()):
+                assert ur.radon_point(img, tau, phi) == sino.values[t, m]
+
 
 # --- the tau band: pixels a node or more past either end of the tau grid add +0 ---
 
