@@ -4,6 +4,7 @@ Subcommands wire the library into reproducible experiments: containers in,
 containers plus CSV metrics out, one manifest (flags, version, output
 checksums) per run.  Exit codes: 0 success, 1 failed check, 2 bad
 arguments, 3 file or format errors (malformed, unreadable or unwritable).
+A refusal raises ValueError or a file error, and ``main`` alone maps types to codes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .container import ContainerError, read_container, write_container
 from .forward import radon_transform
 from .grids import (AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid, _finite,
                     _positive_int)
-from .holonomy import (Probe, check_holonomy, classify_defect_scene,
-                       extract_defect, UnsupportedSceneError)
+from .holonomy import Probe, check_holonomy, classify_defect_scene, extract_defect
 from .hybrid import dual_k_grid, hybrid_forward, hybrid_radon, make_slices, reconstruct_volume
 from .inversion import (Backend, RegParams, _invert_all, _rmse_over_peak, invert_universal,
                         l2_norm, reconstruction_metrics)
@@ -38,29 +38,23 @@ EXIT_BAD_ARGS = 2
 EXIT_FORMAT = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _fields(text: str, name: str, *types) -> tuple:
     """Split 'a:b' (or 'a:b:n') into one value per type in ``types``."""
     parts = text.split(":")
     if len(parts) != len(types):
         form = ":".join("abn"[:len(types)])
-        raise CliError(f"--{name} expects {form}, got '{text}'", EXIT_BAD_ARGS)
+        raise ValueError(f"--{name} expects {form}, got '{text}'")
     try:
         return tuple(kind(part) for kind, part in zip(types, parts))
     except ValueError as exc:
-        raise CliError(f"--{name}: {exc}", EXIT_BAD_ARGS) from exc
+        raise ValueError(f"--{name}: {exc}") from exc
 
 
 def _load_scene(path):
     try:
         return load_scene(path)
     except SceneFormatError as exc:
-        raise CliError(f"bad scene file {path}: {exc}", EXIT_FORMAT) from exc
+        raise SceneFormatError(f"bad scene file {path}: {exc}") from exc
 
 
 def _scene3d(args) -> tuple[SeparableScene3D, list[float]]:
@@ -80,10 +74,10 @@ def _read(path, expected_type):
     try:
         obj = read_container(path)
     except ContainerError as exc:
-        raise CliError(f"bad container {path}: {exc}", EXIT_FORMAT) from exc
+        raise ContainerError(f"bad container {path}: {exc}") from exc
     if not isinstance(obj, expected_type):
-        raise CliError(f"{path}: expected {expected_type.__name__}, "
-                       f"found {type(obj).__name__}", EXIT_FORMAT)
+        raise ContainerError(f"{path}: expected {expected_type.__name__}, "
+                             f"found {type(obj).__name__}")
     return obj
 
 
@@ -130,7 +124,7 @@ def _restrict_angles(sino: Sinogram, window: tuple[float, float]) -> Sinogram:
     # the phis increase, so the window selects one contiguous block
     keep = np.nonzero((phis >= lo - 1e-12) & (phis < hi - 1e-12))[0]
     if len(keep) == 0:
-        raise CliError(f"no stored angles inside [{lo}, {hi})", EXIT_BAD_ARGS)
+        raise ValueError(f"no stored angles inside [{lo}, {hi})")
     d_phi = sino.angles.d_phi
     angles = AngularRange(float(phis[keep[0]]), float(phis[keep[0]] + len(keep) * d_phi), len(keep))
     return Sinogram(sino.tau_min, sino.d_tau, sino.n_tau, angles,
@@ -141,7 +135,7 @@ def _restrict_angles(sino: Sinogram, window: tuple[float, float]) -> Sinogram:
 
 def _cmd_phantom(args, argv) -> int:
     if (args.slices is None) != (args.x3 is None):
-        raise CliError("--slices N and --x3 start:step go together", EXIT_BAD_ARGS)
+        raise ValueError("--slices N and --x3 start:step go together")
     geometry = _geometry(args)
     if args.slices is None:
         scene, _ = _load_scene(args.scene)
@@ -204,19 +198,19 @@ def _rel_diff(values: np.ndarray, reference: np.ndarray) -> float:
 def _cmd_invert(args, argv) -> int:
     if args.epsilon is not None:   # the regulator of the epsilon-lambda path alone
         if not args.with_epsilon_lambda:
-            raise CliError("--epsilon requires --with-epsilon-lambda", EXIT_BAD_ARGS)
+            raise ValueError("--epsilon requires --with-epsilon-lambda")
     _check_steps(args, "epsilon", "fa_step")
     window = _fields(args.range, "range", float, float) if args.range is not None else None
     if window is not None:   # finite ends, as radon's; one wider than the scan keeps it all
         _finite("range start", window[0])
         _finite("range end", window[1])
         if window[0] >= window[1]:
-            raise CliError(f"--range needs a < b, got '{args.range}'", EXIT_BAD_ARGS)
+            raise ValueError(f"--range needs a < b, got '{args.range}'")
     geometry = _geometry(args)
     sino = _read(args.sinogram, Sinogram)
     reference = _read(args.reference, ImageGrid2D) if args.reference else None
     if reference is not None and reference.geometry != geometry:   # before any inverse runs
-        raise CliError("reference geometry differs from reconstruction", EXIT_BAD_ARGS)
+        raise ValueError("reference geometry differs from reconstruction")
     if window is not None:
         sino = _restrict_angles(sino, window)
     params = RegParams.defaults(sino.d_tau, Backend(args.backend))
@@ -246,7 +240,7 @@ def _probe_inputs(args) -> tuple[CompositeScene, Probe, GridGeometry]:
     t_lo, t_hi, t_n = _fields(args.tau, "tau", float, float, int)
     p_lo, p_hi, p_n = _fields(args.phi_window, "phi-window", float, float, int)
     if t_n < 1 or p_n < 1:
-        raise CliError("probe needs at least one tau and one phi sample", EXIT_BAD_ARGS)
+        raise ValueError("probe needs at least one tau and one phi sample")
     d_tau = (t_hi - t_lo) / t_n
     taus = TauGrid(t_lo + d_tau / 2.0, d_tau, t_n)  # cell-centered inside (lo, hi]
     probe = Probe(taus, AngularRange(p_lo, p_hi, p_n))
@@ -271,11 +265,8 @@ def _cmd_holonomy(args, argv) -> int:
 
 def _cmd_defect(args, argv) -> int:
     scene, probe, geometry = _probe_inputs(args)
-    try:
-        defect_terms, _ = classify_defect_scene(scene)
-        extracted = extract_defect(scene, probe, geometry)
-    except UnsupportedSceneError as exc:
-        raise CliError(f"unsupported defect scene: {exc}", EXIT_BAD_ARGS) from exc
+    defect_terms, _ = classify_defect_scene(scene)
+    extracted = extract_defect(scene, probe, geometry)
     recon = invert_universal(extracted, geometry, RegParams.defaults(extracted.d_tau))
     metrics = [("metric", "value"), ("defect_norm", l2_norm(extracted.values))]
     if defect_terms:
@@ -317,26 +308,24 @@ def _cmd_hybrid(args, argv) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """Refuses a call with one error line and exit code 2, like every other refusal.
-
-    A flag is its full name alone: no prefix of it is accepted, so renaming a flag
-    cannot leave its old name parsing.  Subcommand parsers are of this class too.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        self.exit(EXIT_BAD_ARGS, f"error: {message}\n")
-
-
 # lets option values like "-3.5:1.0" pass as values instead of option names
 _DASHED_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)(:.*)?$")
 
 
-def _allow_dashed_values(p: argparse.ArgumentParser) -> None:
-    p._negative_number_matcher = _DASHED_VALUE
+class _Parser(argparse.ArgumentParser):
+    """Refuses a call with one error line and exit code 2, like every other refusal.
+
+    A flag is its full name alone: no prefix of it is accepted, so renaming a flag
+    cannot leave its old name parsing.  A dash and a digit start a value, not a flag
+    (``--x3 -1.5:1.0``).  Subcommand parsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = _DASHED_VALUE
+
+    def error(self, message):
+        self.exit(EXIT_BAD_ARGS, f"error: {message}\n")
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
@@ -426,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=Backend.RAMP_FILTER.value)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_hybrid)
-    for p in sub.choices.values():
-        _allow_dashed_values(p)
     return parser
 
 
@@ -437,9 +424,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ContainerError, SceneFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

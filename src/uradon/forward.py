@@ -321,8 +321,6 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
         fy /= geometry.dy
         fy += 1.0
         keep = np.flatnonzero((fx > i_lo) & (fx < i_hi) & (fy > j_lo) & (fy < j_hi))
-        if not keep.size:   # the rows keep their +0
-            return
         # kept samples lie in (0, n + 1): _linear_index's clip and min are no-ops; each
         # temporary is freed or reused as soon as it is spent, which keeps peak memory down
         tx = fx.ravel()[keep]

@@ -66,7 +66,7 @@ def dual_k_grid(x3_positions) -> tuple[np.ndarray, float]:
     """Momentum grid k_m = 2 pi m / (N * spacing) dual to a uniform slice grid.
 
     Returns (k values, spacing); raises if there are no positions, one is not
-    finite or they are not uniformly spaced.
+    finite or they are not strictly increasing and uniformly spaced.
     """
     positions = list(x3_positions)
     if not positions:
@@ -77,8 +77,11 @@ def dual_k_grid(x3_positions) -> tuple[np.ndarray, float]:
     n = len(x3)
     if n == 1:
         return np.zeros(1), 1.0
-    spacing = float(x3[1] - x3[0])
-    if spacing <= 0 or np.max(np.abs(np.diff(x3) - spacing)) > 1e-9 * max(abs(spacing), 1.0):
+    steps = np.diff(x3)
+    if np.any(steps <= 0):
+        raise ValueError("x3_positions must be strictly increasing")
+    spacing = float(steps[0])
+    if np.max(np.abs(steps - spacing)) > 1e-9 * max(spacing, 1.0):
         raise ValueError("slice positions must be uniformly spaced for the series inverse")
     return 2.0 * np.pi * np.arange(n) / (n * spacing), spacing
 

@@ -560,15 +560,27 @@ def epsilon_lambda_reconstruct(sino: Sinogram, geometry: GridGeometry,
 
 # --- metrics -----------------------------------------------------------------
 
+def _root_mean_square(magnitudes: np.ndarray, count: int = 1) -> float:
+    """sqrt(sum(magnitudes**2) / count): the plain formula's bits unless its sum overflows or
+    leaves the normal floats, then with the peak magnitude divided out before squaring."""
+    with np.errstate(over="ignore", under="ignore"):
+        q = np.sum(magnitudes ** 2)
+        if not np.finfo(float).tiny <= q < np.inf:
+            peak = np.max(magnitudes, initial=0.0)
+            if 0.0 < peak < np.inf:
+                return float(peak * np.sqrt(np.sum((magnitudes / peak) ** 2) / count))
+    return float(np.sqrt(q / count))
+
+
 def l2_norm(values: np.ndarray) -> float:
     """Euclidean norm, summed in C order whatever the layout, so an F-order copy keeps its bits."""
-    return float(np.sqrt(np.sum(np.abs(values, order="C") ** 2)))
+    return _root_mean_square(np.abs(values, order="C"))
 
 
 def _rmse_over_peak(values: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
     """(rmse, rmse / max|reference|) of values against reference; the ratio is the rmse
     itself where the reference is all zero."""
-    rmse = float(np.sqrt(np.mean(np.abs(values - reference) ** 2)))
+    rmse = _root_mean_square(np.abs(values - reference), values.size)
     peak = float(np.max(np.abs(reference)))
     return rmse, rmse / peak if peak > 0 else rmse
 

@@ -437,6 +437,30 @@ class TestInvert:
         assert main(["invert", "--sinogram", str(tmp_path / "nope.urdn"), "--nx", "16",
                      "--extent", "8", "--out-prefix", str(tmp_path / "x")]) == 3
 
+    def test_container_of_another_type_is_format_error(self, tmp_path, image_file, capsys):
+        assert main(["invert", "--sinogram", image_file, "--nx", "16", "--extent", "8",
+                     "--out-prefix", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {image_file}: ")
+        assert "expected Sinogram" in err
+
+    def test_norms_of_huge_values_stay_finite(self, tmp_path, capsys):
+        # the squares of 1e200 overflow: the norms were inf, their ratio nan, with warnings
+        scene = tmp_path / "huge.scene"
+        scene.write_text("cx=0 cy=0 sigma=1 amp_re=1e200 amp_im=-3e199\n")
+        img, sino, prefix = (str(tmp_path / name) for name in ("img.urdn", "sino.urdn", "h"))
+        assert main(["phantom", "--scene", str(scene), "--nx", "32", "--extent", "8",
+                     "--out", img]) == 0
+        assert main(["radon", "--image", img, "--n-phi", "24", "--out", sino]) == 0
+        capsys.readouterr()
+        assert main(["invert", "--sinogram", sino, "--nx", "32", "--extent", "8",
+                     "--range", "0:3.1415927", "--reference", img, "--out-prefix", prefix]) == 0
+        assert capsys.readouterr().err == ""
+        metrics = dict(line.split(",") for line
+                       in (tmp_path / "h_metrics.csv").read_text().splitlines()[1:])
+        assert all(np.isfinite(float(v)) for v in metrics.values())
+        assert 1e199 < float(metrics["fs_norm"]) < 1e202
+
     @pytest.mark.parametrize("flag, field", [("--fa-step", "fa_step"), ("--epsilon", "epsilon")])
     def test_bad_regulator_is_refused_before_reading(self, tmp_path, capsys, flag, field):
         assert main(["invert", "--sinogram", str(tmp_path / "nope.urdn"), "--nx", "16",
@@ -473,9 +497,11 @@ class TestHolonomyAndDefect:
                        in (tmp_path / "def_metrics.csv").read_text().splitlines()[1:])
         assert float(metrics["direct_rel_diff"]) <= 1e-3
 
-    def test_non_defect_scene_rejected(self, tmp_path, scene_file):
+    def test_non_defect_scene_rejected(self, tmp_path, scene_file, capsys):
         assert main(["defect", "--scene", scene_file, "--nx", "32", "--extent", "8",
                      "--out-prefix", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "error: defect scenes may not contain unmasked terms\n")
 
 
 class TestHybrid:

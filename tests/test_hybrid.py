@@ -112,6 +112,13 @@ class TestHybridInverseSeries:
         with pytest.raises(ValueError):
             ur.dual_k_grid(stack.x3_positions)
 
+    @pytest.mark.parametrize("positions", [[3.0, 2.0, 1.0], [0.0, 0.0], [0.0, 1.0, 0.0]],
+                             ids=["decreasing", "repeated", "turning back"])
+    def test_positions_that_do_not_increase_rejected(self, positions):
+        # evenly spaced but decreasing positions were called non-uniform
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ur.dual_k_grid(positions)
+
     @pytest.mark.parametrize("positions", [[0.0, 1.0, np.nan], [0.0, np.inf], [np.nan]],
                              ids=["nan", "inf", "lone nan"])
     def test_non_finite_positions_rejected(self, positions):

@@ -785,6 +785,31 @@ def test_l2_norm_keeps_its_bits_in_either_memory_order(rng):
         assert ur.l2_norm(a.T) == ur.l2_norm(np.ascontiguousarray(a.T))
 
 
+@pytest.mark.parametrize("k", [-1000, -520, 520, 1000])
+def test_norms_scale_exactly_where_the_squares_leave_the_normal_range(rng, k):
+    # at 2^-520 the squares are subnormal, at 2^520 they overflow; the plain formula
+    # gave 0 or inf there
+    a = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
+    b = a + 0.1 * rng.normal(size=a.shape)
+    scale, ulps = 2.0 ** k, 4 * np.finfo(float).eps
+    assert ur.l2_norm(a * scale) == pytest.approx(ur.l2_norm(a) * scale, rel=ulps, abs=0)
+    rmse, rel = inv._rmse_over_peak(b * scale, a * scale)
+    want_rmse, want_rel = inv._rmse_over_peak(b, a)
+    assert rmse == pytest.approx(want_rmse * scale, rel=ulps, abs=0)
+    assert rel == pytest.approx(want_rel, rel=ulps, abs=0)
+
+
+def test_norms_on_normal_data_are_the_plain_formulas_bit_for_bit(rng):
+    for shape in [(7, 5), (128, 96)]:
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = a + 1e-3 * rng.normal(size=shape)
+        assert ur.l2_norm(a) == float(np.sqrt(np.sum(np.abs(a) ** 2)))
+        rmse = float(np.sqrt(np.mean(np.abs(b - a) ** 2)))
+        assert inv._rmse_over_peak(b, a) == (rmse, rmse / float(np.max(np.abs(a))))
+    zero = np.zeros(4)
+    assert ur.l2_norm(zero) == 0.0 and inv._rmse_over_peak(zero, zero) == (0.0, 0.0)
+
+
 def test_reconstruction_type_validation(unit_blob_scene):
     geom = ur.GridGeometry.centered(16, 16, 4.0, 4.0)
     zero = ur.ImageGrid2D.from_geometry(geom, np.zeros((16, 16)))
