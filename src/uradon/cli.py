@@ -23,7 +23,7 @@ from . import __version__
 from .container import ContainerError, read_container, write_container
 from .forward import radon_transform
 from .grids import (AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid, _finite,
-                    _positive_int)
+                    _Handover, _positive_int)
 from .holonomy import Probe, check_holonomy, classify_defect_scene, extract_defect
 from .hybrid import dual_k_grid, hybrid_forward, hybrid_radon, make_slices, reconstruct_volume
 from .inversion import (Backend, RegParams, _invert_all, _rmse_over_peak, invert_universal,
@@ -128,7 +128,7 @@ def _restrict_angles(sino: Sinogram, window: tuple[float, float]) -> Sinogram:
     d_phi = sino.angles.d_phi
     angles = AngularRange(float(phis[keep[0]]), float(phis[keep[0]] + len(keep) * d_phi), len(keep))
     return Sinogram(sino.tau_min, sino.d_tau, sino.n_tau, angles,
-                    sino.values[:, keep[0]:keep[-1] + 1])
+                    sino.values[:, keep[0]:keep[-1] + 1].view(_Handover))
 
 
 # --- subcommands -------------------------------------------------------------

@@ -51,7 +51,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 from .grids import (TWO_PI, AngularRange, GridGeometry, ImageGrid2D, Sinogram, TauGrid,
-                    _finite, _fold_plan)
+                    _finite, _fold_plan, _gathered)
 
 # Band samples per projector task: the (offset, direction, tau row) positions one
 # task computes for its group.  Blocks this size keep each thread's temporaries
@@ -223,11 +223,11 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
     (grids._linear_index) where the box reaches the grid edge, and zero
     nodes of the arrays elsewhere; an image of full support gets the whole
     padded grid.  A task indexes its group's stack with the stack's row
-    width, and the three other corners are read at the same index in the
-    plane shifted by a row, a node or both.  A task lays its samples out as
-    one (offset, direction, row) block, so np.bincount over the bins
-    direction * n_rows + row adds consecutive samples into different bins
-    instead of waiting on one running sum; each bin still receives its own
+    width and reads each plane's four corners in one grids._gathered call.
+    A task lays its samples out as one (offset, direction, row) block, so
+    np.bincount over the bins direction * n_rows + row adds consecutive
+    samples into different bins instead of waiting on one running sum; each
+    bin still receives its own
     samples in increasing offset order, which gives the bits of a row-by-row
     sum.
 
@@ -344,17 +344,10 @@ def _project(geometry: GridGeometry, arrays, taus: np.ndarray, directions,
         del ty
         for k in members:
             for q in (2 * k, 2 * k + 1):
-                # the corners (i0 + 1, j0), (i0, j0 + 1) and (i0 + 1, j0 + 1) are the
-                # same index into the plane shifted by a row, a node and both
-                plane = planes[q]
-                samples = plane.take(corner)
-                samples *= weights[0]
-                for w, shift in zip(weights[1:], (width, 1, width + 1)):
-                    term = plane[shift:].take(corner)
-                    term *= w
-                    samples += term
+                # summed as it is gathered: one gather alive at a time keeps peak RSS down
                 sums[q, m0:m1, r0:r1] = np.bincount(
-                    bins, weights=samples, minlength=n_bins).reshape(m1 - m0, -1)
+                    bins, weights=_gathered(planes[q], corner, weights, (width, 1, width + 1)),
+                    minlength=n_bins).reshape(m1 - m0, -1)
 
     _run_tasks(project_block, tasks)
     out = np.empty((len(arrays), n_dir, n_tau), dtype=np.complex128)

@@ -6,10 +6,10 @@ dataclasses over read-only arrays), so instances are safe to share across
 threads.
 
 The rules every stage shares live here once: the edge rule of linear
-interpolation (_linear_index), which the projector, bilinear_sample, the tau
-derivative and the backprojection all follow; the trapezoid weights
-(_trapezoid_weights); and the fold plan (_fold_plan), which decides the
-angles that the projector and the backprojection compute.
+interpolation (_linear_index) and the weighted gather that reads it
+(_gathered); the trapezoid weights (_trapezoid_weights); and the fold plan
+(_fold_plan), which decides the angles that the projector and the
+backprojection compute.
 """
 
 from __future__ import annotations
@@ -52,6 +52,25 @@ def _linear_index(f, n: int):
     f = np.clip(f + 1.0, 0.0, n + 1)
     i0 = np.minimum(f.astype(np.intp), n)
     return i0, f - i0
+
+
+def _gathered(source: np.ndarray, index: np.ndarray, weights, shifts) -> np.ndarray:
+    """weights[0] * s[index] + weights[1] * s[index + shifts[0]] + ... along source's last axis.
+
+    The one weighted gather on _linear_index's padded axes: the projector's
+    bilinear corners (shifts width, 1, width + 1 on rows width nodes long),
+    and the tau derivative's and the backprojection's two nodes (shift 1).
+    Terms are added in order into the first one's array, so every output is
+    ((w0 s0 + w1 s1) + w2 s2) + ... of its own nodes alone.  Float weights
+    give the bits of complex ones: numpy casts them before it multiplies.
+    """
+    out = source.take(index, axis=-1)
+    out *= weights[0]
+    for w, shift in zip(weights[1:], shifts):
+        term = source[..., shift:].take(index, axis=-1)
+        term *= w
+        out += term
+    return out
 
 
 def _finite(name: str, value, positive: bool = False) -> None:
@@ -154,8 +173,9 @@ def _fold_plan(geometry: GridGeometry, tau_grid: TauGrid, angles: AngularRange) 
 
 
 class _Handover(np.ndarray):
-    """A fresh array that _freeze adopts instead of copying: the container reader's blocks,
-    rasterized scenes and the inverse's images, which nothing else holds for writing."""
+    """An array that _freeze adopts instead of copying because nothing else holds it for
+    writing: a fresh one (the container reader's blocks, rasterized scenes, the inverse's
+    images) or a view of a frozen, read-only one (invert --range's window of a scan)."""
 
 
 def _freeze(values, shape, name: str, order: str = "C") -> np.ndarray:

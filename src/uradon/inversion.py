@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import (ANGULAR_MEASURE_NORM, GridGeometry, ImageGrid2D, Sinogram, _finite,
-                    _fold_plan, _Handover, _linear_index, _trapezoid_weights)
+                    _fold_plan, _gathered, _Handover, _linear_index, _trapezoid_weights)
 from .forward import _run_tasks, _thread_count, direction
 
 
@@ -164,13 +164,29 @@ def lambda_kernel(eta, epsilon: float, lambda_max: float):
 
     As lambda_max -> inf this tends to -1/(eta - i eps)^2, i.e. minus the
     square of the regularized pole.
+
+    Where |x| < 1, x = a L, the closed form cancels two terms of size L / |a|:
+    K is the series L^2 sum_k (-x)^k / (k! (k + 2)) there, exact to rounding
+    in 20 terms (the default eps = 2 d_tau gives |x| >= 2 pi at every node).
+    Where a^2 overflows, its term takes its limit 0.
     """
     _finite("epsilon", epsilon, positive=True)
     _finite("lambda_max", lambda_max, positive=True)
     eta = np.asarray(eta, dtype=np.float64)
     a = epsilon + 1j * eta
-    decay = np.exp(-a * lambda_max)
-    out = (1.0 - decay) / a**2 - lambda_max * decay / a
+    out = np.empty(a.shape, dtype=np.complex128)
+    with np.errstate(over="ignore"):   # an overflowed |a| L is not small, a^2 divides to 0
+        small = np.abs(a) * lambda_max < 1.0
+        big = a[~small]
+        decay = np.exp(-big * lambda_max)
+        square = big**2
+        square[~np.isfinite(square)] = np.inf
+        out[~small] = (1.0 - decay) / square - lambda_max * decay / big
+    x = a[small] * lambda_max
+    series = np.zeros_like(x)
+    for k in range(19, -1, -1):   # Horner: 1/2 - x/1 (1/3 - x/2 (1/4 - ...))
+        series = 1.0 / (k + 2) - x / (k + 1) * series
+    out[small] = lambda_max**2 * series
     return complex(out) if out.ndim == 0 else out
 
 
@@ -234,35 +250,32 @@ def _correlate_rows(rows: np.ndarray, kernel: np.ndarray, budget: int,
         inner[:j] += out[k:, ::-1]
 
 
+def _complex_weights(frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1 - frac, frac) cast to complex once, not by numpy in every gather that reads them."""
+    return (1.0 - frac).astype(np.complex128), frac.astype(np.complex128)
+
+
 def _differentiate_rows(rows: np.ndarray, d_tau: float, fa_step: float, budget: int) -> None:
     """Central difference (g(tau + h) - g(tau - h)) / (2h) of each padded row, in place.
 
     Off-grid values are linear interpolation on the padded row
-    (grids._linear_index), whose zero ends give the field past either end
-    node; h = fa_step may be any value >= d_tau (_invert_all checks it before
-    any buffer is made).  Both sides are formed a block of rows at a time, in
+    (grids._gathered), whose zero ends give the field past either end node;
+    h = fa_step may be any value >= d_tau (_invert_all checks it before any
+    buffer is made).  Both sides are formed a block of rows at a time, in
     gathers of a sixteenth of budget entries (128 KiB for all of
     _SPECTRUM_BLOCK) each, small enough to stay in cache, and written back
     over the block's inner entries.
     """
     n = rows.shape[1] - 2
     shift = fa_step / d_tau
-    # g(t + h) and g(t - h): (1 - frac) * p[i0] + frac * p[i0 + 1] on the padded row p
-    taps = [(i0, 1.0 - frac, frac) for i0, frac in
+    # g(t + h) and g(t - h) on the padded rows
+    taps = [(i0, _complex_weights(frac)) for i0, frac in
             (_linear_index(np.arange(n) + step, n) for step in (shift, -shift))]
     block = max(1, budget // (16 * n))
     for a in range(0, rows.shape[0], block):
         part = rows[a:a + block]
-        sides = []
-        for i0, w0, w1 in taps:
-            lo = part.take(i0, axis=1)
-            lo *= w0
-            hi = part.take(i0 + 1, axis=1)
-            hi *= w1
-            lo += hi
-            sides.append(lo)
         inner = part[:, 1:-1]
-        np.subtract(*sides, out=inner)
+        np.subtract(*[_gathered(part, i0, weights, (1,)) for i0, weights in taps], out=inner)
         inner /= 2.0 * fa_step
 
 
@@ -336,10 +349,11 @@ _SHARED_PIXELS = 2**13
 
 
 def _index_field(phi: float, x, y, sino) -> tuple:
-    """(band, i0, w0, w1, outside): the interpolation field of angle phi on the image.
+    """(band, i0, weights, outside): the interpolation field of angle phi on the image.
 
     A pixel at fractional index f of the unpadded tau row reads
-    w0 * p[i0] + w1 * p[i0 + 1] of a padded row p (grids._linear_index).
+    weights[0] * p[i0] + weights[1] * p[i0 + 1] of a padded row p
+    (grids._linear_index, grids._gathered).
     band is None where every pixel is gathered, else the flat indices of the
     band -1 < f < n_tau; outside marks the pixels with f < 0 or f > n_tau - 1,
     and is None where there are none (module docstring).
@@ -361,18 +375,7 @@ def _index_field(phi: float, x, y, sino) -> tuple:
             band = np.flatnonzero((f > -1.0) & (f < n))
             f = f.reshape(-1)[band]
         i0, w = _linear_index(f, n)
-    # complex weights, cast once per field rather than once per row and buffer
-    return band, i0, (1.0 - w).astype(np.complex128), w.astype(np.complex128), outside
-
-
-def _interpolated(row: np.ndarray, i0: np.ndarray, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    """w0 * p[i0] + w1 * p[i0 + 1] on the padded row p, in two gathers."""
-    lo = row[i0]
-    lo *= w0
-    hi = row[1:][i0]
-    hi *= w1
-    lo += hi
-    return lo
+    return band, i0, _complex_weights(w), outside
 
 
 def _backproject(rows_seq, sino, geometry, plan) -> tuple[list[np.ndarray], np.ndarray]:
@@ -426,15 +429,15 @@ def _backproject(rows_seq, sino, geometry, plan) -> tuple[list[np.ndarray], np.n
 
     def gather(b):   # buffer b's rows of the block, or the coverage for b = n_bufs
         for k in rows:
-            band, i0, w0, w1, outside = fields[plan.rep[k] - first]
+            band, i0, weights, outside = fields[plan.rep[k] - first]
             q = plan.view[k]
             if b == n_bufs:
                 if outside is not None:   # on booleans |= is exact in any order
                     out_of_range[...] |= plan.views[q][1](outside)
             elif band is None:
-                frames[b][q] += _interpolated(rows_seq[b][k], i0, w0, w1)
+                frames[b][q] += _gathered(rows_seq[b][k], i0, weights, (1,))
             else:   # gathered before the band's copy of the frame is taken
-                values = _interpolated(rows_seq[b][k], i0, w0, w1)
+                values = _gathered(rows_seq[b][k], i0, weights, (1,))
                 frames[b][q].reshape(-1)[band] += values
 
     def finish(b):

@@ -88,7 +88,8 @@ def rasterize(scene: CompositeScene, geometry: GridGeometry) -> ImageGrid2D:
     values = np.zeros((geometry.nx, geometry.ny), dtype=np.complex128)
     for blob, mask in scene.terms:
         bx, by = _mask_block(mask, x, y)
-        r2 = (x[bx, None] - blob.cx) ** 2 + (y[by] - blob.cy) ** 2
+        with np.errstate(over="ignore"):   # an overflowed square gives exp(-inf) = 0, exact
+            r2 = (x[bx, None] - blob.cx) ** 2 + (y[by] - blob.cy) ** 2
         values[bx, by] += blob.amplitude * np.exp(-r2 / (2.0 * blob.sigma**2))
     return ImageGrid2D(geometry, values.view(_Handover))
 
@@ -215,7 +216,9 @@ class SeparableScene3D:
 
     def profile(self, x3):
         x3 = np.asarray(x3, dtype=np.float64)
-        return np.exp(-((x3 - self.x3_center) ** 2) / (2.0 * self.x3_sigma**2))
+        with np.errstate(over="ignore"):   # an overflowed square gives exp(-inf) = 0, exact
+            r2 = (x3 - self.x3_center) ** 2
+        return np.exp(-r2 / (2.0 * self.x3_sigma**2))
 
     def profile_transform(self, k):
         """Closed-form 1D transform of the profile: integral exp(-i k x3) profile(x3) dx3."""

@@ -87,6 +87,20 @@ class TestPhantom:
         assert main(["phantom", "--scene", str(tmp_path / "nope.scene"), "--nx", "16",
                      "--extent", "4", "--out", str(tmp_path / "x.urdn")]) == 3
 
+    @pytest.mark.parametrize("flags, zero", [(["--extent", "1e308"], [True]),
+                                             (["--extent", "8", "--slices", "2",
+                                               "--x3", "0:1e308"], [False, True])])
+    def test_squares_that_overflow_give_zero_without_warnings(self, tmp_path, scene_file, capsys,
+                                                              flags, zero):
+        # every node (or slice) 1e306 or more from the blob: its overflowed square is exp's 0
+        out = tmp_path / "far.urdn"
+        assert main(["phantom", "--scene", scene_file, "--nx", "16", *flags,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        written = ur.read_container(out)
+        slices = written.slices if isinstance(written, ur.VolumeStack) else [written]
+        assert [not np.any(s.values) for s in slices] == zero
+
     def test_volume_mode(self, tmp_path, scene_file):
         out = tmp_path / "vol.urdn"
         assert main(["phantom", "--scene", scene_file, "--nx", "16", "--extent", "6",
@@ -460,6 +474,21 @@ class TestInvert:
                        in (tmp_path / "h_metrics.csv").read_text().splitlines()[1:])
         assert all(np.isfinite(float(v)) for v in metrics.values())
         assert 1e199 < float(metrics["fs_norm"]) < 1e202
+
+    @pytest.mark.parametrize("epsilon, most", [("1e-12", 1e-11), ("1e-300", 1e-11), ("1e300", 1.0),
+                                               ("1.7e308", 1.0)])
+    def test_extreme_epsilon_runs_without_warnings(self, tmp_path, sino_file, capsys, epsilon,
+                                                   most):
+        # a full scan: the epsilon-lambda image tends to f_total as epsilon vanishes, and is
+        # the exact 0 of an overflowed a^2 at 1e300 and beyond (relative difference 1)
+        prefix = str(tmp_path / "e")
+        capsys.readouterr()
+        assert main(["invert", "--sinogram", sino_file, "--nx", "32", "--extent", "8",
+                     "--with-epsilon-lambda", "--epsilon", epsilon, "--out-prefix", prefix]) == 0
+        assert capsys.readouterr().err == ""
+        metrics = dict(line.split(",") for line
+                       in (tmp_path / "e_metrics.csv").read_text().splitlines()[1:])
+        assert float(metrics["epsilon_lambda_rel_diff"]) <= most
 
     @pytest.mark.parametrize("flag, field", [("--fa-step", "fa_step"), ("--epsilon", "epsilon")])
     def test_bad_regulator_is_refused_before_reading(self, tmp_path, capsys, flag, field):

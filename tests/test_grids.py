@@ -3,6 +3,8 @@ import pytest
 
 import uradon as ur
 from uradon.cli import _restrict_angles
+from uradon.grids import _gathered
+from conftest import same_bits
 
 
 def make_image(rng, nx=5, ny=4):
@@ -124,6 +126,35 @@ class TestBilinearSample:
         img = make_image(rng)
         out = ur.bilinear_sample(img, np.zeros((2, 3)), np.zeros((2, 3)))
         assert out.shape == (2, 3)
+
+
+class TestGathered:
+    """The one weighted gather against its sum written out left to right."""
+
+    @staticmethod
+    def _terms(rng, shape, index_shape, n_terms, complex_weights):
+        source = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        index = rng.integers(0, shape[-1] - 7, size=index_shape)
+        weights = [rng.uniform(-1.0, 2.0, size=index_shape) for _ in range(n_terms)]
+        if complex_weights:
+            weights = [w.astype(np.complex128) for w in weights]
+        return source, index, weights
+
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    @pytest.mark.parametrize("shape, index_shape", [((40,), (9, 5)), ((40,), (60,)),
+                                                    ((6, 40), (33,))])
+    def test_two_terms(self, rng, shape, index_shape, complex_weights):
+        s, i, (w0, w1) = self._terms(rng, shape, index_shape, 2, complex_weights)
+        want = w0 * s[..., i] + w1 * s[..., i + 1]
+        assert same_bits(_gathered(s, i, (w0, w1), (1,)), want)
+
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    @pytest.mark.parametrize("shape, index_shape", [((40,), (60,)), ((6, 40), (33,))])
+    def test_four_terms_add_in_order(self, rng, shape, index_shape, complex_weights):
+        # the projector's corners: a row of width 5 down, a node across, and both
+        s, i, (w0, w1, w2, w3) = self._terms(rng, shape, index_shape, 4, complex_weights)
+        want = w0 * s[..., i] + w1 * s[..., i + 5] + w2 * s[..., i + 1] + w3 * s[..., i + 6]
+        assert same_bits(_gathered(s, i, (w0, w1, w2, w3), (5, 1, 6)), want)
 
 
 class TestAngularRange:
@@ -359,6 +390,15 @@ def test_sinogram_values_are_read_only_angle_major_rows(tmp_path, make):
     assert sino.values.T.flags.c_contiguous
     with pytest.raises(ValueError):
         sino.values.T[0, 0] = 0.0
+
+
+def test_restricted_window_adopts_its_columns():
+    # invert --range reads its window as a view of the frozen scan, not a copy
+    sino = _radon(ur.AngularRange.full(12))
+    window = _restrict_angles(sino, (0.5, 3.0))
+    assert np.shares_memory(window.values, sino.values)
+    assert np.array_equal(window.values, sino.values[:, 1:6])
+    assert not window.values.flags.writeable
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +94,33 @@ class TestLambdaKernel:
         for eta in (-0.8, 0.0, 1.3):
             want = np.trapezoid(lam * np.exp(-1j * lam * (eta - 1j * eps)), lam)
             assert abs(ur.lambda_kernel(eta, eps, lmax) - want) < 1e-8
+
+    @pytest.mark.parametrize("eps", [0.9 / (np.pi / 0.01), 1e-6, 1e-9, 1e-12, 1e-300])
+    def test_centre_node_is_the_series_where_the_closed_form_cancels(self, eps):
+        # K(0) = L^2 sum_k (-x)^k / (k! (k + 2)), x = eps L < 1, summed exactly in rationals
+        lmax = np.pi / 0.01
+        x, lsq = Fraction(eps * lmax), Fraction(lmax) ** 2
+        want = lsq * sum((-x) ** k / (math.factorial(k) * (k + 2)) for k in range(40))
+        got = ur.lambda_kernel(0.0, eps, lmax)
+        assert got.imag == 0.0
+        assert abs(got.real - float(want)) <= 1e-15 * float(want)
+
+    def test_series_meets_the_closed_form_where_it_takes_over(self):
+        # either side of |x| = 1 the two forms agree to the closed form's rounding
+        lmax = 10.0
+        eps = np.array([0.0999, 0.1001, 0.05, 0.2])
+        eta = np.array([0.0, 0.0, 0.0866, -0.01])
+        near = [ur.lambda_kernel(e, eps[n], lmax) for n, e in enumerate(eta)]
+        a = eps + 1j * eta
+        closed = (1.0 - np.exp(-a * lmax)) / a**2 - lmax * np.exp(-a * lmax) / a
+        assert np.max(np.abs(np.array(near) - closed) / np.abs(closed)) < 1e-13
+
+    @pytest.mark.parametrize("eps", [1e300, 1.7e308])
+    def test_huge_epsilon_gives_zero_without_warnings(self, eps):
+        # a^2 overflows, in both parts at 1.7e308: the closed form's limit 0 is exact
+        # (warnings are errors here)
+        got = ur.lambda_kernel(np.array([0.0, 0.01, -2.0]), eps, np.pi / 0.01)
+        assert np.array_equal(got, np.zeros(3))
 
     def test_epsilon_validation(self):
         for bad in (-1.0, np.nan, np.inf):
@@ -243,6 +272,38 @@ class TestColumnFilters:
         whole = differentiate(sino.values, sino.d_tau, 0.237)
         monkeypatch.setattr(inv, "_SPECTRUM_BLOCK", 16 * 6 * rows)
         assert np.array_equal(differentiate(sino.values, sino.d_tau, 0.237), whole)
+
+    @pytest.mark.parametrize("rows", [1, 2, 6])
+    @pytest.mark.parametrize("steps", [1.0, 1.5, 2.37])
+    def test_tau_derivative_keeps_the_bits_of_its_float_weighted_loop(self, rng, steps, rows):
+        # a reference loop with index arrays i0 + 1 and float weights, which numpy casts
+        # to complex on every multiply; blocks of 1, 2 and 6 of the 6 rows
+        def loop(buf, d_tau, fa_step, budget):
+            n = buf.shape[1] - 2
+            shift = fa_step / d_tau
+            taps = [(i0, 1.0 - frac, frac) for i0, frac in
+                    (_linear_index(np.arange(n) + step, n) for step in (shift, -shift))]
+            block = max(1, budget // (16 * n))
+            for a in range(0, buf.shape[0], block):
+                part = buf[a:a + block]
+                sides = []
+                for i0, w0, w1 in taps:
+                    lo = part.take(i0, axis=1)
+                    lo *= w0
+                    hi = part.take(i0 + 1, axis=1)
+                    hi *= w1
+                    lo += hi
+                    sides.append(lo)
+                inner = part[:, 1:-1]
+                np.subtract(*sides, out=inner)
+                inner /= 2.0 * fa_step
+
+        padded = np.zeros((6, 29), dtype=complex)
+        padded[:, 1:-1] = rng.normal(size=(6, 27)) + 1j * rng.normal(size=(6, 27))
+        got, want = padded.copy(), padded.copy()
+        inv._differentiate_rows(got, 0.1, steps * 0.1, 16 * 27 * rows)
+        loop(want, 0.1, steps * 0.1, 16 * 27 * rows)
+        assert same_bits(got, want)
 
     @pytest.mark.parametrize("steps", [1.0, 1.5, 2.37])
     def test_tau_derivative_matches_np_interp_on_the_zero_padded_axis(self, rng, steps):
@@ -569,6 +630,17 @@ class TestEpsilonLambdaPath:
         alt = ur.epsilon_lambda_reconstruct(sino, geom, epsilon=2.0 * sino.d_tau)
         assert rel_l2(alt.values, ramp.f_total.values) <= 0.02
         assert rel_l2(alt.values, fp.f_total.values) <= 0.02
+
+    @pytest.mark.parametrize("eps, tol", [(1e-9, 1e-8), (1e-300, 1e-12)])
+    def test_tends_to_f_total_on_a_full_scan_as_epsilon_vanishes(self, unit_blob_scene, eps, tol):
+        # on a full scan f_a vanishes and the regulated kernel tends to the ramp's: the
+        # difference is linear in epsilon, about epsilon itself on this scan
+        geom = ur.GridGeometry.centered(32, 32, 8.0, 8.0)
+        img = ur.rasterize(unit_blob_scene, geom)
+        sino = ur.radon_transform(img, ur.TauGrid.covering(geom, geom.dx), ur.AngularRange.full(24))
+        total = ur.invert_universal(sino, geom, ur.RegParams.defaults(sino.d_tau)).f_total
+        alt = ur.epsilon_lambda_reconstruct(sino, geom, epsilon=eps)
+        assert rel_l2(alt.values, total.values) <= tol
 
     def test_epsilon_stability_under_halving(self):
         scene = ur.CompositeScene.of(ur.GaussianBlob(0.5, -0.3, 1.5, 1.0))
